@@ -13,11 +13,9 @@ import argparse
 import itertools
 import json
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -332,18 +330,10 @@ def run_check(check_id, config=None):
     )
 
 
-def run_suite(profile="quick", seed=0, check_ids=None, threads=None):
+def run_suite(profile="quick", seed=0, check_ids=None):
     config = RunConfig(seed=seed, profile=profile)
     ids = check_ids or [c.check_id for c in REGISTRY]
-    if threads is None:
-        threads = int(os.environ.get("SELZETA_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {cid: pool.submit(run_check, cid, config) for cid in ids}
-            reports = [futures[cid].result() for cid in ids]
-    else:
-        reports = [run_check(cid, config) for cid in ids]
-    return reports
+    return [run_check(cid, config) for cid in ids]
 
 
 def payload_for(reports, seed, profile):

@@ -229,7 +229,12 @@ def principal_product(I):
 # ---------------------------------------------------------------------------
 
 def _det(m):
-    """Cofactor determinant; exact on Fractions, adequate for the small sizes here."""
+    """Cofactor determinant of the log-form matrices, shared by every caller.
+
+    Structural zeros are the int 0 and are skipped; any other entry is never
+    truth-tested, so the same expansion is exact on Fractions and runs
+    elementwise on float or complex node arrays.
+    """
     size = len(m)
     if size == 0:
         return 1
@@ -238,14 +243,44 @@ def _det(m):
     if size == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     total = 0
-    sign = 1
-    for j in range(size):
-        a = m[0][j]
-        if a:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += sign * a * _det(minor)
-        sign = -sign
+    for j, a in enumerate(m[0]):
+        if type(a) is int and a == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * a * _det(minor)
     return total
+
+
+def log_form_det(edges, cols, diff):
+    """Coefficient of the wedge of the edge forms d log(x_p - x_q) on the columns.
+
+    One row per edge, largest edge first; one column per vertex in cols, in
+    that order.  diff(p, q) returns x_p - x_q as an exact, float or array
+    value, so the caller chooses how the differences are formed.  This is the
+    one builder behind omega_coefficient, omega_residue_direct and the
+    Selberg quadrature integrand.
+    """
+    col_of = {v: j for j, v in enumerate(cols)}
+    rows = []
+    for p, q in reversed(edges):
+        inv = 1 / diff(p, q)
+        row = [0] * len(col_of)
+        if p in col_of:
+            row[col_of[p]] = inv
+        if q in col_of:
+            row[col_of[q]] = -inv
+        rows.append(row)
+    return _det(rows)
+
+
+def _exact_diff(vals):
+    """x_p - x_q with int differences promoted to Fraction, so 1/diff stays exact."""
+
+    def diff(p, q):
+        d = vals[p] - vals[q]
+        return Fraction(d) if isinstance(d, int) else d
+
+    return diff
 
 
 def omega_coefficient(g, x):
@@ -266,17 +301,7 @@ def omega_coefficient(g, x):
         if xv in seen:
             raise ValueError(f"coincident coordinates x_{seen[xv]} = x_{v}")
         seen[xv] = v
-    col_of = {v: j for j, v in enumerate(cols)}
-    rows = []
-    for p, q in reversed(g.edges):
-        inv = 1 / Fraction(vals[p] - vals[q]) if isinstance(vals[p] - vals[q], (int, Fraction)) else 1.0 / (vals[p] - vals[q])
-        row = [0] * len(cols)
-        if p in col_of:
-            row[col_of[p]] = inv
-        if q in col_of:
-            row[col_of[q]] = -inv
-        rows.append(row)
-    return _det(rows)
+    return log_form_det(g.edges, cols, _exact_diff(vals))
 
 
 def is_tree(g):
@@ -384,26 +409,10 @@ def omega_residue_direct(g, k, x):
     pos_nk = next((pos for pos, other in top if other == k), None)
     if pos_nk is None:
         raise ValueError(f"({n},{k}) is not an edge")
-    vals = dict(x)
-    vals[n] = vals[k]
+    merged = [tuple(k if v == n else v for v in e) for e in g.edges if e != (k, n)]
     cols = sorted(set(range(1, n)) - g.roots, reverse=True)
-    col_of = {v: j for j, v in enumerate(cols)}
-    rows = []
-    for p, q in reversed(g.edges):
-        if (min(p, q), max(p, q)) == (min(n, k), max(n, k)):
-            continue
-        pp = k if p == n else p
-        qq = k if q == n else q
-        diff = vals[pp] - vals[qq]
-        inv = 1 / Fraction(diff) if isinstance(diff, (int, Fraction)) else 1.0 / diff
-        row = [0] * len(cols)
-        if pp in col_of:
-            row[col_of[pp]] += inv
-        if qq in col_of:
-            row[col_of[qq]] -= inv
-        rows.append(row)
     j0 = (len(g.edges) - 1) - pos_nk
-    return (-1) ** j0 * _det(rows)
+    return (-1) ** j0 * log_form_det(merged, cols, _exact_diff(x))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ unit cube by the triangular substitution x_{r+j} = x_{r+j-1} t_j; each axis
 then gets a tanh-sinh (double-exponential) change of variable, which makes
 the x^(a-1)-type endpoint singularities harmless.  Dimensions 1 and 2 use
 the product rule with level doubling; dimension 3 uses Halton sampling
-through the same per-axis transform.
+through the same per-axis transform.  The rule is chosen by dimension alone.
+
+The log-form coefficient of the integrand comes from graphs.log_form_det, the
+one builder that also serves the exact Fraction paths (omega_coefficient and
+the residue surgery); here it runs elementwise on node arrays, fed with the
+same cancellation-free coordinate gaps that build the Selberg factor Phi.
 
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import is_tree, wedge_chain
+from .graphs import is_tree, log_form_det, wedge_chain
 from .braid import pair
 
 # sinh-variable cutoff: at 6.05 the transformed coordinate reaches the double
@@ -202,6 +207,10 @@ class _SimplexIntegrand:
         def rank(v):
             return 0 if v == 1 else self.n + 2 - v
 
+        # each positive gap x_hi - x_lo is formed once; the edge gaps are kept
+        # for the log-form rows
+        edges = set(self.g.edges)
+        gaps = {}
         phi = np.ones_like(ts[0])
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -211,24 +220,13 @@ class _SimplexIntegrand:
                 lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
                 base = diff(lo, hi)
                 phi = phi * np.power(base, a_ij)
+                if (i, j) in edges:
+                    gaps[lo, hi] = base
 
-        # omega coefficient: rows are edges, largest first; columns dx_n ... dx_{r+1}
-        size = self.l
-        rows = []
-        for p, q in reversed(self.g.edges):
-            lo, hi = (p, q) if rank(p) < rank(q) else (q, p)
-            inv = 1.0 / diff(lo, hi)
-            row = [None] * size
-            for col, v in enumerate(range(n, r, -1)):
-                cval = 0.0
-                if p == v:
-                    cval = inv if p == hi else -inv
-                    # sign: d log(x_p - x_q) coefficient of dx_p is 1/(x_p - x_q)
-                if q == v:
-                    cval = inv if q == hi else -inv
-                row[col] = cval if isinstance(cval, np.ndarray) else np.full_like(ts[0], cval)
-            rows.append(row)
-        det = _small_det(rows)
+        def x_diff(p, q):
+            return gaps[q, p] if (q, p) in gaps else -gaps[p, q]
+
+        det = log_form_det(self.g.edges, self.g.free_vertices, x_diff)
 
         jac = np.ones_like(ts[0]) * top**self.l
         for j, t in enumerate(ts[:-1]):
@@ -239,27 +237,20 @@ class _SimplexIntegrand:
         return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0, copy=False)
 
 
-def _small_det(rows):
-    size = len(rows)
-    if size == 0:
-        return 1.0
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if size == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    raise QuadratureError("dimension > 3 not supported")
+# levels of the product rule per free dimension; the last level is returned
+# with its difference to the one before as the error estimate
+_MAX_LEVEL = {1: 8, 2: 6}
+# dimension-3 Halton sampling: total points, shifted replicas, leading points skipped
+_HALTON_SAMPLES = 1 << 17
+_HALTON_BATCHES = 4
+_HALTON_SKIP = 64
 
 
-def _halton(n_samples, dim, skip=64):
+def _halton(n_samples, dim):
     primes = [2, 3, 5][:dim]
     out = np.empty((n_samples, dim))
     for d, p in enumerate(primes):
-        idx = np.arange(skip, skip + n_samples)
+        idx = np.arange(_HALTON_SKIP, _HALTON_SKIP + n_samples)
         col = np.zeros(n_samples)
         f = 1.0
         i = idx.copy()
@@ -271,14 +262,11 @@ def _halton(n_samples, dim, skip=64):
     return out
 
 
-def _integrate_cube(f, dim, tol, method, max_level=None):
-    if dim == 0:
-        v = f([], [])
-        return QuadratureResult(float(v), 0.0, 1)
-    if method == "halton" or (method == "auto" and dim >= 3):
-        return _integrate_halton(f, dim, tol)
-    if max_level is None:
-        max_level = 8 if dim == 1 else 6
+def _integrate_cube(f, dim, tol):
+    """Product DE rule with level doubling for 1-2 free vertices, Halton for 3."""
+    if dim >= 3:
+        return _integrate_halton(f, dim)
+    max_level = _MAX_LEVEL[dim]
     prev = None
     evals = 0
     for level in range(3, max_level + 1):
@@ -297,18 +285,16 @@ def _integrate_cube(f, dim, tol, method, max_level=None):
         evals += ts[0].size
         if prev is not None:
             err = abs(total - prev)
-            if err <= tol * max(1.0, abs(total)) or level == max_level:
-                return QuadratureResult(total, err, evals)
+            if err <= tol * max(1.0, abs(total)):
+                break
         prev = total
-    raise QuadratureError("unreachable")
+    return QuadratureResult(total, err, evals)
 
 
-def _integrate_halton(f, dim, tol, n_samples=None, batches=4):
-    if n_samples is None:
-        n_samples = 1 << 17
-    per = n_samples // batches
+def _integrate_halton(f, dim):
+    per = _HALTON_SAMPLES // _HALTON_BATCHES
     base = _halton(per, dim)
-    shifts = np.random.default_rng(182818).random((batches, dim))
+    shifts = np.random.default_rng(182818).random((_HALTON_BATCHES, dim))
     parts = []
     for shift in shifts:
         s = (base + shift) % 1.0
@@ -327,14 +313,14 @@ def _integrate_halton(f, dim, tol, n_samples=None, batches=4):
     total = float(np.mean(parts))
     # shifted replicas are independent estimates, so their spread is honest
     err = max(abs(p - total) for p in parts)
-    return QuadratureResult(total, err, per * batches)
+    return QuadratureResult(total, err, per * _HALTON_BATCHES)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def integrate_graph(g, alpha, tol=None, root_values=None, method="auto"):
+def integrate_graph(g, alpha, tol=None, root_values=None):
     """Selberg integral of one ordered rooted graph at fixed root values.
 
     Includes the product of the edge exponents as a prefactor.  Non-forest
@@ -360,58 +346,41 @@ def integrate_graph(g, alpha, tol=None, root_values=None, method="auto"):
                 value *= (rv[hi] - rv[lo]) ** alpha[(i, j)]
         return QuadratureResult(value, 0.0, 1)
     f = _SimplexIntegrand(g, alpha, root_values)
-    return _integrate_cube(f, l, tol, method)
+    return _integrate_cube(f, l, tol)
 
 
-def integrate_sum(gs, alpha, tol=None, root_values=None, method="auto"):
+def integrate_sum(gs, alpha, tol=None, root_values=None):
     """Linear extension of integrate_graph to an integer graph sum."""
     total = QuadratureResult(0.0, 0.0, 0)
     for g, c in gs.terms.items():
-        total = total + integrate_graph(g, alpha, tol=tol, root_values=root_values, method=method).scaled(c)
+        total = total + integrate_graph(g, alpha, tol=tol, root_values=root_values).scaled(c)
     return total
 
 
-def selberg_component(I, alpha, tol=None, root_values=None, method="auto"):
+def selberg_component(I, alpha, tol=None, root_values=None):
     """Integral of the wedge chain for one index tuple."""
-    return integrate_sum(wedge_chain(I), alpha, tol=tol, root_values=root_values, method=method)
+    return integrate_sum(wedge_chain(I), alpha, tol=tol, root_values=root_values)
 
 
-def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, method="circle", fit_degree=None, t_lo=0.02, t_hi=0.3, n_nodes=None, max_residual=1e-4):
+def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=1e-4):
     """Taylor coefficients at t = 0 of t -> S(t * alpha), with a fit residual.
 
-    The integral is analytic in the scaling parameter, so the default method
-    samples it on a circle in the complex t-plane kept inside Re t > 0 (where
-    the integrand stays integrable), reads coefficients at the centre by a
-    discrete Fourier transform, and recenters the polynomial to 0.  That
+    The integral is analytic in the scaling parameter, so it is sampled on a
+    circle in the complex t-plane kept inside Re t > 0 (where the integrand
+    stays integrable), its coefficients at the centre are read by a discrete
+    Fourier transform, and the polynomial is recentered to 0.  That
     conditioning is dramatically better than extrapolating from real samples:
     quadrature noise of 1e-11 still leaves the weight-4 coefficient at 1e-6.
+    The samples at complex exponents run through the same integrand and
+    log-form builder as the real ones.
 
-    method="polyfit" keeps the plain least-squares polynomial fit on real
-    Chebyshev nodes in [t_lo, t_hi]; its returned residual is small but the
-    low coefficients absorb the Taylor remainder, so it is only good to a few
-    parts in 1e3 and serves as a cross-check.
-
-    Raises QuadratureError when the fit residual exceeds max_residual.
+    Raises QuadratureError when the reconstruction residual exceeds max_residual.
     """
     if max_weight > 4:
         raise ValueError("coefficients above weight 4 are not resolved by the fit")
-    if method == "circle":
-        coeffs, residual = _taylor_circle(gs, alpha_direction, max_weight, tol)
-        if residual > max_residual:
-            raise QuadratureError(f"circle reconstruction residual {residual:.2e} above {max_residual:.0e}")
-        return coeffs, residual
-    deg = fit_degree if fit_degree is not None else max_weight + 2
-    m = n_nodes if n_nodes is not None else max(2 * (deg + 2), 14)
-    nodes = np.cos((2 * np.arange(m) + 1) * math.pi / (2 * m))
-    ts = 0.5 * (t_lo + t_hi) + 0.5 * (t_hi - t_lo) * nodes
-    values = np.array([integrate_sum(gs, alpha_direction.scale(float(t)), tol=tol).value for t in ts])
-    scaled = ts / t_hi
-    vand = np.vander(scaled, deg + 1, increasing=True)
-    coeff_scaled, *_ = np.linalg.lstsq(vand, values, rcond=None)
-    residual = float(np.abs(vand @ coeff_scaled - values).max())
+    coeffs, residual = _taylor_circle(gs, alpha_direction, max_weight, tol)
     if residual > max_residual:
-        raise QuadratureError(f"fit residual {residual:.2e} above {max_residual:.0e}")
-    coeffs = [float(coeff_scaled[k]) / t_hi**k for k in range(max_weight + 1)]
+        raise QuadratureError(f"circle reconstruction residual {residual:.2e} above {max_residual:.0e}")
     return coeffs, residual
 
 

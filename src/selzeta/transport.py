@@ -103,7 +103,7 @@ def transport_ode(conn, x_from, x_to, tol=1e-12, x_eval=None):
     return [sol.y[:, k].reshape(d, d) for k in range(sol.y.shape[1])]
 
 
-def transport_series(trunc, x_from, x_to, tol=1e-12, x_eval=None, start=None):
+def transport_series(trunc, x_from, x_to, tol=1e-12, x_eval=None):
     """Truncated-series solution of dE = (X/x + Y/(x-1)) E with E(x_from) = 1."""
     lo, hi = min(x_from, x_to), max(x_from, x_to)
     if lo <= 0.0 or hi >= 1.0:
@@ -128,11 +128,7 @@ def transport_series(trunc, x_from, x_to, tol=1e-12, x_eval=None, start=None):
         return out
 
     c0 = np.zeros(dim)
-    if start is None:
-        c0[index[""]] = 1.0
-    else:
-        for w, v in start.coeff.items():
-            c0[index[w]] = float(v)
+    c0[index[""]] = 1.0
     sol = solve_ivp(rhs, (x_from, x_to), c0, method="DOP853", rtol=tol, atol=tol * 1e-2, t_eval=x_eval)
     if not sol.success:
         raise RuntimeError(f"transport failed: {sol.message}")
@@ -349,23 +345,17 @@ def associator_series(trunc=4, terms=60):
     return series_mul(series_inv(e1), e0)
 
 
-# per-degree signs relating the shuffle-regularized coefficients to the
-# transported element; calibrated once against the ladder construction at
-# weights 2 and 3 and frozen (the calibration test stays in the suite)
-SYMBOLIC_DEGREE_SIGNS = {d: 1 for d in range(0, 9)}
-
-
 def associator_symbolic(trunc=4):
     """Word-by-word zeta-combination coefficients of the canonical element.
 
     The coefficient of an admissible word is (-1)^{#Y} times its zeta value;
     general words reduce through shuffle regularization (which preserves the
-    letter counts), and the degree signs are the frozen calibration above.
+    letter counts).  This sign convention reproduces the ladder and
+    series-matching constructions; the test suite checks it through weight 4.
     """
     coeff = {"": MZVCombo.one()}
     for w in all_words(trunc, 1):
-        sign = (-1) ** w.count("Y") * SYMBOLIC_DEGREE_SIGNS[len(w)]
-        combo = shuffle_regularize(w).scale(sign)
+        combo = shuffle_regularize(w).scale((-1) ** w.count("Y"))
         if not combo.is_zero():
             coeff[w] = combo
     return HRElement(trunc, coeff)

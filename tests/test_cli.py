@@ -65,15 +65,6 @@ def test_quick_suite_passes_and_is_seed_stable(tmp_path):
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
 
-def test_suite_threaded_matches_serial():
-    ids = ["beta-identity", "spectrum", "sum-relation"]
-    serial = run_suite(profile="quick", seed=7, check_ids=ids, threads=1)
-    threaded = run_suite(profile="quick", seed=7, check_ids=ids, threads=3)
-    for a, b in zip(serial, threaded):
-        assert a.check_id == b.check_id
-        assert a.defect == b.defect
-
-
 def test_cli_verify_json_and_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "beta-identity", "--json", str(out)])

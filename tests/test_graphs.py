@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from selzeta.graphs import (
@@ -12,6 +13,7 @@ from selzeta.graphs import (
     format_graph,
     index_tuples,
     is_tree,
+    log_form_det,
     omega_coefficient,
     omega_residue_direct,
     parse_graph,
@@ -176,6 +178,25 @@ def test_is_tree_iff_omega_nonzero_exhaustive():
         for edge_set in itertools.combinations(pairs, n - r):
             g = OrderedRootedGraph(n, roots, edge_set)
             assert (omega_coefficient(g, x) != 0) == is_tree(g)
+
+
+def test_log_form_det_on_node_arrays_matches_exact():
+    # the builder runs elementwise on float node arrays, as the quadrature
+    # integrand uses it, and agrees node by node with the exact coefficient
+    rng = random.Random(11)
+    for n, r in [(4, 2), (5, 2), (5, 3)]:
+        points = [rational_point(n, rng) for _ in range(6)]
+        xs = {v: np.array([float(pt[v]) for pt in points]) for v in range(1, n + 1)}
+        roots = frozenset(range(1, r + 1))
+        for edge_set in itertools.combinations(itertools.combinations(range(1, n + 1), 2), n - r):
+            g = OrderedRootedGraph(n, roots, edge_set)
+            if not is_tree(g):
+                continue
+            got = log_form_det(g.edges, g.free_vertices, lambda p, q: xs[p] - xs[q])
+            assert got.shape == (len(points),)
+            for node, pt in enumerate(points):
+                want = float(omega_coefficient(g, pt))
+                assert abs(got[node] - want) <= 1e-12 * abs(want)
 
 
 def all_wedge_supports(n, r):

@@ -129,8 +129,9 @@ def test_series_matching_is_grouplike_and_exact_at_low_weight():
 
 
 def test_symbolic_signs_calibrated_against_numeric():
-    # the frozen degree signs must reproduce the ladder construction at
-    # weights 2 and 3, and the series matching through weight 4
+    # sign convention: (-1)^{#Y} times the regularized zeta value, with no
+    # per-degree sign, reproduces the ladder construction at weights 2 and 3
+    # and the series matching through weight 4
     rep = associator_numeric(3, tol=1e-12)
     sym = associator_symbolic(3).to_ncseries(1e-12)
     for w in ("XY", "YX", "XXY", "XYY", "YXY", "YYX", "XYX", "YXX"):
