@@ -8,16 +8,35 @@ level down, multiplying the dimension by (level - 1) and preserving the
 infinitesimal pure-braid relations.  Identities involving products of tower
 matrices are verified after instantiating the symbols with an exact
 relation-satisfying matrix family (one extra induction level over random
-rationals), so no normal form for the symbol ring is ever needed.
+rationals), so no normal form for the symbol ring is ever needed.  These
+exact identities run on matrices of Python integers that carry one common
+denominator, divided out once at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+
+def _lcm_denominator(values):
+    """Least common multiple of the denominators of exact rationals."""
+    return math.lcm(*(Fraction(v).denominator for v in values))
+
+
+def _scaled_int(v, scale):
+    """The integer v * scale, for an exact rational v whose denominator divides scale."""
+    v = Fraction(v)
+    return v.numerator * (scale // v.denominator)
+
+
+def _divide(num, den):
+    """The integer object array num / den as an array of Fractions."""
+    return np.array([Fraction(v, den) for v in num.flat], dtype=object).reshape(num.shape)
 
 
 def pair(i, j):
@@ -94,9 +113,12 @@ class LinearMatrix:
         """Numeric matrix sum_u alpha[u] * M_u (float if alpha is float)."""
         exact = all(not isinstance(v, float) for v in alpha.values())
         if exact:
-            out = np.zeros((self.dim, self.dim), dtype=object)
+            # integer accumulation over the lcm of the exponent denominators
+            den = _lcm_denominator(alpha[u] for u in self.terms)
+            num = np.zeros((self.dim, self.dim), dtype=object)
             for u, m in self.terms.items():
-                out = out + m * Fraction(alpha[u])
+                num = num + m.astype(object) * _scaled_int(alpha[u], den)
+            out = _divide(num, den)
         else:
             out = np.zeros((self.dim, self.dim))
             for u, m in self.terms.items():
@@ -425,26 +447,57 @@ def _coord_offset(I):
     return off
 
 
+def _integer_generators(gens):
+    """(D, {u: D * G_u}) with D the lcm of every entry denominator; the scaled
+    generators are object arrays of Python ints, so products cannot overflow."""
+    scale = _lcm_denominator(v for g in gens.values() for v in g.flat)
+    scaled = {}
+    for u, g in gens.items():
+        flat = [_scaled_int(v, scale) for v in g.flat]
+        scaled[u] = np.array(flat, dtype=object).reshape(g.shape)
+    return scale, scaled
+
+
+def _scaled_gap_inverses(x, top):
+    """(Q, [Q / (x_top - x_i) for i < top]) with Q the lcm of the denominators."""
+    inv = [1 / Fraction(x[top] - x[i]) for i in range(1, top)]
+    q = _lcm_denominator(inv)
+    return q, [_scaled_int(v, q) for v in inv]
+
+
+def _integer_column(I, x, scale, igens, tower):
+    """Numerator and denominator of the stacked_column coordinate.
+
+    Every level multiplies the generators scaled by D and the gap inverses
+    scaled by their lcm Q_k, so the column stays integral and its one
+    denominator is Q_0 D * prod_k (Q_k D).
+    """
+    n, r = I.n, I.r
+    d = next(iter(igens.values())).shape[0]
+    q, c = _scaled_gap_inverses(x, n)
+    col = np.vstack([igens[pair(i, n)] * c[i - 1] for i in range(1, n)])
+    den = q * scale
+    for k in range(n - 2, r - 1, -1):
+        q, c = _scaled_gap_inverses(x, k + 1)
+        mats = tower[k + 1].mats
+        col = np.vstack([(mats[pair(i, k + 1)].instantiate(igens) @ col) * c[i - 1] for i in range(1, k + 1)])
+        den *= q * scale
+    off = _coord_offset(I)
+    return col[off * d : (off + 1) * d, :], den
+
+
 def stacked_column(I, x, gens, tower=None):
     """The coordinate of the integrand column built by the level recursion.
 
     Starting from blocks G_{(i,n)} / (x_n - x_i), each level k stacks the
     blocks (lifted A^{(k+1)}_{k+1,i} / (x_{k+1} - x_i)) times the previous
-    column; the (i_{r+1}, ..., i_n) coordinate is returned as a d x d matrix.
+    column; the (i_{r+1}, ..., i_n) coordinate is returned as a d x d matrix
+    of Fractions.  The recursion runs on integers and divides once at the end.
     """
-    n, r = I.n, I.r
-    d = next(iter(gens.values())).shape[0]
     if tower is None:
-        tower = build_tower(n, r)
-    col = np.vstack([gens[pair(i, n)] * (Fraction(1) / (x[n] - x[i])) for i in range(1, n)])
-    for k in range(n - 2, r - 1, -1):
-        lifted = {u: m.instantiate(gens) for u, m in tower[k + 1].mats.items()}
-        blocks = []
-        for i in range(1, k + 1):
-            blocks.append((lifted[pair(i, k + 1)] * (Fraction(1) / (x[k + 1] - x[i]))) @ col)
-        col = np.vstack(blocks)
-    off = _coord_offset(I)
-    return col[off * d : (off + 1) * d, :]
+        tower = build_tower(I.n, I.r)
+    scale, igens = _integer_generators(gens)
+    return _divide(*_integer_column(I, x, scale, igens, tower))
 
 
 def eta_gamma_check(I, rng, x=None, gens=None):
@@ -453,7 +506,8 @@ def eta_gamma_check(I, rng, x=None, gens=None):
     Both sides are evaluated at an exact rational point x with the symbols
     instantiated by a relation-satisfying matrix family; the identity holds
     in the quotient by the pure-braid relations, so the defect must be the
-    zero matrix.  Returns the max absolute entry as a Fraction.
+    zero matrix.  Returns the max absolute entry as a Fraction.  Both sides
+    are compared as integer matrices over one common denominator.
     """
     from .graphs import omega_coefficient, wedge_chain
 
@@ -463,16 +517,22 @@ def eta_gamma_check(I, rng, x=None, gens=None):
     if x is None:
         vals = rng.sample(range(1, 1000), n)
         x = {v: Fraction(vals[v - 1], 1009) for v in range(1, n + 1)}
-    lhs = stacked_column(I, x, gens)
-    d = next(iter(gens.values())).shape[0]
-    rhs = np.zeros((d, d), dtype=object) + Fraction(0)
+    scale, igens = _integer_generators(gens)
+    lhs, lhs_den = _integer_column(I, x, scale, igens, build_tower(n, r))
+    d = lhs.shape[0]
+    # term g is coef * (D^|E| a_g) with coef = c * omega_g / D^|E|
+    terms = []
     for g, c in wedge_chain(I).terms.items():
-        a_g = np.diag([Fraction(1)] * d)
+        a_g = np.identity(d, dtype=object)
         for e in g.edges:
-            a_g = gens[pair(*e)] @ a_g
-        rhs = rhs + (c * omega_coefficient(g, x)) * a_g
-    diff = lhs - rhs
-    return max(abs(v) for v in diff.flat)
+            a_g = igens[pair(*e)] @ a_g
+        terms.append((c * omega_coefficient(g, x) / Fraction(scale) ** len(g.edges), a_g))
+    rhs_den = _lcm_denominator(coef for coef, _ in terms)
+    rhs = np.zeros((d, d), dtype=object)
+    for coef, a_g in terms:
+        rhs = rhs + _scaled_int(coef, rhs_den) * a_g
+    diff = lhs * rhs_den - rhs * lhs_den
+    return Fraction(max(abs(v) for v in diff.flat), lhs_den * rhs_den)
 
 
 def path_product_factors(g, p, q, gens):

@@ -309,10 +309,12 @@ def _integrate_halton(f, dim):
         wt = np.prod(w, axis=1)
         with np.errstate(all="ignore"):
             vals = f(ts, omts) * wt
-        parts.append(float(np.mean(vals)))
-    total = float(np.mean(parts))
+        parts.append(np.mean(vals))
+    parts = np.array(parts)
+    mean = np.mean(parts)
+    total = complex(mean) if np.iscomplexobj(mean) else float(mean)
     # shifted replicas are independent estimates, so their spread is honest
-    err = max(abs(p - total) for p in parts)
+    err = float(np.max(np.abs(parts - total)))
     return QuadratureResult(total, err, per * _HALTON_BATCHES)
 
 

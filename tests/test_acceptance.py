@@ -15,7 +15,7 @@ BUDGET_SECONDS = {
     "mzv-engine": 5.0,
     "pure-braid": 30.0,
     "spectrum": 30.0,
-    "eta-gamma": 60.0,
+    "eta-gamma": 1.0,
     "residue": 30.0,
     "sum-relation": 60.0,
     "associator": 120.0,

@@ -8,6 +8,7 @@ import pytest
 from selzeta.braid import (
     BraidFamily,
     LinearMatrix,
+    _coord_offset,
     all_pairs,
     ascending_factorial,
     build_tower,
@@ -21,9 +22,10 @@ from selzeta.braid import (
     scalar_generators,
     spectrum,
     spectrum_formula,
+    stacked_column,
     tower_dim,
 )
-from selzeta.graphs import IndexTuple, OrderedRootedGraph, index_tuples, wedge_chain
+from selzeta.graphs import IndexTuple, OrderedRootedGraph, index_tuples, omega_coefficient, wedge_chain
 
 
 def test_ascending_factorial():
@@ -222,6 +224,80 @@ def test_eta_gamma_five_vertices_sampled():
     tuples = list(index_tuples(5, 2))
     for I in rng.sample(tuples, 2):
         assert eta_gamma_check(I, rng) == 0
+
+
+def reference_stacked_column(I, x, gens):
+    """The recursion coordinate in Fraction object arrays throughout; the
+    reference for the integer path in selzeta.braid."""
+    n, r = I.n, I.r
+    d = next(iter(gens.values())).shape[0]
+    tower = build_tower(n, r)
+    col = np.vstack([gens[pair(i, n)] * (Fraction(1) / (x[n] - x[i])) for i in range(1, n)])
+    for k in range(n - 2, r - 1, -1):
+        lifted = {u: m.instantiate(gens) for u, m in tower[k + 1].mats.items()}
+        blocks = []
+        for i in range(1, k + 1):
+            blocks.append((lifted[pair(i, k + 1)] * (Fraction(1) / (x[k + 1] - x[i]))) @ col)
+        col = np.vstack(blocks)
+    off = _coord_offset(I)
+    return col[off * d : (off + 1) * d, :]
+
+
+def reference_eta_gamma_defect(I, x, gens):
+    """max |lhs - rhs| of the eta-gamma identity with Fraction matrices."""
+    lhs = reference_stacked_column(I, x, gens)
+    d = next(iter(gens.values())).shape[0]
+    rhs = np.zeros((d, d), dtype=object) + Fraction(0)
+    for g, c in wedge_chain(I).terms.items():
+        a_g = np.diag([Fraction(1)] * d)
+        for e in g.edges:
+            a_g = gens[pair(*e)] @ a_g
+        rhs = rhs + (c * omega_coefficient(g, x)) * a_g
+    diff = lhs - rhs
+    return max(abs(v) for v in diff.flat)
+
+
+def rational_point(n, rng):
+    vals = rng.sample(range(1, 1000), n)
+    return {v: Fraction(vals[v - 1], 1009) for v in range(1, n + 1)}
+
+
+def assert_matches_reference(I, x, gens):
+    got = stacked_column(I, x, gens)
+    want = reference_stacked_column(I, x, gens)
+    assert got.shape == want.shape
+    assert all(type(v) is Fraction for v in got.flat)
+    assert (got == want).all()
+    defect = eta_gamma_check(I, None, x=x, gens=gens)
+    assert type(defect) is Fraction
+    assert defect == reference_eta_gamma_defect(I, x, gens)
+    return defect
+
+
+def test_integer_path_matches_fraction_reference():
+    rng = random.Random(31)
+    cases = [I for n, r in [(3, 2), (4, 2), (4, 3)] for I in index_tuples(n, r)]
+    cases += rng.sample(list(index_tuples(5, 2)), 2)
+    for I in cases:
+        assert assert_matches_reference(I, rational_point(I.n, rng), matrix_generators(I.n, rng)) == 0
+
+
+def test_integer_path_matches_reference_on_scalar_generators():
+    rng = random.Random(32)
+    for I in index_tuples(4, 2):
+        assert assert_matches_reference(I, rational_point(4, rng), scalar_generators(4, rng)) == 0
+
+
+def test_integer_path_keeps_nonzero_defect():
+    # a family that breaks the pure-braid relations: a scaling slip in the
+    # integer path would show as a defect different from the reference's
+    rng = random.Random(33)
+    for I in index_tuples(4, 2):
+        gens = matrix_generators(4, rng)
+        for u in gens:
+            gens[u] = gens[u].copy()
+            gens[u][0, 1] += Fraction(1, 7)
+        assert assert_matches_reference(I, rational_point(4, rng), gens) > 0
 
 
 def test_path_product_closed_form():

@@ -2,6 +2,7 @@ import math
 import time
 
 import pytest
+import scipy.special
 
 from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, wedge_chain
 from selzeta.mzv import MZVIndex, mzv_eval
@@ -58,16 +59,16 @@ def test_sum_linearity():
     assert integrate_sum(diff, alpha).value == 0.0
 
 
-def selberg_closed_form(l, alpha, beta, gamma):
+def selberg_closed_form(l, alpha, beta, gamma, gamma_fn=math.gamma):
     """Selberg's product formula for S_l(alpha, beta, gamma) (Selberg 1944)."""
     out = 1.0
     for j in range(l):
-        out *= math.gamma(alpha + j * gamma) * math.gamma(beta + j * gamma) * math.gamma(1.0 + (j + 1) * gamma)
-        out /= math.gamma(alpha + beta + (l + j - 1) * gamma) * math.gamma(1.0 + gamma)
+        out *= gamma_fn(alpha + j * gamma) * gamma_fn(beta + j * gamma) * gamma_fn(1.0 + (j + 1) * gamma)
+        out /= gamma_fn(alpha + beta + (l + j - 1) * gamma) * gamma_fn(1.0 + gamma)
     return out
 
 
-def star_case(l, a, b, c):
+def star_case(l, a, b, c, gamma_fn=math.gamma):
     """Star graph (1,3), ..., (1,n) with alpha_1i = a, alpha_2i = b, alpha_ij = c
     between free vertices, and its closed form (-1)^l a^l S_l(a, b+1, c/2) / l!."""
     n = l + 2
@@ -78,7 +79,7 @@ def star_case(l, a, b, c):
         for w in range(v + 1, n + 1):
             alphas[(v, w)] = c
     g = G(n, {1, 2}, *((1, v) for v in range(3, n + 1)))
-    want = (-1) ** l * a**l * selberg_closed_form(l, a, b + 1.0, c / 2.0) / math.factorial(l)
+    want = (-1) ** l * a**l * selberg_closed_form(l, a, b + 1.0, c / 2.0, gamma_fn) / math.factorial(l)
     return g, ExponentAssignment(alphas), want
 
 
@@ -97,6 +98,17 @@ def test_three_free_vertex_star_within_error_estimate(abc):
     got = integrate_graph(g, alpha)
     assert abs(got.value - want) < 2e-2 * abs(want)
     assert abs(got.value - want) <= got.err_estimate
+
+
+def test_three_free_vertex_star_keeps_complex_part():
+    # complex exponents: the closed form takes scipy's Gamma at complex arguments
+    z = 0.4 * (1 + 0.5j)
+    g, alpha, want = star_case(3, z, z, z, gamma_fn=scipy.special.gamma)
+    got = integrate_graph(g, alpha)
+    assert isinstance(got.value, complex)
+    _, alpha_conj, _ = star_case(3, z.conjugate(), z.conjugate(), z.conjugate(), gamma_fn=scipy.special.gamma)
+    assert integrate_graph(g, alpha_conj).value == got.value.conjugate()
+    assert abs(got.value - want) < 2e-2 * abs(want)
 
 
 def test_three_dimensional_star_against_product_form():
