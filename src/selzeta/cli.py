@@ -432,6 +432,7 @@ def _cmd_selberg_integrate(args):
                 "value": res.value,
                 "err": res.err_estimate,
                 "evals": res.evaluations,
+                "converged": res.converged,
             },
             sort_keys=True,
         )

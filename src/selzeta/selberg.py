@@ -5,13 +5,20 @@ The domain for roots [r] (values x_1 = 0 < x_r < ... < x_2 = 1) is the chain
 unit cube by the triangular substitution x_{r+j} = x_{r+j-1} t_j; each axis
 then gets a tanh-sinh (double-exponential) change of variable, which makes
 the x^(a-1)-type endpoint singularities harmless.  Dimensions 1 and 2 use
-the product rule with level doubling; dimension 3 uses Halton sampling
-through the same per-axis transform.  The rule is chosen by dimension alone.
+the product rule with nested level doubling: each level adds only the nodes
+the previous one lacks, as blocks of an open tensor grid (one array per
+axis, broadcast against the others, never a list of nodes).  Dimension 3
+uses Halton sampling through the same per-axis transform and the same
+integrand.  The rule is chosen by dimension alone.  A result that ran out of
+levels before meeting its tolerance says so (converged=False), and nodes
+whose integrand value is not finite are zeroed and counted (nonfinite).
 
-The log-form coefficient of the integrand comes from graphs.log_form_det, the
-one builder that also serves the exact Fraction paths (omega_coefficient and
-the residue surgery); here it runs elementwise on node arrays, fed with the
-same cancellation-free coordinate gaps that build the Selberg factor Phi.
+Every coordinate gap is a constant times a product of axis variables times
+one factor 1 - c t_a ... t_b, so the Selberg factor Phi and the Jacobian are
+evaluated as one power per primitive factor, each on the axes it depends on.
+The log-form coefficient comes from graphs.log_form_det, the one builder that
+also serves the exact Fraction paths (omega_coefficient and the residue
+surgery); here it runs elementwise on the broadcast, cancellation-free gaps.
 
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
@@ -101,16 +108,23 @@ class QuadratureResult:
     value: float
     err_estimate: float
     evaluations: int
+    # False when the rule ran out of levels (or samples) before its error
+    # estimate met the requested tolerance
+    converged: bool = True
+    # integrand nodes whose value was not finite and was zeroed
+    nonfinite: int = 0
 
     def __add__(self, other):
         return QuadratureResult(
             self.value + other.value,
             self.err_estimate + other.err_estimate,
             self.evaluations + other.evaluations,
+            self.converged and other.converged,
+            self.nonfinite + other.nonfinite,
         )
 
     def scaled(self, c):
-        return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.evaluations)
+        return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.evaluations, self.converged, self.nonfinite)
 
 
 # requested accuracy per free dimension; the dimension-3 sampler realistically
@@ -123,43 +137,57 @@ DEFAULT_TOL = {0: 0.0, 1: 1e-10, 2: 1e-8, 3: 1e-3}
 # ---------------------------------------------------------------------------
 
 def de_axis(level):
-    """Nodes (t, 1 - t, weight) on (0, 1) for mesh 2^-level in the sinh variable.
+    """Nodes (t, 1 - t, weight, odd) on (0, 1) for mesh 2^-level in the sinh variable.
 
-    Nodes whose coordinate leaves the double-precision range are dropped; the
-    resulting truncation keeps the relative error of an endpoint power x^(a-1)
-    below roughly exp(-640 a) / a, so exponents should stay above ~0.03.
+    The even-index nodes are exactly the nodes of level - 1, at half the
+    weight; `odd` marks the others.  Nodes whose coordinate leaves the
+    double-precision range are dropped (the same range at every level, so
+    the levels stay nested); the resulting truncation keeps the
+    relative error of an endpoint power x^(a-1) below roughly exp(-640 a) / a,
+    so exponents should stay above ~0.03.
     """
     h = 2.0 ** (-level)
     ks = np.arange(-int(_TMAX / h), int(_TMAX / h) + 1)
-    u = ks * h
+    t, omt, dt = _tanh_sinh(ks * h)
+    w = h * dt
+    keep = (t > 1e-280) & (omt > 1e-280) & (w > 1e-300)
+    return t[keep], omt[keep], w[keep], (ks % 2 == 1)[keep]
+
+
+def _tanh_sinh(u):
+    """t = (1 + tanh(pi/2 sinh u)) / 2, its complement 1 - t and dt/du at u."""
     a = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * a)
-    t = 1.0 / (1.0 + e)
-    omt = e / (1.0 + e)
-    w = h * 0.25 * math.pi * np.cosh(u) / np.cosh(a) ** 2
-    keep = (t > 1e-280) & (omt > 1e-280) & (w > 1e-300)
-    return t[keep], omt[keep], w[keep]
+    return 1.0 / (1.0 + e), e / (1.0 + e), 0.25 * math.pi * np.cosh(u) / np.cosh(a) ** 2
 
 
 def _one_minus_product(ts, omts):
     """1 - prod(ts) without cancellation: 1 - t p = (1 - t) + t (1 - p)."""
-    om = np.zeros_like(ts[0])
-    for t, omt in zip(reversed(ts), reversed(omts)):
+    om = omts[-1]
+    for t, omt in zip(reversed(ts[:-1]), reversed(omts[:-1])):
         om = omt + t * om
     return om
 
 
 class _SimplexIntegrand:
-    """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian on the cube."""
+    """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian on the cube.
+
+    Under the triangular substitution every gap x_hi - x_lo is
+    const * t_1 ... t_m * (1 - c t_a ... t_b), with either part possibly
+    absent.  The exponents of Phi and the Jacobian's powers of t are summed
+    once per primitive factor (each t_k and each 1 - c t_a ... t_b), so a call
+    raises every factor to one power on the axes it depends on: a factor of
+    one axis costs a power on that axis array alone.  The axis arrays only
+    need to broadcast against each other: open-grid axes give the tensor
+    grid without materialising it, equal-length 1-D arrays give point samples.
+    """
 
     def __init__(self, g, alpha, root_values):
         if g.roots != frozenset(range(1, len(g.roots) + 1)):
             raise ValueError("roots must be the initial segment [r]")
         self.g = g
-        self.alpha = alpha
         self.r = len(g.roots)
         self.l = g.n - self.r
-        self.n = g.n
         if root_values is None:
             root_values = {1: 0.0, 2: 1.0}
         self.root_values = dict(root_values)
@@ -169,72 +197,95 @@ class _SimplexIntegrand:
         if sorted(vals, reverse=True) != vals or any(not (0.0 < v <= 1.0) for v in vals[1:]):
             raise ValueError("root values must decrease along 2, 3, ..., r inside (0, 1]")
         self.top = self.root_values[self.r]
-        self.prefactor = 1.0
-        for e in g.edges:
-            self.prefactor *= alpha[e]
-        self.sign = -1.0 if self.l % 2 else 1.0
-
-    def _coords(self, ts, omts):
-        # z_j = x_{r+j} = top * t_1 ... t_j
-        zs = []
-        acc = np.full_like(ts[0], self.top)
-        for t in ts:
-            acc = acc * t
-            zs.append(acc)
-        return zs
-
-    def __call__(self, ts, omts):
-        r, n, top = self.r, self.n, self.top
-        zs = self._coords(ts, omts)
-
-        def value(v):
-            return self.root_values[v] if v <= r else zs[v - r - 1]
-
-        def diff(lo, hi):
-            # x_hi - x_lo where value(hi) > value(lo)
-            if hi <= r and lo <= r:
-                return self.root_values[hi] - self.root_values[lo]
-            if lo == 1:
-                return value(hi)
-            if hi <= r and lo > r:
-                if hi == r:
-                    return top * _one_minus_product(ts[: lo - r], omts[: lo - r])
-                return self.root_values[hi] - value(lo)
-            # both free: hi < lo as labels, x_hi > x_lo
-            i, j = hi - r, lo - r
-            return zs[i - 1] * _one_minus_product(ts[i:j], omts[i:j])
 
         def rank(v):
-            return 0 if v == 1 else self.n + 2 - v
+            return 0 if v == 1 else g.n + 2 - v
 
-        # each positive gap x_hi - x_lo is formed once; the edge gaps are kept
-        # for the log-form rows
-        edges = set(self.g.edges)
-        gaps = {}
-        phi = np.ones_like(ts[0])
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                a_ij = self.alpha.get((i, j))
+        # sign, edge exponents, Jacobian top^l and every gap's constant
+        scale = (-1.0 if self.l % 2 else 1.0) * self.top**self.l
+        for e in g.edges:
+            scale *= alpha[e]
+        # exponent of each factor, keyed by (c, a, b) for 1 - c t_{a+1} ... t_b
+        # (0-based axes a..b-1); t_k alone is (None, k, k + 1).  The Jacobian
+        # top^l t_1^(l-1) t_2^(l-2) ... t_{l-1} contributes its t powers.
+        powers = {(None, k, k + 1): self.l - 1 - k for k in range(self.l - 1)}
+        self.edge_gaps = {}
+        edges = set(g.edges)
+        for i in range(1, g.n + 1):
+            for j in range(i + 1, g.n + 1):
+                a_ij = alpha.get((i, j))
                 if a_ij is None:
                     raise KeyError(f"missing exponent for pair ({i},{j})")
                 lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
-                base = diff(lo, hi)
-                phi = phi * np.power(base, a_ij)
+                const, m, factor = self._gap_form(lo, hi)
+                scale *= const**a_ij
+                for k in range(m):
+                    key = (None, k, k + 1)
+                    powers[key] = powers.get(key, 0) + a_ij
+                if factor is not None:
+                    powers[factor] = powers.get(factor, 0) + a_ij
                 if (i, j) in edges:
-                    gaps[lo, hi] = base
+                    self.edge_gaps[lo, hi] = (const, m, factor)
+        self.scale = scale
+        # grouped by the axes they span, so that each group is multiplied out
+        # on those axes alone before it meets the others
+        self.powers = sorted(powers.items(), key=lambda kp: kp[0][1:])
+
+    def _gap_form(self, lo, hi):
+        """x_hi - x_lo (x_hi > x_lo) as (const, m, factor): const * t_1 ... t_m * factor."""
+        r, top, rv = self.r, self.top, self.root_values
+        if hi <= r and lo <= r:
+            return rv[hi] - rv[lo], 0, None
+        if lo == 1:
+            # x_hi = top t_1 ... t_j
+            return top, hi - r, None
+        if hi <= r:
+            # x_hi - top t_1 ... t_j; c = 1 at the lowest root
+            return rv[hi], 0, (top / rv[hi], 0, lo - r)
+        # both free: hi < lo as labels, x_hi - x_lo = x_hi (1 - t_{i+1} ... t_j)
+        i, j = hi - r, lo - r
+        return top, i, (1.0, i, j)
+
+    def __call__(self, ts, omts):
+        """Integrand values on the broadcast of the axis arrays, and how many
+        nonfinite ones were zeroed."""
+        bases, out, group, axes = {}, self.scale, 1.0, None
+        for (c, a, b), power in self.powers:
+            if (a, b) != axes:
+                out, group, axes = out * group, 1.0, (a, b)
+            if c is None:
+                base = ts[a]
+            else:
+                base = _one_minus_product(ts[a:b], omts[a:b])
+                if c != 1.0:
+                    base = (1.0 - c) + c * base
+                bases[c, a, b] = base
+            group = group * np.power(base, power)
+        out = out * group
+
+        # the gaps themselves, as broadcast products, feed the log-form rows
+        gaps = {}
+        for (lo, hi), (const, m, factor) in self.edge_gaps.items():
+            gap = const
+            for k in range(m):
+                gap = gap * ts[k]
+            if factor is not None:
+                gap = gap * bases[factor]
+            gaps[lo, hi] = gap
 
         def x_diff(p, q):
             return gaps[q, p] if (q, p) in gaps else -gaps[p, q]
 
-        det = log_form_det(self.g.edges, self.g.free_vertices, x_diff)
-
-        jac = np.ones_like(ts[0]) * top**self.l
-        for j, t in enumerate(ts[:-1]):
-            jac = jac * t ** (self.l - 1 - j)
-        out = self.sign * self.prefactor * phi * det * jac
-        # underflow at deep corner nodes can produce 0 * inf; the true
-        # integrand tends to 0 there (positive exponents beat the log poles)
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0, copy=False)
+        out = out * log_form_det(self.g.edges, self.g.free_vertices, x_diff)
+        out = np.broadcast_to(out, np.broadcast_shapes(*(np.shape(t) for t in ts)))
+        # deep corner nodes can underflow into 0 * inf; the true integrand
+        # tends to 0 there (positive exponents beat the log poles), so such
+        # nodes are zeroed, and counted so that the caller can report them
+        bad = ~np.isfinite(out)
+        nonfinite = int(np.count_nonzero(bad))
+        if nonfinite:
+            out = np.where(bad, 0.0, out)
+        return out, nonfinite
 
 
 # levels of the product rule per free dimension; the last level is returned
@@ -262,60 +313,80 @@ def _halton(n_samples, dim):
     return out
 
 
+def _de_levels(f, dim):
+    """Yield (level, sum, nodes, nonfinite) of the product DE rule per level.
+
+    Level L+1 reuses level L: its even-index nodes are level L's at half the
+    weight, so S_{L+1} = S_L / 2^dim + the sum over the new nodes.  The new
+    nodes of the tensor grid form dim open-grid blocks; block k takes the old
+    nodes on the axes before k, the new (odd) nodes on axis k and all nodes on
+    the axes after k.  Every node is evaluated once; nodes and nonfinite are
+    running totals.
+    """
+    total, nodes, nonfinite = 0.0, 0, 0
+    shapes = [(-1,) + (1,) * (dim - 1 - ax) for ax in range(dim)]
+    for level in range(3, _MAX_LEVEL[dim] + 1):
+        t, omt, w, odd = de_axis(level)
+        # the first level has no old nodes: its one block is the whole grid
+        blocks = range(dim) if level > 3 else [0]
+        new = odd if level > 3 else slice(None)
+        total = total / 2**dim
+        for k in blocks:
+            picks = [~odd] * k + [new] + [slice(None)] * (dim - 1 - k)
+            ts = [t[p].reshape(s) for p, s in zip(picks, shapes)]
+            omts = [omt[p].reshape(s) for p, s in zip(picks, shapes)]
+            with np.errstate(all="ignore"):
+                vals, bad = f(ts, omts)
+            nodes += vals.size
+            # contract the block with the axis weights, last axis first
+            for p in reversed(picks):
+                vals = vals @ w[p]
+            total = total + vals.item()
+            nonfinite += bad
+        yield level, total, nodes, nonfinite
+
+
 def _integrate_cube(f, dim, tol):
-    """Product DE rule with level doubling for 1-2 free vertices, Halton for 3."""
+    """Product DE rule with nested level doubling for 1-2 free vertices, Halton for 3.
+
+    The rule runs on open tensor grids (one axis array per dimension, never a
+    materialised node list) and stops at the first level whose difference to
+    the previous one meets tol relative to max(1, |value|); otherwise the last
+    level is returned with converged=False.
+    """
     if dim >= 3:
-        return _integrate_halton(f, dim)
-    max_level = _MAX_LEVEL[dim]
+        return _integrate_halton(f, dim, tol)
     prev = None
-    evals = 0
-    for level in range(3, max_level + 1):
-        t, omt, w = de_axis(level)
-        grids_t = np.meshgrid(*([t] * dim), indexing="ij")
-        grids_o = np.meshgrid(*([omt] * dim), indexing="ij")
-        ts = [g.ravel() for g in grids_t]
-        omts = [g.ravel() for g in grids_o]
-        wt = np.ones_like(ts[0])
-        grids_w = np.meshgrid(*([w] * dim), indexing="ij")
-        for gw in grids_w:
-            wt = wt * gw.ravel()
-        with np.errstate(all="ignore"):
-            raw = np.sum(f(ts, omts) * wt)
-        total = complex(raw) if np.iscomplexobj(raw) else float(raw)
-        evals += ts[0].size
+    for _, total, nodes, nonfinite in _de_levels(f, dim):
         if prev is not None:
             err = abs(total - prev)
             if err <= tol * max(1.0, abs(total)):
-                break
+                return QuadratureResult(total, err, nodes, True, nonfinite)
         prev = total
-    return QuadratureResult(total, err, evals)
+    return QuadratureResult(total, err, nodes, False, nonfinite)
 
 
-def _integrate_halton(f, dim):
+def _integrate_halton(f, dim, tol):
     per = _HALTON_SAMPLES // _HALTON_BATCHES
     base = _halton(per, dim)
     shifts = np.random.default_rng(182818).random((_HALTON_BATCHES, dim))
     parts = []
+    nonfinite = 0
     for shift in shifts:
-        s = (base + shift) % 1.0
-        u = _TMAX * (2.0 * s - 1.0)
-        a = 0.5 * math.pi * np.sinh(u)
-        e = np.exp(-2.0 * a)
-        t = 1.0 / (1.0 + e)
-        omt = e / (1.0 + e)
-        w = 0.25 * math.pi * np.cosh(u) / np.cosh(a) ** 2 * (2.0 * _TMAX)
+        t, omt, wt = _tanh_sinh(_TMAX * (2.0 * ((base + shift) % 1.0) - 1.0))
+        wt = np.prod(wt * (2.0 * _TMAX), axis=1)
         ts = [t[:, d] for d in range(dim)]
         omts = [omt[:, d] for d in range(dim)]
-        wt = np.prod(w, axis=1)
         with np.errstate(all="ignore"):
-            vals = f(ts, omts) * wt
-        parts.append(np.mean(vals))
+            vals, bad = f(ts, omts)
+            parts.append(np.mean(vals * wt))
+        nonfinite += bad
     parts = np.array(parts)
     mean = np.mean(parts)
     total = complex(mean) if np.iscomplexobj(mean) else float(mean)
     # shifted replicas are independent estimates, so their spread is honest
     err = float(np.max(np.abs(parts - total)))
-    return QuadratureResult(total, err, per * _HALTON_BATCHES)
+    return QuadratureResult(total, err, per * _HALTON_BATCHES, err <= tol * max(1.0, abs(total)), nonfinite)
 
 
 # ---------------------------------------------------------------------------

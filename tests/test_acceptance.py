@@ -11,15 +11,15 @@ from selzeta.cli import CHECKS, RunConfig, run_check
 
 BUDGET_SECONDS = {
     "beta-identity": 1.0,
-    "taylor-mzv": 10.0,
+    "taylor-mzv": 0.4,
     "mzv-engine": 5.0,
     "pure-braid": 30.0,
     "spectrum": 30.0,
     "eta-gamma": 1.0,
     "residue": 30.0,
-    "sum-relation": 60.0,
+    "sum-relation": 1.5,
     "associator": 120.0,
-    "projection": 600.0,
+    "projection": 10.0,
 }
 
 

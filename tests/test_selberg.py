@@ -1,16 +1,22 @@
 import math
 import time
 
+import numpy as np
 import pytest
 import scipy.special
 
-from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, wedge_chain
+from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, log_form_det, wedge_chain
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta.selberg import (
+    _MAX_LEVEL,
+    DEFAULT_TOL,
     ExponentAssignment,
     QuadratureError,
+    _de_levels,
+    _SimplexIntegrand,
     beta_prototype,
     beta_taylor_target,
+    de_axis,
     integrate_graph,
     integrate_sum,
     selberg_component,
@@ -98,6 +104,14 @@ def test_three_free_vertex_star_within_error_estimate(abc):
     got = integrate_graph(g, alpha)
     assert abs(got.value - want) < 2e-2 * abs(want)
     assert abs(got.value - want) <= got.err_estimate
+
+
+def test_halton_convergence_flag_follows_its_error_estimate():
+    g, alpha, _ = star_case(3, 0.3, 0.5, 0.4)
+    got = integrate_graph(g, alpha)
+    assert got.converged is (got.err_estimate <= DEFAULT_TOL[3] * max(1.0, abs(got.value)))
+    assert integrate_graph(g, alpha, tol=1.0).converged is True
+    assert integrate_graph(g, alpha, tol=1e-12).converged is False
 
 
 def test_three_free_vertex_star_keeps_complex_part():
@@ -209,3 +223,193 @@ def test_exponent_assignment_utilities():
     relabeled = al.relabel({1: 1, 3: 2})
     assert relabeled[(1, 2)] == 0.2
     assert relabeled.get((2, 3)) is None
+
+
+# ---------------------------------------------------------------------------
+# reference: the product DE rule evaluated level by level on raveled meshgrids,
+# with one power per vertex pair on every node; the oracle for the factored,
+# nested evaluation on open grids
+# ---------------------------------------------------------------------------
+
+def reference_de_axis(level):
+    h = 2.0 ** (-level)
+    ks = np.arange(-int(6.05 / h), int(6.05 / h) + 1)
+    u = ks * h
+    a = 0.5 * math.pi * np.sinh(u)
+    e = np.exp(-2.0 * a)
+    t = 1.0 / (1.0 + e)
+    omt = e / (1.0 + e)
+    w = h * 0.25 * math.pi * np.cosh(u) / np.cosh(a) ** 2
+    keep = (t > 1e-280) & (omt > 1e-280) & (w > 1e-300)
+    return t[keep], omt[keep], w[keep]
+
+
+def reference_one_minus_product(ts, omts):
+    om = np.zeros_like(ts[0])
+    for t, omt in zip(reversed(ts), reversed(omts)):
+        om = omt + t * om
+    return om
+
+
+def reference_integrand(g, alpha, root_values, ts, omts):
+    rv = dict(root_values or {1: 0.0, 2: 1.0})
+    n, r = g.n, len(g.roots)
+    l = n - r
+    top = rv[r]
+    zs, acc = [], np.full_like(ts[0], top)
+    for t in ts:
+        acc = acc * t
+        zs.append(acc)
+
+    def value(v):
+        return rv[v] if v <= r else zs[v - r - 1]
+
+    def diff(lo, hi):
+        if hi <= r and lo <= r:
+            return rv[hi] - rv[lo]
+        if lo == 1:
+            return value(hi)
+        if hi <= r and lo > r:
+            if hi == r:
+                return top * reference_one_minus_product(ts[: lo - r], omts[: lo - r])
+            return rv[hi] - value(lo)
+        i, j = hi - r, lo - r
+        return zs[i - 1] * reference_one_minus_product(ts[i:j], omts[i:j])
+
+    def rank(v):
+        return 0 if v == 1 else n + 2 - v
+
+    gaps, phi = {}, np.ones_like(ts[0])
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
+            base = diff(lo, hi)
+            phi = phi * np.power(base, alpha[(i, j)])
+            if (i, j) in g.edges:
+                gaps[lo, hi] = base
+
+    def x_diff(p, q):
+        return gaps[q, p] if (q, p) in gaps else -gaps[p, q]
+
+    det = log_form_det(g.edges, g.free_vertices, x_diff)
+    jac = np.ones_like(ts[0]) * top**l
+    for j, t in enumerate(ts[:-1]):
+        jac = jac * t ** (l - 1 - j)
+    prefactor = 1.0
+    for e in g.edges:
+        prefactor *= alpha[e]
+    out = (-1.0 if l % 2 else 1.0) * prefactor * phi * det * jac
+    return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0, copy=False)
+
+
+def reference_level_sums(g, alpha, root_values, levels):
+    dim = g.n - len(g.roots)
+    out = {}
+    for level in levels:
+        t, omt, w = reference_de_axis(level)
+        ts = [x.ravel() for x in np.meshgrid(*([t] * dim), indexing="ij")]
+        omts = [x.ravel() for x in np.meshgrid(*([omt] * dim), indexing="ij")]
+        wt = np.ones_like(ts[0])
+        for gw in np.meshgrid(*([w] * dim), indexing="ij"):
+            wt = wt * gw.ravel()
+        with np.errstate(all="ignore"):
+            out[level] = np.sum(reference_integrand(g, alpha, root_values, ts, omts) * wt).item()
+    return out
+
+
+def reference_level_reached(g, alpha, root_values, tol):
+    """Level at which the full-level rule stops for tol (or its last level)."""
+    dim = g.n - len(g.roots)
+    prev = None
+    for level in range(3, _MAX_LEVEL[dim] + 1):
+        total = reference_level_sums(g, alpha, root_values, [level])[level]
+        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
+            return level
+        prev = total
+    return level
+
+
+def spread_exponents(n, scale=1.0):
+    """Distinct exponents per pair in (0.15, 0.85), times scale (real or complex)."""
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out[(i, j)] = scale * (0.15 + 0.7 * ((7 * i + 3 * j) % 11) / 10.0)
+    return ExponentAssignment(out)
+
+
+THREE_ROOTS = {1: 0.0, 2: 1.0, 3: 0.45}
+ORACLE_CASES = [
+    # (graph, root values): dimension 1 and 2, roots {1,2} and {1,2,3},
+    # edges to roots and between free vertices
+    (G(3, {1, 2}, (2, 3)), None),
+    (G(3, {1, 2}, (1, 3)), None),
+    (G(4, {1, 2, 3}, (2, 4)), THREE_ROOTS),
+    (G(4, {1, 2, 3}, (3, 4)), THREE_ROOTS),
+    (G(4, {1, 2}, (1, 3), (1, 4)), None),
+    (G(4, {1, 2}, (2, 3), (3, 4)), None),
+    (G(4, {1, 2}, (1, 3), (2, 4)), None),
+    (G(5, {1, 2, 3}, (3, 4), (4, 5)), THREE_ROOTS),
+    (G(5, {1, 2, 3}, (2, 4), (1, 5)), THREE_ROOTS),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.8 + 0.35j])
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_nested_factored_levels_match_reference(case, scale):
+    g, rv = ORACLE_CASES[case]
+    alpha = spread_exponents(g.n, scale)
+    want = reference_level_sums(g, alpha, rv, [3, 4, 5])
+    got = {level: total for level, total, _, _ in _de_levels(_SimplexIntegrand(g, alpha, rv), g.n - len(g.roots))}
+    for level in (3, 4, 5):
+        assert abs(got[level] - want[level]) <= 1e-13 * abs(want[level])
+
+
+@pytest.mark.parametrize("case", [0, 2, 4, 7])
+def test_evaluations_count_each_node_of_the_finest_level_once(case):
+    g, rv = ORACLE_CASES[case]
+    alpha = spread_exponents(g.n)
+    dim = g.n - len(g.roots)
+    tol = DEFAULT_TOL[dim]
+    got = integrate_graph(g, alpha, tol=tol, root_values=rv)
+    level = reference_level_reached(g, alpha, rv, tol)
+    assert got.converged
+    assert got.evaluations == len(reference_de_axis(level)[0]) ** dim
+
+
+def test_de_levels_are_nested():
+    for level in range(4, 9):
+        t, omt, w, odd = de_axis(level)
+        t0, omt0, w0 = reference_de_axis(level - 1)
+        assert np.array_equal(t[~odd], t0) and np.array_equal(omt[~odd], omt0)
+        assert np.array_equal(2.0 * w[~odd], w0)
+
+
+def test_non_convergence_is_reported():
+    # small exponents: the level-6 difference stays near 2e-10
+    g, _ = ORACLE_CASES[5]
+    alpha = spread_exponents(g.n, 0.2)
+    got = integrate_graph(g, alpha, tol=1e-15)
+    assert got.converged is False
+    assert got.err_estimate > 1e-15 * max(1.0, abs(got.value))
+    assert got.evaluations == len(reference_de_axis(_MAX_LEVEL[2])[0]) ** 2
+    ok = integrate_graph(g, alpha)
+    assert ok.converged is True
+    assert (ok + got).converged is False and (ok + ok).converged is True
+    assert got.scaled(-2.0).converged is False
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.8 + 0.35j])
+def test_nonfinite_nodes_are_counted(scale):
+    # no gap of these graphs is a product of two axes, so nothing overflows
+    for g, rv in ORACLE_CASES[:4] + ORACLE_CASES[6:7]:
+        assert integrate_graph(g, spread_exponents(g.n, scale), root_values=rv).nonfinite == 0
+    # the star's log form has 1 / (x_4 - x_1) = 1 / (t_1 t_2), which overflows
+    # where t_1 t_2 underflows; those corner nodes are zeroed and counted, and
+    # the value still matches Selberg's closed form
+    g, alpha, want = star_case(2, 0.3 * scale, 0.5 * scale, 0.4 * scale, gamma_fn=scipy.special.gamma)
+    got = integrate_graph(g, alpha)
+    assert got.nonfinite > 0
+    assert abs(got.value - want) < 1e-12 * abs(want)
+    total = integrate_sum(GraphSum(g.n, g.roots, {g: 1, G(4, {1, 2}, (1, 3), (2, 4)): 1}), alpha)
+    assert total.nonfinite == got.nonfinite
