@@ -1,62 +1,43 @@
-"""Selberg integrals, multiple zeta values, and the calculus connecting them."""
+"""Selberg integrals, multiple zeta values, and the calculus connecting them.
 
-from .braid import BraidFamily, LinearMatrix, build_tower, ind_step, pure_braid_defects, spectrum
-from .graphs import GraphSum, IndexTuple, OrderedRootedGraph, principal_product, residue_expand, wedge, wedge_chain
-from .mzv import HRElement, MZVCombo, MZVIndex, mzv_eval, shuffle_regularize, stuffle_indices
-from .ncalg import NCSeries, grouplike_defect, series_exp, series_log, series_mul, shuffle_words
-from .selberg import ExponentAssignment, QuadratureResult, integrate_graph, integrate_sum, taylor_coefficients
-from .transport import (
-    ConnectionPair,
-    TransportResult,
-    associator_numeric,
-    associator_series,
-    associator_symbolic,
-    projection_identity_check,
-    regularized_limit,
-    rho_apply,
-    transport_ode,
-)
+The namespace is lazy (PEP 562): `import selzeta` loads no submodule, and a
+name below is imported from its module on first access, so a command-line
+call loads only the layers its command uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BraidFamily",
-    "ConnectionPair",
-    "ExponentAssignment",
-    "GraphSum",
-    "HRElement",
-    "IndexTuple",
-    "LinearMatrix",
-    "MZVCombo",
-    "MZVIndex",
-    "NCSeries",
-    "OrderedRootedGraph",
-    "QuadratureResult",
-    "TransportResult",
-    "associator_numeric",
-    "associator_series",
-    "associator_symbolic",
-    "build_tower",
-    "grouplike_defect",
-    "ind_step",
-    "integrate_graph",
-    "integrate_sum",
-    "mzv_eval",
-    "principal_product",
-    "projection_identity_check",
-    "pure_braid_defects",
-    "regularized_limit",
-    "residue_expand",
-    "rho_apply",
-    "series_exp",
-    "series_log",
-    "series_mul",
-    "shuffle_regularize",
-    "shuffle_words",
-    "spectrum",
-    "stuffle_indices",
-    "taylor_coefficients",
-    "transport_ode",
-    "wedge",
-    "wedge_chain",
-]
+_SOURCES = {
+    "braid": ("BraidFamily", "LinearMatrix", "build_tower", "ind_step", "pure_braid_defects", "spectrum"),
+    "graphs": ("GraphSum", "IndexTuple", "OrderedRootedGraph", "principal_product", "residue_expand", "wedge", "wedge_chain"),
+    "mzv": ("HRElement", "MZVCombo", "MZVIndex", "mzv_eval", "shuffle_regularize", "stuffle_indices"),
+    "ncalg": ("NCSeries", "grouplike_defect", "series_exp", "series_log", "series_mul", "shuffle_words"),
+    "selberg": ("ExponentAssignment", "QuadratureResult", "integrate_graph", "integrate_sum", "taylor_coefficients"),
+    "transport": (
+        "ConnectionPair",
+        "TransportResult",
+        "associator_numeric",
+        "associator_series",
+        "associator_symbolic",
+        "projection_identity_check",
+        "regularized_limit",
+        "rho_apply",
+        "transport_ode",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,6 +15,7 @@ denominator, divided out once at the end.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,14 +24,19 @@ from fractions import Fraction
 import numpy as np
 
 
+def _rational(v):
+    """v as a Fraction, without a new object when it already is one."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _lcm_denominator(values):
     """Least common multiple of the denominators of exact rationals."""
-    return math.lcm(*(Fraction(v).denominator for v in values))
+    return math.lcm(*(_rational(v).denominator for v in values))
 
 
 def _scaled_int(v, scale):
     """The integer v * scale, for an exact rational v whose denominator divides scale."""
-    v = Fraction(v)
+    v = _rational(v)
     return v.numerator * (scale // v.denominator)
 
 
@@ -138,13 +144,30 @@ class LinearMatrix:
 
 
 def lin_commutator_defect(p, q):
-    """Largest integer coefficient of [p, q] grouped by degree-2 monomial."""
+    """Largest integer coefficient of [p, q] grouped by degree-2 monomial.
+
+    All products M_u N_v come from one float64 GEMM per side on the stacked
+    term matrices.  A monomial collects at most two commutators, so every
+    coefficient is a sum of at most 4d products of integers, exact while
+    2 d max|M| max|N| stays below 2^52, which is checked.
+    """
+    if not p.terms or not q.terms:
+        return 0
+    d = p.dim
+    us, vs = list(p.terms), list(q.terms)
+    mp = np.stack([p.terms[u] for u in us]).astype(float)  # (|p|, d, d)
+    nq = np.stack([q.terms[v] for v in vs]).astype(float)
+    if 2 * d * np.abs(mp).max() * np.abs(nq).max() >= 2.0**52:
+        raise OverflowError("commutator coefficients exceed the exact float64 range")
+    # M_u stacked vertically times N_v side by side, and the other way round
+    mn = (mp.reshape(-1, d) @ nq.transpose(1, 0, 2).reshape(d, -1)).reshape(len(us), d, len(vs), d)
+    nm = (nq.reshape(-1, d) @ mp.transpose(1, 0, 2).reshape(d, -1)).reshape(len(vs), d, len(us), d)
     acc = {}
-    for u, mu in p.terms.items():
-        for v, nv in q.terms.items():
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
             key = tuple(sorted((u, v)))
-            acc[key] = acc.get(key, 0) + mu @ nv - nv @ mu
-    return max((int(np.abs(m).max()) for m in acc.values()), default=0)
+            acc[key] = acc.get(key, 0) + (mn[i, :, j, :] - nm[j, :, i, :])
+    return int(max(np.abs(m).max() for m in acc.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +329,16 @@ def sample_alpha(n, rng, scale=Fraction(1)):
     raise RuntimeError("could not sample generic exponents")
 
 
+@functools.lru_cache(maxsize=None)
+def _symbolic_tower(n, r):
+    """build_tower(n, r), built once per (n, r) for the exact checks, which only read it."""
+    return build_tower(n, r)
+
+
 def matrix_generators(n, rng):
     """Exact noncommuting d x d matrices (d = n) satisfying the pure-braid
     relations for [n]: one induction step from level n+1 at random rationals."""
-    top = build_tower(n + 1, n)
+    top = _symbolic_tower(n + 1, n)
     alpha = {u: Fraction(rng.randint(40, 160), 1000) for u in all_pairs(n + 1)}
     fam = top[n].evaluate(alpha)
     return {u: fam.mats[u] for u in all_pairs(n)}
@@ -518,7 +547,7 @@ def eta_gamma_check(I, rng, x=None, gens=None):
         vals = rng.sample(range(1, 1000), n)
         x = {v: Fraction(vals[v - 1], 1009) for v in range(1, n + 1)}
     scale, igens = _integer_generators(gens)
-    lhs, lhs_den = _integer_column(I, x, scale, igens, build_tower(n, r))
+    lhs, lhs_den = _integer_column(I, x, scale, igens, _symbolic_tower(n, r))
     d = lhs.shape[0]
     # term g is coef * (D^|E| a_g) with coef = c * omega_g / D^|E|
     terms = []

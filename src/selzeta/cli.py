@@ -256,18 +256,33 @@ def check_projection(config):
 
     rng = _rng_for(config, "projection")
     samples = 1 if config.profile == "quick" else 3
+    identity_runs = []
+
+    def identity(n, alpha, tol):
+        rep = projection_identity_check(n, alpha, tol=tol)
+        identity_runs.append(
+            {
+                "n": n,
+                "defect": rep.defect,
+                "monodromy_gap": rep.monodromy_gap,
+                "limits_defect": rep.limits_defect,
+                "quadrature_err": rep.quadrature_err,
+            }
+        )
+        return rep
+
     worst = 0.0
     alphas = []
     for _ in range(samples):
         alpha = sample_alpha(4, rng)
         alphas.append(_alpha_inputs(alpha))
-        rep = projection_identity_check(4, alpha, tol=1e-10)
+        rep = identity(4, alpha, 1e-10)
         worst = max(worst, rep.defect / 1e-4)
     alpha_small = sample_alpha(4, rng, scale=Fraction(2, 5))
-    rep = projection_identity_check(4, alpha_small, tol=1e-10)
+    rep = identity(4, alpha_small, 1e-10)
     worst = max(worst, rep.defect / 1e-4, rep.defect_symbolic / 1e-4)
     if config.profile != "quick":
-        rep5 = projection_identity_check(5, sample_alpha(5, rng), tol=1e-8)
+        rep5 = identity(5, sample_alpha(5, rng), 1e-8)
         worst = max(worst, rep5.defect / 1e-4)
     alpha = sample_alpha(4, rng)
     case2 = [(2, 3)] if config.profile == "quick" else [(2, 3), (2, 1)]
@@ -277,7 +292,13 @@ def check_projection(config):
         dev, target, _ = alpha_limit_check(4, entries, alpha, tol=1e-9)
         limit_gaps[str(entries)] = dev
         worst = max(worst, dev / 1e-4)
-    return worst, {"alphas": alphas, "limit_gaps": limit_gaps, "symbolic_defect": rep.defect_symbolic}
+    inputs = {
+        "alphas": alphas,
+        "limit_gaps": limit_gaps,
+        "symbolic_defect": rep.defect_symbolic,
+        "identity_runs": identity_runs,
+    }
+    return worst, inputs
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ d log(x_p - x_q) does not depend on the writing order of the pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,21 +22,20 @@ class OrderedRootedGraph:
     edges: tuple
 
     def __post_init__(self):
+        n = self.n
         object.__setattr__(self, "roots", frozenset(self.roots))
         norm = []
-        seen = set()
         for p, q in self.edges:
             if p == q:
                 raise ValueError("edge endpoints must be distinct")
-            if not (1 <= p <= self.n and 1 <= q <= self.n):
-                raise ValueError(f"edge ({p},{q}) leaves the vertex set [1,{self.n}]")
-            e = (min(p, q), max(p, q))
-            if e in seen:
+            if not (1 <= p <= n and 1 <= q <= n):
+                raise ValueError(f"edge ({p},{q}) leaves the vertex set [1,{n}]")
+            e = (p, q) if p < q else (q, p)
+            if e in norm:
                 raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
             norm.append(e)
         object.__setattr__(self, "edges", tuple(norm))
-        if not self.roots <= set(range(1, self.n + 1)):
+        if not all(1 <= v <= n for v in self.roots):
             raise ValueError("roots outside vertex set")
 
     @property
@@ -131,10 +132,11 @@ def wedge(g, new_vertex, i):
     """Attach new_vertex to i: sum over subsets A of edges at i, with the
     endpoints i in A rewired to new_vertex and (new_vertex, i) appended last."""
     if isinstance(g, GraphSum):
-        out = GraphSum(new_vertex, g.roots, {})
+        terms = {}
         for graph, c in g.terms.items():
-            out = out + wedge(graph, new_vertex, i).scale(c)
-        return out
+            for h, m in wedge(graph, new_vertex, i).terms.items():
+                terms[h] = terms.get(h, 0) + c * m
+        return GraphSum(new_vertex, g.roots, terms)
     if new_vertex != g.n + 1:
         raise ValueError("new vertex must be n + 1")
     if not (1 <= i <= g.n):
@@ -229,11 +231,10 @@ def principal_product(I):
 # ---------------------------------------------------------------------------
 
 def _det(m):
-    """Cofactor determinant of the log-form matrices, shared by every caller.
+    """Cofactor determinant of the ±1 incidence rows of a log form.
 
-    Structural zeros are the int 0 and are skipped; any other entry is never
-    truth-tested, so the same expansion is exact on Fractions and runs
-    elementwise on float or complex node arrays.
+    Structural zeros are skipped, so the expansion only descends into the
+    minors of the nonzero entries.
     """
     size = len(m)
     if size == 0:
@@ -244,43 +245,64 @@ def _det(m):
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     total = 0
     for j, a in enumerate(m[0]):
-        if type(a) is int and a == 0:
+        if a == 0:
             continue
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * a * _det(minor)
     return total
 
 
-def log_form_det(edges, cols, diff):
-    """Coefficient of the wedge of the edge forms d log(x_p - x_q) on the columns.
-
-    One row per edge, largest edge first; one column per vertex in cols, in
-    that order.  diff(p, q) returns x_p - x_q as an exact, float or array
-    value, so the caller chooses how the differences are formed.  This is the
-    one builder behind omega_coefficient, omega_residue_direct and the
-    Selberg quadrature integrand.
-    """
+@functools.lru_cache(maxsize=4096)
+def _incidence_sign(edges, cols):
+    """det of the ±1 incidence rows (+1 at p, -1 at q), largest edge first."""
     col_of = {v: j for j, v in enumerate(cols)}
     rows = []
     for p, q in reversed(edges):
-        inv = 1 / diff(p, q)
         row = [0] * len(col_of)
         if p in col_of:
-            row[col_of[p]] = inv
+            row[col_of[p]] = 1
         if q in col_of:
-            row[col_of[q]] = -inv
+            row[col_of[q]] = -1
         rows.append(row)
     return _det(rows)
 
 
-def _exact_diff(vals):
-    """x_p - x_q with int differences promoted to Fraction, so 1/diff stays exact."""
+def log_form_det(edges, cols, diff, scale=None):
+    """Coefficient of the wedge of the edge forms d log(x_p - x_q) on the columns.
 
-    def diff(p, q):
-        d = vals[p] - vals[q]
-        return Fraction(d) if isinstance(d, int) else d
+    One row per edge, largest edge first; one column per vertex in cols, in
+    that order.  Row (p, q) is 1/(x_p - x_q) times the incidence row (+1 at
+    p, -1 at q), so the coefficient is det(incidence) / prod(x_p - x_q), with
+    the determinant taken on the ±1 entries alone; it is 0 exactly when the
+    graph is not a rooted forest.  diff(p, q) returns x_p - x_q as a float or
+    a node array, and the inverse gaps are multiplied in one by one.  With
+    scale = D, diff returns the integer D (x_p - x_q) instead, and the result
+    is the one exact Fraction det * D^m / prod D (x_p - x_q).  This is the one
+    builder behind omega_coefficient, omega_residue_direct and the Selberg
+    quadrature integrand.
+    """
+    sign = _incidence_sign(tuple(edges), tuple(cols))
+    if sign == 0:
+        return 0
+    if scale is not None:
+        den = 1
+        for p, q in edges:
+            den *= diff(p, q)
+        return Fraction(sign * scale ** len(edges), den)
+    out = sign
+    for p, q in reversed(edges):
+        out = out * (1 / diff(p, q))
+    return out
 
-    return diff
+
+def _coordinates(vals):
+    """(scale, coordinates) for log_form_det: exact (int or Fraction) values
+    as integers over their common denominator, which is the scale; float
+    values as they are, with scale None."""
+    if {type(v) for v in vals.values()} <= {int, Fraction}:
+        scale = math.lcm(*(v.denominator for v in vals.values()))
+        return scale, {k: v.numerator * (scale // v.denominator) for k, v in vals.items()}
+    return None, vals
 
 
 def omega_coefficient(g, x):
@@ -295,13 +317,14 @@ def omega_coefficient(g, x):
     if len(g.edges) != len(cols):
         raise ValueError("need #edges == #vertices - #roots")
     vals = x if isinstance(x, dict) else {v: x[v - 1] for v in range(1, g.n + 1)}
+    scale, coords = _coordinates(vals)
     seen = {}
     for v in range(1, g.n + 1):
-        xv = vals[v]
+        xv = coords[v]
         if xv in seen:
             raise ValueError(f"coincident coordinates x_{seen[xv]} = x_{v}")
         seen[xv] = v
-    return log_form_det(g.edges, cols, _exact_diff(vals))
+    return log_form_det(g.edges, cols, lambda p, q: coords[p] - coords[q], scale)
 
 
 def is_tree(g):
@@ -412,7 +435,8 @@ def omega_residue_direct(g, k, x):
     merged = [tuple(k if v == n else v for v in e) for e in g.edges if e != (k, n)]
     cols = sorted(set(range(1, n)) - g.roots, reverse=True)
     j0 = (len(g.edges) - 1) - pos_nk
-    return (-1) ** j0 * log_form_det(merged, cols, _exact_diff(x))
+    scale, coords = _coordinates(x)
+    return (-1) ** j0 * log_form_det(merged, cols, lambda p, q: coords[p] - coords[q], scale)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from selzeta.braid import (
     build_tower,
     eta_gamma_check,
     graph_matrix,
+    lin_commutator_defect,
     matrix_generators,
     pair,
     path_product_factors,
@@ -100,6 +101,46 @@ def test_corrupted_entry_detected():
     broken[(3, 4)] = broken.get((3, 4), np.zeros((3, 3), dtype=np.int64)) + nil
     bad[(1, 2)] = LinearMatrix(3, broken)
     assert pure_braid_defects(BraidFamily(3, bad)) != []
+
+
+def reference_commutator_defect(p, q):
+    """Largest coefficient of [p, q] by degree-2 monomial, in int64 matmuls pair by pair."""
+    acc = {}
+    for u, mu in p.terms.items():
+        for v, nv in q.terms.items():
+            key = tuple(sorted((u, v)))
+            acc[key] = acc.get(key, 0) + mu @ nv - nv @ mu
+    return max((int(np.abs(m).max()) for m in acc.values()), default=0)
+
+
+def test_stacked_commutator_defect_matches_pairwise_reference():
+    rng = random.Random(31)
+    tower = build_tower(5, 3)
+    for fam in tower.values():
+        mats = list(fam.mats.values())
+        for p, q in itertools.product(mats, repeat=2):
+            assert lin_commutator_defect(p, q) == reference_commutator_defect(p, q)
+    # perturbed families, whose commutators do not vanish
+    fam = tower[3]
+    seen = []
+    for _ in range(5):
+        terms = {u: m.copy() for u, m in fam.mats[(1, 2)].terms.items()}
+        u = rng.choice(list(terms))
+        terms[u][rng.randrange(fam.dim), rng.randrange(fam.dim)] += rng.choice([-3, -1, 2, 5])
+        bad = LinearMatrix(fam.dim, terms)
+        for q in fam.mats.values():
+            assert lin_commutator_defect(bad, q) == reference_commutator_defect(bad, q)
+            assert lin_commutator_defect(q, bad) == reference_commutator_defect(q, bad)
+            seen.append(lin_commutator_defect(bad, q))
+    assert max(seen) > 0
+
+
+def test_commutator_defect_refuses_inexact_range():
+    big = LinearMatrix(2, {(1, 2): [[2**26, 0], [0, 1]]})
+    other = LinearMatrix(2, {(1, 3): [[0, 2**25], [1, 0]]})
+    with pytest.raises(OverflowError):
+        lin_commutator_defect(big, other)
+    assert lin_commutator_defect(big, LinearMatrix(2, {})) == 0
 
 
 def test_reduced_subspace_invariance_structural():

@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import selzeta
 
 from selzeta.cli import (
     REGISTRY,
@@ -117,3 +122,54 @@ def test_cli_assoc_expand(capsys):
     assert main(["assoc", "expand", "--degree", "2", "--method", "symbolic"]) == 0
     out2 = capsys.readouterr().out
     assert "zeta" in out2
+
+
+# runs each command line as `python -m selzeta` would, in one fresh
+# interpreter, and prints the top-level packages loaded afterwards
+_RUN_AND_LIST_MODULES = """
+import json, runpy, sys
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["selzeta"] + argv
+    try:
+        runpy.run_module("selzeta", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, (argv, exc.code)
+print(" ".join(sorted({name.split(".")[0] for name in sys.modules})))
+"""
+
+
+def _modules_after(commands):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selzeta.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return set(proc.stdout.strip().splitlines()[-1].split())
+
+
+def test_light_commands_load_neither_numpy_nor_scipy():
+    for argv in (["mzv", "eval", "2"], ["graph", "wedge", "--n", "5", "--r", "2", "--indices", "1,2,3"]):
+        loaded = _modules_after([argv])
+        assert "selzeta" in loaded
+        assert not loaded & {"numpy", "scipy"}, argv
+
+
+def test_no_command_loads_scipy(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 2 | (2,3)\n")
+    commands = [
+        ["mzv", "eval", "1,2"],
+        ["graph", "wedge", "--n", "4", "--r", "2", "--indices", "1,2"],
+        ["tower", "build", "--n", "4", "--r", "3"],
+        ["selberg", "integrate", str(graph)],
+        ["assoc", "expand", "--degree", "3", "--method", "numeric"],
+        ["assoc", "expand", "--degree", "3", "--method", "symbolic"],
+        ["verify", "all", "--profile", "quick"],
+    ]
+    loaded = _modules_after(commands)
+    assert "numpy" in loaded
+    assert "scipy" not in loaded

@@ -199,6 +199,54 @@ def test_log_form_det_on_node_arrays_matches_exact():
                 assert abs(got[node] - want) <= 1e-12 * abs(want)
 
 
+def reference_log_form(edges, cols, x):
+    """Cofactor determinant of the unfactored rows 1/(x_p - x_q) (+ at p, - at q), in Fractions."""
+
+    def det(m):
+        if not m:
+            return Fraction(1)
+        return sum((-1) ** j * a * det([row[:j] + row[j + 1 :] for row in m[1:]]) for j, a in enumerate(m[0]) if a)
+
+    col_of = {v: j for j, v in enumerate(cols)}
+    rows = []
+    for p, q in reversed(edges):
+        inv = 1 / (Fraction(x[p]) - Fraction(x[q]))
+        row = [Fraction(0)] * len(cols)
+        if p in col_of:
+            row[col_of[p]] = inv
+        if q in col_of:
+            row[col_of[q]] = -inv
+        rows.append(row)
+    return det(rows)
+
+
+def test_factored_exact_log_form_matches_unfactored_determinant():
+    # one Fraction over the common denominator equals the determinant of the
+    # 1/gap rows, on every edge set (forest or not), at rational and integer points
+    rng = random.Random(21)
+    for n, r in [(3, 2), (4, 2), (5, 2), (5, 3)]:
+        roots = frozenset(range(1, r + 1))
+        points = [rational_point(n, rng) for _ in range(2)] + [dict(zip(range(1, n + 1), rng.sample(range(-50, 50), n)))]
+        for edge_set in itertools.combinations(itertools.combinations(range(1, n + 1), 2), n - r):
+            g = OrderedRootedGraph(n, roots, edge_set)
+            for x in points:
+                got = omega_coefficient(g, x)
+                assert got == reference_log_form(g.edges, g.free_vertices, x)
+                assert isinstance(got, (int, Fraction))
+
+
+def test_residue_direct_matches_unfactored_determinant():
+    rng = random.Random(22)
+    for g in all_wedge_supports(5, 2):
+        x = rational_point(4, rng)
+        for k in sorted({o for (p, q) in g.edges for o in (p, q) if g.n in (p, q) and o != g.n}):
+            pos = g.edges.index((k, g.n))
+            merged = [tuple(k if v == g.n else v for v in e) for e in g.edges if e != (k, g.n)]
+            cols = sorted(set(range(1, g.n)) - g.roots, reverse=True)
+            want = (-1) ** (len(g.edges) - 1 - pos) * reference_log_form(merged, cols, x)
+            assert omega_residue_direct(g, k, x) == want
+
+
 def all_wedge_supports(n, r):
     seen = set()
     for I in index_tuples(n, r):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,52 @@ def test_scalar_transport_power_law():
     conn = ConnectionPair(np.array([[0.3]]), np.array([[0.0]]))
     t = transport_ode(conn, 0.2, 0.7, tol=1e-12)
     assert abs(t[0, 0] - (0.7 / 0.2) ** 0.3) < 1e-11
+
+
+def test_scalar_transport_matches_closed_form_on_both_sides():
+    # ds = (a/x + b/(x-1)) s dx has the solution x^a (1-x)^b
+    for a, b in [(0.3, 0.2), (-0.4, 0.7), (1.5, -0.6)]:
+        conn = ConnectionPair(np.array([[a]]), np.array([[b]]))
+        for x0, x1 in [(0.5, 0.02), (0.5, 0.98), (0.3, 0.7), (0.9, 0.1), (0.2, 0.4), (0.6, 0.999)]:
+            got = transport_ode(conn, x0, x1)[0, 0]
+            want = (x1 / x0) ** a * ((1 - x1) / (1 - x0)) ** b
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_letter_words_match_log_powers_down_to_the_ladder_floor():
+    # the X^k word of the transport from 1/2 is log^k(2x)/k!, the Y^k word
+    # log^k(2(1-x))/k!; the ladder of associator_numeric reaches 3.8e-8
+    trunc = 4
+    eps = [2e-2 / 2**k for k in range(20)]
+    near_1 = [1.0 - e for e in eps]
+    down = transport_series(trunc, 0.5, eps[-1], x_eval=eps)
+    up = transport_series(trunc, 0.5, near_1[-1], x_eval=near_1)
+    assert eps[-1] < 3.9e-8
+    for x, at_x in zip(eps, down):
+        for k in range(1, trunc + 1):
+            want = math.log(2 * x) ** k / math.factorial(k)
+            assert abs(at_x["X" * k] - want) <= 1e-12 * max(1.0, abs(want))
+    for x, at_x in zip(near_1, up):
+        for k in range(1, trunc + 1):
+            want = math.log(2 * (1.0 - x)) ** k / math.factorial(k)
+            assert abs(at_x["Y" * k] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_step_cap_raises():
+    # a residue of norm 1e3 needs several hundred terms per step
+    conn = ConnectionPair(np.array([[1e3]]), np.array([[0.0]]))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        transport_ode(conn, 0.5, 0.7)
+
+
+def test_sample_points_must_run_from_the_start():
+    conn = ConnectionPair(np.eye(2) * 0.1, np.eye(2) * 0.2)
+    with pytest.raises(ValueError):
+        transport_ode(conn, 0.5, 0.1, x_eval=[0.2, 0.3, 0.1])
+    with pytest.raises(ValueError):
+        transport_series(2, 0.5, 0.9, x_eval=[0.95])
+    mats = transport_ode(conn, 0.5, 0.1, x_eval=[0.4, 0.2, 0.1])
+    assert np.abs(mats[-1] - transport_ode(conn, 0.5, 0.1)).max() < 1e-14
 
 
 def test_flow_composition_and_inverse():
