@@ -278,8 +278,8 @@ def log_form_det(edges, cols, diff, scale=None):
     a node array, and the inverse gaps are multiplied in one by one.  With
     scale = D, diff returns the integer D (x_p - x_q) instead, and the result
     is the one exact Fraction det * D^m / prod D (x_p - x_q).  This is the one
-    builder behind omega_coefficient, omega_residue_direct and the Selberg
-    quadrature integrand.
+    builder behind omega_coefficient, omega_residue_direct and the sign of
+    the Selberg quadrature integrand's log form.
     """
     sign = _incidence_sign(tuple(edges), tuple(cols))
     if sign == 0:

@@ -4,21 +4,22 @@ The domain for roots [r] (values x_1 = 0 < x_r < ... < x_2 = 1) is the chain
 0 < x_n < x_{n-1} < ... < x_{r+1} < x_r.  Free variables are mapped to the
 unit cube by the triangular substitution x_{r+j} = x_{r+j-1} t_j; each axis
 then gets a tanh-sinh (double-exponential) change of variable, which makes
-the x^(a-1)-type endpoint singularities harmless.  Dimensions 1 and 2 use
-the product rule with nested level doubling: each level adds only the nodes
-the previous one lacks, as blocks of an open tensor grid (one array per
-axis, broadcast against the others, never a list of nodes).  Dimension 3
-uses Halton sampling through the same per-axis transform and the same
-integrand.  The rule is chosen by dimension alone.  A result that ran out of
-levels before meeting its tolerance says so (converged=False), and nodes
-whose integrand value is not finite are zeroed and counted (nonfinite).
+the x^(a-1)-type endpoint singularities harmless.  Every dimension, 1 to 3,
+uses the same product rule with nested level doubling: each level adds only
+the nodes the previous one lacks, as blocks of an open tensor grid (one
+array per axis, broadcast against the others, never a list of nodes).  A
+result that ran out of levels before meeting its tolerance says so
+(converged=False), and nodes whose integrand value is not finite are zeroed
+and counted (nonfinite).
 
 Every coordinate gap is a constant times a product of axis variables times
-one factor 1 - c t_a ... t_b, so the Selberg factor Phi and the Jacobian are
-evaluated as one power per primitive factor, each on the axes it depends on.
-The log-form coefficient comes from graphs.log_form_det, the one builder that
+one factor 1 - c t_a ... t_b.  The log form of a rooted forest is a sign
+over the product of its edge gaps, so the Selberg factor Phi, the log form
+and the Jacobian are evaluated together as one power per primitive factor,
+each on the axes it depends on, with the quadrature weights multiplied in
+per axis.  The sign comes from graphs.log_form_det, the one builder that
 also serves the exact Fraction paths (omega_coefficient and the residue
-surgery); here it runs elementwise on the broadcast, cancellation-free gaps.
+surgery); non-forests integrate to exactly zero without quadrature.
 
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
@@ -108,8 +109,8 @@ class QuadratureResult:
     value: float
     err_estimate: float
     evaluations: int
-    # False when the rule ran out of levels (or samples) before its error
-    # estimate met the requested tolerance
+    # False when the rule ran out of levels before its error estimate met
+    # the requested tolerance
     converged: bool = True
     # integrand nodes whose value was not finite and was zeroed
     nonfinite: int = 0
@@ -127,9 +128,9 @@ class QuadratureResult:
         return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.evaluations, self.converged, self.nonfinite)
 
 
-# requested accuracy per free dimension; the dimension-3 sampler realistically
-# delivers ~1e-3 relative on the log-form integrands at desk scale
-DEFAULT_TOL = {0: 0.0, 1: 1e-10, 2: 1e-8, 3: 1e-3}
+# requested accuracy per free dimension; at dimension 3 the level-2 estimate
+# (49^3 nodes) meets 1e-4 on the l = 3 stars, whose true error is then ~1e-7
+DEFAULT_TOL = {0: 0.0, 1: 1e-10, 2: 1e-8, 3: 1e-4}
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +149,13 @@ def de_axis(level):
     """
     h = 2.0 ** (-level)
     ks = np.arange(-int(_TMAX / h), int(_TMAX / h) + 1)
-    t, omt, dt = _tanh_sinh(ks * h)
-    w = h * dt
+    # t = (1 + tanh(pi/2 sinh u)) / 2 at u = k h, its complement and h dt/du
+    a = 0.5 * math.pi * np.sinh(ks * h)
+    e = np.exp(-2.0 * a)
+    t, omt = 1.0 / (1.0 + e), e / (1.0 + e)
+    w = h * (0.25 * math.pi * np.cosh(ks * h) / np.cosh(a) ** 2)
     keep = (t > 1e-280) & (omt > 1e-280) & (w > 1e-300)
     return t[keep], omt[keep], w[keep], (ks % 2 == 1)[keep]
-
-
-def _tanh_sinh(u):
-    """t = (1 + tanh(pi/2 sinh u)) / 2, its complement 1 - t and dt/du at u."""
-    a = 0.5 * math.pi * np.sinh(u)
-    e = np.exp(-2.0 * a)
-    return 1.0 / (1.0 + e), e / (1.0 + e), 0.25 * math.pi * np.cosh(u) / np.cosh(a) ** 2
 
 
 def _one_minus_product(ts, omts):
@@ -170,22 +167,26 @@ def _one_minus_product(ts, omts):
 
 
 class _SimplexIntegrand:
-    """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian on the cube.
+    """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian * weights on the cube.
 
     Under the triangular substitution every gap x_hi - x_lo is
     const * t_1 ... t_m * (1 - c t_a ... t_b), with either part possibly
-    absent.  The exponents of Phi and the Jacobian's powers of t are summed
+    absent.  On a rooted forest the log form is sign / prod over edges of the
+    gaps, so it lowers the power of each factor of an edge gap by one.  The
+    exponents of Phi, the log form and the Jacobian's powers of t are summed
     once per primitive factor (each t_k and each 1 - c t_a ... t_b), so a call
     raises every factor to one power on the axes it depends on: a factor of
-    one axis costs a power on that axis array alone.  The axis arrays only
-    need to broadcast against each other: open-grid axes give the tensor
-    grid without materialising it, equal-length 1-D arrays give point samples.
+    one axis costs a power on that axis array alone.  The quadrature weight of
+    axis k is multiplied into the group of t_k's single-axis factors before
+    that group meets the factors spanning several axes, so a deep corner's
+    large powers meet its tiny weights before they can overflow.  The axis
+    arrays only need to broadcast against each other: open-grid axes give
+    the tensor grid without materialising it.
     """
 
     def __init__(self, g, alpha, root_values):
         if g.roots != frozenset(range(1, len(g.roots) + 1)):
             raise ValueError("roots must be the initial segment [r]")
-        self.g = g
         self.r = len(g.roots)
         self.l = g.n - self.r
         if root_values is None:
@@ -201,15 +202,16 @@ class _SimplexIntegrand:
         def rank(v):
             return 0 if v == 1 else g.n + 2 - v
 
-        # sign, edge exponents, Jacobian top^l and every gap's constant
+        # orientation, edge exponents, Jacobian top^l and every gap's constant
         scale = (-1.0 if self.l % 2 else 1.0) * self.top**self.l
         for e in g.edges:
             scale *= alpha[e]
         # exponent of each factor, keyed by (c, a, b) for 1 - c t_{a+1} ... t_b
-        # (0-based axes a..b-1); t_k alone is (None, k, k + 1).  The Jacobian
-        # top^l t_1^(l-1) t_2^(l-2) ... t_{l-1} contributes its t powers.
-        powers = {(None, k, k + 1): self.l - 1 - k for k in range(self.l - 1)}
-        self.edge_gaps = {}
+        # (0-based axes a..b-1); t_k alone is (None, k, k + 1), present for
+        # every axis.  The Jacobian top^l t_1^(l-1) t_2^(l-2) ... t_{l-1}
+        # contributes its t powers.
+        powers = {(None, k, k + 1): self.l - 1 - k for k in range(self.l)}
+        edge_gaps = set()
         edges = set(g.edges)
         for i in range(1, g.n + 1):
             for j in range(i + 1, g.n + 1):
@@ -217,16 +219,18 @@ class _SimplexIntegrand:
                 if a_ij is None:
                     raise KeyError(f"missing exponent for pair ({i},{j})")
                 lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
+                if (i, j) in edges:
+                    a_ij = a_ij - 1
+                    edge_gaps.add((lo, hi))
                 const, m, factor = self._gap_form(lo, hi)
                 scale *= const**a_ij
                 for k in range(m):
-                    key = (None, k, k + 1)
-                    powers[key] = powers.get(key, 0) + a_ij
+                    powers[None, k, k + 1] += a_ij
                 if factor is not None:
                     powers[factor] = powers.get(factor, 0) + a_ij
-                if (i, j) in edges:
-                    self.edge_gaps[lo, hi] = (const, m, factor)
-        self.scale = scale
+        # the log form's sign, from the one builder: each row's gap as +-1
+        sign = log_form_det(g.edges, g.free_vertices, lambda p, q: 1.0 if (q, p) in edge_gaps else -1.0)
+        self.scale = scale * sign
         # grouped by the axes they span, so that each group is multiplied out
         # on those axes alone before it meets the others
         self.powers = sorted(powers.items(), key=lambda kp: kp[0][1:])
@@ -246,41 +250,27 @@ class _SimplexIntegrand:
         i, j = hi - r, lo - r
         return top, i, (1.0, i, j)
 
-    def __call__(self, ts, omts):
-        """Integrand values on the broadcast of the axis arrays, and how many
-        nonfinite ones were zeroed."""
-        bases, out, group, axes = {}, self.scale, 1.0, None
+    def __call__(self, ts, omts, ws):
+        """Weighted integrand values on the broadcast of the axis arrays (ts,
+        their complements omts and weights ws), and how many nonfinite ones
+        were zeroed."""
+        out, group, axes = self.scale, 1.0, None
         for (c, a, b), power in self.powers:
             if (a, b) != axes:
-                out, group, axes = out * group, 1.0, (a, b)
+                out, axes = out * group, (a, b)
+                group = ws[a] if b == a + 1 else 1.0
             if c is None:
                 base = ts[a]
             else:
                 base = _one_minus_product(ts[a:b], omts[a:b])
                 if c != 1.0:
                     base = (1.0 - c) + c * base
-                bases[c, a, b] = base
             group = group * np.power(base, power)
         out = out * group
-
-        # the gaps themselves, as broadcast products, feed the log-form rows
-        gaps = {}
-        for (lo, hi), (const, m, factor) in self.edge_gaps.items():
-            gap = const
-            for k in range(m):
-                gap = gap * ts[k]
-            if factor is not None:
-                gap = gap * bases[factor]
-            gaps[lo, hi] = gap
-
-        def x_diff(p, q):
-            return gaps[q, p] if (q, p) in gaps else -gaps[p, q]
-
-        out = out * log_form_det(self.g.edges, self.g.free_vertices, x_diff)
-        out = np.broadcast_to(out, np.broadcast_shapes(*(np.shape(t) for t in ts)))
-        # deep corner nodes can underflow into 0 * inf; the true integrand
-        # tends to 0 there (positive exponents beat the log poles), so such
-        # nodes are zeroed, and counted so that the caller can report them
+        # an axis value of exactly 0 or 1, which the DE nodes never reach,
+        # raises 0 to a negative power: the singularity is integrable and the
+        # node's weight vanishes in the limit, so such nodes are zeroed, and
+        # counted so that the caller can report them
         bad = ~np.isfinite(out)
         nonfinite = int(np.count_nonzero(bad))
         if nonfinite:
@@ -288,29 +278,11 @@ class _SimplexIntegrand:
         return out, nonfinite
 
 
-# levels of the product rule per free dimension; the last level is returned
-# with its difference to the one before as the error estimate
-_MAX_LEVEL = {1: 8, 2: 6}
-# dimension-3 Halton sampling: total points, shifted replicas, leading points skipped
-_HALTON_SAMPLES = 1 << 17
-_HALTON_BATCHES = 4
-_HALTON_SKIP = 64
-
-
-def _halton(n_samples, dim):
-    primes = [2, 3, 5][:dim]
-    out = np.empty((n_samples, dim))
-    for d, p in enumerate(primes):
-        idx = np.arange(_HALTON_SKIP, _HALTON_SKIP + n_samples)
-        col = np.zeros(n_samples)
-        f = 1.0
-        i = idx.copy()
-        while i.max() > 0:
-            f /= p
-            col += f * (i % p)
-            i //= p
-        out[:, d] = col
-    return out
+# levels of the product rule per free dimension, coarsest first; the first
+# level that meets the tolerance, or else the last, is returned with its
+# difference to the one before as the error estimate.  Dimension 3 stops at
+# 97^3 nodes for memory: level 4 would take 7.2 M.
+_LEVELS = {1: range(3, 9), 2: range(3, 7), 3: range(1, 4)}
 
 
 def _de_levels(f, dim):
@@ -320,42 +292,39 @@ def _de_levels(f, dim):
     weight, so S_{L+1} = S_L / 2^dim + the sum over the new nodes.  The new
     nodes of the tensor grid form dim open-grid blocks; block k takes the old
     nodes on the axes before k, the new (odd) nodes on axis k and all nodes on
-    the axes after k.  Every node is evaluated once; nodes and nonfinite are
-    running totals.
+    the axes after k.  The integrand takes the blocks' axis weights and
+    returns weighted values, so each block reduces by a plain sum.  Every
+    node is evaluated once; nodes and nonfinite are running totals.
     """
     total, nodes, nonfinite = 0.0, 0, 0
     shapes = [(-1,) + (1,) * (dim - 1 - ax) for ax in range(dim)]
-    for level in range(3, _MAX_LEVEL[dim] + 1):
+    levels = _LEVELS[dim]
+    for level in levels:
         t, omt, w, odd = de_axis(level)
         # the first level has no old nodes: its one block is the whole grid
-        blocks = range(dim) if level > 3 else [0]
-        new = odd if level > 3 else slice(None)
+        first = level == levels[0]
+        blocks = [0] if first else range(dim)
+        new = slice(None) if first else odd
         total = total / 2**dim
         for k in blocks:
             picks = [~odd] * k + [new] + [slice(None)] * (dim - 1 - k)
-            ts = [t[p].reshape(s) for p, s in zip(picks, shapes)]
-            omts = [omt[p].reshape(s) for p, s in zip(picks, shapes)]
+            ts, omts, ws = ([x[p].reshape(s) for p, s in zip(picks, shapes)] for x in (t, omt, w))
             with np.errstate(all="ignore"):
-                vals, bad = f(ts, omts)
+                vals, bad = f(ts, omts, ws)
             nodes += vals.size
-            # contract the block with the axis weights, last axis first
-            for p in reversed(picks):
-                vals = vals @ w[p]
-            total = total + vals.item()
+            total = total + vals.sum().item()
             nonfinite += bad
         yield level, total, nodes, nonfinite
 
 
 def _integrate_cube(f, dim, tol):
-    """Product DE rule with nested level doubling for 1-2 free vertices, Halton for 3.
+    """Product DE rule with nested level doubling on the unit cube, dimensions 1-3.
 
     The rule runs on open tensor grids (one axis array per dimension, never a
     materialised node list) and stops at the first level whose difference to
     the previous one meets tol relative to max(1, |value|); otherwise the last
     level is returned with converged=False.
     """
-    if dim >= 3:
-        return _integrate_halton(f, dim, tol)
     prev = None
     for _, total, nodes, nonfinite in _de_levels(f, dim):
         if prev is not None:
@@ -364,29 +333,6 @@ def _integrate_cube(f, dim, tol):
                 return QuadratureResult(total, err, nodes, True, nonfinite)
         prev = total
     return QuadratureResult(total, err, nodes, False, nonfinite)
-
-
-def _integrate_halton(f, dim, tol):
-    per = _HALTON_SAMPLES // _HALTON_BATCHES
-    base = _halton(per, dim)
-    shifts = np.random.default_rng(182818).random((_HALTON_BATCHES, dim))
-    parts = []
-    nonfinite = 0
-    for shift in shifts:
-        t, omt, wt = _tanh_sinh(_TMAX * (2.0 * ((base + shift) % 1.0) - 1.0))
-        wt = np.prod(wt * (2.0 * _TMAX), axis=1)
-        ts = [t[:, d] for d in range(dim)]
-        omts = [omt[:, d] for d in range(dim)]
-        with np.errstate(all="ignore"):
-            vals, bad = f(ts, omts)
-            parts.append(np.mean(vals * wt))
-        nonfinite += bad
-    parts = np.array(parts)
-    mean = np.mean(parts)
-    total = complex(mean) if np.iscomplexobj(mean) else float(mean)
-    # shifted replicas are independent estimates, so their spread is honest
-    err = float(np.max(np.abs(parts - total)))
-    return QuadratureResult(total, err, per * _HALTON_BATCHES, err <= tol * max(1.0, abs(total)), nonfinite)
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,8 @@ class ProjectionReport:
     monodromy_gap: float
     limits_defect: float
     quadrature_err: float
+    # component integrals that ran out of levels before meeting tol
+    unconverged: int
 
 
 def projection_identity_check(n, alpha, tol=None, trunc=5, eps0=1e-2, rungs=8, mzv_abs_err=1e-10):
@@ -484,7 +486,7 @@ def projection_identity_check(n, alpha, tol=None, trunc=5, eps0=1e-2, rungs=8, m
 
     tuples = _level3_tuples(n)
     v1 = np.zeros(len(tuples))
-    quad_err = 0.0
+    quad_err, unconverged = 0.0, 0
     m1 = {1: 1, 3: 2, **{j: j - 1 for j in range(4, n + 1)}}
     alpha1 = alpha_full.relabel(m1)
     for idx, I in enumerate(tuples):
@@ -494,6 +496,7 @@ def projection_identity_check(n, alpha, tol=None, trunc=5, eps0=1e-2, rungs=8, m
         res = selberg_component(J, alpha1, tol=tol)
         v1[idx] = res.value
         quad_err += res.err_estimate
+        unconverged += not res.converged
 
     m2 = {1: 1, 2: 2, **{j: j - 1 for j in range(4, n + 1)}}
     alpha2 = alpha_full.merge_into(2, 3).relabel(m2)
@@ -504,6 +507,7 @@ def projection_identity_check(n, alpha, tol=None, trunc=5, eps0=1e-2, rungs=8, m
         res = selberg_component(J, alpha2, tol=tol)
         v2p[row] = res.value
         quad_err += res.err_estimate
+        unconverged += not res.converged
 
     mono = regularized_connection_matrix(conn, eps0=eps0, rungs=rungs)
     rhs = mono.value @ v1
@@ -514,7 +518,7 @@ def projection_identity_check(n, alpha, tol=None, trunc=5, eps0=1e-2, rungs=8, m
     rhs_sym = rho_phi @ v1
     defect_sym = float(np.abs(v2p - rhs_sym[proj_rows]).max())
     gap = float(np.abs(rho_phi - mono.value).max())
-    return ProjectionReport(falpha, defect, defect_sym, gap, mono.err_estimate, quad_err)
+    return ProjectionReport(falpha, defect, defect_sym, gap, mono.err_estimate, quad_err, unconverged)
 
 
 def alpha_limit_check(n, entries, alpha, deltas=(0.12, 0.08, 0.05, 0.03), tol=None):

@@ -110,8 +110,8 @@ def test_cli_selberg_integrate(tmp_path, capsys):
     ])
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
-    assert set(blob) == {"graph", "alphas", "value", "err", "evals", "converged"}
-    assert blob["converged"] is True
+    assert set(blob) == {"graph", "alphas", "value", "err", "evals", "converged", "nonfinite"}
+    assert blob["converged"] is True and blob["nonfinite"] == 0
     assert abs(blob["value"] - math.pi / 4) < 1e-8
 
 

@@ -246,6 +246,17 @@ def test_projection_identity_three_samples():
         alpha = sample_alpha(4, rng)
         rep = projection_identity_check(4, alpha, tol=1e-10)
         assert rep.defect < 1e-4
+        assert rep.unconverged == 0
+
+
+def test_projection_reports_unconverged_integrals():
+    # alpha_14 = 1/50 puts an exponent below the 0.03 floor on (1,3) of both
+    # three-vertex sides: those two integrals run out of levels at tol 1e-10
+    alpha = dict(sample_alpha(4, random.Random(4)))
+    alpha[(1, 4)] = Fraction(1, 50)
+    rep = projection_identity_check(4, alpha, tol=1e-10)
+    assert rep.unconverged == 2
+    assert rep.defect < 1e-4
 
 
 def test_projection_identity_five_vertices():
