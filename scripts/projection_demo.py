@@ -2,8 +2,9 @@
 """Walk through the four-vertex boundary-value identity step by step.
 
 Shows the sampled exponents, the predicted regularized limit vectors at both
-endpoints (Selberg integrals with a vertex removed), the numeric regularized
-transport of the level-3 connection, and the projected identity defect.
+endpoints (Selberg integrals with a vertex removed), the regularized
+transport of the level-3 connection (local solutions matched at 1/2), and the
+projected identity defect.
 """
 
 import argparse

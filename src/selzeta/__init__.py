@@ -12,15 +12,13 @@ __version__ = "0.1.0"
 _SOURCES = {
     "braid": ("BraidFamily", "LinearMatrix", "build_tower", "ind_step", "pure_braid_defects", "spectrum"),
     "graphs": ("GraphSum", "IndexTuple", "OrderedRootedGraph", "principal_product", "residue_expand", "wedge", "wedge_chain"),
-    "mzv": ("HRElement", "MZVCombo", "MZVIndex", "mzv_eval", "shuffle_regularize", "stuffle_indices"),
-    "ncalg": ("NCSeries", "grouplike_defect", "series_exp", "series_log", "series_mul", "shuffle_words"),
+    "mzv": ("HRElement", "MZVCombo", "MZVIndex", "associator_symbolic", "mzv_eval", "shuffle_regularize", "stuffle_indices"),
+    "ncalg": ("NCSeries", "associator_series", "grouplike_defect", "series_exp", "series_log", "series_mul", "shuffle_words"),
     "selberg": ("ExponentAssignment", "QuadratureResult", "integrate_graph", "integrate_sum", "taylor_coefficients"),
     "transport": (
         "ConnectionPair",
         "TransportResult",
         "associator_numeric",
-        "associator_series",
-        "associator_symbolic",
         "projection_identity_check",
         "regularized_limit",
         "rho_apply",

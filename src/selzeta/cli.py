@@ -251,6 +251,13 @@ def check_associator(config):
     return defect, inputs
 
 
+# normalizer of the projected identity defect.  The matched transport is exact
+# to rounding, so the quadrature error sets the defect: at most 1.6e-9 over
+# seeds 0-7 of the full profile, but up to 8.3e-8 over 187 seeds, on the
+# small-exponent run when one of its integrals stops unconverged (12x below)
+IDENTITY_NORM = 1e-6
+
+
 def check_projection(config):
     from .braid import sample_alpha
     from .transport import alpha_limit_check, projection_identity_check
@@ -279,24 +286,26 @@ def check_projection(config):
         alpha = sample_alpha(4, rng)
         alphas.append(_alpha_inputs(alpha))
         rep = identity(4, alpha, 1e-10)
-        worst = max(worst, rep.defect / 1e-4)
+        worst = max(worst, rep.defect / IDENTITY_NORM)
     alpha_small = sample_alpha(4, rng, scale=Fraction(2, 5))
     rep = identity(4, alpha_small, 1e-10)
-    worst = max(worst, rep.defect / 1e-4, rep.defect_symbolic / 1e-4)
+    worst = max(worst, rep.defect / IDENTITY_NORM, rep.defect_symbolic / 1e-4)
     if config.profile != "quick":
         rep5 = identity(5, sample_alpha(5, rng), 1e-8)
-        worst = max(worst, rep5.defect / 1e-4)
+        worst = max(worst, rep5.defect / IDENTITY_NORM)
     alpha = sample_alpha(4, rng)
     case2 = [(2, 3)] if config.profile == "quick" else [(2, 3), (2, 1)]
     case1 = [(2, 2)] if config.profile == "quick" else [(2, 2), (1, 2)]
-    limit_gaps = {}
+    limit_gaps, limit_unconverged = {}, {}
     for entries in case2 + case1:
-        dev, target, _ = alpha_limit_check(4, entries, alpha, tol=1e-9)
+        dev, target, _, unconverged = alpha_limit_check(4, entries, alpha, tol=1e-9)
         limit_gaps[str(entries)] = dev
+        limit_unconverged[str(entries)] = unconverged
         worst = max(worst, dev / 1e-4)
     inputs = {
         "alphas": alphas,
         "limit_gaps": limit_gaps,
+        "limit_unconverged": limit_unconverged,
         "symbolic_defect": rep.defect_symbolic,
         "identity_runs": identity_runs,
     }
@@ -465,14 +474,22 @@ def _cmd_selberg_integrate(args):
 
 
 def _cmd_assoc_expand(args):
-    from .transport import associator_numeric, associator_series, associator_symbolic
-
+    # the series and symbolic constructions need no numpy; the ladder does
     if args.method == "symbolic":
+        from .mzv import associator_symbolic
+
         hr = associator_symbolic(args.degree)
         for w in sorted(hr.coeff, key=lambda w: (len(w), w)):
             print(f"{w or '1':<{args.degree}}  {hr.coeff[w]}")
         return 0
-    series = associator_series(args.degree) if args.method == "series" else associator_numeric(args.degree).value
+    if args.method == "series":
+        from .ncalg import associator_series
+
+        series = associator_series(args.degree)
+    else:
+        from .transport import associator_numeric
+
+        series = associator_numeric(args.degree).value
     for w in sorted(series.coeff, key=lambda w: (len(w), w)):
         print(f"{w or '1':<{args.degree}}  {series[w]:+.12f}")
     return 0

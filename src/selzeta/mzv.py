@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ncalg import shuffle_words
+from .ncalg import all_words, shuffle_words
 
 MAX_WEIGHT = 8
 MIN_ABS_ERR = 1e-13
@@ -356,3 +356,19 @@ class HRElement:
         from .ncalg import NCSeries
 
         return NCSeries(self.trunc, {w: c.eval(abs_err) for w, c in self.coeff.items()})
+
+
+def associator_symbolic(trunc=4):
+    """Word-by-word zeta-combination coefficients of the canonical element.
+
+    The coefficient of an admissible word is (-1)^{#Y} times its zeta value;
+    general words reduce through shuffle regularization (which preserves the
+    letter counts).  This sign convention reproduces the ladder and
+    series-matching constructions; the test suite checks it through weight 4.
+    """
+    coeff = {"": MZVCombo.one()}
+    for w in all_words(trunc, 1):
+        combo = shuffle_regularize(w).scale((-1) ** w.count("Y"))
+        if not combo.is_zero():
+            coeff[w] = combo
+    return HRElement(trunc, coeff)

@@ -4,7 +4,9 @@ Words are plain strings over the alphabet ``{"X", "Y"}`` and a series is a
 finite dictionary word -> coefficient, truncated at a fixed total degree.
 Coefficients may be exact (``int`` / ``fractions.Fraction``) or ``float``;
 every operation keeps whichever kind it is fed, so the same code path serves
-symbolic identities and numeric transport.
+symbolic identities and numeric transport.  The canonical element of the
+two-letter connection, by power-series matching at 1/2, lives here too, so
+that computing it needs no numpy.
 """
 
 from __future__ import annotations
@@ -232,3 +234,50 @@ def series_close(a, b, tol=0.0):
         if d > worst:
             worst = d
     return worst <= tol if tol else worst == 0
+
+
+def associator_series(trunc=4, terms=60):
+    """The canonical element by power-series matching at 1/2: no ladder.
+
+    Local solutions H_0(x) x^X at 0 and H_1(1-x) (1-x)^Y at 1 of
+    dE = (X/x + Y/(x-1)) E are built by the recursions
+    (k - ad_X) h_k = -Y (h_0 + ... + h_{k-1}) and its mirror; the connecting
+    constant H_1(1/2)^{-1}-side times the 0-side value at 1/2 is the
+    regularized 0-to-1 transport, accurate to near machine precision.
+    """
+
+    def ad_inverse(k, rhs, letter):
+        lead = nc_letter(letter, trunc, 1.0)
+        out = nc_zero(trunc)
+        term = rhs
+        scale = 1.0 / k
+        for _ in range(trunc + 1):
+            out = series_add(out, series_scale(scale, term))
+            term = bracket(lead, term)
+            if not term.coeff:
+                break
+            scale /= k
+        return out
+
+    def local_solution(letter_fix, letter_src):
+        src = nc_letter(letter_src, trunc, 1.0)
+        hs = [nc_one(trunc, 1.0)]
+        partial = hs[0]
+        for k in range(1, terms):
+            rhs = series_scale(-1.0, series_mul(src, partial))
+            hk = ad_inverse(k, rhs, letter_fix)
+            hs.append(hk)
+            partial = series_add(partial, hk)
+        value = nc_zero(trunc)
+        xk = 1.0
+        for h in hs:
+            value = series_add(value, series_scale(xk, h))
+            xk *= 0.5
+        return value
+
+    h0_half = local_solution(X, Y)
+    h1_half = local_solution(Y, X)
+    log_half = math.log(0.5)
+    e0 = series_mul(h0_half, series_exp(series_scale(log_half, nc_letter(X, trunc, 1.0))))
+    e1 = series_mul(h1_half, series_exp(series_scale(log_half, nc_letter(Y, trunc, 1.0))))
+    return series_mul(series_inv(e1), e0)

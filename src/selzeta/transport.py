@@ -4,14 +4,16 @@ Covers four layers: plain transport of matrix or truncated-series solutions
 of ds = (A/x + B/(x-1)) s dx, continued by Taylor series about regular points
 (Chudnovsky and Chudnovsky 1990; van der Hoeven 1999), each step reaching
 half the distance to the nearer pole, so every term costs two matmuls and
-the sum is accurate to rounding; regularized limits x^{-A} s(x) via
-eigen-decomposition and exponent-aware extrapolation along a geometric
-epsilon ladder; the canonical series element transported from 0 to 1 in the
-truncated two-letter algebra (numerically by the ladder construction, to
-near machine precision by power-series matching at 1/2, and symbolically
-with zeta-combination coefficients via shuffle regularization); and the
-desk-scale identity checks tying transported Selberg vectors to the
-series element's matrix image.
+the sum is accurate to rounding; the regularized 0-to-1 transport, from the
+local Frobenius solutions H_0(x) x^A and H_1(1-x) (1-x)^B summed as power
+series and matched at 1/2 (accurate to rounding), with the ladder oracle
+beside it (regularized limits x^{-A} s(x) extrapolated along a geometric
+epsilon ladder under an exponent model); the canonical series element
+transported from 0 to 1 in the truncated two-letter algebra (numerically by
+the ladder construction here, by power-series matching at 1/2 in ncalg,
+symbolically with zeta-combination coefficients in mzv; the latter two are
+re-exported); and the desk-scale identity checks tying transported Selberg
+vectors to the series element's matrix image.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ncalg
 from .braid import build_tower, pair
 from .graphs import IndexTuple, index_tuples, wedge_chain
-from .mzv import HRElement, MZVCombo, shuffle_regularize
+from .mzv import MZVCombo, associator_symbolic
 from .ncalg import NCSeries, all_words, nc_letter, series_exp, series_inv, series_mul, series_scale
+# the series and symbolic constructions live beside their algebras, so that
+# `selzeta assoc expand` needs no numpy; they stay importable from here
+from .ncalg import associator_series  # noqa: F401
 from .selberg import ExponentAssignment, integrate_sum, selberg_component
 
 
@@ -65,12 +69,22 @@ class TransportResult:
             raise ValueError("need eps0 > 0 and err_estimate >= 0")
 
 
+@dataclass
+class MatchedTransport:
+    """Regularized transport from local power-series solutions matched at 1/2."""
+
+    value: np.ndarray
+    # series terms summed on the 0 side and on the 1 side
+    terms: tuple
+    err_estimate: float
+
+
 # ---------------------------------------------------------------------------
 # plain transport
 # ---------------------------------------------------------------------------
 
-# Taylor terms one step may take; a step of half the distance to the nearer
-# pole converges in about 50 terms at tol = 1e-12 for residues of norm ~1
+# Taylor terms one step may take, and power-series terms a local solution may
+# take at 1/2; either converges in about 50 terms for residues of norm ~1
 _MAX_TERMS = 200
 
 
@@ -212,8 +226,14 @@ def iterated_integral_series(trunc, x_from, x_to, samples=4001):
 
 
 # ---------------------------------------------------------------------------
-# regularized limits
+# regularized transport
 # ---------------------------------------------------------------------------
+
+# smallest distance of an eigenvalue difference from a positive integer that
+# the local solutions accept
+_GAP_FLOOR = 1e-3
+_EPS = float(np.finfo(float).eps)
+
 
 def _eig_guard(residue, gap_floor=1e-3, cond_cap=1e6):
     lam, vecs = np.linalg.eig(np.asarray(residue, dtype=float))
@@ -228,6 +248,81 @@ def _eig_guard(residue, gap_floor=1e-3, cond_cap=1e6):
         raise ResonanceError("residue matrix too far from semi-simple")
     return lam, vecs
 
+
+def _local_solution_at_half(fix, src):
+    """Y(1/2) of the local solution Y(x) = H(x) x^fix, H(0) = I, of
+    dY = (fix/x + src/(x-1)) Y dx.
+
+    Expanding 1/(x-1) = -(1 + x + x^2 + ...) gives the Frobenius recursion
+    (k - ad_fix) H_k = -src (H_0 + ... + H_{k-1}).  In fix's eigenbasis
+    (eigenvalues lam) ad_fix is entrywise multiplication by lam_i - lam_j, so
+    each term costs one matmul and one division by k - (lam_i - lam_j); the
+    residue must be semi-simple and non-resonant (no difference within
+    _GAP_FLOOR of a positive integer), or ResonanceError.  H converges on
+    |x| < 1, so at 1/2 its terms shrink like 2^-k; the sum stops after two
+    consecutive terms below rounding.  Returns Y(1/2), the number of terms
+    and an estimate of the largest entry error: the tail (about the last
+    term) plus rounding, both amplified by the eigenbasis condition number.
+    """
+    # close eigenvalues leave every divisor k - (lam_i - lam_j) near k; only
+    # the ladder's exponent model needs them apart, so no gap floor here
+    lam, vecs = _eig_guard(fix, gap_floor=0.0)
+    vinv = np.linalg.inv(vecs)
+    b = vinv @ src @ vecs
+    diff = lam[:, None] - lam[None, :]
+    miss = float(np.abs(np.maximum(1.0, np.round(diff)) - diff).min())
+    if miss < _GAP_FLOOR:
+        raise ResonanceError(f"eigenvalue difference {miss:.2e} from a positive integer, below {_GAP_FLOOR}")
+    partial = np.eye(len(lam), dtype=vecs.dtype)  # H_0 + ... + H_{k-1}
+    value = partial.copy()  # H(1/2) in the eigenbasis
+    scale, small = 1.0, 0
+    for k in range(1, _MAX_TERMS + 1):
+        h = (b @ partial) / (diff - k)
+        partial += h
+        scale *= 0.5
+        value += scale * h
+        last = scale * float(np.abs(h).max())
+        small = small + 1 if last <= _EPS * np.abs(value).max() else 0
+        if small == 2:
+            break
+    else:
+        raise RuntimeError(f"local solution series did not converge in {_MAX_TERMS} terms")
+    power = 2.0 ** -lam
+    y = (vecs @ (value * power) @ vinv).real
+    cond = _norm(vecs) * _norm(vinv)
+    err = cond * float(power.max()) * (2.0 * last + _EPS * float(np.abs(value).max()))
+    return y, k, err
+
+
+def _norm(m):
+    """The infinity norm: largest absolute row sum."""
+    return float(np.abs(m).sum(1).max())
+
+
+def regularized_connection_matrix(conn):
+    """The regularized 0-to-1 transport of the connection, Y_1(1/2)^{-1} Y_0(1/2).
+
+    Y_0(x) = H_0(x) x^A and Y_1(x) = H_1(1-x) (1-x)^B are the local solutions
+    normalized at the poles (the Frobenius method for Fuchsian systems,
+    Wasow 1965, ch. II), summed as power series at 1/2; the 1 side is the same
+    recursion with A and B swapped, since in t = 1 - x the connection reads
+    B/t + A/(t-1).  The value equals lim (1-x)^{-B} U(x) times the inverse of
+    lim y^{-A} U(y) for the fundamental solution U based anywhere in (0, 1),
+    which the ladder oracle (connection_ladder, regularized_limit) computes.
+    err_estimate propagates each side's tail-plus-rounding estimate through
+    the connecting solve.
+    """
+    y0, k0, e0 = _local_solution_at_half(conn.A, conn.B)
+    y1, k1, e1 = _local_solution_at_half(conn.B, conn.A)
+    y1_inv = np.linalg.inv(y1)
+    value = y1_inv @ y0
+    err = _norm(y1_inv) * conn.dim * (e0 + e1 * _norm(value))
+    return MatchedTransport(value, (k0, k1), err)
+
+
+# ---------------------------------------------------------------------------
+# the ladder oracle: regularized limits extrapolated from samples near a pole
+# ---------------------------------------------------------------------------
 
 def regularized_limit(residue, samples, gap_floor=1e-3):
     """lim eps^{-R} s(eps) from samples [(eps_k, s_k)] on a geometric ladder.
@@ -283,16 +378,6 @@ def connection_ladder(conn, side, eps0=1e-2, rungs=8, x_mid=0.5, tol=1e-12):
     return list(zip(eps, out))
 
 
-def regularized_connection_matrix(conn, eps0=1e-2, rungs=8, tol=1e-12):
-    """The regularized 0-to-1 transport of the connection:
-    lim (1-x)^{-B} U(x) times the inverse of lim y^{-A} U(y)."""
-    lim0 = regularized_limit(conn.A, connection_ladder(conn, 0, eps0, rungs, tol=tol))
-    lim1 = regularized_limit(conn.B, connection_ladder(conn, 1, eps0, rungs, tol=tol))
-    value = lim1.value @ np.linalg.inv(lim0.value)
-    err = lim0.err_estimate + lim1.err_estimate
-    return TransportResult(value, eps0, lim0.extrapolation_order, err)
-
-
 # ---------------------------------------------------------------------------
 # the canonical series element ("the associator" of this connection)
 # ---------------------------------------------------------------------------
@@ -335,68 +420,6 @@ def associator_numeric(trunc=4, tol=1e-12, eps0=2e-2, rungs=20):
         raise RuntimeError("ladder element did not converge across the rungs")
     series = NCSeries(trunc, {w: float(v) for w, v in zip(words, c0)})
     return TransportResult(series, eps0, len(orders), defect)
-
-
-def associator_series(trunc=4, terms=60):
-    """Power-series matching at 1/2: near machine precision, no ladder.
-
-    Local solutions H_0(x) x^X at 0 and H_1(1-x) (1-x)^Y at 1 are built by the
-    recursions (k - ad_X) h_k = -Y (h_0 + ... + h_{k-1}) and its mirror; the
-    connecting constant H_1(1/2)^{-1}-side times the 0-side value at 1/2 is
-    the regularized 0-to-1 transport.
-    """
-
-    def ad_inverse(k, rhs, letter):
-        lead = nc_letter(letter, trunc, 1.0)
-        out = ncalg.nc_zero(trunc)
-        term = rhs
-        scale = 1.0 / k
-        for _ in range(trunc + 1):
-            out = ncalg.series_add(out, series_scale(scale, term))
-            term = ncalg.series_sub(series_mul(lead, term), series_mul(term, lead))
-            if not term.coeff:
-                break
-            scale /= k
-        return out
-
-    def local_solution(letter_fix, letter_src):
-        src = nc_letter(letter_src, trunc, 1.0)
-        hs = [ncalg.nc_one(trunc, 1.0)]
-        partial = hs[0]
-        for k in range(1, terms):
-            rhs = series_scale(-1.0, series_mul(src, partial))
-            hk = ad_inverse(k, rhs, letter_fix)
-            hs.append(hk)
-            partial = ncalg.series_add(partial, hk)
-        value = ncalg.nc_zero(trunc)
-        xk = 1.0
-        for h in hs:
-            value = ncalg.series_add(value, series_scale(xk, h))
-            xk *= 0.5
-        return value
-
-    h0_half = local_solution("X", "Y")
-    h1_half = local_solution("Y", "X")
-    log_half = math.log(0.5)
-    e0 = series_mul(h0_half, series_exp(series_scale(log_half, nc_letter("X", trunc, 1.0))))
-    e1 = series_mul(h1_half, series_exp(series_scale(log_half, nc_letter("Y", trunc, 1.0))))
-    return series_mul(series_inv(e1), e0)
-
-
-def associator_symbolic(trunc=4):
-    """Word-by-word zeta-combination coefficients of the canonical element.
-
-    The coefficient of an admissible word is (-1)^{#Y} times its zeta value;
-    general words reduce through shuffle regularization (which preserves the
-    letter counts).  This sign convention reproduces the ladder and
-    series-matching constructions; the test suite checks it through weight 4.
-    """
-    coeff = {"": MZVCombo.one()}
-    for w in all_words(trunc, 1):
-        combo = shuffle_regularize(w).scale((-1) ** w.count("Y"))
-        if not combo.is_zero():
-            coeff[w] = combo
-    return HRElement(trunc, coeff)
 
 
 def rho_apply(series, rho_x, rho_y):
@@ -461,19 +484,21 @@ class ProjectionReport:
     defect: float
     defect_symbolic: float
     monodromy_gap: float
+    # err_estimate of the matched regularized transport: series tail plus
+    # rounding through the eigenbases, propagated through the matching
     limits_defect: float
     quadrature_err: float
     # component integrals that ran out of levels before meeting tol
     unconverged: int
 
 
-def projection_identity_check(n, alpha, tol=None, trunc=5, eps0=1e-2, rungs=8, mzv_abs_err=1e-10):
+def projection_identity_check(n, alpha, tol=None, trunc=5, mzv_abs_err=1e-10):
     """Transported boundary values of the Selberg vector versus its matrix image.
 
     Builds the level-3 residue pair (rho_x, rho_y), the predicted regularized
     limit vectors at both ends (Selberg integrals with a vertex deleted, with
-    merged exponents on the 1 side), the numeric regularized transport, and
-    returns the projected identity defect.  defect_symbolic repeats the check
+    merged exponents on the 1 side), the regularized transport matched at 1/2,
+    and returns the projected identity defect.  defect_symbolic repeats the check
     with the transport replaced by the zeta-combination element evaluated
     numerically and mapped through the residue pair.
     """
@@ -509,7 +534,7 @@ def projection_identity_check(n, alpha, tol=None, trunc=5, eps0=1e-2, rungs=8, m
         quad_err += res.err_estimate
         unconverged += not res.converged
 
-    mono = regularized_connection_matrix(conn, eps0=eps0, rungs=rungs)
+    mono = regularized_connection_matrix(conn)
     rhs = mono.value @ v1
     defect = float(np.abs(v2p - rhs[proj_rows]).max())
 
@@ -527,7 +552,9 @@ def alpha_limit_check(n, entries, alpha, deltas=(0.12, 0.08, 0.05, 0.03), tol=No
     entries fixes the index tuple (i_3, ..., i_n) for roots {1, 2}.  When
     i_3 = 2 is the only 2 the ladder extrapolates to the integral of the
     chain with vertex 2 deleted (case 2); when some other i_k = 2 it
-    extrapolates to zero (case 1).  Returns (deviation, target, samples).
+    extrapolates to zero (case 1).  Returns (deviation, target, samples,
+    unconverged), the last the number of integrals, samples and target, that
+    ran out of levels before meeting tol.
     """
     I = IndexTuple(2, n, tuple(entries))
     gs = wedge_chain(I)
@@ -537,12 +564,14 @@ def alpha_limit_check(n, entries, alpha, deltas=(0.12, 0.08, 0.05, 0.03), tol=No
         raise ValueError("no entry attaches to vertex 2: the limit is not degenerate")
 
     falpha = {u: v for u, v in falpha.items() if max(u) <= n}
-    samples = []
+    samples, unconverged = [], 0
     for d in deltas:
         al = dict(falpha)
         for j in range(3, n + 1):
             al[pair(2, j)] = d
-        samples.append(integrate_sum(gs, ExponentAssignment(al), tol=tol).value)
+        res = integrate_sum(gs, ExponentAssignment(al), tol=tol)
+        samples.append(res.value)
+        unconverged += not res.converged
     extrap = 0.0
     for i, (di, vi) in enumerate(zip(deltas, samples)):
         w = 1.0
@@ -558,7 +587,9 @@ def alpha_limit_check(n, entries, alpha, deltas=(0.12, 0.08, 0.05, 0.03), tol=No
             target = 1.0
         else:
             J = IndexTuple(2, n - 1, tuple(m1[i] for i in entries[1:]))
-            target = selberg_component(J, target_alpha, tol=tol).value
+            res = selberg_component(J, target_alpha, tol=tol)
+            target = res.value
+            unconverged += not res.converged
     else:
         target = 0.0
-    return abs(extrap - target), target, samples
+    return abs(extrap - target), target, samples, unconverged

@@ -70,6 +70,15 @@ def test_quick_suite_passes_and_is_seed_stable(tmp_path):
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
 
+def test_projection_reports_unconverged_limit_integrals():
+    # at seed 2 three dimension-2 graph integrals at tol 1e-9 stop at the last
+    # level (estimates 1.18e-9 to 1.24e-9): one in a sample sum of (2, 3), two
+    # in the same sample sum of (2, 2)
+    rep = run_check("projection", RunConfig(seed=2, profile="full"))
+    assert rep.inputs["limit_unconverged"] == {"(2, 3)": 1, "(2, 1)": 0, "(2, 2)": 1, "(1, 2)": 0}
+    assert all(run["defect"] <= run["quadrature_err"] + 1e-13 for run in rep.inputs["identity_runs"])
+
+
 def test_cli_verify_json_and_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "beta-identity", "--json", str(out)])
@@ -152,7 +161,12 @@ def _modules_after(commands):
 
 
 def test_light_commands_load_neither_numpy_nor_scipy():
-    for argv in (["mzv", "eval", "2"], ["graph", "wedge", "--n", "5", "--r", "2", "--indices", "1,2,3"]):
+    for argv in (
+        ["mzv", "eval", "2"],
+        ["graph", "wedge", "--n", "5", "--r", "2", "--indices", "1,2,3"],
+        ["assoc", "expand", "--degree", "4", "--method", "series"],
+        ["assoc", "expand", "--degree", "4", "--method", "symbolic"],
+    ):
         loaded = _modules_after([argv])
         assert "selzeta" in loaded
         assert not loaded & {"numpy", "scipy"}, argv
