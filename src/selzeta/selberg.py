@@ -21,6 +21,13 @@ per axis.  The sign comes from graphs.log_form_det, the one builder that
 also serves the exact Fraction paths (omega_coefficient and the residue
 surgery); non-forests integrate to exactly zero without quadrature.
 
+A block of the product rule is never multiplied out on its full grid.  It is
+summed in chunks of rows along axis 0, small enough to stay in cache, by
+contracting the factor groups: the product of the factors spanning several
+axes against the single-axis groups, which carry the weights (for two free
+vertices g0^T P g1).  A chunk whose contracted sum is not finite is summed
+node by node instead, with the nonfinite nodes zeroed and counted.
+
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
 and every limit identity downstream is consistent with that choice.
@@ -28,6 +35,8 @@ and every limit identity downstream is consistent with that choice.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,6 +146,7 @@ DEFAULT_TOL = {0: 0.0, 1: 1e-10, 2: 1e-8, 3: 1e-4}
 # double-exponential nodes
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def de_axis(level):
     """Nodes (t, 1 - t, weight, odd) on (0, 1) for mesh 2^-level in the sinh variable.
 
@@ -145,7 +155,8 @@ def de_axis(level):
     double-precision range are dropped (the same range at every level, so
     the levels stay nested); the resulting truncation keeps the
     relative error of an endpoint power x^(a-1) below roughly exp(-640 a) / a,
-    so exponents should stay above ~0.03.
+    so exponents should stay above ~0.03.  The arrays are computed once per
+    level and returned read-only.
     """
     h = 2.0 ** (-level)
     ks = np.arange(-int(_TMAX / h), int(_TMAX / h) + 1)
@@ -155,7 +166,10 @@ def de_axis(level):
     t, omt = 1.0 / (1.0 + e), e / (1.0 + e)
     w = h * (0.25 * math.pi * np.cosh(ks * h) / np.cosh(a) ** 2)
     keep = (t > 1e-280) & (omt > 1e-280) & (w > 1e-300)
-    return t[keep], omt[keep], w[keep], (ks % 2 == 1)[keep]
+    out = t[keep], omt[keep], w[keep], (ks % 2 == 1)[keep]
+    for x in out:
+        x.flags.writeable = False
+    return out
 
 
 def _one_minus_product(ts, omts):
@@ -164,6 +178,32 @@ def _one_minus_product(ts, omts):
     for t, omt in zip(reversed(ts[:-1]), reversed(omts[:-1])):
         om = omt + t * om
     return om
+
+
+def _power(base, p):
+    """base ** p for a positive real base array.  A complex p takes one real
+    log and one complex exp, half the cost of numpy's complex power, with
+    results that differ from it in the last bit."""
+    if isinstance(p, complex):
+        return np.exp(p * np.log(base))
+    return np.power(base, p)
+
+
+def _group_product(factors, t, om, w=None):
+    """w (None for 1) times each factor (c, power) of a group raised to its power.
+
+    The base of a factor is t for c None, and 1 - c p for c otherwise,
+    from om = 1 - p.
+    """
+    for c, power in factors:
+        if c is None:
+            base = t
+        elif c == 1.0:
+            base = om
+        else:
+            base = (1.0 - c) + c * om
+        w = _power(base, power) if w is None else w * _power(base, power)
+    return w
 
 
 class _SimplexIntegrand:
@@ -182,6 +222,11 @@ class _SimplexIntegrand:
     large powers meet its tiny weights before they can overflow.  The axis
     arrays only need to broadcast against each other: open-grid axes give
     the tensor grid without materialising it.
+
+    The product rule calls block_sum, which sums a block chunk by chunk by
+    contracting these groups and never forms the node values; __call__
+    forms them, and serves as block_sum's fallback for a chunk whose sum is
+    not finite and as the entry point of the tests.
     """
 
     def __init__(self, g, alpha, root_values):
@@ -233,7 +278,10 @@ class _SimplexIntegrand:
         self.scale = scale * sign
         # grouped by the axes they span, so that each group is multiplied out
         # on those axes alone before it meets the others
-        self.powers = sorted(powers.items(), key=lambda kp: kp[0][1:])
+        groups = {}
+        for (c, a, b), power in powers.items():
+            groups.setdefault((a, b), []).append((c, power))
+        self.groups = sorted(groups.items())
 
     def _gap_form(self, lo, hi):
         """x_hi - x_lo (x_hi > x_lo) as (const, m, factor): const * t_1 ... t_m * factor."""
@@ -250,23 +298,20 @@ class _SimplexIntegrand:
         i, j = hi - r, lo - r
         return top, i, (1.0, i, j)
 
+    @staticmethod
+    def _group(a, b, factors, ts, omts, ws):
+        """One group's product on axes a..b-1; a single-axis group carries its axis weights."""
+        if b == a + 1:
+            return _group_product(factors, ts[a], omts[a], ws[a])
+        return _group_product(factors, None, _one_minus_product(ts[a:b], omts[a:b]))
+
     def __call__(self, ts, omts, ws):
         """Weighted integrand values on the broadcast of the axis arrays (ts,
         their complements omts and weights ws), and how many nonfinite ones
         were zeroed."""
-        out, group, axes = self.scale, 1.0, None
-        for (c, a, b), power in self.powers:
-            if (a, b) != axes:
-                out, axes = out * group, (a, b)
-                group = ws[a] if b == a + 1 else 1.0
-            if c is None:
-                base = ts[a]
-            else:
-                base = _one_minus_product(ts[a:b], omts[a:b])
-                if c != 1.0:
-                    base = (1.0 - c) + c * base
-            group = group * np.power(base, power)
-        out = out * group
+        out = self.scale
+        for (a, b), factors in self.groups:
+            out = out * self._group(a, b, factors, ts, omts, ws)
         # an axis value of exactly 0 or 1, which the DE nodes never reach,
         # raises 0 to a negative power: the singularity is integrable and the
         # node's weight vanishes in the limit, so such nodes are zeroed, and
@@ -277,11 +322,69 @@ class _SimplexIntegrand:
             out = np.where(bad, 0.0, out)
         return out, nonfinite
 
+    def block_sum(self, ts, omts, ws):
+        """Sum of the weighted integrand over the broadcast of the axis arrays,
+        and how many nonfinite nodes were zeroed; the same as summing what
+        __call__ returns, without the full grid.
+
+        Axis 0 is walked in chunks of rows of about _CHUNK nodes, so that a
+        chunk's arrays stay in cache.  The groups off axis 0 are multiplied
+        into one array once per block, as are the tails 1 - t_2 ... t_b of
+        the factors that span axis 0 and later axes.  In a chunk those
+        factors are evaluated and contracted against that array axis by
+        axis, last axis first, and the axis-0 group (weights included) is
+        contracted last: for dimension 2 this is g0^T P g1.  A chunk whose
+        contracted sum is not finite is evaluated node by node by __call__,
+        whose guard zeroes and counts the nonfinite nodes.
+        """
+        dim = len(ts)
+        inner, spanning = self.scale, []
+        for (a, b), factors in self.groups:
+            if a > 0:
+                inner = inner * self._group(a, b, factors, ts, omts, ws)
+            elif b == 1:
+                g0 = self._group(a, b, factors, ts, omts, ws)
+            else:
+                spanning.append((b, factors, _one_minus_product(ts[1:b], omts[1:b])))
+        g0 = g0.reshape(-1)
+        row = math.prod(x.shape[0] for x in ts[1:])
+        step = max(1, _CHUNK // row)
+        total, nonfinite = 0.0, 0
+        for lo in range(0, ts[0].shape[0], step):
+            rows = slice(lo, lo + step)
+            t0, omt0 = ts[0][rows], omts[0][rows]
+            acc = inner
+            for axis in range(dim - 1, 0, -1):
+                # the factors spanning axes 0..axis, on axes 0..axis alone
+                fac = None
+                for b, factors, tail in spanning:
+                    if b == axis + 1:
+                        base = t0 * tail
+                        base += omt0
+                        fac = _group_product(factors, None, base, fac)
+                if fac is None:
+                    acc = acc.sum(axis=-1)
+                else:
+                    acc = np.einsum("...j,...j->...", acc, fac.reshape(fac.shape[: axis + 1]))
+            part = (acc * g0[rows]).sum().item()
+            if not cmath.isfinite(part):
+                vals, bad = self([t0] + ts[1:], [omt0] + omts[1:], [ws[0][rows]] + ws[1:])
+                part = vals.sum().item()
+                nonfinite += bad
+            total += part
+        return total, nonfinite
+
+
+# nodes per chunk of a block in _SimplexIntegrand.block_sum: 2^15 nodes are
+# 256 kB real and 512 kB complex, so the few arrays of a chunk stay in L2.
+# Level-6 dimension-2 and level-3 dimension-3 integrals time the same from
+# 2^14 to 2^16 and slow down above (CHANGES.md)
+_CHUNK = 2**15
 
 # levels of the product rule per free dimension, coarsest first; the first
 # level that meets the tolerance, or else the last, is returned with its
 # difference to the one before as the error estimate.  Dimension 3 stops at
-# 97^3 nodes for memory: level 4 would take 7.2 M.
+# 97^3 nodes: level 4 would evaluate 7.2 M.
 _LEVELS = {1: range(3, 9), 2: range(3, 7), 3: range(1, 4)}
 
 
@@ -292,9 +395,9 @@ def _de_levels(f, dim):
     weight, so S_{L+1} = S_L / 2^dim + the sum over the new nodes.  The new
     nodes of the tensor grid form dim open-grid blocks; block k takes the old
     nodes on the axes before k, the new (odd) nodes on axis k and all nodes on
-    the axes after k.  The integrand takes the blocks' axis weights and
-    returns weighted values, so each block reduces by a plain sum.  Every
-    node is evaluated once; nodes and nonfinite are running totals.
+    the axes after k.  The integrand takes the blocks' axis weights and sums
+    each block itself (block_sum), in cache-sized chunks.  Every node is
+    evaluated once; nodes and nonfinite are running totals.
     """
     total, nodes, nonfinite = 0.0, 0, 0
     shapes = [(-1,) + (1,) * (dim - 1 - ax) for ax in range(dim)]
@@ -310,9 +413,9 @@ def _de_levels(f, dim):
             picks = [~odd] * k + [new] + [slice(None)] * (dim - 1 - k)
             ts, omts, ws = ([x[p].reshape(s) for p, s in zip(picks, shapes)] for x in (t, omt, w))
             with np.errstate(all="ignore"):
-                vals, bad = f(ts, omts, ws)
-            nodes += vals.size
-            total = total + vals.sum().item()
+                part, bad = f.block_sum(ts, omts, ws)
+            nodes += math.prod(x.shape[0] for x in ts)
+            total = total + part
             nonfinite += bad
         yield level, total, nodes, nonfinite
 
@@ -393,7 +496,9 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=
     The samples at complex exponents run through the same integrand and
     log-form builder as the real ones.
 
-    Raises QuadratureError when the reconstruction residual exceeds max_residual.
+    Raises QuadratureError when a circle sample did not converge or zeroed
+    nonfinite nodes, and when the reconstruction residual exceeds
+    max_residual.
     """
     if max_weight > 4:
         raise ValueError("coefficients above weight 4 are not resolved by the fit")
@@ -411,7 +516,13 @@ def _taylor_circle(gs, alpha_direction, max_weight, tol, t0=0.3, rho=0.25, m_poi
     vals = np.empty(m_points, dtype=complex)
     for k in range(m_points // 2 + 1):
         t = t0 + rho * np.exp(2j * math.pi * k / m_points)
-        vals[k] = integrate_sum(gs, direction.scale(t), tol=tol).value
+        res = integrate_sum(gs, direction.scale(t), tol=tol)
+        if not res.converged or res.nonfinite:
+            raise QuadratureError(
+                f"circle sample at t = {t:.4f}: error estimate {res.err_estimate:.2e}, "
+                f"converged={res.converged}, {res.nonfinite} nonfinite nodes"
+            )
+        vals[k] = res.value
     for k in range(m_points // 2 + 1, m_points):
         vals[k] = np.conj(vals[m_points - k])
     chat = np.fft.fft(vals) / m_points

@@ -17,9 +17,9 @@ BUDGET_SECONDS = {
     "spectrum": 30.0,
     "eta-gamma": 1.0,
     "residue": 30.0,
-    "sum-relation": 1.5,
+    "sum-relation": 0.5,
     "associator": 120.0,
-    "projection": 10.0,
+    "projection": 2.0,
 }
 
 

@@ -9,6 +9,7 @@ import scipy.special
 from selzeta.braid import sample_alpha
 from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, log_form_det, wedge_chain
 from selzeta.mzv import MZVIndex, mzv_eval
+from selzeta import selberg
 from selzeta.selberg import (
     _LEVELS,
     DEFAULT_TOL,
@@ -186,6 +187,15 @@ def test_taylor_fit_residual_threshold():
     direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
     with pytest.raises(QuadratureError):
         taylor_coefficients(gs, direction, 4, tol=1e-9, max_residual=1e-15)
+
+
+def test_taylor_circle_sample_must_converge():
+    # no level meets a tolerance below rounding at a complex sample, which
+    # raises instead of entering the fit
+    gs = wedge_chain(IndexTuple(2, 3, (2,)))
+    direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
+    with pytest.raises(QuadratureError, match=r"circle sample at t = \S+j: error estimate \d\.\d\de-\d+, converged=False"):
+        taylor_coefficients(gs, direction, 4, tol=1e-18)
 
 
 def test_sum_relation_three_vertices():
@@ -441,3 +451,55 @@ def test_nonfinite_nodes_are_counted(scale):
     assert np.all(vals[:, 0] == 0.0) and np.all(np.isfinite(vals[:, 1])) and np.all(vals[:, 1] != 0.0)
     total = integrate_sum(GraphSum(g.n, g.roots, {g: 1, G(4, {1, 2}, (1, 3), (2, 4)): 1}), alpha)
     assert total.nonfinite == got.nonfinite == 0
+
+
+def block_axes(axes):
+    """Broadcast-shaped axis arrays (t, 1 - t, unit weights) from 1-D node lists."""
+    dim = len(axes)
+    ts = [np.array(x, dtype=float).reshape((-1,) + (1,) * (dim - 1 - k)) for k, x in enumerate(axes)]
+    return ts, [1.0 - t for t in ts], [np.ones_like(t) for t in ts]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**15])
+@pytest.mark.parametrize("case", [0, 4, 7, 9, 10])
+def test_block_sum_matches_the_elementwise_sum(case, chunk, monkeypatch):
+    # chunks of one row, of a few rows with a partial last one, and the
+    # module's own size, on blocks of every dimension and shape
+    g, rv = ORACLE_CASES[case]
+    dim = g.n - len(g.roots)
+    t, omt, w, odd = de_axis(_LEVELS[dim][0] + 1)
+    picks = [~odd] * (dim - 1) + [odd]
+    shapes = [(-1,) + (1,) * (dim - 1 - k) for k in range(dim)]
+    ts, omts, ws = ([x[p].reshape(s) for p, s in zip(picks, shapes)] for x in (t, omt, w))
+    monkeypatch.setattr(selberg, "_CHUNK", chunk)
+    for scale in (1.0, 0.8 + 0.35j):
+        f = _SimplexIntegrand(g, spread_exponents(g.n, scale), rv)
+        vals, bad = f(ts, omts, ws)
+        got, got_bad = f.block_sum(ts, omts, ws)
+        assert bad == got_bad == 0
+        assert abs(got - vals.sum()) <= 1e-14 * abs(vals).sum()
+
+
+@pytest.mark.parametrize("chunk", [3, 2**15])
+@pytest.mark.parametrize("scale", [1.0, 0.8 + 0.35j])
+def test_nonfinite_chunks_fall_back_to_the_elementwise_guard(scale, chunk, monkeypatch):
+    # t = 0 on axis 0 (a power -0.2 of t_1) makes one row infinite, t = 0 on
+    # axis 1 (a power a - 1 of t_2) one column; with chunks of one row the
+    # first poisons one chunk and the second every chunk.  Each such chunk's
+    # contracted sum is not finite and is summed node by node instead: the
+    # same zeroed sum and count as the elementwise guard
+    g, alpha, _ = star_case(2, 0.3 * scale, 0.5 * scale, 0.2 * scale, gamma_fn=scipy.special.gamma)
+    f = _SimplexIntegrand(g, alpha, None)
+    monkeypatch.setattr(selberg, "_CHUNK", chunk)
+    for axes, want_bad in [
+        ([[0.25, 0.0, 0.5, 0.75], [0.2, 0.5, 0.9]], 3),
+        ([[0.25, 0.5, 0.75], [0.0, 0.5, 0.9]], 3),
+        ([[0.0, 0.5, 0.75], [0.0, 0.5, 0.9]], 5),
+    ]:
+        ts, omts, ws = block_axes(axes)
+        with np.errstate(all="ignore"):
+            vals, bad = f(ts, omts, ws)
+            got, got_bad = f.block_sum(ts, omts, ws)
+        assert bad == got_bad == want_bad
+        assert np.isfinite(got) and got != 0.0
+        assert abs(got - vals.sum()) <= 1e-14 * abs(vals).sum()
