@@ -47,6 +47,14 @@ class OrderedRootedGraph:
         return f"Graph[n={self.n},R={sorted(self.roots)}]{es or '*'}"
 
 
+def _graph(n, roots, edges):
+    """An OrderedRootedGraph from a frozenset of roots and a tuple of edges
+    that are already (min, max) pairs in [1, n] and distinct, unvalidated."""
+    g = object.__new__(OrderedRootedGraph)
+    g.__dict__.update(n=n, roots=roots, edges=edges)
+    return g
+
+
 def empty_graph(roots, n=None):
     roots = frozenset(roots)
     return OrderedRootedGraph(n if n is not None else max(roots), roots, ())
@@ -130,29 +138,24 @@ def index_tuples(n, r):
 
 def wedge(g, new_vertex, i):
     """Attach new_vertex to i: sum over subsets A of edges at i, with the
-    endpoints i in A rewired to new_vertex and (new_vertex, i) appended last."""
-    if isinstance(g, GraphSum):
-        terms = {}
-        for graph, c in g.terms.items():
-            for h, m in wedge(graph, new_vertex, i).terms.items():
-                terms[h] = terms.get(h, 0) + c * m
-        return GraphSum(new_vertex, g.roots, terms)
+    endpoints i in A rewired to new_vertex and (new_vertex, i) appended last.
+    Every edge produced is (min, max), so the new graphs skip validation."""
     if new_vertex != g.n + 1:
         raise ValueError("new vertex must be n + 1")
     if not (1 <= i <= g.n):
         raise ValueError(f"attachment vertex {i} outside [1,{g.n}]")
-    at_i = [pos for pos, e in enumerate(g.edges) if i in e]
     terms = {}
-    for size in range(len(at_i) + 1):
-        for subset in itertools.combinations(at_i, size):
-            edges = list(g.edges)
-            for pos in subset:
-                p, q = edges[pos]
-                other = q if p == i else p
-                edges[pos] = (other, new_vertex)
-            edges.append((i, new_vertex))
-            h = OrderedRootedGraph(new_vertex, g.roots, tuple(edges))
-            terms[h] = terms.get(h, 0) + 1
+    for graph, c in g.terms.items() if isinstance(g, GraphSum) else [(g, 1)]:
+        at_i = [pos for pos, e in enumerate(graph.edges) if i in e]
+        for size in range(len(at_i) + 1):
+            for subset in itertools.combinations(at_i, size):
+                edges = list(graph.edges)
+                for pos in subset:
+                    p, q = edges[pos]
+                    edges[pos] = (q if p == i else p, new_vertex)
+                edges.append((i, new_vertex))
+                h = _graph(new_vertex, g.roots, tuple(edges))
+                terms[h] = terms.get(h, 0) + c
     return GraphSum(new_vertex, g.roots, terms)
 
 
@@ -173,30 +176,23 @@ def principal_graph(I):
     return OrderedRootedGraph(I.n, frozenset(range(1, I.r + 1)), edges)
 
 
-def _ancestors(I, v):
-    """Chain (vertex, incoming edge label) from v down to its root."""
-    chain = [(v, None)]
-    while v > I.r:
-        parent = I.entry(v)
-        chain.append((parent, v))
-        v = parent
-    return chain
-
-
 def principal_path(I, p, q):
-    """Edge labels along the unique path p -> q in the principal graph, or None."""
-    if p == q:
-        return []
-    up_p = _ancestors(I, p)
-    up_q = _ancestors(I, q)
-    verts_p = [v for v, _ in up_p]
-    pos_q = {v: j for j, (v, _) in enumerate(up_q)}
-    meet = next((j for j, v in enumerate(verts_p) if v in pos_q), None)
-    if meet is None:
-        return None
-    labels = [lab for _, lab in up_p[1 : meet + 1]]
-    labels += [lab for _, lab in reversed(up_q[1 : pos_q[verts_p[meet]] + 1])]
-    return labels
+    """Edge labels along the unique path p -> q in the principal graph, or None.
+
+    A parent's label is below its child's, so climbing the larger endpoint
+    walks both halves of the path up to the meeting vertex.
+    """
+    up, down = [], []
+    while p != q:
+        if max(p, q) <= I.r:
+            return None
+        if p > q:
+            up.append(p)
+            p = I.entry(p)
+        else:
+            down.append(q)
+            q = I.entry(q)
+    return up + down[::-1]
 
 
 def principal_min_edge(I, p, q):
@@ -213,15 +209,15 @@ def principal_product(I):
     sums S_i = sum of (p, q) whose path min-edge in the principal graph is the
     i-th edge."""
     pair_sums = {i: [] for i in range(I.r + 1, I.n + 1)}
-    for p in range(1, I.n + 1):
-        for q in range(p + 1, I.n + 1):
-            me = principal_min_edge(I, p, q)
-            if me is not None:
-                pair_sums[me[0]].append((p, q))
+    for p, q in itertools.combinations(range(1, I.n + 1), 2):
+        me = principal_min_edge(I, p, q)
+        if me is not None:
+            pair_sums[me[0]].append((p, q))
     roots = frozenset(range(1, I.r + 1))
     terms = {}
-    for combo in itertools.product(*(pair_sums[i] for i in range(I.r + 1, I.n + 1))):
-        g = OrderedRootedGraph(I.n, roots, tuple(combo))
+    # the pair sums partition the pairs p < q, so no product repeats an edge
+    for combo in itertools.product(*pair_sums.values()):
+        g = _graph(I.n, roots, combo)
         terms[g] = terms.get(g, 0) + 1
     return GraphSum(I.n, roots, terms)
 
@@ -295,14 +291,26 @@ def log_form_det(edges, cols, diff, scale=None):
     return out
 
 
+def _distinct(coords):
+    """The coincidence guard of omega_coefficient, omega_residue_direct and
+    residue_identity: raise ValueError naming two vertices that share a
+    coordinate (a gap would be 0)."""
+    seen = {}
+    for v, xv in coords.items():
+        if xv in seen:
+            raise ValueError(f"coincident coordinates x_{seen[xv]} = x_{v}")
+        seen[xv] = v
+    return coords
+
+
 def _coordinates(vals):
-    """(scale, coordinates) for log_form_det: exact (int or Fraction) values
-    as integers over their common denominator, which is the scale; float
-    values as they are, with scale None."""
+    """(scale, coordinates) for log_form_det, after the coincidence guard:
+    exact (int or Fraction) values as integers over their common denominator,
+    which is the scale; float values as they are, with scale None."""
     if {type(v) for v in vals.values()} <= {int, Fraction}:
         scale = math.lcm(*(v.denominator for v in vals.values()))
-        return scale, {k: v.numerator * (scale // v.denominator) for k, v in vals.items()}
-    return None, vals
+        return scale, _distinct({k: v.numerator * (scale // v.denominator) for k, v in vals.items()})
+    return None, _distinct(vals)
 
 
 def omega_coefficient(g, x):
@@ -318,12 +326,6 @@ def omega_coefficient(g, x):
         raise ValueError("need #edges == #vertices - #roots")
     vals = x if isinstance(x, dict) else {v: x[v - 1] for v in range(1, g.n + 1)}
     scale, coords = _coordinates(vals)
-    seen = {}
-    for v in range(1, g.n + 1):
-        xv = coords[v]
-        if xv in seen:
-            raise ValueError(f"coincident coordinates x_{seen[xv]} = x_{v}")
-        seen[xv] = v
     return log_form_det(g.edges, cols, lambda p, q: coords[p] - coords[q], scale)
 
 
@@ -419,24 +421,81 @@ def residue_expand(g, k):
     return GraphSum(n - 1, g.roots, out)
 
 
-def omega_residue_direct(g, k, x):
-    """Residue coefficient at x_n = x_k computed by determinant surgery.
+def _residue_surgery(g, k):
+    """(sign, merged edges, columns) of the residue of omega_Gamma at x_n = x_k.
 
     Write omega_Gamma = d log(x_n - x_k) ^ eta.  Moving that factor to the
-    front costs (-1)^(rows above it); substituting x_n = x_k in eta merges the
-    dx_n column into dx_k (dropped if k is a root) and the value x_n into x_k.
-    Exact over Fractions; independent of residue_expand.
+    front costs the sign (-1)^(rows above it); substituting x_n = x_k in eta
+    merges the dx_n column into dx_k (dropped if k is a root) and the vertex
+    n into k, so the residue is sign times the log form of the merged edges
+    on the free columns of [n-1].
     """
     n = g.n
     top = _top_edges(g)
     pos_nk = next((pos for pos, other in top if other == k), None)
     if pos_nk is None:
         raise ValueError(f"({n},{k}) is not an edge")
-    merged = [tuple(k if v == n else v for v in e) for e in g.edges if e != (k, n)]
-    cols = sorted(set(range(1, n)) - g.roots, reverse=True)
-    j0 = (len(g.edges) - 1) - pos_nk
+    merged = tuple(tuple(k if v == n else v for v in e) for e in g.edges if e != (k, n))
+    cols = tuple(sorted(set(range(1, n)) - g.roots, reverse=True))
+    return (-1) ** ((len(g.edges) - 1) - pos_nk), merged, cols
+
+
+def omega_residue_direct(g, k, x):
+    """Residue coefficient at x_n = x_k computed by determinant surgery.
+
+    The surgery is _residue_surgery's; the merged log form is evaluated by
+    log_form_det, exactly (one Fraction) at int or Fraction coordinates and
+    in floats otherwise.  Independent of residue_expand.
+    """
+    sign, merged, cols = _residue_surgery(g, k)
     scale, coords = _coordinates(x)
-    return (-1) ** j0 * log_form_det(merged, cols, lambda p, q: coords[p] - coords[q], scale)
+    return sign * log_form_det(merged, cols, lambda p, q: coords[p] - coords[q], scale)
+
+
+def residue_identity(g, k, expansion):
+    """The residue identity at x_n = x_k in integer arithmetic.
+
+    Returns gap(coords, scale), the exact value of omega_residue_direct(g, k, x)
+    minus the sum of c * omega_coefficient(h, x) over the expansion's terms
+    (residue_expand(g, k), or any graph sum on [n-1] with the same roots), at
+    x_v = coords[v] / scale for integer coords on 1..n-1 and integer scale.
+    The structure is fixed once: the direct side's surgery and every term's
+    sign, each an _incidence_sign on ±1 rows.  Over the one common denominator
+    prod_{p<q} (x_p - x_q), a log form with edges E and sign s has the
+    numerator s times the product of the oriented gaps not in E, so a point
+    costs one integer sum of products; a zero sum is the identity holding,
+    and a nonzero one is returned as the exact Fraction.
+    """
+    sign, merged, cols = _residue_surgery(g, k)
+    if (expansion.n, expansion.roots) != (g.n - 1, g.roots) or any(len(h.edges) != len(cols) for h in expansion.terms):
+        raise ValueError("expansion terms must be top-degree graphs on [n-1] with the roots of g")
+    pairs = list(itertools.combinations(range(1, g.n), 2))
+    numerators = []
+    for c, edges in [(sign, merged)] + [(-c, h.edges) for h, c in expansion.terms.items()]:
+        c *= _incidence_sign(edges, cols)
+        if c:
+            # a forest's edges are distinct pairs; x_p - x_q with p > q is
+            # minus the gap of the pair (q, p)
+            for p, q in edges:
+                if p > q:
+                    c = -c
+            canon = {(min(e), max(e)) for e in edges}
+            numerators.append((c, [j for j, pq in enumerate(pairs) if pq not in canon]))
+    m = len(cols)
+
+    def gap(coords, scale):
+        _distinct(coords)
+        gaps = [coords[p] - coords[q] for p, q in pairs]
+        total = 0
+        for c, rest in numerators:
+            for j in rest:
+                c *= gaps[j]
+            total += c
+        if total == 0:
+            return 0
+        return Fraction(total * scale**m, math.prod(gaps))
+
+    return gap
 
 
 # ---------------------------------------------------------------------------

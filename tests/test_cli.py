@@ -79,6 +79,42 @@ def test_projection_reports_unconverged_limit_integrals():
     assert all(run["defect"] <= run["quadrature_err"] + 1e-13 for run in rep.inputs["identity_runs"])
 
 
+def test_residue_check_cannot_be_fooled(monkeypatch):
+    # a flipped expansion coefficient, a dropped expansion term and a broken
+    # pair product must each show as a nonzero exact defect
+    from selzeta import graphs
+
+    expand, product = graphs.residue_expand, graphs.principal_product
+
+    def flip_one(g, k):
+        res = expand(g, k)
+        h = res.support()[0]
+        return graphs.GraphSum(res.n, res.roots, {**res.terms, h: -res.terms[h]})
+
+    def drop_one(g, k):
+        res = expand(g, k)
+        h = res.support()[0]
+        return graphs.GraphSum(res.n, res.roots, {t: c for t, c in res.terms.items() if t != h})
+
+    def break_product(I):
+        gs = product(I)
+        h = gs.support()[0]
+        return graphs.GraphSum(gs.n, gs.roots, {**gs.terms, h: gs.terms[h] + 1})
+
+    for name, fake, field in [
+        ("residue_expand", flip_one, "residue_gap"),
+        ("residue_expand", drop_one, "residue_gap"),
+        ("principal_product", break_product, "product_mismatches"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(graphs, name, fake)
+            rep = run_check("residue", RunConfig(seed=0, profile="quick"))
+        assert rep.inputs[field] > 0
+        assert rep.defect > 0
+        assert not rep.passed
+    assert run_check("residue", RunConfig(seed=0, profile="quick")).passed
+
+
 def test_cli_verify_json_and_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "beta-identity", "--json", str(out)])

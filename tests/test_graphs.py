@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from selzeta.graphs import (
     principal_path,
     principal_product,
     residue_expand,
+    residue_identity,
     wedge,
     wedge_chain,
 )
@@ -285,6 +287,56 @@ def test_residue_identity_exact_all_wedge_supports():
                     direct = omega_residue_direct(g, k, x)
                     expanded = sum(c * omega_coefficient(h, x) for h, c in res.terms.items())
                     assert direct == expanded
+
+
+def mutated_expansions(res):
+    """The expansion, then each one with a single coefficient flipped or a single term dropped."""
+    yield res
+    for h in res.support():
+        yield GraphSum(res.n, res.roots, {**res.terms, h: -res.terms[h]})
+        yield GraphSum(res.n, res.roots, {t: c for t, c in res.terms.items() if t != h})
+
+
+def test_integer_residue_identity_equals_fraction_path():
+    # the Fraction evaluation stays the oracle: the integer gap equals
+    # omega_residue_direct - sum c * omega_coefficient exactly, zero on the
+    # true expansion and nonzero on most mutated ones
+    rng = random.Random(24)
+    nonzero = 0
+    for n, r in [(4, 2), (5, 2), (5, 3)]:
+        for g in all_wedge_supports(n, r):
+            for k in sorted({o for (p, q) in g.edges for o in (p, q) if g.n in (p, q) and o != g.n}):
+                for expansion in mutated_expansions(residue_expand(g, k)):
+                    gap = residue_identity(g, k, expansion)
+                    # one point on a single denominator, one on mixed denominators
+                    for x in (rational_point(n - 1, rng), {v: Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for v in range(1, n)}):
+                        if len(set(x.values())) < n - 1:
+                            continue
+                        want = omega_residue_direct(g, k, x) - sum(c * omega_coefficient(h, x) for h, c in expansion.terms.items())
+                        scale = math.lcm(*(xv.denominator for xv in x.values()))
+                        got = gap({v: int(xv * scale) for v, xv in x.items()}, scale)
+                        assert got == want
+                        nonzero += want != 0
+    assert nonzero > 700
+
+
+def test_coincident_coordinates_raise_on_every_residue_path():
+    # x_3 = x_4 zeroes a gap of the merged log form: every evaluator raises
+    # the same ValueError instead of dividing by zero, and the integer path
+    # does so before it forms a numerator (all would be 0 over a zero
+    # common denominator, which would read as the identity holding)
+    g = G(5, {1, 2}, (2, 3), (3, 4), (4, 5))
+    res = residue_expand(g, 4)
+    exact = {1: Fraction(1, 7), 2: Fraction(3, 7), 3: Fraction(5, 7), 4: Fraction(5, 7)}
+    for x in (exact, {v: float(xv) for v, xv in exact.items()}):
+        with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
+            omega_residue_direct(g, 4, x)
+        for h in res.terms:
+            with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
+                omega_coefficient(h, x)
+    for expansion in mutated_expansions(res):
+        with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
+            residue_identity(g, 4, expansion)({1: 1, 2: 3, 3: 5, 4: 5}, 7)
 
 
 def test_residue_identity_float_limit():
