@@ -192,23 +192,6 @@ class BraidFamily:
     def evaluate(self, alpha):
         return BraidFamily(self.level, {u: m.evaluate(alpha) for u, m in self.mats.items()})
 
-    def instantiate(self, gens):
-        return BraidFamily(self.level, {u: m.instantiate(gens) for u, m in self.mats.items()})
-
-
-def _block_assemble(grid, dims, symbolic):
-    if symbolic:
-        return LinearMatrix.block(grid, dims)
-    total = sum(dims)
-    first = next(m for row in grid for m in row if m is not None)
-    out = np.zeros((total, total), dtype=first.dtype if first.dtype != object else object)
-    offs = np.concatenate(([0], np.cumsum(dims)))
-    for bi, row in enumerate(grid):
-        for bj, cell in enumerate(row):
-            if cell is not None:
-                out[offs[bi] : offs[bi + 1], offs[bj] : offs[bj + 1]] = cell
-    return out
-
 
 def ind_step(fam):
     """One induction level down: returns the family for level k-1.
@@ -221,7 +204,6 @@ def ind_step(fam):
     k = fam.level
     if k < 3:
         raise ValueError("induction needs level >= 3")
-    symbolic = isinstance(next(iter(fam.mats.values())), LinearMatrix)
     sub = fam.dim
     dims = [sub] * (k - 1)
     out = {}
@@ -237,26 +219,18 @@ def ind_step(fam):
             grid[j - 1][j - 1] = a_ij + a_ki
             grid[i - 1][j - 1] = -a_ki
             grid[j - 1][i - 1] = -a_kj
-            out[(i, j)] = _block_assemble(grid, dims, symbolic)
+            out[(i, j)] = LinearMatrix.block(grid, dims)
     return BraidFamily(k - 1, out)
 
 
-def build_tower(n, r, alpha=None):
-    """Families for levels n down to r; symbolic unless alpha is given.
-
-    Symbolic towers are capped at n <= 6 (dimension 120 at level 2); numeric
-    towers at n <= 8.
-    """
-    if alpha is None and n > 6:
+def build_tower(n, r):
+    """Symbolic families for levels n down to r, capped at n <= 6 (dimension
+    120 at level 2); a numeric family is tower[k].evaluate(alpha)."""
+    if n > 6:
         raise ValueError("symbolic tower capped at n = 6")
-    if n > 8:
-        raise ValueError("tower capped at n = 8")
     if not (2 <= r <= n):
         raise ValueError("need 2 <= r <= n")
-    if alpha is None:
-        mats = {pair(i, j): LinearMatrix(1, {(i, j): [[1]]}) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    else:
-        mats = {pair(i, j): np.array([[float(alpha[pair(i, j)])]]) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    mats = {pair(i, j): LinearMatrix(1, {(i, j): [[1]]}) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     fam = BraidFamily(n, mats)
     tower = {n: fam}
     for k in range(n, r, -1):
@@ -272,26 +246,18 @@ def all_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def pure_braid_defects(fam, tol=0.0):
-    """All violations of the infinitesimal pure-braid relations in the family.
+def pure_braid_defects(fam):
+    """All violations of the infinitesimal pure-braid relations in a symbolic family.
 
     Checks [A_ij, A_kl] for disjoint pairs and [A_ij + A_jk, A_ik] for all
-    triples; returns (description, defect) pairs with defect > tol.
+    triples; returns (description, defect) pairs with a nonzero exact defect.
     """
-    symbolic = isinstance(next(iter(fam.mats.values())), LinearMatrix)
     k = fam.level
     out = []
-
-    def defect(p, q):
-        if symbolic:
-            return lin_commutator_defect(p, q)
-        c = p @ q - q @ p
-        return float(np.abs(np.asarray(c, dtype=float)).max()) if c.dtype == object else float(np.abs(c).max())
-
     for (i, j), (a, b) in itertools.combinations(all_pairs(k), 2):
         if len({i, j, a, b}) == 4:
-            d = defect(fam[(i, j)], fam[(a, b)])
-            if d > tol:
+            d = lin_commutator_defect(fam[(i, j)], fam[(a, b)])
+            if d:
                 out.append((f"[A{i}{j}, A{a}{b}]", d))
     for a, b, c in itertools.combinations(range(1, k + 1), 3):
         for (i, j), (j2, k2), (i2, k3) in [
@@ -299,8 +265,8 @@ def pure_braid_defects(fam, tol=0.0):
             ((a, b), (a, c), (b, c)),
             ((a, c), (b, c), (a, b)),
         ]:
-            d = defect(fam[pair(*(i, j))] + fam[pair(*(j2, k2))], fam[pair(*(i2, k3))])
-            if d > tol:
+            d = lin_commutator_defect(fam[pair(*(i, j))] + fam[pair(*(j2, k2))], fam[pair(*(i2, k3))])
+            if d:
                 out.append((f"[A{i}{j} + A{j2}{k2}, A{i2}{k3}]", d))
     return out
 

@@ -168,13 +168,8 @@ def wedge_chain(I):
 
 
 # ---------------------------------------------------------------------------
-# principal graph and the product form of the wedge chain
+# the principal graph (edges (p, i_p), p > r) and the product form of the wedge chain
 # ---------------------------------------------------------------------------
-
-def principal_graph(I):
-    edges = tuple((p, I.entry(p)) for p in range(I.r + 1, I.n + 1))
-    return OrderedRootedGraph(I.n, frozenset(range(1, I.r + 1)), edges)
-
 
 def principal_path(I, p, q):
     """Edge labels along the unique path p -> q in the principal graph, or None.

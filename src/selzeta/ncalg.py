@@ -236,7 +236,12 @@ def series_close(a, b, tol=0.0):
     return worst <= tol if tol else worst == 0
 
 
-def associator_series(trunc=4, terms=60):
+# local-solution terms summed at 1/2; 90 terms give the same floats at
+# truncations 4 and 6
+_HALF_TERMS = 60
+
+
+def associator_series(trunc=4):
     """The canonical element by power-series matching at 1/2: no ladder.
 
     Local solutions H_0(x) x^X at 0 and H_1(1-x) (1-x)^Y at 1 of
@@ -263,7 +268,7 @@ def associator_series(trunc=4, terms=60):
         src = nc_letter(letter_src, trunc, 1.0)
         hs = [nc_one(trunc, 1.0)]
         partial = hs[0]
-        for k in range(1, terms):
+        for k in range(1, _HALF_TERMS):
             rhs = series_scale(-1.0, series_mul(src, partial))
             hk = ad_inverse(k, rhs, letter_fix)
             hs.append(hk)

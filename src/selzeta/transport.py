@@ -1,19 +1,22 @@
 """Regularized parallel transport for connections with poles at 0 and 1.
 
-Covers four layers: plain transport of matrix or truncated-series solutions
-of ds = (A/x + B/(x-1)) s dx, continued by Taylor series about regular points
-(Chudnovsky and Chudnovsky 1990; van der Hoeven 1999), each step reaching
-half the distance to the nearer pole, so every term costs two matmuls and
-the sum is accurate to rounding; the regularized 0-to-1 transport, from the
-local Frobenius solutions H_0(x) x^A and H_1(1-x) (1-x)^B summed as power
-series and matched at 1/2 (accurate to rounding), with the ladder oracle
-beside it (regularized limits x^{-A} s(x) extrapolated along a geometric
-epsilon ladder under an exponent model); the canonical series element
-transported from 0 to 1 in the truncated two-letter algebra (numerically by
-the ladder construction here, by power-series matching at 1/2 in ncalg,
-symbolically with zeta-combination coefficients in mzv; the latter two are
-re-exported); and the desk-scale identity checks tying transported Selberg
-vectors to the series element's matrix image.
+One construction serves the verification registry: the regularized 0-to-1
+transport from the local Frobenius solutions H_0(x) x^A and H_1(1-x) (1-x)^B,
+summed as power series and matched at 1/2 (accurate to rounding), which the
+projection identity checks against transported Selberg vectors; the
+two-letter series element is the same matching in ncalg
+(associator_series), and its zeta-combination form lives in mzv
+(associator_symbolic); both are re-exported here.
+
+The ladder is an independent oracle only, for the tests,
+`selzeta assoc expand --method numeric` and scripts/associator_table.py; no
+registry check runs it.  It continues plain transport of matrix or
+truncated-series solutions of ds = (A/x + B/(x-1)) s dx by Taylor series
+about regular points (Chudnovsky and Chudnovsky 1990; van der Hoeven 1999),
+each step reaching half the distance to the nearer pole, and extrapolates the
+regularized limits x^{-A} s(x) along a geometric epsilon ladder under an
+exponent model (transport_ode, transport_series, regularized_limit,
+connection_ladder, associator_numeric).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .braid import build_tower, pair
 from .graphs import IndexTuple, index_tuples, wedge_chain
-from .mzv import MZVCombo, associator_symbolic
+from .mzv import associator_symbolic
 from .ncalg import NCSeries, all_words, nc_letter, series_exp, series_inv, series_mul, series_scale
 # the series and symbolic constructions live beside their algebras, so that
 # `selzeta assoc expand` needs no numpy; they stay importable from here
@@ -232,10 +235,12 @@ def iterated_integral_series(trunc, x_from, x_to, samples=4001):
 # smallest distance of an eigenvalue difference from a positive integer that
 # the local solutions accept
 _GAP_FLOOR = 1e-3
+# largest eigenbasis condition number a residue may have
+_COND_CAP = 1e6
 _EPS = float(np.finfo(float).eps)
 
 
-def _eig_guard(residue, gap_floor=1e-3, cond_cap=1e6):
+def _eig_guard(residue, gap_floor):
     lam, vecs = np.linalg.eig(np.asarray(residue, dtype=float))
     if np.abs(lam.imag).max() > 1e-10:
         raise ResonanceError("residue matrix has complex spectrum")
@@ -244,7 +249,7 @@ def _eig_guard(residue, gap_floor=1e-3, cond_cap=1e6):
     for a, b in zip(distinct, distinct[1:]):
         if b - a < gap_floor:
             raise ResonanceError(f"eigenvalue gap {b - a:.2e} below {gap_floor}")
-    if np.linalg.cond(vecs) > cond_cap:
+    if np.linalg.cond(vecs) > _COND_CAP:
         raise ResonanceError("residue matrix too far from semi-simple")
     return lam, vecs
 
@@ -436,40 +441,6 @@ def rho_apply(series, rho_x, rho_y):
     return out
 
 
-def rho_apply_graded(hr, rho_x_lin, rho_y_lin):
-    """Image of a zeta-graded element under degree-1 symbolic matrices.
-
-    Returns a dict monomial -> matrix of zeta-combinations, where a monomial
-    is a sorted tuple of symbol pairs; each weight-w word lands on degree-w
-    monomials only, which is the grading the result must carry.
-    """
-    d = rho_x_lin.dim
-    out = {}
-    for w, combo in hr.coeff.items():
-        prods = {(): np.eye(d, dtype=np.int64)}
-        for letter in w:
-            fac = rho_x_lin if letter == "X" else rho_y_lin
-            new = {}
-            for mono, m in prods.items():
-                for u, mu in fac.terms.items():
-                    key = tuple(sorted(mono + (u,)))
-                    new[key] = new.get(key, 0) + m @ mu
-            prods = new
-        for mono, m in prods.items():
-            tgt = out.setdefault(mono, np.full((d, d), None))
-            for i in range(d):
-                for j in range(d):
-                    if m[i, j]:
-                        cur = tgt[i, j] if tgt[i, j] is not None else MZVCombo.zero()
-                        tgt[i, j] = cur + combo.scale(int(m[i, j]))
-    for mono, m in out.items():
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                if m[i, j] is None:
-                    m[i, j] = MZVCombo.zero()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the desk-scale identity checks
 # ---------------------------------------------------------------------------
@@ -492,7 +463,12 @@ class ProjectionReport:
     unconverged: int
 
 
-def projection_identity_check(n, alpha, tol=None, trunc=5, mzv_abs_err=1e-10):
+# truncation and zeta accuracy of the symbolic element in the projection check
+_SYMBOLIC_TRUNC = 5
+_SYMBOLIC_ABS_ERR = 1e-10
+
+
+def projection_identity_check(n, alpha, tol=None):
     """Transported boundary values of the Selberg vector versus its matrix image.
 
     Builds the level-3 residue pair (rho_x, rho_y), the predicted regularized
@@ -538,7 +514,7 @@ def projection_identity_check(n, alpha, tol=None, trunc=5, mzv_abs_err=1e-10):
     rhs = mono.value @ v1
     defect = float(np.abs(v2p - rhs[proj_rows]).max())
 
-    phi = associator_symbolic(trunc).to_ncseries(mzv_abs_err)
+    phi = associator_symbolic(_SYMBOLIC_TRUNC).to_ncseries(_SYMBOLIC_ABS_ERR)
     rho_phi = rho_apply(phi, rho_x, rho_y)
     rhs_sym = rho_phi @ v1
     defect_sym = float(np.abs(v2p - rhs_sym[proj_rows]).max())
@@ -546,7 +522,11 @@ def projection_identity_check(n, alpha, tol=None, trunc=5, mzv_abs_err=1e-10):
     return ProjectionReport(falpha, defect, defect_sym, gap, mono.err_estimate, quad_err, unconverged)
 
 
-def alpha_limit_check(n, entries, alpha, deltas=(0.12, 0.08, 0.05, 0.03), tol=None):
+# vertex-2 exponents the limit is extrapolated from
+_LIMIT_DELTAS = (0.12, 0.08, 0.05, 0.03)
+
+
+def alpha_limit_check(n, entries, alpha, tol=None):
     """Behavior of the wedge-chain integral as every exponent at vertex 2 shrinks.
 
     entries fixes the index tuple (i_3, ..., i_n) for roots {1, 2}.  When
@@ -565,7 +545,7 @@ def alpha_limit_check(n, entries, alpha, deltas=(0.12, 0.08, 0.05, 0.03), tol=No
 
     falpha = {u: v for u, v in falpha.items() if max(u) <= n}
     samples, unconverged = [], 0
-    for d in deltas:
+    for d in _LIMIT_DELTAS:
         al = dict(falpha)
         for j in range(3, n + 1):
             al[pair(2, j)] = d
@@ -573,9 +553,9 @@ def alpha_limit_check(n, entries, alpha, deltas=(0.12, 0.08, 0.05, 0.03), tol=No
         samples.append(res.value)
         unconverged += not res.converged
     extrap = 0.0
-    for i, (di, vi) in enumerate(zip(deltas, samples)):
+    for i, (di, vi) in enumerate(zip(_LIMIT_DELTAS, samples)):
         w = 1.0
-        for j, dj in enumerate(deltas):
+        for j, dj in enumerate(_LIMIT_DELTAS):
             if j != i:
                 w *= dj / (dj - di)
         extrap += w * vi

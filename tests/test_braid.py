@@ -223,8 +223,7 @@ def test_spectrum_rejects_bad_subset():
 def test_graph_matrix_identity_and_single_edge():
     rng = random.Random(3)
     alpha = {u: float(f) for u, f in sample_alpha(4, rng).items()}
-    tower = build_tower(4, 3, alpha)
-    fam = tower[3]
+    fam = build_tower(4, 3)[3].evaluate(alpha)
     g0 = OrderedRootedGraph(3, frozenset({1, 2}), ())
     assert np.allclose(graph_matrix(g0, fam), np.eye(3))
     g1 = OrderedRootedGraph(3, frozenset({1, 2}), ((1, 2),))
@@ -234,7 +233,7 @@ def test_graph_matrix_identity_and_single_edge():
 def test_graph_matrix_order_matters():
     rng = random.Random(8)
     alpha = {u: float(f) for u, f in sample_alpha(4, rng).items()}
-    fam = build_tower(4, 3, alpha)[3]
+    fam = build_tower(4, 3)[3].evaluate(alpha)
     g_ab = OrderedRootedGraph(3, frozenset({1}), ((1, 2), (1, 3)))
     g_ba = OrderedRootedGraph(3, frozenset({1}), ((1, 3), (1, 2)))
     m1 = graph_matrix(g_ab, fam)

@@ -115,6 +115,37 @@ def test_residue_check_cannot_be_fooled(monkeypatch):
     assert run_check("residue", RunConfig(seed=0, profile="quick")).passed
 
 
+def test_associator_check_cannot_be_fooled(monkeypatch):
+    # a weight-3 coefficient or the weight-2 coefficient XY moved by 1e-9
+    # must fail the check, on both profiles
+    from selzeta import ncalg
+
+    series = ncalg.associator_series
+
+    def moved(word):
+        def fake(trunc=4):
+            phi = series(trunc)
+            return ncalg.NCSeries(trunc, {**phi.coeff, word: phi[word] + 1e-9})
+
+        return fake
+
+    for profile in ("quick", "full"):
+        assert run_check("associator", RunConfig(seed=0, profile=profile)).passed
+        for word in ("XXY", "XY"):
+            with monkeypatch.context() as m:
+                m.setattr(ncalg, "associator_series", moved(word))
+                rep = run_check("associator", RunConfig(seed=0, profile=profile))
+            assert not rep.passed, (profile, word)
+
+
+def test_cli_verify_all_honours_tol(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--profile", "quick", "--tol", "1e-300", "--json", str(out)]) == 1
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == len(REGISTRY)
+    assert all(r["tolerance"] == 1e-300 for r in reports)
+
+
 def test_cli_verify_json_and_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "beta-identity", "--json", str(out)])
@@ -202,6 +233,7 @@ def test_light_commands_load_neither_numpy_nor_scipy():
         ["graph", "wedge", "--n", "5", "--r", "2", "--indices", "1,2,3"],
         ["assoc", "expand", "--degree", "4", "--method", "series"],
         ["assoc", "expand", "--degree", "4", "--method", "symbolic"],
+        ["verify", "associator"],
     ):
         loaded = _modules_after([argv])
         assert "selzeta" in loaded

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selzeta.braid import build_tower, pair, sample_alpha
+from selzeta.braid import build_tower, sample_alpha
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta.ncalg import grouplike_defect, nc_letter, series_mul
 from selzeta.transport import (
@@ -23,7 +23,6 @@ from selzeta.transport import (
     regularized_connection_matrix,
     regularized_limit,
     rho_apply,
-    rho_apply_graded,
     transport_ode,
     transport_series,
 )
@@ -275,22 +274,6 @@ def test_rho_apply_monomials_and_grading():
     rho_y = tower[3].mats[(2, 3)].evaluate(falpha)
     word = series_mul(nc_letter("X", 2, 1.0), nc_letter("Y", 2, 1.0))
     assert np.abs(rho_apply(word, rho_x, rho_y) - rho_x @ rho_y).max() < 1e-14
-
-    hr = associator_symbolic(3)
-    graded = rho_apply_graded(hr, tower[3].mats[(1, 3)], tower[3].mats[(2, 3)])
-    for mono, mat in graded.items():
-        for combo in mat.flat:
-            if not combo.is_zero():
-                assert combo.weight == len(mono)
-    # numeric double evaluation agrees with rho_apply of the evaluated series
-    direct = rho_apply(hr.to_ncseries(1e-11), rho_x, rho_y)
-    summed = np.zeros_like(direct)
-    for mono, mat in graded.items():
-        mval = 1.0
-        for u in mono:
-            mval *= falpha[pair(*u)]
-        summed = summed + mval * np.array([[c.eval(1e-11) for c in row] for row in mat])
-    assert np.abs(direct - summed).max() < 1e-9
 
 
 def test_matrix_image_matches_monodromy():
