@@ -15,15 +15,7 @@ _SOURCES = {
     "mzv": ("HRElement", "MZVCombo", "MZVIndex", "associator_symbolic", "mzv_eval", "shuffle_regularize", "stuffle_indices"),
     "ncalg": ("NCSeries", "associator_series", "grouplike_defect", "series_exp", "series_log", "series_mul", "shuffle_words"),
     "selberg": ("ExponentAssignment", "QuadratureResult", "integrate_graph", "integrate_sum", "taylor_coefficients"),
-    "transport": (
-        "ConnectionPair",
-        "TransportResult",
-        "associator_numeric",
-        "projection_identity_check",
-        "regularized_limit",
-        "rho_apply",
-        "transport_ode",
-    ),
+    "transport": ("ConnectionPair", "projection_identity_check", "rho_apply"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

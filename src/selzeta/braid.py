@@ -383,10 +383,6 @@ def _reduced_restriction(a, k, n):
 
 @dataclass
 class SpectrumReport:
-    formula: list
-    numeric: list
-    formula_reduced: list
-    numeric_reduced: list
     max_gap: float
     eigenvector_condition: float
     invariance_defect: float
@@ -415,7 +411,7 @@ def spectrum(S, k, n, alpha):
         max(abs(x - y) for x, y in zip(formula, numeric)),
         max(abs(x - y) for x, y in zip(formula_red, numeric_red)),
     )
-    return SpectrumReport(formula, numeric, formula_red, numeric_red, gap, cond, inv_defect)
+    return SpectrumReport(gap, cond, inv_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +477,7 @@ def _integer_column(I, x, scale, igens, tower):
     return col[off * d : (off + 1) * d, :], den
 
 
-def stacked_column(I, x, gens, tower=None):
+def stacked_column(I, x, gens):
     """The coordinate of the integrand column built by the level recursion.
 
     Starting from blocks G_{(i,n)} / (x_n - x_i), each level k stacks the
@@ -489,10 +485,8 @@ def stacked_column(I, x, gens, tower=None):
     column; the (i_{r+1}, ..., i_n) coordinate is returned as a d x d matrix
     of Fractions.  The recursion runs on integers and divides once at the end.
     """
-    if tower is None:
-        tower = build_tower(I.n, I.r)
     scale, igens = _integer_generators(gens)
-    return _divide(*_integer_column(I, x, scale, igens, tower))
+    return _divide(*_integer_column(I, x, scale, igens, _symbolic_tower(I.n, I.r)))
 
 
 def eta_gamma_check(I, rng, x=None, gens=None):

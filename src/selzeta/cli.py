@@ -333,7 +333,6 @@ class Check:
     statement: str
     tolerance: float
     runner: object
-    quick: bool = True
 
 
 REGISTRY = [
@@ -451,26 +450,37 @@ def _cmd_tower_build(args):
     return status
 
 
+def _input_error(message):
+    """Report bad command-line input on one stderr line; the exit status is 2."""
+    print(f"selzeta: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_selberg_integrate(args):
     from .graphs import parse_graph
-    from .selberg import ExponentAssignment, integrate_graph
+    from .selberg import ExponentAssignment, QuadratureError, integrate_graph
 
-    with open(args.graph_file) as fh:
-        line = fh.read().strip()
-    g = parse_graph(line)
-    if args.alpha:
-        alphas = {}
-        for spec in args.alpha:
-            key, _, val = spec.partition("=")
-            i, j = key.strip("() ").split(",")
-            alphas[(int(i), int(j))] = float(val)
-        alpha = ExponentAssignment(alphas)
-    else:
-        alpha = ExponentAssignment.uniform(g.n, args.alpha_uniform)
-    root_values = None
-    if len(g.roots) == 3:
-        root_values = {1: 0.0, 2: 1.0, 3: args.x3}
-    res = integrate_graph(g, alpha, tol=args.tol, root_values=root_values)
+    try:
+        with open(args.graph_file) as fh:
+            line = fh.read().strip()
+        g = parse_graph(line)
+        if len(g.roots) > 3:
+            return _input_error(f"{len(g.roots)} roots: root values are x_1 = 0, x_2 = 1 and --x3, so at most 3")
+        if args.alpha:
+            alphas = {}
+            for spec in args.alpha:
+                key, _, val = spec.partition("=")
+                i, j = key.strip("() ").split(",")
+                alphas[(int(i), int(j))] = float(val)
+            alpha = ExponentAssignment(alphas)
+        else:
+            alpha = ExponentAssignment.uniform(g.n, args.alpha_uniform)
+        root_values = None
+        if len(g.roots) == 3:
+            root_values = {1: 0.0, 2: 1.0, 3: args.x3}
+        res = integrate_graph(g, alpha, tol=args.tol, root_values=root_values)
+    except (OSError, ValueError, QuadratureError) as exc:
+        return _input_error(exc)
     print(
         json.dumps(
             {
@@ -489,7 +499,7 @@ def _cmd_selberg_integrate(args):
 
 
 def _cmd_assoc_expand(args):
-    # the series and symbolic constructions need no numpy; the ladder does
+    # neither construction needs numpy
     if args.method == "symbolic":
         from .mzv import associator_symbolic
 
@@ -497,23 +507,17 @@ def _cmd_assoc_expand(args):
         for w in sorted(hr.coeff, key=lambda w: (len(w), w)):
             print(f"{w or '1':<{args.degree}}  {hr.coeff[w]}")
         return 0
-    if args.method == "series":
-        from .ncalg import associator_series
+    from .ncalg import associator_series
 
-        series = associator_series(args.degree)
-    else:
-        from .transport import associator_numeric
-
-        series = associator_numeric(args.degree).value
+    series = associator_series(args.degree)
     for w in sorted(series.coeff, key=lambda w: (len(w), w)):
         print(f"{w or '1':<{args.degree}}  {series[w]:+.12f}")
     return 0
 
 
-def _print_report(rep, show_runtime=True):
+def _print_report(rep):
     flag = "pass" if rep.passed else "FAIL"
-    extra = f"  [{rep.runtime:.2f}s]" if show_runtime else ""
-    print(f"{flag}  {rep.check_id:<14} defect {rep.defect:.3e}  tolerance {rep.tolerance:.3e}{extra}")
+    print(f"{flag}  {rep.check_id:<14} defect {rep.defect:.3e}  tolerance {rep.tolerance:.3e}  [{rep.runtime:.2f}s]")
 
 
 def _cmd_verify(args):
@@ -572,11 +576,11 @@ def build_parser():
     psub = p.add_subparsers(dest="sub", required=True)
     pa = psub.add_parser("expand", help="print coefficients up to a degree")
     pa.add_argument("--degree", type=int, default=4)
-    pa.add_argument("--method", choices=["numeric", "series", "symbolic"], default="series")
+    pa.add_argument("--method", choices=["series", "symbolic"], default="series")
     pa.set_defaults(func=_cmd_assoc_expand)
 
     p = sub.add_parser("verify", help="run registered verification checks")
-    p.add_argument("check_id", help="a check id or 'all'")
+    p.add_argument("check_id", choices=["all", *CHECKS], help="a check id or 'all'")
     p.add_argument("--profile", choices=["quick", "full"], default="full")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None)

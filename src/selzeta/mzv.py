@@ -47,10 +47,6 @@ class MZVIndex:
     def weight(self):
         return sum(self.parts)
 
-    @property
-    def depth(self):
-        return len(self.parts)
-
     def __repr__(self):
         return "zeta(%s)" % ",".join(map(str, self.parts))
 

@@ -71,15 +71,9 @@ class NCSeries:
     def __getitem__(self, word):
         return self.coeff.get(word, 0)
 
-    def degree_slice(self, d):
-        return {w: c for w, c in self.coeff.items() if len(w) == d}
-
     @property
     def is_exact(self):
         return all(not isinstance(c, float) for c in self.coeff.values())
-
-    def words(self):
-        return sorted(self.coeff, key=lambda w: (len(w), w))
 
     def __repr__(self):
         if not self.coeff:

@@ -239,6 +239,8 @@ class _SimplexIntegrand:
         self.root_values = dict(root_values)
         if self.root_values.get(1) != 0.0 or self.root_values.get(2) != 1.0:
             raise ValueError("root values must pin x_1 = 0 and x_2 = 1")
+        if any(i not in self.root_values for i in range(3, self.r + 1)):
+            raise ValueError(f"root values must give x_3 ... x_{self.r}")
         vals = [self.root_values[i] for i in range(2, self.r + 1)]
         if sorted(vals, reverse=True) != vals or any(not (0.0 < v <= 1.0) for v in vals[1:]):
             raise ValueError("root values must decrease along 2, 3, ..., r inside (0, 1]")
@@ -247,6 +249,10 @@ class _SimplexIntegrand:
         def rank(v):
             return 0 if v == 1 else g.n + 2 - v
 
+        pairs = [(i, j) for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)]
+        missing = [f"({i},{j})" for i, j in pairs if alpha.get((i, j)) is None]
+        if missing:
+            raise ValueError(f"missing exponent for pairs {' '.join(missing)}")
         # orientation, edge exponents, Jacobian top^l and every gap's constant
         scale = (-1.0 if self.l % 2 else 1.0) * self.top**self.l
         for e in g.edges:
@@ -258,21 +264,18 @@ class _SimplexIntegrand:
         powers = {(None, k, k + 1): self.l - 1 - k for k in range(self.l)}
         edge_gaps = set()
         edges = set(g.edges)
-        for i in range(1, g.n + 1):
-            for j in range(i + 1, g.n + 1):
-                a_ij = alpha.get((i, j))
-                if a_ij is None:
-                    raise KeyError(f"missing exponent for pair ({i},{j})")
-                lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
-                if (i, j) in edges:
-                    a_ij = a_ij - 1
-                    edge_gaps.add((lo, hi))
-                const, m, factor = self._gap_form(lo, hi)
-                scale *= const**a_ij
-                for k in range(m):
-                    powers[None, k, k + 1] += a_ij
-                if factor is not None:
-                    powers[factor] = powers.get(factor, 0) + a_ij
+        for i, j in pairs:
+            a_ij = alpha[(i, j)]
+            lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
+            if (i, j) in edges:
+                a_ij = a_ij - 1
+                edge_gaps.add((lo, hi))
+            const, m, factor = self._gap_form(lo, hi)
+            scale *= const**a_ij
+            for k in range(m):
+                powers[None, k, k + 1] += a_ij
+            if factor is not None:
+                powers[factor] = powers.get(factor, 0) + a_ij
         # the log form's sign, from the one builder: each row's gap as +-1
         sign = log_form_det(g.edges, g.free_vertices, lambda p, q: 1.0 if (q, p) in edge_gaps else -1.0)
         self.scale = scale * sign
@@ -456,18 +459,12 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
         raise QuadratureError("more than three free vertices is unsupported")
     if not is_tree(g):
         return QuadratureResult(0.0, 0.0, 0)
+    f = _SimplexIntegrand(g, alpha, root_values)
+    if l == 0:
+        # no free vertex: the integrand is its constant, the root gap powers
+        return QuadratureResult(f.scale, 0.0, 1)
     if tol is None:
         tol = DEFAULT_TOL[l]
-    if l == 0:
-        rv = dict(root_values) if root_values else {1: 0.0, 2: 1.0}
-        value = 1.0
-        for i in range(1, g.n + 1):
-            for j in range(i + 1, g.n + 1):
-                # value order: root 1 lowest, then descending labels
-                lo, hi = (i, j) if i == 1 else (j, i)
-                value *= (rv[hi] - rv[lo]) ** alpha[(i, j)]
-        return QuadratureResult(value, 0.0, 1)
-    f = _SimplexIntegrand(g, alpha, root_values)
     return _integrate_cube(f, l, tol)
 
 
@@ -484,6 +481,14 @@ def selberg_component(I, alpha, tol=None, root_values=None):
     return integrate_sum(wedge_chain(I), alpha, tol=tol, root_values=root_values)
 
 
+# the sampled circle t = _T0 + _RHO e^(2 pi i k / _M_POINTS) and the DFT
+# terms _J_MAX read off it
+_T0 = 0.3
+_RHO = 0.25
+_M_POINTS = 64
+_J_MAX = 24
+
+
 def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=1e-4):
     """Taylor coefficients at t = 0 of t -> S(t * alpha), with a fit residual.
 
@@ -495,6 +500,9 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=
     quadrature noise of 1e-11 still leaves the weight-4 coefficient at 1e-6.
     The samples at complex exponents run through the same integrand and
     log-form builder as the real ones.
+    The direction must be real: the samples on the lower half of the circle
+    are the conjugates of those on the upper half, S(conj t) = conj S(t),
+    which holds only then.
 
     Raises QuadratureError when a circle sample did not converge or zeroed
     nonfinite nodes, and when the reconstruction residual exceeds
@@ -502,20 +510,15 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=
     """
     if max_weight > 4:
         raise ValueError("coefficients above weight 4 are not resolved by the fit")
-    coeffs, residual = _taylor_circle(gs, alpha_direction, max_weight, tol)
-    if residual > max_residual:
-        raise QuadratureError(f"circle reconstruction residual {residual:.2e} above {max_residual:.0e}")
-    return coeffs, residual
-
-
-def _taylor_circle(gs, alpha_direction, max_weight, tol, t0=0.3, rho=0.25, m_points=64, j_max=24):
+    if not alpha_direction.is_real:
+        raise ValueError("the Taylor direction must be real")
     # normalize so the smallest direction entry is 1: coefficients rescale by
-    # s^k and the circle keeps every exponent real part at least t0 - rho
+    # s^k and the circle keeps every exponent real part at least _T0 - _RHO
     s = alpha_direction.min_real
     direction = alpha_direction.scale(1.0 / s)
-    vals = np.empty(m_points, dtype=complex)
-    for k in range(m_points // 2 + 1):
-        t = t0 + rho * np.exp(2j * math.pi * k / m_points)
+    vals = np.empty(_M_POINTS, dtype=complex)
+    for k in range(_M_POINTS // 2 + 1):
+        t = _T0 + _RHO * np.exp(2j * math.pi * k / _M_POINTS)
         res = integrate_sum(gs, direction.scale(t), tol=tol)
         if not res.converged or res.nonfinite:
             raise QuadratureError(
@@ -523,23 +526,25 @@ def _taylor_circle(gs, alpha_direction, max_weight, tol, t0=0.3, rho=0.25, m_poi
                 f"converged={res.converged}, {res.nonfinite} nonfinite nodes"
             )
         vals[k] = res.value
-    for k in range(m_points // 2 + 1, m_points):
-        vals[k] = np.conj(vals[m_points - k])
-    chat = np.fft.fft(vals) / m_points
-    cj = np.array([chat[j] / rho**j for j in range(j_max + 1)])
+    for k in range(_M_POINTS // 2 + 1, _M_POINTS):
+        vals[k] = np.conj(vals[_M_POINTS - k])
+    chat = np.fft.fft(vals) / _M_POINTS
+    cj = np.array([chat[j] / _RHO**j for j in range(_J_MAX + 1)])
     coeffs = []
     for k in range(max_weight + 1):
         acc = 0j
-        for j in range(k, j_max + 1):
-            acc += cj[j] * math.comb(j, k) * (-t0) ** (j - k)
+        for j in range(k, _J_MAX + 1):
+            acc += cj[j] * math.comb(j, k) * (-_T0) ** (j - k)
         coeffs.append(acc * s**k)
     # reconstruction residual on the sampled circle plus the imaginary leak
-    recon = np.zeros(m_points, dtype=complex)
-    ks = np.exp(2j * math.pi * np.arange(m_points) / m_points)
-    for j in range(j_max + 1):
-        recon += cj[j] * (rho * ks) ** j
+    recon = np.zeros(_M_POINTS, dtype=complex)
+    ks = np.exp(2j * math.pi * np.arange(_M_POINTS) / _M_POINTS)
+    for j in range(_J_MAX + 1):
+        recon += cj[j] * (_RHO * ks) ** j
     residual = float(np.abs(recon - vals).max())
     residual = max(residual, float(np.abs(np.array(coeffs).imag).max()))
+    if residual > max_residual:
+        raise QuadratureError(f"circle reconstruction residual {residual:.2e} above {max_residual:.0e}")
     return [float(c.real) for c in coeffs], residual
 
 

@@ -8,9 +8,8 @@ two-letter series element is the same matching in ncalg
 (associator_series), and its zeta-combination form lives in mzv
 (associator_symbolic); both are re-exported here.
 
-The ladder is an independent oracle only, for the tests,
-`selzeta assoc expand --method numeric` and scripts/associator_table.py; no
-registry check runs it.  It continues plain transport of matrix or
+The ladder is an independent oracle only, for the tests; no registry check
+and no command runs it.  It continues plain transport of matrix or
 truncated-series solutions of ds = (A/x + B/(x-1)) s dx by Taylor series
 about regular points (Chudnovsky and Chudnovsky 1990; van der Hoeven 1999),
 each step reaching half the distance to the nearer pole, and extrapolates the
@@ -63,13 +62,11 @@ class ConnectionPair:
 @dataclass
 class TransportResult:
     value: object
-    eps0: float
-    extrapolation_order: int
     err_estimate: float
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.err_estimate < 0:
-            raise ValueError("need eps0 > 0 and err_estimate >= 0")
+        if self.err_estimate < 0:
+            raise ValueError("need err_estimate >= 0")
 
 
 @dataclass
@@ -89,6 +86,8 @@ class MatchedTransport:
 # Taylor terms one step may take, and power-series terms a local solution may
 # take at 1/2; either converges in about 50 terms for residues of norm ~1
 _MAX_TERMS = 200
+# relative accuracy of the ladder's Taylor steps
+_STEP_TOL = 1e-12
 
 
 def _taylor_step(a, b, z, c, h, tol):
@@ -155,7 +154,7 @@ def _stops(x_from, x_to, x_eval):
     return stops
 
 
-def transport_ode(conn, x_from, x_to, tol=1e-12, x_eval=None):
+def transport_ode(conn, x_from, x_to, x_eval=None):
     """Fundamental solution matrix T with T(x_from) = I, or its samples.
 
     Continues the solution by Taylor series about regular points, each step
@@ -164,13 +163,11 @@ def transport_ode(conn, x_from, x_to, tol=1e-12, x_eval=None):
     matrices at those points (monotone from x_from).
     """
     stops = _stops(x_from, x_to, x_eval)
-    if tol < 1e-14:
-        raise ValueError("tolerance below stepper floor")
-    mats = _taylor_transport(conn.A, conn.B, np.eye(conn.dim), x_from, stops, tol)
+    mats = _taylor_transport(conn.A, conn.B, np.eye(conn.dim), x_from, stops, _STEP_TOL)
     return mats[-1] if x_eval is None else mats
 
 
-def transport_series(trunc, x_from, x_to, tol=1e-12, x_eval=None):
+def transport_series(trunc, x_from, x_to, tol=_STEP_TOL, x_eval=None):
     """Truncated-series solution of dE = (X/x + Y/(x-1)) E with E(x_from) = 1.
 
     The same Taylor stepper as transport_ode, on the coefficient vector, with
@@ -329,7 +326,7 @@ def regularized_connection_matrix(conn):
 # the ladder oracle: regularized limits extrapolated from samples near a pole
 # ---------------------------------------------------------------------------
 
-def regularized_limit(residue, samples, gap_floor=1e-3):
+def regularized_limit(residue, samples):
     """lim eps^{-R} s(eps) from samples [(eps_k, s_k)] on a geometric ladder.
 
     The residue must be semi-simple with well-separated small eigenvalues
@@ -338,7 +335,7 @@ def regularized_limit(residue, samples, gap_floor=1e-3):
     lambda_j; the stabilization defect reports the change when the coarsest
     rung is dropped.
     """
-    lam, vecs = _eig_guard(residue, gap_floor)
+    lam, vecs = _eig_guard(residue, _GAP_FLOOR)
     vinv = np.linalg.inv(vecs)
     eps = np.array([e for e, _ in samples], dtype=float)
     if len(eps) < 4:
@@ -366,17 +363,24 @@ def regularized_limit(residue, samples, gap_floor=1e-3):
         raise RuntimeError("ladder did not stabilize under the exponent model")
     sol2, *_ = np.linalg.lstsq(design[1:], data[1:], rcond=None)
     defect = float(np.abs(sol[0] - sol2[0]).max())
-    return TransportResult(limit, float(eps.max()), len(mus), defect)
+    return TransportResult(limit, defect)
 
 
-def connection_ladder(conn, side, eps0=1e-2, rungs=8, x_mid=0.5, tol=1e-12):
-    """Samples of the fundamental solution (based at x_mid) along the ladder
-    eps_k = eps0 / 2^k approaching 0 (side 0) or 1 (side 1)."""
-    eps = [eps0 / 2**k for k in range(rungs)]
+# the geometric ladders eps_k = eps0 / 2^k: eight rungs from 1e-2 for the
+# matrix limits of connection_ladder, twenty from 2e-2 for the series element
+# of associator_numeric
+_LIMIT_LADDER = tuple(1e-2 / 2**k for k in range(8))
+_ELEMENT_LADDER = tuple(2e-2 / 2**k for k in range(20))
+
+
+def connection_ladder(conn, side, x_mid=0.5):
+    """Samples of the fundamental solution (based at x_mid) along _LIMIT_LADDER,
+    approaching 0 (side 0) or 1 (side 1)."""
+    eps = _LIMIT_LADDER
     xs = [e if side == 0 else 1.0 - e for e in eps]
     order = np.argsort(xs)[::-1] if side == 0 else np.argsort(xs)
     xs_sorted = [xs[i] for i in order]
-    mats = transport_ode(conn, x_mid, xs_sorted[-1], tol=tol, x_eval=xs_sorted)
+    mats = transport_ode(conn, x_mid, xs_sorted[-1], x_eval=xs_sorted)
     out = [None] * len(eps)
     for pos, i in enumerate(order):
         out[i] = mats[pos]
@@ -387,16 +391,16 @@ def connection_ladder(conn, side, eps0=1e-2, rungs=8, x_mid=0.5, tol=1e-12):
 # the canonical series element ("the associator" of this connection)
 # ---------------------------------------------------------------------------
 
-def associator_numeric(trunc=4, tol=1e-12, eps0=2e-2, rungs=20):
+def associator_numeric(trunc=4):
     """Ladder construction: eps^{-Y} T(eps -> 1-eps) eps^{X}, extrapolated.
 
     The deviation from the limit expands in eps^k log^j(eps); the fit models
     k = 1..3 with log powers up to the truncation degree, which leaves the
-    coefficients accurate to ~1e-10 at the default ladder.
+    coefficients accurate to ~1e-10 on this ladder.
     """
-    eps = [eps0 / 2**k for k in range(rungs)]
-    down = transport_series(trunc, 0.5, min(eps), tol=tol, x_eval=sorted(eps, reverse=True))
-    up = transport_series(trunc, 0.5, 1.0 - min(eps), tol=tol, x_eval=sorted(1.0 - np.array(eps)))
+    eps = _ELEMENT_LADDER
+    down = transport_series(trunc, 0.5, min(eps), x_eval=sorted(eps, reverse=True))
+    up = transport_series(trunc, 0.5, 1.0 - min(eps), x_eval=sorted(1.0 - np.array(eps)))
     at_eps = dict(zip(sorted(eps, reverse=True), down))
     at_1m = dict(zip(sorted(1.0 - np.array(eps)), up))
     x = nc_letter("X", trunc, 1.0)
@@ -410,11 +414,9 @@ def associator_numeric(trunc=4, tol=1e-12, eps0=2e-2, rungs=20):
     data = np.array([[r[w] for w in words] for r in rows])
     le = np.log(np.array(eps))
     cols = [np.ones_like(le)]
-    orders = []
     for k in (1, 2, 3):
         for j in range(trunc + 1):
             cols.append(np.array(eps) ** k * le**j)
-            orders.append((k, j))
     design = np.stack(cols, axis=1)
     norms = np.linalg.norm(design, axis=0)
     sol, *_ = np.linalg.lstsq(design / norms, data, rcond=None)
@@ -424,7 +426,7 @@ def associator_numeric(trunc=4, tol=1e-12, eps0=2e-2, rungs=20):
     if not math.isfinite(defect) or defect > 1e-3:
         raise RuntimeError("ladder element did not converge across the rungs")
     series = NCSeries(trunc, {w: float(v) for w, v in zip(words, c0)})
-    return TransportResult(series, eps0, len(orders), defect)
+    return TransportResult(series, defect)
 
 
 def rho_apply(series, rho_x, rho_y):
@@ -445,13 +447,8 @@ def rho_apply(series, rho_x, rho_y):
 # the desk-scale identity checks
 # ---------------------------------------------------------------------------
 
-def _level3_tuples(n):
-    return list(index_tuples(n, 3))
-
-
 @dataclass
 class ProjectionReport:
-    alpha: dict
     defect: float
     defect_symbolic: float
     monodromy_gap: float
@@ -485,7 +482,7 @@ def projection_identity_check(n, alpha, tol=None):
     conn = ConnectionPair(rho_x, rho_y)
     alpha_full = ExponentAssignment(falpha)
 
-    tuples = _level3_tuples(n)
+    tuples = list(index_tuples(n, 3))
     v1 = np.zeros(len(tuples))
     quad_err, unconverged = 0.0, 0
     m1 = {1: 1, 3: 2, **{j: j - 1 for j in range(4, n + 1)}}
@@ -519,7 +516,7 @@ def projection_identity_check(n, alpha, tol=None):
     rhs_sym = rho_phi @ v1
     defect_sym = float(np.abs(v2p - rhs_sym[proj_rows]).max())
     gap = float(np.abs(rho_phi - mono.value).max())
-    return ProjectionReport(falpha, defect, defect_sym, gap, mono.err_estimate, quad_err, unconverged)
+    return ProjectionReport(defect, defect_sym, gap, mono.err_estimate, quad_err, unconverged)
 
 
 # vertex-2 exponents the limit is extrapolated from
@@ -563,13 +560,10 @@ def alpha_limit_check(n, entries, alpha, tol=None):
     if case2:
         m1 = {1: 1, 3: 2, **{j: j - 1 for j in range(4, n + 1)}}
         target_alpha = ExponentAssignment({pair(m1[a], m1[b]): v for (a, b), v in falpha.items() if 2 not in (a, b)})
-        if n == 3:
-            target = 1.0
-        else:
-            J = IndexTuple(2, n - 1, tuple(m1[i] for i in entries[1:]))
-            res = selberg_component(J, target_alpha, tol=tol)
-            target = res.value
-            unconverged += not res.converged
+        J = IndexTuple(2, n - 1, tuple(m1[i] for i in entries[1:]))
+        res = selberg_component(J, target_alpha, tol=tol)
+        target = res.value
+        unconverged += not res.converged
     else:
         target = 0.0
     return abs(extrap - target), target, samples, unconverged

@@ -191,6 +191,40 @@ def test_cli_selberg_integrate(tmp_path, capsys):
     assert abs(blob["value"] - math.pi / 4) < 1e-8
 
 
+def _one_error_line(argv, capsys):
+    """The stderr line of a command that must exit 2 on bad input, printing nothing else."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("selzeta: error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_cli_selberg_integrate_rejects_four_roots(tmp_path, capsys):
+    # x_4 would need a value, and --x3 is the only root value the command takes
+    gf = tmp_path / "four_roots.txt"
+    gf.write_text("4 4 |\n")
+    assert "4 roots" in _one_error_line(["selberg", "integrate", str(gf)], capsys)
+
+
+def test_cli_selberg_integrate_rejects_missing_alpha_pairs(tmp_path, capsys):
+    gf = tmp_path / "star.txt"
+    gf.write_text("4 2 | (1,3) (1,4)\n")
+    argv = ["selberg", "integrate", str(gf), "--alpha", "(1,2)=0.5", "--alpha", "(1,3)=0.5", "--alpha", "(2,3)=0.5"]
+    assert "missing exponent for pairs (1,4) (2,4) (3,4)" in _one_error_line(argv, capsys)
+
+
+def test_cli_selberg_integrate_rejects_missing_file(tmp_path, capsys):
+    assert "No such file" in _one_error_line(["selberg", "integrate", str(tmp_path / "absent.txt")], capsys)
+
+
+def test_cli_verify_rejects_unknown_check_id(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "no-such-check"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-check'" in capsys.readouterr().err
+
+
 def test_cli_assoc_expand(capsys):
     assert main(["assoc", "expand", "--degree", "2", "--method", "series"]) == 0
     out = capsys.readouterr().out
@@ -248,7 +282,6 @@ def test_no_command_loads_scipy(tmp_path):
         ["graph", "wedge", "--n", "4", "--r", "2", "--indices", "1,2"],
         ["tower", "build", "--n", "4", "--r", "3"],
         ["selberg", "integrate", str(graph)],
-        ["assoc", "expand", "--degree", "3", "--method", "numeric"],
         ["assoc", "expand", "--degree", "3", "--method", "symbolic"],
         ["verify", "all", "--profile", "quick"],
     ]

@@ -162,6 +162,34 @@ def test_roots_only_value():
         G(3, {1, 2, 3}), ExponentAssignment.uniform(3, 2.0), root_values={1: 0.0, 2: 1.0, 3: 0.25}
     )
     assert abs(got3.value - (0.25**2 * 0.75**2)) < 1e-15
+    # every pair's gap x_hi - x_lo (x_1 = 0 lowest, then x_n < ... < x_2 = 1)
+    # to its own exponent, real and complex, at three and four root values
+    for rv in ({1: 0.0, 2: 1.0, 3: 0.37}, {1: 0.0, 2: 1.0, 3: 0.61, 4: 0.23}):
+        n = len(rv)
+        for base in (0.3, 1.7, 0.4 + 0.9j):
+            alphas = {(i, j): base * (1 + 0.1 * i + 0.01 * j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+            want = 1.0
+            for (i, j), a in alphas.items():
+                want *= (rv[j] if i == 1 else rv[i] - rv[j]) ** a
+            got = integrate_graph(G(n, range(1, n + 1)), ExponentAssignment(alphas), root_values=rv)
+            assert abs(got.value - want) <= 1e-15 * abs(want)
+            assert (got.err_estimate, got.evaluations, got.converged, got.nonfinite) == (0.0, 1, True, 0)
+
+
+def test_roots_only_rejects_bad_root_values():
+    for rv in (
+        {1: 0.0, 2: 1.0, 3: 1.5},  # x_3 above x_2
+        {1: 0.0, 2: 1.0, 3: 0.0},  # x_3 on x_1
+        {1: 0.1, 2: 1.0, 3: 0.5},  # x_1 not pinned to 0
+        {1: 0.0, 2: 1.0, 3: 0.2, 4: 0.6},  # x_4 above x_3
+    ):
+        n = len(rv)
+        with pytest.raises(ValueError, match="root values"):
+            integrate_graph(G(n, range(1, n + 1)), ExponentAssignment.uniform(n, 0.5), root_values=rv)
+    # a root without a value, at dimension 0 and at dimension 1
+    for g in (G(4, {1, 2, 3, 4}), G(5, {1, 2, 3, 4}, (4, 5))):
+        with pytest.raises(ValueError, match="root values must give x_3 ... x_4"):
+            integrate_graph(g, ExponentAssignment.uniform(g.n, 0.5), root_values={1: 0.0, 2: 1.0, 3: 0.5})
 
 
 def test_taylor_coefficients_match_gamma_expansion():
@@ -187,6 +215,15 @@ def test_taylor_fit_residual_threshold():
     direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
     with pytest.raises(QuadratureError):
         taylor_coefficients(gs, direction, 4, tol=1e-9, max_residual=1e-15)
+
+
+def test_taylor_direction_must_be_real():
+    # the circle's lower half is filled by conjugation, S(conj t) = conj S(t),
+    # which fails for a complex direction
+    gs = wedge_chain(IndexTuple(2, 3, (2,)))
+    direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0 + 0.5j, (2, 3): 1.0})
+    with pytest.raises(ValueError, match="must be real"):
+        taylor_coefficients(gs, direction, 4, tol=1e-11)
 
 
 def test_taylor_circle_sample_must_converge():

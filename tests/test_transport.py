@@ -34,7 +34,7 @@ def series_dev(a, b):
 
 def test_scalar_transport_power_law():
     conn = ConnectionPair(np.array([[0.3]]), np.array([[0.0]]))
-    t = transport_ode(conn, 0.2, 0.7, tol=1e-12)
+    t = transport_ode(conn, 0.2, 0.7)
     assert abs(t[0, 0] - (0.7 / 0.2) ** 0.3) < 1e-11
 
 
@@ -126,7 +126,7 @@ def test_regularized_limit_stabilizes_for_level3_connection():
     falpha = {u: float(v) for u, v in alpha.items()}
     tower = build_tower(4, 3)
     conn = ConnectionPair(tower[3].mats[(1, 3)].evaluate(falpha), tower[3].mats[(2, 3)].evaluate(falpha))
-    rep = regularized_limit(conn.A, connection_ladder(conn, 0, rungs=8))
+    rep = regularized_limit(conn.A, connection_ladder(conn, 0))
     assert rep.err_estimate < 1e-6
     assert isinstance(rep, TransportResult)
 
@@ -137,8 +137,8 @@ def test_regularized_limit_basepoint_independence():
     falpha = {u: float(v) for u, v in alpha.items()}
     tower = build_tower(4, 3)
     conn = ConnectionPair(tower[3].mats[(1, 3)].evaluate(falpha), tower[3].mats[(2, 3)].evaluate(falpha))
-    lim_a = regularized_limit(conn.A, connection_ladder(conn, 0, x_mid=0.5, rungs=8)).value
-    lim_b = regularized_limit(conn.A, connection_ladder(conn, 0, x_mid=0.35, rungs=8)).value
+    lim_a = regularized_limit(conn.A, connection_ladder(conn, 0, x_mid=0.5)).value
+    lim_b = regularized_limit(conn.A, connection_ladder(conn, 0, x_mid=0.35)).value
     t = transport_ode(conn, 0.35, 0.5)
     assert np.abs(lim_b - lim_a @ t).max() < 1e-8
 
@@ -217,7 +217,7 @@ def test_matched_transport_term_cap_raises():
 
 
 def test_numeric_element_degree_one_and_weight_two():
-    rep = associator_numeric(3, tol=1e-12)
+    rep = associator_numeric(3)
     phi = rep.value
     assert abs(phi["X"]) < 1e-7 and abs(phi["Y"]) < 1e-7
     z2 = mzv_eval(MZVIndex((2,)))
@@ -227,7 +227,7 @@ def test_numeric_element_degree_one_and_weight_two():
 
 
 def test_numeric_vs_series_matching():
-    rep = associator_numeric(4, tol=1e-12)
+    rep = associator_numeric(4)
     phi_series = associator_series(4)
     assert series_dev(rep.value, phi_series) < 1e-6
 
@@ -245,7 +245,7 @@ def test_symbolic_signs_calibrated_against_numeric():
     # sign convention: (-1)^{#Y} times the regularized zeta value, with no
     # per-degree sign, reproduces the ladder construction at weights 2 and 3
     # and the series matching through weight 4
-    rep = associator_numeric(3, tol=1e-12)
+    rep = associator_numeric(3)
     sym = associator_symbolic(3).to_ncseries(1e-12)
     for w in ("XY", "YX", "XXY", "XYY", "YXY", "YYX", "XYX", "YXX"):
         assert abs(rep.value[w] - sym[w]) < 1e-6
@@ -255,7 +255,7 @@ def test_symbolic_signs_calibrated_against_numeric():
 
 
 def test_symbolic_vs_numeric_through_weight_four():
-    rep = associator_numeric(4, tol=1e-12)
+    rep = associator_numeric(4)
     sym = associator_symbolic(4).to_ncseries(1e-11)
     assert series_dev(rep.value, sym) < 1e-5
 
