@@ -5,8 +5,9 @@ a_{ij} (one per unordered pair of vertices) are stored as a dictionary
 pair -> integer matrix: A = sum over pairs u of a_u * M_u.  The induction
 step that removes the top vertex maps such families to block families one
 level down, multiplying the dimension by (level - 1) and preserving the
-infinitesimal pure-braid relations.  Identities involving products of tower
-matrices are verified after instantiating the symbols with an exact
+infinitesimal pure-braid relations, which are checked exactly on the sparse
+int64 entries of a whole family at once.  Identities involving products of
+tower matrices are verified after instantiating the symbols with an exact
 relation-satisfying matrix family (one extra induction level over random
 rationals), so no normal form for the symbol ring is ever needed.  These
 exact identities run on matrices of Python integers that carry one common
@@ -143,33 +144,6 @@ class LinearMatrix:
         return out
 
 
-def lin_commutator_defect(p, q):
-    """Largest integer coefficient of [p, q] grouped by degree-2 monomial.
-
-    All products M_u N_v come from one float64 GEMM per side on the stacked
-    term matrices.  A monomial collects at most two commutators, so every
-    coefficient is a sum of at most 4d products of integers, exact while
-    2 d max|M| max|N| stays below 2^52, which is checked.
-    """
-    if not p.terms or not q.terms:
-        return 0
-    d = p.dim
-    us, vs = list(p.terms), list(q.terms)
-    mp = np.stack([p.terms[u] for u in us]).astype(float)  # (|p|, d, d)
-    nq = np.stack([q.terms[v] for v in vs]).astype(float)
-    if 2 * d * np.abs(mp).max() * np.abs(nq).max() >= 2.0**52:
-        raise OverflowError("commutator coefficients exceed the exact float64 range")
-    # M_u stacked vertically times N_v side by side, and the other way round
-    mn = (mp.reshape(-1, d) @ nq.transpose(1, 0, 2).reshape(d, -1)).reshape(len(us), d, len(vs), d)
-    nm = (nq.reshape(-1, d) @ mp.transpose(1, 0, 2).reshape(d, -1)).reshape(len(vs), d, len(us), d)
-    acc = {}
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            key = tuple(sorted((u, v)))
-            acc[key] = acc.get(key, 0) + (mn[i, :, j, :] - nm[j, :, i, :])
-    return int(max(np.abs(m).max() for m in acc.values()))
-
-
 # ---------------------------------------------------------------------------
 # the induction step and the tower
 # ---------------------------------------------------------------------------
@@ -246,29 +220,84 @@ def all_pairs(n):
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def _relations(k):
+    """The infinitesimal pure-braid relations of level k as (description, P sides, Q side):
+    [A_ij, A_kl] for disjoint pairs, then [A_ij + A_jk, A_ik] for every triple."""
+    out = []
+    for (i, j), (a, b) in itertools.combinations(all_pairs(k), 2):
+        if len({i, j, a, b}) == 4:
+            out.append((f"[A{i}{j}, A{a}{b}]", ((i, j),), (a, b)))
+    for a, b, c in itertools.combinations(range(1, k + 1), 3):
+        for x, y, z in [((a, b), (b, c), (a, c)), ((a, b), (a, c), (b, c)), ((a, c), (b, c), (a, b))]:
+            out.append((f"[A{x[0]}{x[1]} + A{y[0]}{y[1]}, A{z[0]}{z[1]}]", (x, y), z))
+    return out
+
+
+def _join(left, right):
+    """Index pairs (l, r) with left[l] == right[r], over all such pairs."""
+    order = np.argsort(right)
+    lo = np.searchsorted(right[order], left, "left")
+    count = np.searchsorted(right[order], left, "right") - lo
+    li = np.repeat(np.arange(len(left)), count)
+    # position within each left entry's run of matches
+    within = np.arange(len(li)) - np.repeat(np.cumsum(count) - count, count)
+    return li, order[np.repeat(lo, count) + within]
+
+
 def pure_braid_defects(fam):
     """All violations of the infinitesimal pure-braid relations in a symbolic family.
 
     Checks [A_ij, A_kl] for disjoint pairs and [A_ij + A_jk, A_ik] for all
-    triples; returns (description, defect) pairs with a nonzero exact defect.
+    triples; returns (description, defect) pairs with a nonzero exact defect,
+    the largest integer coefficient of the commutator grouped by degree-2
+    monomial a_v a_w.  The whole family is one sparse int64 pass: each
+    matrix's nonzero entries (symbol, row, column, value) are taken once,
+    every relation's P and Q sides are stacked with a relation id, the
+    products P[i, j] Q[j, k] and -Q[i, j] P[j, k] come from a join on
+    (relation, j), and the products are summed per (relation, monomial, i, k).
     """
-    k = fam.level
-    out = []
-    for (i, j), (a, b) in itertools.combinations(all_pairs(k), 2):
-        if len({i, j, a, b}) == 4:
-            d = lin_commutator_defect(fam[(i, j)], fam[(a, b)])
-            if d:
-                out.append((f"[A{i}{j}, A{a}{b}]", d))
-    for a, b, c in itertools.combinations(range(1, k + 1), 3):
-        for (i, j), (j2, k2), (i2, k3) in [
-            ((a, b), (b, c), (a, c)),
-            ((a, b), (a, c), (b, c)),
-            ((a, c), (b, c), (a, b)),
-        ]:
-            d = lin_commutator_defect(fam[pair(*(i, j))] + fam[pair(*(j2, k2))], fam[pair(*(i2, k3))])
-            if d:
-                out.append((f"[A{i}{j} + A{j2}{k2}, A{i2}{k3}]", d))
-    return out
+    rels = _relations(fam.level)
+    d = fam.dim
+    syms = sorted({v for m in fam.mats.values() for v in m.terms})
+    n_sym = len(syms)
+    index = {v: s for s, v in enumerate(syms)}
+    entries = {}  # pair -> (symbol, row, column, value) arrays of its nonzero entries
+    for u, m in fam.mats.items():
+        if not m.terms:
+            continue
+        stack = np.stack(list(m.terms.values()))
+        t, i, j = np.nonzero(stack)
+        entries[u] = (np.array([index[v] for v in m.terms])[t], i, j, stack[t, i, j])
+    big = max((int(np.abs(e[3]).max()) for e in entries.values()), default=0)
+    # a coefficient sums 8 d products of two entries at most: 2 d per join
+    # and monomial order, doubled where P stacks two matrices
+    if 8 * d * big * big >= 2**63:
+        raise OverflowError("commutator coefficients exceed the int64 range")
+
+    def side(members):
+        """(relation, symbol, row, column, value) of the stacked sides."""
+        parts = [(np.full(len(entries[u][0]), r),) + entries[u] for r, u in members if u in entries]
+        if not parts:
+            return [np.zeros(0, dtype=np.int64)] * 5
+        return [np.concatenate(x).astype(np.int64) for x in zip(*parts)]
+
+    ps = side((r, u) for r, (_, us, _) in enumerate(rels) for u in us)
+    qs = side((r, v) for r, (_, _, v) in enumerate(rels))
+    keys, vals = [], []
+    for (rel, s1, i, j, x), (rel2, s2, j2, k, y), sign in [(ps, qs, 1), (qs, ps, -1)]:
+        li, ri = _join(rel * d + j, rel2 * d + j2)
+        lo, hi = np.minimum(s1[li], s2[ri]), np.maximum(s1[li], s2[ri])
+        keys.append(((rel[li] * n_sym * n_sym + lo * n_sym + hi) * d + i[li]) * d + k[ri])
+        vals.append(sign * x[li] * y[ri])
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    if not len(keys):
+        return []
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    defect = np.zeros(len(rels), dtype=np.int64)
+    np.maximum.at(defect, keys[starts] // (n_sym * n_sym * d * d), np.abs(np.add.reduceat(vals, starts)))
+    return [(desc, int(v)) for (desc, _, _), v in zip(rels, defect) if v]
 
 
 # ---------------------------------------------------------------------------

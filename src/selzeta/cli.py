@@ -419,8 +419,11 @@ def validate_payload(payload):
 def _cmd_mzv_eval(args):
     from .mzv import MZVIndex, mzv_eval
 
-    parts = tuple(int(p) for p in args.index.replace(" ", "").split(","))
-    value = mzv_eval(MZVIndex(parts), args.abs_err)
+    try:
+        parts = tuple(int(p) for p in args.index.replace(" ", "").split(","))
+        value = mzv_eval(MZVIndex(parts), args.abs_err)
+    except ValueError as exc:
+        return _input_error(exc)
     print(f"zeta{parts} = {value:.15f}")
     return 0
 
@@ -428,8 +431,11 @@ def _cmd_mzv_eval(args):
 def _cmd_graph_wedge(args):
     from .graphs import IndexTuple, format_graph, wedge_chain
 
-    entries = tuple(int(i) for i in args.indices.replace(" ", "").split(","))
-    gs = wedge_chain(IndexTuple(args.r, args.n, entries))
+    try:
+        entries = tuple(int(i) for i in args.indices.replace(" ", "").split(","))
+        gs = wedge_chain(IndexTuple(args.r, args.n, entries))
+    except ValueError as exc:
+        return _input_error(exc)
     for g, c in sorted(gs.terms.items(), key=lambda t: repr(t[0])):
         print(f"{c:+d}  {format_graph(g)}")
     return 0
@@ -438,7 +444,10 @@ def _cmd_graph_wedge(args):
 def _cmd_tower_build(args):
     from .braid import build_tower, pure_braid_defects, tower_dim
 
-    tower = build_tower(args.n, args.r)
+    try:
+        tower = build_tower(args.n, args.r)
+    except ValueError as exc:
+        return _input_error(exc)
     status = 0
     for k in sorted(tower, reverse=True):
         fam = tower[k]

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import is_tree, log_form_det, wedge_chain
+from .graphs import OrderedRootedGraph, is_tree, log_form_det, wedge_chain
 from .braid import pair
 
 # sinh-variable cutoff: at 6.05 the transformed coordinate reaches the double
@@ -113,7 +114,7 @@ class ExponentAssignment:
         return ExponentAssignment(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureResult:
     value: float
     err_estimate: float
@@ -206,6 +207,12 @@ def _group_product(factors, t, om, w=None):
     return w
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """The vertex pairs (i, j), i < j, of [n]."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
 class _SimplexIntegrand:
     """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian * weights on the cube.
 
@@ -249,7 +256,7 @@ class _SimplexIntegrand:
         def rank(v):
             return 0 if v == 1 else g.n + 2 - v
 
-        pairs = [(i, j) for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)]
+        pairs = _pairs(g.n)
         missing = [f"({i},{j})" for i, j in pairs if alpha.get((i, j)) is None]
         if missing:
             raise ValueError(f"missing exponent for pairs {' '.join(missing)}")
@@ -431,7 +438,8 @@ def _integrate_cube(f, dim, tol):
     the previous one meets tol relative to max(1, |value|); otherwise the last
     level is returned with converged=False.
     """
-    prev = None
+    # a one-level table has no difference to estimate the error from
+    prev, err = None, math.inf
     for _, total, nodes, nonfinite in _de_levels(f, dim):
         if prev is not None:
             err = abs(total - prev)
@@ -445,13 +453,26 @@ def _integrate_cube(f, dim, tol):
 # public entry points
 # ---------------------------------------------------------------------------
 
+# integrate_graph's results, one per distinct integral; the oldest entry
+# leaves when the dict is full
+_MEMO = {}
+_MEMO_SIZE = 2048
+# how many integrate_graph calls _MEMO answered, read by the tests
+memo_hits = 0
+
+
 def integrate_graph(g, alpha, tol=None, root_values=None):
     """Selberg integral of one ordered rooted graph at fixed root values.
 
     Includes the product of the edge exponents as a prefactor.  Non-forest
     graphs integrate to exactly zero (their log form vanishes).  Dimension
-    n - r is capped at 3.
+    n - r is capped at 3.  Each distinct integral is computed once per
+    process.  The graph with its edges sorted is integrated, and its result
+    is kept under (n, roots, sorted edges, the exponents of the pairs of
+    [n], tol, root values); any other edge order gets that result times the
+    sign of its permutation, so a value never depends on the order of calls.
     """
+    global memo_hits
     if not isinstance(alpha, ExponentAssignment):
         alpha = ExponentAssignment(alpha)
     l = g.n - len(g.roots)
@@ -459,13 +480,23 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
         raise QuadratureError("more than three free vertices is unsupported")
     if not is_tree(g):
         return QuadratureResult(0.0, 0.0, 0)
-    f = _SimplexIntegrand(g, alpha, root_values)
-    if l == 0:
-        # no free vertex: the integrand is its constant, the root gap powers
-        return QuadratureResult(f.scale, 0.0, 1)
     if tol is None:
         tol = DEFAULT_TOL[l]
-    return _integrate_cube(f, l, tol)
+    edges = tuple(sorted(g.edges))
+    rv = None if root_values is None else frozenset(root_values.items())
+    key = (g.n, g.roots, edges, tuple(map(alpha.alphas.get, _pairs(g.n))), tol, rv)
+    res = _MEMO.get(key)
+    if res is None:
+        f = _SimplexIntegrand(g if edges == g.edges else OrderedRootedGraph(g.n, g.roots, edges), alpha, root_values)
+        # no free vertex: the integrand is its constant, the root gap powers
+        res = QuadratureResult(f.scale, 0.0, 1) if l == 0 else _integrate_cube(f, l, tol)
+        if len(_MEMO) >= _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[key] = res
+    else:
+        memo_hits += 1
+    inversions = sum(a > b for a, b in itertools.combinations(g.edges, 2))
+    return res.scaled(-1.0) if inversions % 2 else res
 
 
 def integrate_sum(gs, alpha, tol=None, root_values=None):

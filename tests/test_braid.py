@@ -14,7 +14,6 @@ from selzeta.braid import (
     build_tower,
     eta_gamma_check,
     graph_matrix,
-    lin_commutator_defect,
     matrix_generators,
     pair,
     path_product_factors,
@@ -113,34 +112,57 @@ def reference_commutator_defect(p, q):
     return max((int(np.abs(m).max()) for m in acc.values()), default=0)
 
 
+def reference_relation_defects(fam):
+    """(description, defect) of every violated relation, one relation and one term pair at a time."""
+    k = fam.level
+    out = []
+    for (i, j), (a, b) in itertools.combinations(all_pairs(k), 2):
+        if len({i, j, a, b}) == 4:
+            d = reference_commutator_defect(fam[(i, j)], fam[(a, b)])
+            if d:
+                out.append((f"[A{i}{j}, A{a}{b}]", d))
+    for a, b, c in itertools.combinations(range(1, k + 1), 3):
+        for x, y, z in [((a, b), (b, c), (a, c)), ((a, b), (a, c), (b, c)), ((a, c), (b, c), (a, b))]:
+            d = reference_commutator_defect(fam[x] + fam[y], fam[z])
+            if d:
+                out.append((f"[A{x[0]}{x[1]} + A{y[0]}{y[1]}, A{z[0]}{z[1]}]", d))
+    return out
+
+
 def test_stacked_commutator_defect_matches_pairwise_reference():
     rng = random.Random(31)
-    tower = build_tower(5, 3)
-    for fam in tower.values():
-        mats = list(fam.mats.values())
-        for p, q in itertools.product(mats, repeat=2):
-            assert lin_commutator_defect(p, q) == reference_commutator_defect(p, q)
-    # perturbed families, whose commutators do not vanish
-    fam = tower[3]
+    fams = [fam for n in range(3, 7) for fam in build_tower(n, 2).values()]
+    fams += list(build_tower(5, 3).values())
+    for fam in fams:
+        assert pure_braid_defects(fam) == reference_relation_defects(fam) == []
+    # seeded single-entry perturbations, whose commutators do not vanish; the
+    # entry may land on a symbol the matrix did not carry
     seen = []
-    for _ in range(5):
-        terms = {u: m.copy() for u, m in fam.mats[(1, 2)].terms.items()}
-        u = rng.choice(list(terms))
-        terms[u][rng.randrange(fam.dim), rng.randrange(fam.dim)] += rng.choice([-3, -1, 2, 5])
-        bad = LinearMatrix(fam.dim, terms)
-        for q in fam.mats.values():
-            assert lin_commutator_defect(bad, q) == reference_commutator_defect(bad, q)
-            assert lin_commutator_defect(q, bad) == reference_commutator_defect(q, bad)
-            seen.append(lin_commutator_defect(bad, q))
+    for _ in range(12):
+        fam = rng.choice([f for f in fams if f.level >= 3 and f.dim <= 20])
+        mats = dict(fam.mats)
+        u = rng.choice(list(mats))
+        terms = {v: m.copy() for v, m in mats[u].terms.items()}
+        v = rng.choice(all_pairs(fam.level + 1))
+        m = terms.setdefault(v, np.zeros((fam.dim, fam.dim), dtype=np.int64))
+        m[rng.randrange(fam.dim), rng.randrange(fam.dim)] += rng.choice([-3, -1, 2, 5])
+        mats[u] = LinearMatrix(fam.dim, terms)
+        bad = BraidFamily(fam.level, mats)
+        got = pure_braid_defects(bad)
+        assert got == reference_relation_defects(bad)
+        seen.append(len(got))
     assert max(seen) > 0
 
 
 def test_commutator_defect_refuses_inexact_range():
-    big = LinearMatrix(2, {(1, 2): [[2**26, 0], [0, 1]]})
-    other = LinearMatrix(2, {(1, 3): [[0, 2**25], [1, 0]]})
+    # 8 d max|entry|^2 reaches 2^63 at d = 1, entry 2^30
+    fam = build_tower(3, 3)[3]
+    mats = dict(fam.mats)
+    mats[(1, 2)] = LinearMatrix(1, {(1, 2): [[2**30]]})
     with pytest.raises(OverflowError):
-        lin_commutator_defect(big, other)
-    assert lin_commutator_defect(big, LinearMatrix(2, {})) == 0
+        pure_braid_defects(BraidFamily(3, mats))
+    mats[(1, 2)] = LinearMatrix(1, {(1, 2): [[2**29]]})
+    assert pure_braid_defects(BraidFamily(3, mats)) == []
 
 
 def test_reduced_subspace_invariance_structural():

@@ -218,6 +218,20 @@ def test_cli_selberg_integrate_rejects_missing_file(tmp_path, capsys):
     assert "No such file" in _one_error_line(["selberg", "integrate", str(tmp_path / "absent.txt")], capsys)
 
 
+def test_cli_mzv_eval_rejects_bad_index(capsys):
+    assert "not admissible" in _one_error_line(["mzv", "eval", "1"], capsys)
+    assert "invalid literal" in _one_error_line(["mzv", "eval", "1,x"], capsys)
+
+
+def test_cli_graph_wedge_rejects_entry_out_of_range(capsys):
+    argv = ["graph", "wedge", "--n", "4", "--r", "2", "--indices", "5,5"]
+    assert "entry i_3=5 outside [1,2]" in _one_error_line(argv, capsys)
+
+
+def test_cli_tower_build_rejects_level_above_cap(capsys):
+    assert "capped at n = 6" in _one_error_line(["tower", "build", "--n", "9", "--r", "2"], capsys)
+
+
 def test_cli_verify_rejects_unknown_check_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-check"])

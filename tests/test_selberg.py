@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -540,3 +541,60 @@ def test_nonfinite_chunks_fall_back_to_the_elementwise_guard(scale, chunk, monke
         assert bad == got_bad == want_bad
         assert np.isfinite(got) and got != 0.0
         assert abs(got - vals.sum()) <= 1e-14 * abs(vals).sum()
+
+
+def test_permuted_edge_order_is_sign_times_the_sorted_value():
+    alpha = spread_exponents(4, 0.9)
+    chain = integrate_graph(G(4, {1, 2}, (1, 3), (3, 4)), alpha)
+    swapped = integrate_graph(G(4, {1, 2}, (3, 4), (1, 3)), alpha)
+    assert swapped.value == -chain.value and swapped.err_estimate == chain.err_estimate
+    # the sign is the log form's, not only the memo's: integrated directly
+    direct = selberg._integrate_cube(_SimplexIntegrand(G(4, {1, 2}, (3, 4), (1, 3)), alpha, None), 2, DEFAULT_TOL[2])
+    assert abs(direct.value + chain.value) <= 1e-14 * abs(chain.value)
+    # three edges: a cyclic shift is even, one swap odd
+    alpha = spread_exponents(5, 0.7)
+    edges = [(1, 3), (3, 4), (2, 5)]
+    base = integrate_graph(G(5, {1, 2}, *edges), alpha)
+    assert integrate_graph(G(5, {1, 2}, *edges[1:], edges[0]), alpha).value == base.value
+    assert integrate_graph(G(5, {1, 2}, edges[1], edges[0], edges[2]), alpha).value == -base.value
+
+
+def test_repeated_integral_is_a_memo_hit():
+    g, alpha = G(3, {1, 2}, (1, 3)), alpha3(0.37, 0.61, 0.29)
+    hits = selberg.memo_hits
+    first = integrate_graph(g, alpha)
+    assert selberg.memo_hits == hits
+    assert integrate_graph(g, ExponentAssignment(dict(reversed(alpha.alphas.items())))) is first
+    assert selberg.memo_hits == hits + 1
+    # another tolerance or root values is another integral
+    integrate_graph(g, alpha, tol=1e-9)
+    assert selberg.memo_hits == hits + 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.value = 0.0
+
+
+def test_non_forest_integrates_to_zero_without_the_memo():
+    # vertex 3 joins both roots, vertex 4 reaches none
+    g = G(4, {1, 2}, (1, 3), (2, 3))
+    size, hits = len(selberg._MEMO), selberg.memo_hits
+    for _ in range(2):
+        got = integrate_graph(g, spread_exponents(4))
+        assert (got.value, got.err_estimate, got.evaluations) == (0.0, 0.0, 0)
+    assert (len(selberg._MEMO), selberg.memo_hits) == (size, hits)
+
+
+def test_memo_drops_its_oldest_entry_when_full(monkeypatch):
+    monkeypatch.setattr(selberg, "_MEMO", {})
+    monkeypatch.setattr(selberg, "_MEMO_SIZE", 2)
+    for a in (0.2, 0.3, 0.4):
+        integrate_graph(G(2, {1, 2}), ExponentAssignment({(1, 2): a}))
+    assert [key[3] for key in selberg._MEMO] == [(0.3,), (0.4,)]
+
+
+def test_one_level_table_reports_no_convergence(monkeypatch):
+    # with one level there is no difference to estimate the error from
+    monkeypatch.setattr(selberg, "_MEMO", {})
+    monkeypatch.setitem(selberg._LEVELS, 1, range(3, 4))
+    got = integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5))
+    assert got.converged is False and got.err_estimate == math.inf
+    assert got.evaluations == len(de_axis(3)[0])
