@@ -13,8 +13,7 @@ import random
 import numpy as np
 
 from selzeta.braid import build_tower, sample_alpha
-from selzeta.graphs import IndexTuple
-from selzeta.selberg import ExponentAssignment, selberg_component
+from selzeta.selberg import ExponentAssignment, boundary_face
 from selzeta.transport import ConnectionPair, projection_identity_check, regularized_connection_matrix
 
 
@@ -38,26 +37,18 @@ def main():
     print("rho_y =\n", np.array_str(rho_y, precision=3))
 
     alpha_full = ExponentAssignment(falpha)
-    m1 = {1: 1, 3: 2, 4: 3}
-    alpha1 = alpha_full.relabel(m1)
-    v1 = []
-    for i4 in (1, 2, 3):
-        if i4 == 2:
-            v1.append(0.0)
-        else:
-            v1.append(selberg_component(IndexTuple(2, 3, (m1[i4],)), alpha1).value)
+    v1, _ = boundary_face(4, alpha_full, [(1,), (2,), (3,)], 0, None)
     print("\nlimit vector at 0 (vertex 2 deleted, zeros on indices touching it):")
-    print(" ", np.array_str(np.array(v1), precision=8))
+    print(" ", np.array_str(v1, precision=8))
 
-    alpha2 = alpha_full.merge_into(2, 3).relabel({1: 1, 2: 2, 4: 3})
-    v2_head = selberg_component(IndexTuple(2, 3, (1,)), alpha2).value
+    (v2_head,), _ = boundary_face(4, alpha_full, [(1,)], 1, None)
     print("limit vector at 1, projected component (vertex 3 merged into 2):")
     print(f"  {v2_head:.8f}")
 
     mono = regularized_connection_matrix(ConnectionPair(rho_x, rho_y))
     print("\nregularized transport matrix:")
     print(np.array_str(mono.value, precision=6))
-    rhs = mono.value @ np.array(v1)
+    rhs = mono.value @ v1
     print(f"\nidentity: {v2_head:.8f}  vs  {rhs[0]:.8f}   (gap {abs(v2_head - rhs[0]):.2e})")
 
     rep = projection_identity_check(4, alpha)

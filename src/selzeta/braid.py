@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graphs import all_pairs, pair
+
 
 def _rational(v):
     """v as a Fraction, without a new object when it already is one."""
@@ -44,12 +46,6 @@ def _scaled_int(v, scale):
 def _divide(num, den):
     """The integer object array num / den as an array of Fractions."""
     return np.array([Fraction(v, den) for v in num.flat], dtype=object).reshape(num.shape)
-
-
-def pair(i, j):
-    if i == j:
-        raise ValueError("pair needs distinct vertices")
-    return (i, j) if i < j else (j, i)
 
 
 def ascending_factorial(a, b):
@@ -204,7 +200,7 @@ def build_tower(n, r):
         raise ValueError("symbolic tower capped at n = 6")
     if not (2 <= r <= n):
         raise ValueError("need 2 <= r <= n")
-    mats = {pair(i, j): LinearMatrix(1, {(i, j): [[1]]}) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    mats = {u: LinearMatrix(1, {u: [[1]]}) for u in all_pairs(n)}
     fam = BraidFamily(n, mats)
     tower = {n: fam}
     for k in range(n, r, -1):
@@ -214,10 +210,6 @@ def build_tower(n, r):
         if f.dim != tower_dim(k, n):
             raise ValueError("tower dimension mismatch")
     return tower
-
-
-def all_pairs(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def _relations(k):

@@ -217,14 +217,12 @@ def check_sum_relation(config):
 
     rng = _rng_for(config, "sum-relation")
     alpha = ExponentAssignment({u: float(v) for u, v in sample_alpha(4, rng).items()})
-    worst = 0.0
-    d, _ = sum_relation_defect(4, 3, 4, {}, alpha, tol=1e-10, root_values={1: 0.0, 2: 1.0, 3: 0.45})
-    worst = max(worst, d)
+    sums = [sum_relation_defect(4, 3, 4, {}, alpha, tol=1e-10, root_values={1: 0.0, 2: 1.0, 3: 0.45})]
     for p, partials in [(3, [{4: 1}, {4: 2}, {4: 3}]), (4, [{3: 1}, {3: 2}])]:
         for partial in partials:
-            d, _ = sum_relation_defect(4, 2, p, partial, alpha, tol=1e-9)
-            worst = max(worst, d)
-    return worst, {"alpha": _alpha_inputs(alpha.alphas)}
+            sums.append(sum_relation_defect(4, 2, p, partial, alpha, tol=1e-9))
+    worst = max(abs(s.value) for s in sums)
+    return worst, {"alpha": _alpha_inputs(alpha.alphas), "unconverged": sum(s.unconverged for s in sums)}
 
 
 # normalizers of the associator sub-defects.  The matched series agrees with
@@ -509,6 +507,10 @@ def _cmd_selberg_integrate(args):
 
 def _cmd_assoc_expand(args):
     # neither construction needs numpy
+    from .ncalg import MAX_WEIGHT
+
+    if not 0 <= args.degree <= MAX_WEIGHT:
+        return _input_error(f"--degree {args.degree} outside 0..{MAX_WEIGHT}")
     if args.method == "symbolic":
         from .mzv import associator_symbolic
 

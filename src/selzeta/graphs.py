@@ -15,6 +15,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
+def pair(i, j):
+    if i == j:
+        raise ValueError("pair needs distinct vertices")
+    return (i, j) if i < j else (j, i)
+
+
+@functools.lru_cache(maxsize=None)
+def all_pairs(n):
+    """The vertex pairs (i, j), i < j, of [n], in lexicographic order."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
 @dataclass(frozen=True)
 class OrderedRootedGraph:
     n: int
@@ -204,7 +216,7 @@ def principal_product(I):
     sums S_i = sum of (p, q) whose path min-edge in the principal graph is the
     i-th edge."""
     pair_sums = {i: [] for i in range(I.r + 1, I.n + 1)}
-    for p, q in itertools.combinations(range(1, I.n + 1), 2):
+    for p, q in all_pairs(I.n):
         me = principal_min_edge(I, p, q)
         if me is not None:
             pair_sums[me[0]].append((p, q))
@@ -464,7 +476,7 @@ def residue_identity(g, k, expansion):
     sign, merged, cols = _residue_surgery(g, k)
     if (expansion.n, expansion.roots) != (g.n - 1, g.roots) or any(len(h.edges) != len(cols) for h in expansion.terms):
         raise ValueError("expansion terms must be top-degree graphs on [n-1] with the roots of g")
-    pairs = list(itertools.combinations(range(1, g.n), 2))
+    pairs = all_pairs(g.n - 1)
     numerators = []
     for c, edges in [(sign, merged)] + [(-c, h.edges) for h, c in expansion.terms.items()]:
         c *= _incidence_sign(edges, cols)

@@ -17,9 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ncalg import all_words, shuffle_words
+from .ncalg import MAX_WEIGHT, all_words, shuffle_words
 
-MAX_WEIGHT = 8
 MIN_ABS_ERR = 1e-13
 
 
@@ -92,14 +91,9 @@ def _half_polylog(word, terms):
         return 1.0
     if word[-1] == "X":
         raise ValueError("integral from 0 diverges for words ending in X")
-    c = [0.0] * (terms + 1)
-    first = True
-    for ch in reversed(word):
-        if first:
-            # innermost letter is Y: primitive of 1/(1-t) has c_n = 1/n
-            c = [0.0] + [1.0 / n for n in range(1, terms + 1)]
-            first = False
-            continue
+    # innermost letter is Y: primitive of 1/(1-t) has c_n = 1/n
+    c = [0.0] + [1.0 / n for n in range(1, terms + 1)]
+    for ch in reversed(word[:-1]):
         if ch == "X":
             c = [0.0] + [c[n] / n for n in range(1, terms + 1)]
         else:
@@ -304,17 +298,9 @@ def shuffle_regularize(word):
         return MZVCombo.one()
     if is_admissible_word(word):
         return MZVCombo.single(word_to_index(word))
-    if word[-1] == "X":
-        v = word[:-1]
-        expansion = _shuffle_with_letter(v, "X")
-        mult_w = expansion.pop(word)
-        out = MZVCombo.zero()
-        for w2, m in expansion.items():
-            out = out + shuffle_regularize(w2).scale(m)
-        return out.scale(Fraction(-1, mult_w))
-    # word ends in Y (or is all Y) and starts with Y
-    v = word[1:]
-    expansion = _shuffle_with_letter(v, "Y")
+    # peel a trailing X; a word that ends in Y and is not admissible starts with Y
+    v, letter = (word[:-1], "X") if word[-1] == "X" else (word[1:], "Y")
+    expansion = _shuffle_with_letter(v, letter)
     mult_w = expansion.pop(word)
     out = MZVCombo.zero()
     for w2, m in expansion.items():

@@ -21,6 +21,10 @@ X = "X"
 Y = "Y"
 LETTERS = (X, Y)
 
+# the largest weight mzv.mzv_eval evaluates a zeta value at, so the largest
+# degree the canonical element is expanded to, numerically or symbolically
+MAX_WEIGHT = 8
+
 
 def all_words(max_degree, min_degree=0):
     """All words of degree min_degree..max_degree in length-then-lex order (X < Y)."""

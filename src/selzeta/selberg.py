@@ -8,9 +8,9 @@ the x^(a-1)-type endpoint singularities harmless.  Every dimension, 1 to 3,
 uses the same product rule with nested level doubling: each level adds only
 the nodes the previous one lacks, as blocks of an open tensor grid (one
 array per axis, broadcast against the others, never a list of nodes).  A
-result that ran out of levels before meeting its tolerance says so
-(converged=False), and nodes whose integrand value is not finite are zeroed
-and counted (nonfinite).
+result counts the integrals that ran out of levels before meeting their
+tolerance (unconverged), and the nodes whose integrand value is not finite,
+which are zeroed (nonfinite); a sum of results adds both counts.
 
 Every coordinate gap is a constant times a product of axis variables times
 one factor 1 - c t_a ... t_b.  The log form of a rooted forest is a sign
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import OrderedRootedGraph, is_tree, log_form_det, wedge_chain
-from .braid import pair
+from .graphs import IndexTuple, OrderedRootedGraph, all_pairs, is_tree, log_form_det, pair, wedge_chain
 
 # sinh-variable cutoff: at 6.05 the transformed coordinate reaches the double
 # underflow edge; exponents down to ~0.03 keep their truncated tail below 1e-10
@@ -80,7 +79,7 @@ class ExponentAssignment:
 
     @staticmethod
     def uniform(n, value):
-        return ExponentAssignment({(i, j): value for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+        return ExponentAssignment(dict.fromkeys(all_pairs(n), value))
 
     def __getitem__(self, ij):
         return self.alphas[pair(*ij)]
@@ -114,28 +113,59 @@ class ExponentAssignment:
         return ExponentAssignment(out)
 
 
+def boundary_face(n, alpha, entry_lists, face, tol):
+    """Limits of the Selberg components of roots {1, 2, 3} at a boundary face.
+
+    Face 0 is x_2 -> x_1, where vertex 2 is deleted; face 1 is x_3 -> x_2,
+    where vertex 3 is merged into 2 and alpha_{3j} adds onto alpha_{2j}.  The
+    other vertices keep their order, renumbered 1 .. n - 1, and each entry
+    list (i_4, ..., i_n) maps to the wedge chain of roots {1, 2} on them; a
+    list that attaches to the vacated vertex has component 0.  Returns the
+    component values, as an array, and the QuadratureResult sum of their
+    integrals.
+    """
+    if face not in (0, 1):
+        raise ValueError("face must be 0 (x_2 -> x_1) or 1 (x_3 -> x_2)")
+    gone = 2 + face
+    vertex_map = {v: v - (v > gone) for v in range(1, n + 1) if v != gone}
+    alpha = (alpha.merge_into(2, 3) if face else alpha).relabel(vertex_map)
+    values, total = [], QuadratureResult(0.0, 0.0, 0)
+    for entries in entry_lists:
+        if gone in entries:
+            values.append(0.0)
+            continue
+        res = selberg_component(IndexTuple(2, n - 1, tuple(vertex_map[i] for i in entries)), alpha, tol=tol)
+        values.append(res.value)
+        total = total + res
+    return np.array(values), total
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     err_estimate: float
     evaluations: int
-    # False when the rule ran out of levels before its error estimate met
-    # the requested tolerance
-    converged: bool = True
+    # integrals that ran out of levels before their error estimate met the
+    # requested tolerance: 0 or 1 for one graph, summed over a sum
+    unconverged: int = 0
     # integrand nodes whose value was not finite and was zeroed
     nonfinite: int = 0
+
+    @property
+    def converged(self):
+        return self.unconverged == 0
 
     def __add__(self, other):
         return QuadratureResult(
             self.value + other.value,
             self.err_estimate + other.err_estimate,
             self.evaluations + other.evaluations,
-            self.converged and other.converged,
+            self.unconverged + other.unconverged,
             self.nonfinite + other.nonfinite,
         )
 
     def scaled(self, c):
-        return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.evaluations, self.converged, self.nonfinite)
+        return QuadratureResult(c * self.value, abs(c) * self.err_estimate, self.evaluations, self.unconverged, self.nonfinite)
 
 
 # requested accuracy per free dimension; at dimension 3 the level-2 estimate
@@ -207,12 +237,6 @@ def _group_product(factors, t, om, w=None):
     return w
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(n):
-    """The vertex pairs (i, j), i < j, of [n]."""
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
 class _SimplexIntegrand:
     """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian * weights on the cube.
 
@@ -256,7 +280,7 @@ class _SimplexIntegrand:
         def rank(v):
             return 0 if v == 1 else g.n + 2 - v
 
-        pairs = _pairs(g.n)
+        pairs = all_pairs(g.n)
         missing = [f"({i},{j})" for i, j in pairs if alpha.get((i, j)) is None]
         if missing:
             raise ValueError(f"missing exponent for pairs {' '.join(missing)}")
@@ -394,7 +418,7 @@ _CHUNK = 2**15
 # levels of the product rule per free dimension, coarsest first; the first
 # level that meets the tolerance, or else the last, is returned with its
 # difference to the one before as the error estimate.  Dimension 3 stops at
-# 97^3 nodes: level 4 would evaluate 7.2 M.
+# 97^3 nodes: a level-4 graph evaluates 7.2 M nodes in about 0.1 s.
 _LEVELS = {1: range(3, 9), 2: range(3, 7), 3: range(1, 4)}
 
 
@@ -436,7 +460,7 @@ def _integrate_cube(f, dim, tol):
     The rule runs on open tensor grids (one axis array per dimension, never a
     materialised node list) and stops at the first level whose difference to
     the previous one meets tol relative to max(1, |value|); otherwise the last
-    level is returned with converged=False.
+    level is returned counted as unconverged.
     """
     # a one-level table has no difference to estimate the error from
     prev, err = None, math.inf
@@ -444,9 +468,9 @@ def _integrate_cube(f, dim, tol):
         if prev is not None:
             err = abs(total - prev)
             if err <= tol * max(1.0, abs(total)):
-                return QuadratureResult(total, err, nodes, True, nonfinite)
+                return QuadratureResult(total, err, nodes, 0, nonfinite)
         prev = total
-    return QuadratureResult(total, err, nodes, False, nonfinite)
+    return QuadratureResult(total, err, nodes, 1, nonfinite)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +508,7 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
         tol = DEFAULT_TOL[l]
     edges = tuple(sorted(g.edges))
     rv = None if root_values is None else frozenset(root_values.items())
-    key = (g.n, g.roots, edges, tuple(map(alpha.alphas.get, _pairs(g.n))), tol, rv)
+    key = (g.n, g.roots, edges, tuple(map(alpha.alphas.get, all_pairs(g.n))), tol, rv)
     res = _MEMO.get(key)
     if res is None:
         f = _SimplexIntegrand(g if edges == g.edges else OrderedRootedGraph(g.n, g.roots, edges), alpha, root_values)
@@ -551,7 +575,7 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=
     for k in range(_M_POINTS // 2 + 1):
         t = _T0 + _RHO * np.exp(2j * math.pi * k / _M_POINTS)
         res = integrate_sum(gs, direction.scale(t), tol=tol)
-        if not res.converged or res.nonfinite:
+        if res.unconverged or res.nonfinite:
             raise QuadratureError(
                 f"circle sample at t = {t:.4f}: error estimate {res.err_estimate:.2e}, "
                 f"converged={res.converged}, {res.nonfinite} nonfinite nodes"
@@ -580,13 +604,12 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=
 
 
 def sum_relation_defect(n, r, p, partial_entries, alpha, tol=None, root_values=None):
-    """|sum over the p-th slot of the wedge-chain integrals|, which must vanish.
+    """The sum over the p-th slot of the wedge-chain integrals, which must vanish.
 
     partial_entries fixes i_q for q != p; the p-th slot runs over 1 .. p-1.
-    Returns (defect, accumulated error estimate).
+    Returns the QuadratureResult sum: the defect is the absolute value of its
+    value, beside its accumulated error estimate and counts.
     """
-    from .graphs import IndexTuple
-
     if not isinstance(alpha, ExponentAssignment):
         alpha = ExponentAssignment(alpha)
     total = QuadratureResult(0.0, 0.0, 0)
@@ -596,7 +619,7 @@ def sum_relation_defect(n, r, p, partial_entries, alpha, tol=None, root_values=N
             entries.append(ip if q == p else partial_entries[q])
         I = IndexTuple(r, n, tuple(entries))
         total = total + selberg_component(I, alpha, tol=tol, root_values=root_values)
-    return abs(total.value), total.err_estimate
+    return total
 
 
 def beta_prototype(a, b):

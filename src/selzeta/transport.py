@@ -25,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import build_tower, pair
-from .graphs import IndexTuple, index_tuples, wedge_chain
+from .braid import build_tower
+from .graphs import IndexTuple, index_tuples, pair, wedge_chain
 from .mzv import associator_symbolic
 from .ncalg import NCSeries, all_words, nc_letter, series_exp, series_inv, series_mul, series_scale
 # the series and symbolic constructions live beside their algebras, so that
 # `selzeta assoc expand` needs no numpy; they stay importable from here
 from .ncalg import associator_series  # noqa: F401
-from .selberg import ExponentAssignment, integrate_sum, selberg_component
+from .selberg import ExponentAssignment, QuadratureResult, boundary_face, integrate_sum
 
 
 class ResonanceError(RuntimeError):
@@ -456,7 +456,8 @@ class ProjectionReport:
     # rounding through the eigenbases, propagated through the matching
     limits_defect: float
     quadrature_err: float
-    # component integrals that ran out of levels before meeting tol
+    # graph integrals of the limit vectors that ran out of levels before
+    # meeting tol
     unconverged: int
 
 
@@ -469,11 +470,12 @@ def projection_identity_check(n, alpha, tol=None):
     """Transported boundary values of the Selberg vector versus its matrix image.
 
     Builds the level-3 residue pair (rho_x, rho_y), the predicted regularized
-    limit vectors at both ends (Selberg integrals with a vertex deleted, with
-    merged exponents on the 1 side), the regularized transport matched at 1/2,
-    and returns the projected identity defect.  defect_symbolic repeats the check
-    with the transport replaced by the zeta-combination element evaluated
-    numerically and mapped through the residue pair.
+    limit vectors at both ends (selberg.boundary_face: Selberg integrals with
+    vertex 2 deleted at 0, with vertex 3 merged into 2 at 1), the regularized
+    transport matched at 1/2, and returns the projected identity defect.
+    defect_symbolic repeats the check with the transport replaced by the
+    zeta-combination element evaluated numerically and mapped through the
+    residue pair.
     """
     tower = build_tower(n, 3)
     falpha = {u: float(v) for u, v in alpha.items()}
@@ -482,30 +484,11 @@ def projection_identity_check(n, alpha, tol=None):
     conn = ConnectionPair(rho_x, rho_y)
     alpha_full = ExponentAssignment(falpha)
 
-    tuples = list(index_tuples(n, 3))
-    v1 = np.zeros(len(tuples))
-    quad_err, unconverged = 0.0, 0
-    m1 = {1: 1, 3: 2, **{j: j - 1 for j in range(4, n + 1)}}
-    alpha1 = alpha_full.relabel(m1)
-    for idx, I in enumerate(tuples):
-        if any(i == 2 for i in I.entries):
-            continue
-        J = IndexTuple(2, n - 1, tuple(m1[i] for i in I.entries))
-        res = selberg_component(J, alpha1, tol=tol)
-        v1[idx] = res.value
-        quad_err += res.err_estimate
-        unconverged += not res.converged
-
-    m2 = {1: 1, 2: 2, **{j: j - 1 for j in range(4, n + 1)}}
-    alpha2 = alpha_full.merge_into(2, 3).relabel(m2)
-    proj_rows = [idx for idx, I in enumerate(tuples) if all(i not in (2, 3) for i in I.entries)]
-    v2p = np.zeros(len(proj_rows))
-    for row, idx in enumerate(proj_rows):
-        J = IndexTuple(2, n - 1, tuple(m2[i] for i in tuples[idx].entries))
-        res = selberg_component(J, alpha2, tol=tol)
-        v2p[row] = res.value
-        quad_err += res.err_estimate
-        unconverged += not res.converged
+    entries = [I.entries for I in index_tuples(n, 3)]
+    v1, quad1 = boundary_face(n, alpha_full, entries, 0, tol)
+    proj_rows = [idx for idx, e in enumerate(entries) if 2 not in e and 3 not in e]
+    v2p, quad2 = boundary_face(n, alpha_full, [entries[idx] for idx in proj_rows], 1, tol)
+    quad = quad1 + quad2
 
     mono = regularized_connection_matrix(conn)
     rhs = mono.value @ v1
@@ -516,7 +499,7 @@ def projection_identity_check(n, alpha, tol=None):
     rhs_sym = rho_phi @ v1
     defect_sym = float(np.abs(v2p - rhs_sym[proj_rows]).max())
     gap = float(np.abs(rho_phi - mono.value).max())
-    return ProjectionReport(defect, defect_sym, gap, mono.err_estimate, quad_err, unconverged)
+    return ProjectionReport(defect, defect_sym, gap, mono.err_estimate, quad.err_estimate, quad.unconverged)
 
 
 # vertex-2 exponents the limit is extrapolated from
@@ -528,10 +511,11 @@ def alpha_limit_check(n, entries, alpha, tol=None):
 
     entries fixes the index tuple (i_3, ..., i_n) for roots {1, 2}.  When
     i_3 = 2 is the only 2 the ladder extrapolates to the integral of the
-    chain with vertex 2 deleted (case 2); when some other i_k = 2 it
-    extrapolates to zero (case 1).  Returns (deviation, target, samples,
-    unconverged), the last the number of integrals, samples and target, that
-    ran out of levels before meeting tol.
+    chain with vertex 2 deleted, selberg.boundary_face's face 0 (case 2);
+    when some other i_k = 2 it extrapolates to zero (case 1).  Returns
+    (deviation, target, samples, unconverged), the last the number of graph
+    integrals, of samples and target, that ran out of levels before meeting
+    tol.
     """
     I = IndexTuple(2, n, tuple(entries))
     gs = wedge_chain(I)
@@ -541,14 +525,14 @@ def alpha_limit_check(n, entries, alpha, tol=None):
         raise ValueError("no entry attaches to vertex 2: the limit is not degenerate")
 
     falpha = {u: v for u, v in falpha.items() if max(u) <= n}
-    samples, unconverged = [], 0
+    samples, quad = [], QuadratureResult(0.0, 0.0, 0)
     for d in _LIMIT_DELTAS:
         al = dict(falpha)
         for j in range(3, n + 1):
             al[pair(2, j)] = d
         res = integrate_sum(gs, ExponentAssignment(al), tol=tol)
         samples.append(res.value)
-        unconverged += not res.converged
+        quad = quad + res
     extrap = 0.0
     for i, (di, vi) in enumerate(zip(_LIMIT_DELTAS, samples)):
         w = 1.0
@@ -557,13 +541,9 @@ def alpha_limit_check(n, entries, alpha, tol=None):
                 w *= dj / (dj - di)
         extrap += w * vi
 
+    target = 0.0
     if case2:
-        m1 = {1: 1, 3: 2, **{j: j - 1 for j in range(4, n + 1)}}
-        target_alpha = ExponentAssignment({pair(m1[a], m1[b]): v for (a, b), v in falpha.items() if 2 not in (a, b)})
-        J = IndexTuple(2, n - 1, tuple(m1[i] for i in entries[1:]))
-        res = selberg_component(J, target_alpha, tol=tol)
-        target = res.value
-        unconverged += not res.converged
-    else:
-        target = 0.0
-    return abs(extrap - target), target, samples, unconverged
+        values, res = boundary_face(n, ExponentAssignment(falpha), [entries[1:]], 0, tol)
+        target = values.item()
+        quad = quad + res
+    return abs(extrap - target), target, samples, quad.unconverged

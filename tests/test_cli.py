@@ -65,6 +65,7 @@ def test_quick_suite_passes_and_is_seed_stable(tmp_path):
     r1 = run_suite(profile="quick", seed=0, check_ids=["beta-identity", "mzv-engine", "sum-relation"])
     r2 = run_suite(profile="quick", seed=0, check_ids=["beta-identity", "mzv-engine", "sum-relation"])
     assert all(r.passed for r in r1)
+    assert r1[2].inputs["unconverged"] == 0
     p1 = payload_for(r1, 0, "quick")
     p2 = payload_for(r2, 0, "quick")
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
@@ -75,7 +76,7 @@ def test_projection_reports_unconverged_limit_integrals():
     # level (estimates 1.18e-9 to 1.24e-9): one in a sample sum of (2, 3), two
     # in the same sample sum of (2, 2)
     rep = run_check("projection", RunConfig(seed=2, profile="full"))
-    assert rep.inputs["limit_unconverged"] == {"(2, 3)": 1, "(2, 1)": 0, "(2, 2)": 1, "(1, 2)": 0}
+    assert rep.inputs["limit_unconverged"] == {"(2, 3)": 1, "(2, 1)": 0, "(2, 2)": 2, "(1, 2)": 0}
     assert all(run["defect"] <= run["quadrature_err"] + 1e-13 for run in rep.inputs["identity_runs"])
 
 
@@ -248,6 +249,17 @@ def test_cli_assoc_expand(capsys):
     assert "zeta" in out2
 
 
+def test_cli_assoc_expand_degree_stays_within_the_zeta_weights(capsys):
+    for method in ("series", "symbolic"):
+        for degree in ("-1", "9"):
+            argv = ["assoc", "expand", "--degree", degree, "--method", method]
+            assert f"--degree {degree} outside 0..8" in _one_error_line(argv, capsys)
+        assert main(["assoc", "expand", "--degree", "0", "--method", method]) == 0
+        assert capsys.readouterr().out.split() in (["1", "1"], ["1", "+1.000000000000"])
+        assert main(["assoc", "expand", "--degree", "8", "--method", method]) == 0
+        assert "YYYYYYYX" in capsys.readouterr().out
+
+
 # runs each command line as `python -m selzeta` would, in one fresh
 # interpreter, and prints the top-level packages loaded afterwards
 _RUN_AND_LIST_MODULES = """
@@ -258,7 +270,7 @@ for argv in json.loads(sys.argv[1]):
         runpy.run_module("selzeta", run_name="__main__")
     except SystemExit as exc:
         assert not exc.code, (argv, exc.code)
-print(" ".join(sorted({name.split(".")[0] for name in sys.modules})))
+print(" ".join(sorted(sys.modules)))
 """
 
 
@@ -286,6 +298,12 @@ def test_light_commands_load_neither_numpy_nor_scipy():
         loaded = _modules_after([argv])
         assert "selzeta" in loaded
         assert not loaded & {"numpy", "scipy"}, argv
+
+
+def test_verify_beta_identity_does_not_load_the_braid_tower():
+    loaded = _modules_after([["verify", "beta-identity"]])
+    assert "selzeta.selberg" in loaded
+    assert "selzeta.braid" not in loaded
 
 
 def test_no_command_loads_scipy(tmp_path):

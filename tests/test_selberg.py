@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 from selzeta.braid import sample_alpha
-from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, log_form_det, wedge_chain
+from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, index_tuples, log_form_det, wedge_chain
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta import selberg
 from selzeta.selberg import (
@@ -20,6 +20,7 @@ from selzeta.selberg import (
     _SimplexIntegrand,
     beta_prototype,
     beta_taylor_target,
+    boundary_face,
     de_axis,
     integrate_graph,
     integrate_sum,
@@ -237,16 +238,17 @@ def test_taylor_circle_sample_must_converge():
 
 
 def test_sum_relation_three_vertices():
-    d, est = sum_relation_defect(3, 2, 3, {}, ExponentAssignment.uniform(3, 0.12), tol=1e-11)
+    res = sum_relation_defect(3, 2, 3, {}, ExponentAssignment.uniform(3, 0.12), tol=1e-11)
+    d, est = abs(res.value), res.err_estimate
     assert d < 1e-8
 
 
 def test_sum_relation_four_vertices():
     alpha = ExponentAssignment.uniform(4, 0.1)
-    d, _ = sum_relation_defect(4, 3, 4, {}, alpha, tol=1e-10, root_values={1: 0.0, 2: 1.0, 3: 0.45})
+    d = abs(sum_relation_defect(4, 3, 4, {}, alpha, tol=1e-10, root_values={1: 0.0, 2: 1.0, 3: 0.45}).value)
     assert d < 1e-7
     for p, partial in [(3, {4: 1}), (3, {4: 2}), (3, {4: 3}), (4, {3: 1}), (4, {3: 2})]:
-        d, _ = sum_relation_defect(4, 2, p, partial, alpha, tol=1e-9)
+        d = abs(sum_relation_defect(4, 2, p, partial, alpha, tol=1e-9).value)
         assert d < 1e-7
 
 
@@ -255,14 +257,15 @@ def test_sum_relation_five_vertices_within_error_estimate():
     # defect stays below the accumulated estimate (measured: at most 3.5e-2 of it)
     alpha = ExponentAssignment({u: float(v) for u, v in sample_alpha(5, random.Random(0)).items()})
     for p, partial in [(3, {4: 2, 5: 2}), (4, {3: 2, 5: 2}), (5, {3: 2, 4: 2})]:
-        d, est = sum_relation_defect(5, 2, p, partial, alpha)
+        res = sum_relation_defect(5, 2, p, partial, alpha)
+        d, est = abs(res.value), res.err_estimate
         assert d <= est < 1e-3
 
 
 def test_sum_relation_scaling_invariance():
     alpha = ExponentAssignment.uniform(3, 0.1)
     for t in (0.5, 1.0, 2.0):
-        d, _ = sum_relation_defect(3, 2, 3, {}, alpha.scale(t), tol=1e-11)
+        d = abs(sum_relation_defect(3, 2, 3, {}, alpha.scale(t), tol=1e-11).value)
         assert d < 1e-8
 
 
@@ -465,6 +468,59 @@ def test_non_convergence_is_reported():
     assert ok.converged is True
     assert (ok + got).converged is False and (ok + ok).converged is True
     assert got.scaled(-2.0).converged is False
+
+
+def test_unconverged_counts_every_graph_of_a_sum():
+    # no level of these two dimension-2 integrals meets tol 1e-15 (estimates
+    # 2e-10 and 4e-10): their sum counts both, and + and scaled carry the counts
+    alpha = spread_exponents(4, 0.2)
+    g, h = G(4, {1, 2}, (2, 3), (3, 4)), G(4, {1, 2}, (2, 4), (3, 4))
+    total = integrate_sum(GraphSum(4, g.roots, {g: 1, h: -2}), alpha, tol=1e-15)
+    assert total.unconverged == 2 and total.converged is False
+    one = integrate_graph(g, alpha, tol=1e-15)
+    assert one.unconverged == 1
+    assert (one + one).unconverged == 2 and (one + total).unconverged == 3
+    assert one.scaled(-2.0).unconverged == 1
+    ok = integrate_graph(g, alpha)
+    assert ok.unconverged == 0 and (ok + ok).converged is True
+
+
+def reference_face(n, alpha, entry_lists, face, tol):
+    """Boundary components from explicit vertex maps and hand-built exponents:
+    face 0 deletes vertex 2, face 1 adds alpha_{3j} onto alpha_{2j}."""
+    if face == 0:
+        m = {1: 1, 3: 2, **{j: j - 1 for j in range(4, n + 1)}}
+        al = {(m[a], m[b]): v for (a, b), v in alpha.alphas.items() if 2 not in (a, b)}
+    else:
+        m = {1: 1, 2: 2, **{j: j - 1 for j in range(4, n + 1)}}
+        al = {(m[a], m[b]): v for (a, b), v in alpha.alphas.items() if 3 not in (a, b)}
+        for j in (1, *range(4, n + 1)):
+            al[tuple(sorted((2, m[j])))] += alpha[(3, j)]
+    values = []
+    for entries in entry_lists:
+        if any(i not in m for i in entries):
+            values.append(0.0)
+        else:
+            J = IndexTuple(2, n - 1, tuple(m[i] for i in entries))
+            values.append(selberg_component(J, ExponentAssignment(al), tol=tol))
+    return values
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("face", [0, 1])
+def test_boundary_face_matches_explicit_vertex_maps(n, face):
+    alpha = ExponentAssignment({u: float(v) for u, v in sample_alpha(n, random.Random(n)).items()})
+    entry_lists = [I.entries for I in index_tuples(n, 3)]
+    values, total = boundary_face(n, alpha, entry_lists, face, 1e-8)
+    want = reference_face(n, alpha, entry_lists, face, 1e-8)
+    assert values.tolist() == [0.0 if w == 0.0 else w.value for w in want]
+    parts = [w for w in want if w != 0.0]
+    assert 0 < len(parts) < len(want)
+    assert total.err_estimate == pytest.approx(sum(w.err_estimate for w in parts), rel=1e-12)
+    assert total.unconverged == sum(w.unconverged for w in parts)
+    assert total.evaluations == sum(w.evaluations for w in parts)
+    with pytest.raises(ValueError):
+        boundary_face(n, alpha, entry_lists, 2, None)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.8 + 0.35j])
