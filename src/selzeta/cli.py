@@ -349,12 +349,20 @@ REGISTRY = [
 CHECKS = {c.check_id: c for c in REGISTRY}
 
 
-def run_check(check_id, config=None):
-    config = config or RunConfig()
+def _validate_config(config):
     if config.profile not in ("quick", "full"):
         raise ValueError(f"unknown profile {config.profile!r}")
     if not isinstance(config.seed, int):
         raise ValueError("seed must be an integer")
+    tol = config.tol_override
+    # a NaN tolerance would make every report fail and write NaN into the payload
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance {tol} must be finite and non-negative")
+
+
+def run_check(check_id, config=None):
+    config = config or RunConfig()
+    _validate_config(config)
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}; known: {', '.join(CHECKS)}")
     check = CHECKS[check_id]
@@ -484,7 +492,9 @@ def _cmd_selberg_integrate(args):
             alpha = ExponentAssignment.uniform(g.n, args.alpha_uniform)
         root_values = None
         if len(g.roots) == 3:
-            root_values = {1: 0.0, 2: 1.0, 3: args.x3}
+            root_values = {1: 0.0, 2: 1.0, 3: 0.5 if args.x3 is None else args.x3}
+        elif args.x3 is not None:
+            return _input_error(f"--x3 needs a graph with 3 roots, not {len(g.roots)}")
         res = integrate_graph(g, alpha, tol=args.tol, root_values=root_values)
     except (OSError, ValueError, QuadratureError) as exc:
         return _input_error(exc)
@@ -534,6 +544,10 @@ def _print_report(rep):
 def _cmd_verify(args):
     seed = args.seed
     config = RunConfig(seed=seed, profile=args.profile, tol_override=args.tol)
+    try:
+        _validate_config(config)
+    except ValueError as exc:
+        return _input_error(exc)
     ids = [c.check_id for c in REGISTRY] if args.check_id == "all" else [args.check_id]
     reports = [run_check(cid, config) for cid in ids]
     for rep in reports:
@@ -580,7 +594,7 @@ def build_parser():
     ps.add_argument("--alpha", action="append", help="pair exponent, e.g. (1,3)=0.5; repeatable")
     ps.add_argument("--alpha-uniform", type=float, default=0.1)
     ps.add_argument("--tol", type=float, default=None)
-    ps.add_argument("--x3", type=float, default=0.5)
+    ps.add_argument("--x3", type=float, default=None, help="value of root 3 for a graph with 3 roots (default 0.5)")
     ps.set_defaults(func=_cmd_selberg_integrate)
 
     p = sub.add_parser("assoc", help="the canonical two-letter series element")

@@ -56,14 +56,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExponentAssignment:
-    """Positive exponents alpha_{ij}, one per unordered vertex pair."""
+    """Finite exponents alpha_{ij} with positive real part, one per unordered vertex pair."""
 
     alphas: dict
 
     def __post_init__(self):
         cleaned = {}
-        for u, v in self.alphas.items():
-            v = complex(v)
+        for u, given in self.alphas.items():
+            v = complex(given)
+            # NaN fails no comparison, so finiteness is tested on its own
+            if not cmath.isfinite(v):
+                raise ValueError(f"exponent alpha{u} = {given} is not finite")
             if v.real <= 0:
                 raise ValueError(f"exponent alpha{u} must have positive real part")
             cleaned[pair(*u)] = v if v.imag else v.real
@@ -417,9 +420,15 @@ _CHUNK = 2**15
 
 # levels of the product rule per free dimension, coarsest first; the first
 # level that meets the tolerance, or else the last, is returned with its
-# difference to the one before as the error estimate.  Dimension 3 stops at
-# 97^3 nodes: a level-4 graph evaluates 7.2 M nodes in about 0.1 s.
-_LEVELS = {1: range(3, 9), 2: range(3, 7), 3: range(1, 4)}
+# difference to the one before as the error estimate.  The first level only
+# serves as the reference of the second, and level L + 1 holds level L's
+# nodes, so starting dimensions 1 and 2 at level 2 (49 nodes an axis) adds no
+# node and lets an integral stop at level 3 (97 an axis) when |S3 - S2| meets
+# tol.  Dimension 3 starts at level 1: from level 0 the l = 3 stars stop at
+# 25^3 nodes with relative error 4.5e-3 to 4.7e-3 against Selberg's formula,
+# against 3.1e-8 to 3.4e-8 from level 1.  It stops at 97^3 nodes: a level-4
+# graph evaluates 7.2 M nodes in about 0.1 s.
+_LEVELS = {1: range(2, 9), 2: range(2, 7), 3: range(1, 4)}
 
 
 def _de_levels(f, dim):
@@ -490,11 +499,12 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
 
     Includes the product of the edge exponents as a prefactor.  Non-forest
     graphs integrate to exactly zero (their log form vanishes).  Dimension
-    n - r is capped at 3.  Each distinct integral is computed once per
-    process.  The graph with its edges sorted is integrated, and its result
-    is kept under (n, roots, sorted edges, the exponents of the pairs of
-    [n], tol, root values); any other edge order gets that result times the
-    sign of its permutation, so a value never depends on the order of calls.
+    n - r is capped at 3.  A tolerance must be finite and non-negative
+    (ValueError).  Each distinct integral is computed once per process.
+    The graph with its edges sorted is integrated, and its result is kept
+    under (n, roots, sorted edges, the exponents of the pairs of [n], tol,
+    root values); any other edge order gets that result times the sign of
+    its permutation, so a value never depends on the order of calls.
     """
     global memo_hits
     if not isinstance(alpha, ExponentAssignment):
@@ -502,10 +512,13 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
     l = g.n - len(g.roots)
     if l > 3:
         raise QuadratureError("more than three free vertices is unsupported")
-    if not is_tree(g):
-        return QuadratureResult(0.0, 0.0, 0)
     if tol is None:
         tol = DEFAULT_TOL[l]
+    elif not (math.isfinite(tol) and tol >= 0):
+        # a NaN tolerance is never met and would run every level
+        raise ValueError(f"tolerance {tol} must be finite and non-negative")
+    if not is_tree(g):
+        return QuadratureResult(0.0, 0.0, 0)
     edges = tuple(sorted(g.edges))
     rv = None if root_values is None else frozenset(root_values.items())
     key = (g.n, g.roots, edges, tuple(map(alpha.alphas.get, all_pairs(g.n))), tol, rv)

@@ -219,6 +219,49 @@ def test_cli_selberg_integrate_rejects_missing_file(tmp_path, capsys):
     assert "No such file" in _one_error_line(["selberg", "integrate", str(tmp_path / "absent.txt")], capsys)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_selberg_integrate_rejects_non_finite_exponents(tmp_path, capsys, value):
+    gf = tmp_path / "star.txt"
+    gf.write_text("4 2 | (1,3) (1,4)\n")
+    assert "not finite" in _one_error_line(["selberg", "integrate", str(gf), "--alpha-uniform", value], capsys)
+    argv = ["selberg", "integrate", str(gf), "--alpha", f"(1,2)={value}"]
+    argv += [a for p in ("(1,3)", "(1,4)", "(2,3)", "(2,4)", "(3,4)") for a in ("--alpha", f"{p}=0.5")]
+    assert "alpha(1, 2)" in _one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_cli_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path, capsys, tol):
+    gf = tmp_path / "beta.txt"
+    gf.write_text("3 2 | (2,3)\n")
+    assert "tolerance" in _one_error_line(["selberg", "integrate", str(gf), "--tol", tol], capsys)
+    out = tmp_path / "report.json"
+    assert "tolerance" in _one_error_line(["verify", "beta-identity", "--tol", tol, "--json", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_cli_tolerance_zero_still_runs(tmp_path, capsys):
+    gf = tmp_path / "beta.txt"
+    gf.write_text("3 2 | (2,3)\n")
+    assert main(["selberg", "integrate", str(gf), "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["evals"] > 0
+    out = tmp_path / "report.json"
+    assert main(["verify", "beta-identity", "--tol", "0", "--json", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["reports"][0]["tolerance"] == 0.0
+
+
+def test_cli_selberg_integrate_takes_x3_only_for_three_roots(tmp_path, capsys):
+    gf = tmp_path / "star.txt"
+    gf.write_text("4 2 | (1,3) (1,4)\n")
+    assert "--x3 needs a graph with 3 roots, not 2" in _one_error_line(["selberg", "integrate", str(gf), "--x3", "0.3"], capsys)
+    gf.write_text("4 3 | (3,4)\n")
+    values = []
+    for extra in ([], ["--x3", "0.5"], ["--x3", "0.3"]):
+        assert main(["selberg", "integrate", str(gf), *extra]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    # x_3 defaults to 0.5
+    assert values[0] == values[1] != values[2]
+
+
 def test_cli_mzv_eval_rejects_bad_index(capsys):
     assert "not admissible" in _one_error_line(["mzv", "eval", "1"], capsys)
     assert "invalid literal" in _one_error_line(["mzv", "eval", "1,x"], capsys)

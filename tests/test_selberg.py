@@ -103,6 +103,33 @@ def test_star_graphs_match_selberg_closed_form(l, abc):
     assert abs(got.value - want) < 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("l", [1, 2])
+def test_error_estimate_bounds_the_true_error_over_seeded_exponents(l, tol):
+    # the estimate of a result is its level's difference to the coarser one,
+    # so it must bound the true error also when the first difference meets tol
+    rng = random.Random(f"estimate:{l}:{tol}")
+    for _ in range(150):
+        a, b, c = (rng.uniform(0.05, 2.5) for _ in range(3))
+        if l == 1:
+            g, alpha, want = G(3, {1, 2}, (2, 3)), alpha3(a, b), beta_prototype(a, b)
+        else:
+            g, alpha, want = star_case(2, a, b, c)
+        got = integrate_graph(g, alpha, tol=tol)
+        assert got.converged
+        assert abs(got.value - want) <= got.err_estimate + 1e-14 * abs(want), (a, b, c)
+
+
+def test_converged_integrals_stop_at_level_three():
+    # level 2 is the first level and adds no node: level 3 holds its 49 per axis
+    t, _, _, odd = de_axis(3)
+    assert np.array_equal(t[~odd], de_axis(2)[0]) and len(t) == 97
+    star = integrate_graph(G(4, {1, 2}, (1, 3), (1, 4)), ExponentAssignment.uniform(4, 0.5))
+    assert star.converged and star.evaluations == 97**2
+    beta = integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5), tol=1e-8)
+    assert beta.converged and beta.evaluations == 97
+
+
 @pytest.mark.parametrize("abc", [(0.3, 0.5, 0.4), (0.7, 0.25, 0.6)])
 def test_three_free_vertex_star_within_error_estimate(abc):
     g, alpha, want = star_case(3, *abc)
@@ -289,6 +316,22 @@ def test_exponent_assignment_utilities():
     relabeled = al.relabel({1: 1, 3: 2})
     assert relabeled[(1, 2)] == 0.2
     assert relabeled.get((2, 3)) is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan), complex(math.inf, 1.0)])
+def test_non_finite_exponents_are_rejected(bad):
+    # NaN passes a test of the real part's sign; it must not reach the integrand
+    with pytest.raises(ValueError, match="not finite"):
+        ExponentAssignment({(1, 2): 0.5, (1, 3): bad})
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5), tol=tol)
+    # a non-forest needs no quadrature, but its tolerance is checked all the same
+    with pytest.raises(ValueError, match="tolerance"):
+        integrate_graph(G(4, {1, 2}, (1, 2), (3, 4)), ExponentAssignment.uniform(4, 0.1), tol=tol)
 
 
 # ---------------------------------------------------------------------------
