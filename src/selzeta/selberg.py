@@ -12,13 +12,29 @@ result counts the integrals that ran out of levels before meeting their
 tolerance (unconverged), and the nodes whose integrand value is not finite,
 which are zeroed (nonfinite); a sum of results adds both counts.
 
+Each end of each axis gets its own range in the sinh variable u, set by
+the face power at that end (the standard double-exponential truncation,
+Takahasi-Mori 1974): a face power t^(s-1) leaves a relative tail
+exp(-s pi/2 e^u) beyond u, so the range is the u where that tail is 2^-60.
+At the 1-ends, where the factors 1 - t_a ... t_b meet in corners, s is the
+least power count of a corner (_axis_ends).  The range is fixed per
+integral, so the levels stay nested.  A factor 1 - t_a ... t_b of
+non-positive power is not finite where every 1 - t of it underflows: where
+all its axes would reach that far, one of them is capped short of it.
+Every end is capped at u = 12, which only exponents below about 1.6e-4
+reach.  The part of the integral a cap leaves out adds to the error
+estimate, and an integral whose estimate then misses the tolerance counts
+as unconverged.
+
 Every coordinate gap is a constant times a product of axis variables times
 one factor 1 - c t_a ... t_b.  The log form of a rooted forest is a sign
 over the product of its edge gaps, so the Selberg factor Phi, the log form
 and the Jacobian are evaluated together as one power per primitive factor,
-each on the axes it depends on, with the quadrature weights multiplied in
-per axis.  The sign comes from graphs.log_form_det, the one builder that
-also serves the exact Fraction paths (omega_coefficient and the residue
+each on the axes it depends on.  The factors of one axis and its quadrature
+weights are evaluated together in log space, once per axis and level, from
+log t, log(1 - t) and log w formed in the sinh variable, so no node of the
+range underflows.  The sign comes from graphs.log_form_det, the one builder
+that also serves the exact Fraction paths (omega_coefficient and the residue
 surgery); non-forests integrate to exactly zero without quadrature.
 
 A block of the product rule is never multiplied out on its full grid.  It is
@@ -36,7 +52,6 @@ and every limit identity downstream is consistent with that choice.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,11 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import IndexTuple, OrderedRootedGraph, all_pairs, is_tree, log_form_det, pair, wedge_chain
-
-# sinh-variable cutoff: at 6.05 the transformed coordinate reaches the double
-# underflow edge; exponents down to ~0.03 keep their truncated tail below 1e-10
-_TMAX = 6.05
-
 
 class QuadratureError(RuntimeError):
     pass
@@ -172,7 +182,7 @@ class QuadratureResult:
 
 
 # requested accuracy per free dimension; at dimension 3 the level-2 estimate
-# (49^3 nodes) meets 1e-4 on the l = 3 stars, whose true error is then ~1e-7
+# meets 1e-4 on the l = 3 stars, whose true error is then 4e-12 to 5e-9
 DEFAULT_TOL = {0: 0.0, 1: 1e-10, 2: 1e-8, 3: 1e-4}
 
 
@@ -180,30 +190,140 @@ DEFAULT_TOL = {0: 0.0, 1: 1e-10, 2: 1e-8, 3: 1e-4}
 # double-exponential nodes
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def de_axis(level):
-    """Nodes (t, 1 - t, weight, odd) on (0, 1) for mesh 2^-level in the sinh variable.
+# relative tail that an end's range leaves beyond it
+_TAIL_EPS = 2.0**-60
+# cap on the 1-end of one axis of a factor 1 - t_a ... t_b of non-positive
+# power: past u = 6.16 every 1 - t of the factor underflows to 0, and 0 to
+# that power is not finite; at 6.0, 1 - t is 1e-275 and the factor stays
+# below 1e275
+_CORNER_U = 6.0
+# cap on every end, so that a tiny exponent, which ExponentAssignment
+# accepts, cannot ask for an unbounded node count: at 12 a face power of
+# exponent s leaves exp(-2.6e5 s), so only exponents below about 1.6e-4
+# reach it
+_U_MAX = 12.0
 
-    The even-index nodes are exactly the nodes of level - 1, at half the
-    weight; `odd` marks the others.  Nodes whose coordinate leaves the
-    double-precision range are dropped (the same range at every level, so
-    the levels stay nested); the resulting truncation keeps the
-    relative error of an endpoint power x^(a-1) below roughly exp(-640 a) / a,
-    so exponents should stay above ~0.03.  The arrays are computed once per
-    level and returned read-only.
+# (level, half, log t, log w) on u = j 2^-level for |j| <= half, at the
+# finest level asked for so far: every coarser level's nodes are a strided
+# view of it.  It grows by whole units of u as wider ranges are asked for.
+_table = None
+
+
+def _de_table(level, half):
+    """log t and the log weight (without the mesh) on u = j 2^-level, |j| <= half.
+
+    Formed from a = pi/2 sinh u on u >= 0 and mirrored: log t at -u is
+    log(1 - t) at u.  Node j is computed at index j of the half table
+    whatever its size, so a grown table repeats the old values bit for bit.
     """
-    h = 2.0 ** (-level)
-    ks = np.arange(-int(_TMAX / h), int(_TMAX / h) + 1)
-    # t = (1 + tanh(pi/2 sinh u)) / 2 at u = k h, its complement and h dt/du
-    a = 0.5 * math.pi * np.sinh(ks * h)
-    e = np.exp(-2.0 * a)
-    t, omt = 1.0 / (1.0 + e), e / (1.0 + e)
-    w = h * (0.25 * math.pi * np.cosh(ks * h) / np.cosh(a) ** 2)
-    keep = (t > 1e-280) & (omt > 1e-280) & (w > 1e-300)
-    out = t[keep], omt[keep], w[keep], (ks % 2 == 1)[keep]
+    u = np.arange(half + 1) * 2.0**-level
+    a = 0.5 * math.pi * np.sinh(u)
+    # t = 1 / (1 + e^-2a), 1 - t = e^-2a / (1 + e^-2a), dt/du = pi cosh u e^-2a / (1 + e^-2a)^2
+    l1p = np.log1p(np.exp(-2.0 * a))
+    lomt = -2.0 * a - l1p
+    lw = np.log(math.pi * np.cosh(u)) + lomt - l1p
+    out = np.concatenate((lomt[:0:-1], -l1p)), np.concatenate((lw[:0:-1], lw))
     for x in out:
         x.flags.writeable = False
     return out
+
+
+def de_axis(level, lo, hi):
+    """Log-space nodes (log t, log(1 - t), log w) on (0, 1) at u = j 2^-level, -lo <= j <= hi.
+
+    The tanh-sinh map t = (1 + tanh(pi/2 sinh u)) / 2 and its weight dt/du,
+    without the mesh 2^-level, which the product rule multiplies in once per
+    level.  All three are formed in the sinh variable, so none underflows
+    however far the range reaches: log t and log(1 - t) fall like
+    -pi/2 e^|u| at the two ends.  Node j of a level is node 2j of the next,
+    bit for bit, and the caller's ranges lo, hi = floor(u_0 2^level),
+    floor(u_1 2^level) double with the level, so each level holds the
+    previous level's nodes.
+
+    The ranges come from the face powers (_axis_ends): the end of an axis
+    whose face power is t^(s-1) reaches the u where its relative tail
+    exp(-s pi/2 e^u) is 2^-60, and at least 1.  Past u = 6.16, 1 - t is 0
+    in double precision, so a factor 1 - t_a ... t_b of non-positive power
+    whose axes all reach past it is not finite there: one of those axes is
+    capped at _CORNER_U, where 1 - t still holds 1e-275.  Returns read-only
+    views of one cached table.
+    """
+    global _table
+    # the table checked or built here is the one read, whatever replaces it
+    table = _table
+    if table is None or table[0] < level or max(lo, hi) << (table[0] - level) > table[1]:
+        fine, half = table[:2] if table else (level, 0)
+        half <<= max(0, level - fine)
+        fine = max(fine, level)
+        half = max(half, max(lo, hi) << (fine - level))
+        unit = 1 << fine
+        half = -(-half // unit) * unit
+        table = _table = (fine, half) + _de_table(fine, half)
+    fine, half, lt, lw = table
+    step = 1 << (fine - level)
+    rows = slice(half - lo * step, half + hi * step + 1, step)
+    return lt[rows], lt[::-1][rows], lw[rows]
+
+
+# the range at which a face power t^(s-1) leaves _TAIL_EPS is log(_REACH / s)
+_REACH = 2.0 * math.log(1.0 / _TAIL_EPS) / math.pi
+
+
+def _cutoff(s):
+    """Range at an end whose face power is t^(s-1): its tail beyond it is _TAIL_EPS."""
+    return max(1.0, math.log(_REACH / s)) if s > 0 else math.inf
+
+
+def _tail(s, u):
+    """Relative tail exp(-s pi/2 e^u) that a face power t^(s-1) leaves beyond u."""
+    return math.exp(-0.5 * math.pi * s * math.exp(u)) if s > 0 else math.inf
+
+
+def _axis_ends(singles, multis):
+    """Ranges (u_0, u_1) of each axis toward t = 0 and t = 1, and the largest
+    relative tail that a cap leaves beyond a range it cut short.
+
+    singles[k] lists the factors (c, power) of axis k alone, t_k for c None
+    and 1 - c t_k otherwise; multis lists ((a, b), factors) for the factors
+    1 - c t_{a+1} ... t_b across axes a..b-1.  Real parts decide.  The 0-end
+    of axis k has s = 1 + the power of t_k.  Toward t = 1 the factors with
+    c = 1 vanish.  A set C of axes that tend to 1 together has the power
+    count sum over k in C of (1 + p_k), p_k the power of the single-axis
+    factor 1 - t_k, plus the negative powers of the factors 1 - t_a ... t_b
+    whose axes all lie in C (a positive one only speeds the decay).  The
+    1-end of axis k has the least count over the sets that hold it: 1 + p_k
+    when no factor across axes has a negative power.
+
+    A factor 1 - t_a ... t_b of non-positive power is not finite where all
+    its 1 - t underflow, so where every axis it spans reaches past
+    _CORNER_U, the one whose count loses least is capped there.  Every end
+    is capped at _U_MAX.
+    """
+    l = len(singles)
+    s = [1.0] * (2 * l)
+    for k, factors in enumerate(singles):
+        for c, power in factors:
+            if c is None:
+                s[k] += power.real
+            elif c == 1.0:
+                s[l + k] += power.real
+    spans = [(a, b, p.real) for (a, b), factors in multis for c, p in factors if c == 1.0 and p.real <= 0.0]
+    # the sets of one axis give 1 + p_k itself; those of several matter
+    # only when a factor across axes has a negative power
+    if spans:
+        single = s[l:]
+        for size in range(2, l + 1):
+            for axes in itertools.combinations(range(l), size):
+                count = sum(single[k] for k in axes) + sum(p for a, b, p in spans if set(range(a, b)) <= set(axes))
+                for k in axes:
+                    s[l + k] = min(s[l + k], count)
+    want = [_cutoff(x) for x in s]
+    u = [min(w, _U_MAX) for w in want]
+    for a, b, _ in spans:
+        if min(u[l + a : l + b]) > _CORNER_U:
+            u[l + max(range(a, b), key=lambda k: s[l + k])] = _CORNER_U
+    tail = max((_tail(x, end) for x, w, end in zip(s, want, u) if w > end), default=0.0)
+    return list(zip(u[:l], u[l:])), tail
 
 
 def _one_minus_product(ts, omts):
@@ -223,21 +343,12 @@ def _power(base, p):
     return np.power(base, p)
 
 
-def _group_product(factors, t, om, w=None):
-    """w (None for 1) times each factor (c, power) of a group raised to its power.
-
-    The base of a factor is t for c None, and 1 - c p for c otherwise,
-    from om = 1 - p.
-    """
+def _group_product(factors, om, out=None):
+    """out (None for 1) times each factor (c, power) of 1 - c p raised to its power, from om = 1 - p."""
     for c, power in factors:
-        if c is None:
-            base = t
-        elif c == 1.0:
-            base = om
-        else:
-            base = (1.0 - c) + c * om
-        w = _power(base, power) if w is None else w * _power(base, power)
-    return w
+        base = om if c == 1.0 else (1.0 - c) + c * om
+        out = _power(base, power) if out is None else out * _power(base, power)
+    return out
 
 
 class _SimplexIntegrand:
@@ -249,18 +360,20 @@ class _SimplexIntegrand:
     gaps, so it lowers the power of each factor of an edge gap by one.  The
     exponents of Phi, the log form and the Jacobian's powers of t are summed
     once per primitive factor (each t_k and each 1 - c t_a ... t_b), so a call
-    raises every factor to one power on the axes it depends on: a factor of
-    one axis costs a power on that axis array alone.  The quadrature weight of
-    axis k is multiplied into the group of t_k's single-axis factors before
-    that group meets the factors spanning several axes, so a deep corner's
-    large powers meet its tiny weights before they can overflow.  The axis
-    arrays only need to broadcast against each other: open-grid axes give
-    the tensor grid without materialising it.
+    raises every factor to one power on the axes it depends on.  The factors
+    of one axis alone and that axis's quadrature weights form its axis group,
+    evaluated in log space (axis_group) before it meets the factors spanning
+    several axes, so a deep corner's large powers meet its tiny weights
+    before they can overflow.  The axis arrays only need to broadcast
+    against each other: open-grid axes give the tensor grid without
+    materialising it.
 
     The product rule calls block_sum, which sums a block chunk by chunk by
     contracting these groups and never forms the node values; __call__
     forms them, and serves as block_sum's fallback for a chunk whose sum is
-    not finite and as the entry point of the tests.
+    not finite and as the entry point of the tests.  Both take per axis t,
+    1 - t (None on an axis that no multi-axis factor spans) and the axis
+    group.
     """
 
     def __init__(self, g, alpha, root_values):
@@ -284,7 +397,9 @@ class _SimplexIntegrand:
             return 0 if v == 1 else g.n + 2 - v
 
         pairs = all_pairs(g.n)
-        missing = [f"({i},{j})" for i, j in pairs if alpha.get((i, j)) is None]
+        # keyed by the normalized pairs that all_pairs lists
+        exps = alpha.alphas
+        missing = [f"({i},{j})" for i, j in pairs if exps.get((i, j)) is None]
         if missing:
             raise ValueError(f"missing exponent for pairs {' '.join(missing)}")
         # orientation, edge exponents, Jacobian top^l and every gap's constant
@@ -299,7 +414,7 @@ class _SimplexIntegrand:
         edge_gaps = set()
         edges = set(g.edges)
         for i, j in pairs:
-            a_ij = alpha[(i, j)]
+            a_ij = exps[i, j]
             lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
             if (i, j) in edges:
                 a_ij = a_ij - 1
@@ -313,12 +428,20 @@ class _SimplexIntegrand:
         # the log form's sign, from the one builder: each row's gap as +-1
         sign = log_form_det(g.edges, g.free_vertices, lambda p, q: 1.0 if (q, p) in edge_gaps else -1.0)
         self.scale = scale * sign
-        # grouped by the axes they span, so that each group is multiplied out
-        # on those axes alone before it meets the others
-        groups = {}
+        # the factors of each axis alone, and those spanning several axes
+        # grouped by the axes they span, so that each group is multiplied
+        # out on those axes alone before it meets the others
+        self.singles = [[] for _ in range(self.l)]
+        multis = {}
         for (c, a, b), power in powers.items():
-            groups.setdefault((a, b), []).append((c, power))
-        self.groups = sorted(groups.items())
+            if b == a + 1:
+                self.singles[a].append((c, power))
+            else:
+                multis.setdefault((a, b), []).append((c, power))
+        self.multis = sorted(multis.items())
+        # the axes whose t and 1 - t the multi-axis factors read
+        self.linear = {k for a, b in multis for k in range(a, b)}
+        self.ends, self.tail = _axis_ends(self.singles, self.multis)
 
     def _gap_form(self, lo, hi):
         """x_hi - x_lo (x_hi > x_lo) as (const, m, factor): const * t_1 ... t_m * factor."""
@@ -335,20 +458,29 @@ class _SimplexIntegrand:
         i, j = hi - r, lo - r
         return top, i, (1.0, i, j)
 
-    @staticmethod
-    def _group(a, b, factors, ts, omts, ws):
-        """One group's product on axes a..b-1; a single-axis group carries its axis weights."""
-        if b == a + 1:
-            return _group_product(factors, ts[a], omts[a], ws[a])
-        return _group_product(factors, None, _one_minus_product(ts[a:b], omts[a:b]))
+    def axis_group(self, k, lt, lomt, lw):
+        """Axis k's weights times its single-axis factors, exp(lw + sum of power * log base),
+        from log t, log(1 - t) and log w on its nodes."""
+        acc = lw
+        for c, power in self.singles[k]:
+            if c is None:
+                log_base = lt
+            elif c == 1.0:
+                log_base = lomt
+            else:
+                log_base = np.log((1.0 - c) + c * np.exp(lomt))
+            acc = acc + power * log_base
+        return np.exp(acc, out=acc)
 
-    def __call__(self, ts, omts, ws):
+    def __call__(self, ts, omts, gs):
         """Weighted integrand values on the broadcast of the axis arrays (ts,
-        their complements omts and weights ws), and how many nonfinite ones
-        were zeroed."""
+        their complements omts and axis groups gs), and how many nonfinite
+        ones were zeroed."""
         out = self.scale
-        for (a, b), factors in self.groups:
-            out = out * self._group(a, b, factors, ts, omts, ws)
+        for g in gs:
+            out = out * g
+        for (a, b), factors in self.multis:
+            out = _group_product(factors, _one_minus_product(ts[a:b], omts[a:b]), out)
         # an axis value of exactly 0 or 1, which the DE nodes never reach,
         # raises 0 to a negative power: the singularity is integrable and the
         # node's weight vanishes in the limit, so such nodes are zeroed, and
@@ -359,7 +491,7 @@ class _SimplexIntegrand:
             out = np.where(bad, 0.0, out)
         return out, nonfinite
 
-    def block_sum(self, ts, omts, ws):
+    def block_sum(self, ts, omts, gs):
         """Sum of the weighted integrand over the broadcast of the axis arrays,
         and how many nonfinite nodes were zeroed; the same as summing what
         __call__ returns, without the full grid.
@@ -374,38 +506,38 @@ class _SimplexIntegrand:
         contracted sum is not finite is evaluated node by node by __call__,
         whose guard zeroes and counts the nonfinite nodes.
         """
-        dim = len(ts)
+        dim = len(gs)
         inner, spanning = self.scale, []
-        for (a, b), factors in self.groups:
+        for g in gs[1:]:
+            inner = inner * g
+        for (a, b), factors in self.multis:
             if a > 0:
-                inner = inner * self._group(a, b, factors, ts, omts, ws)
-            elif b == 1:
-                g0 = self._group(a, b, factors, ts, omts, ws)
+                inner = _group_product(factors, _one_minus_product(ts[a:b], omts[a:b]), inner)
             else:
                 spanning.append((b, factors, _one_minus_product(ts[1:b], omts[1:b])))
-        g0 = g0.reshape(-1)
-        row = math.prod(x.shape[0] for x in ts[1:])
+        g0 = gs[0].reshape(-1)
+        row = math.prod(x.shape[0] for x in gs[1:])
         step = max(1, _CHUNK // row)
         total, nonfinite = 0.0, 0
-        for lo in range(0, ts[0].shape[0], step):
+        for lo in range(0, g0.shape[0], step):
             rows = slice(lo, lo + step)
-            t0, omt0 = ts[0][rows], omts[0][rows]
             acc = inner
             for axis in range(dim - 1, 0, -1):
                 # the factors spanning axes 0..axis, on axes 0..axis alone
                 fac = None
                 for b, factors, tail in spanning:
                     if b == axis + 1:
-                        base = t0 * tail
-                        base += omt0
-                        fac = _group_product(factors, None, base, fac)
+                        base = ts[0][rows] * tail
+                        base += omts[0][rows]
+                        fac = _group_product(factors, base, fac)
                 if fac is None:
                     acc = acc.sum(axis=-1)
                 else:
                     acc = np.einsum("...j,...j->...", acc, fac.reshape(fac.shape[: axis + 1]))
             part = (acc * g0[rows]).sum().item()
             if not cmath.isfinite(part):
-                vals, bad = self([t0] + ts[1:], [omt0] + omts[1:], [ws[0][rows]] + ws[1:])
+                chunk = [x if x is None else x[rows] for x in (ts[0], omts[0], gs[0])]
+                vals, bad = self(chunk[:1] + ts[1:], chunk[1:2] + omts[1:], chunk[2:] + gs[1:])
                 part = vals.sum().item()
                 nonfinite += bad
             total += part
@@ -422,44 +554,70 @@ _CHUNK = 2**15
 # level that meets the tolerance, or else the last, is returned with its
 # difference to the one before as the error estimate.  The first level only
 # serves as the reference of the second, and level L + 1 holds level L's
-# nodes, so starting dimensions 1 and 2 at level 2 (49 nodes an axis) adds no
-# node and lets an integral stop at level 3 (97 an axis) when |S3 - S2| meets
-# tol.  Dimension 3 starts at level 1: from level 0 the l = 3 stars stop at
-# 25^3 nodes with relative error 4.5e-3 to 4.7e-3 against Selberg's formula,
-# against 3.1e-8 to 3.4e-8 from level 1.  It stops at 97^3 nodes: a level-4
-# graph evaluates 7.2 M nodes in about 0.1 s.
+# nodes, so starting dimensions 1 and 2 at level 2 adds no node and lets an
+# integral stop at level 3 when |S3 - S2| meets tol.  Dimension 3 starts at
+# level 1: from level 0 the l = 3 stars stop with relative error 4.5e-3 to
+# 4.7e-3 against Selberg's formula, against 3.1e-8 to 3.4e-8 from level 1.
+# It stops at level 3: level 4 has 16 times as many nodes.
 _LEVELS = {1: range(2, 9), 2: range(2, 7), 3: range(1, 4)}
+
+
+def _level_axes(f, level):
+    """Per axis the triples (t, 1 - t, axis group) on all, the old (even) and
+    the new (odd) nodes of a level.
+
+    Each axis is one slice of the node table (de_axis) over its ranges, with
+    its axis group built once, shaped to broadcast in its place of the grid;
+    the old and new nodes are strided views of it.  t and 1 - t are None on
+    an axis that no multi-axis factor spans.
+    """
+    dim = len(f.ends)
+    axes = []
+    for k, (u0, u1) in enumerate(f.ends):
+        lo = math.floor(math.ldexp(u0, level))
+        lt, lomt, lw = de_axis(level, lo, math.floor(math.ldexp(u1, level)))
+        shape = (-1,) + (1,) * (dim - 1 - k)
+        t, omt = (np.exp(lt), np.exp(lomt)) if k in f.linear else (None, None)
+        full = tuple(x if x is None else x.reshape(shape) for x in (t, omt, f.axis_group(k, lt, lomt, lw)))
+        # node j sits at index j + lo
+        old, new = slice(lo % 2, None, 2), slice(1 - lo % 2, None, 2)
+        axes.append([full] + [tuple(x if x is None else x[p] for x in full) for p in (old, new)])
+    return axes
 
 
 def _de_levels(f, dim):
     """Yield (level, sum, nodes, nonfinite) of the product DE rule per level.
 
     Level L+1 reuses level L: its even-index nodes are level L's at half the
-    weight, so S_{L+1} = S_L / 2^dim + the sum over the new nodes.  The new
-    nodes of the tensor grid form dim open-grid blocks; block k takes the old
-    nodes on the axes before k, the new (odd) nodes on axis k and all nodes on
-    the axes after k.  The integrand takes the blocks' axis weights and sums
-    each block itself (block_sum), in cache-sized chunks.  Every node is
-    evaluated once; nodes and nonfinite are running totals.
+    mesh, so S_{L+1} = S_L / 2^dim + the sum over the new nodes.  The new
+    nodes of the tensor grid form dim open-grid blocks of the level's axes
+    (_level_axes); block k takes the old nodes on the axes before k, the new
+    (odd) nodes on axis k and all nodes on the axes after k.  The integrand
+    sums each block itself (block_sum), in cache-sized chunks.  Every node
+    is evaluated once; nodes and nonfinite are running totals.
     """
     total, nodes, nonfinite = 0.0, 0, 0
-    shapes = [(-1,) + (1,) * (dim - 1 - ax) for ax in range(dim)]
     levels = _LEVELS[dim]
     for level in levels:
-        t, omt, w, odd = de_axis(level)
-        # the first level has no old nodes: its one block is the whole grid
-        first = level == levels[0]
-        blocks = [0] if first else range(dim)
-        new = slice(None) if first else odd
-        total = total / 2**dim
-        for k in blocks:
-            picks = [~odd] * k + [new] + [slice(None)] * (dim - 1 - k)
-            ts, omts, ws = ([x[p].reshape(s) for p, s in zip(picks, shapes)] for x in (t, omt, w))
-            with np.errstate(all="ignore"):
-                part, bad = f.block_sum(ts, omts, ws)
-            nodes += math.prod(x.shape[0] for x in ts)
-            total = total + part
-            nonfinite += bad
+        part = 0.0
+        with np.errstate(all="ignore"):
+            axes = _level_axes(f, level)
+            # the first level has no old nodes: its one block is the whole grid
+            if level == levels[0]:
+                blocks = [[full for full, _, _ in axes]]
+            else:
+                blocks = [
+                    [old for _, old, _ in axes[:k]] + [axes[k][2]] + [full for full, _, _ in axes[k + 1 :]]
+                    for k in range(dim)
+                ]
+            for block in blocks:
+                ts, omts, gs = map(list, zip(*block))
+                sub, bad = f.block_sum(ts, omts, gs)
+                nodes += math.prod(g.shape[0] for g in gs)
+                part += sub
+                nonfinite += bad
+        # the weights leave out the mesh 2^-level, one factor per axis
+        total = total / 2**dim + part * 2.0 ** (-level * dim)
         yield level, total, nodes, nonfinite
 
 
@@ -469,17 +627,24 @@ def _integrate_cube(f, dim, tol):
     The rule runs on open tensor grids (one axis array per dimension, never a
     materialised node list) and stops at the first level whose difference to
     the previous one meets tol relative to max(1, |value|); otherwise the last
-    level is returned counted as unconverged.
+    level is returned counted as unconverged.  Where a cap cut an axis range
+    short (_axis_ends), the part of the integral beyond it adds to the
+    estimate: a tail q of the whole is |value| q / (1 - q) beside the part
+    summed.  The integral converges only if the sum meets tol.
     """
+    ratio = f.tail / (1.0 - f.tail) if f.tail < 1.0 else math.inf
     # a one-level table has no difference to estimate the error from
     prev, err = None, math.inf
     for _, total, nodes, nonfinite in _de_levels(f, dim):
         if prev is not None:
             err = abs(total - prev)
-            if err <= tol * max(1.0, abs(total)):
-                return QuadratureResult(total, err, nodes, 0, nonfinite)
+            bound = tol * max(1.0, abs(total))
+            if err <= bound:
+                err += ratio * abs(total)
+                # an infinite ratio at a zero value makes the estimate NaN
+                return QuadratureResult(total, err, nodes, int(not err <= bound), nonfinite)
         prev = total
-    return QuadratureResult(total, err, nodes, 1, nonfinite)
+    return QuadratureResult(total, err + ratio * abs(total), nodes, 1, nonfinite)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -8,7 +9,7 @@ import pytest
 import scipy.special
 
 from selzeta.braid import sample_alpha
-from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, index_tuples, log_form_det, wedge_chain
+from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, all_pairs, index_tuples, is_tree, log_form_det, wedge_chain
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta import selberg
 from selzeta.selberg import (
@@ -17,6 +18,7 @@ from selzeta.selberg import (
     ExponentAssignment,
     QuadratureError,
     _de_levels,
+    _level_axes,
     _SimplexIntegrand,
     beta_prototype,
     beta_taylor_target,
@@ -47,7 +49,7 @@ def test_beta_identity():
 
 
 def test_beta_small_exponent_limit():
-    # the value tends to 1 as both exponents shrink; 0.03 is the engine floor
+    # the value tends to 1 as both exponents shrink
     got = integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.03, 0.03), tol=1e-9)
     assert abs(got.value - 1.0) < 0.01
     assert abs(got.value - beta_prototype(0.03, 0.03)) < 1e-5
@@ -120,14 +122,64 @@ def test_error_estimate_bounds_the_true_error_over_seeded_exponents(l, tol):
         assert abs(got.value - want) <= got.err_estimate + 1e-14 * abs(want), (a, b, c)
 
 
+@pytest.mark.parametrize("l", [1, 2])
+def test_small_exponents_match_closed_forms_within_the_estimate(l):
+    # the smallest exponent sits on a 0-end face (t_l^(a-1) of the star) and,
+    # for the Beta integral, on its 1-end face (1 - t)^(b-1): each end's
+    # range follows its face power, so no tail is left beyond the estimate
+    rng = random.Random(f"small:{l}")
+    for _ in range(20):
+        a = math.exp(rng.uniform(math.log(0.003), math.log(0.05)))
+        b, c = rng.uniform(0.05, 2.5), rng.uniform(0.05, 2.5)
+        cases = [star_case(l, a, b, c)]
+        if l == 1:
+            cases.append((G(3, {1, 2}, (2, 3)), alpha3(b, a), beta_prototype(b, a)))
+        for g, alpha, want in cases:
+            got = integrate_graph(g, alpha)
+            assert got.converged and got.nonfinite == 0
+            assert abs(got.value - want) <= got.err_estimate + 1e-14 * abs(want), (g.edges, a, b, c)
+
+
+@pytest.mark.parametrize("a", [0.003, 0.01, 0.05])
+def test_corner_nodes_stay_finite_on_every_two_vertex_forest(a):
+    # a factor 1 - t_1 t_2 of negative power is not finite where both 1 - t
+    # underflow; the cap on one of its axes keeps every node finite
+    forests = []
+    for edges in itertools.combinations([p for p in all_pairs(4) if p != (1, 2)], 2):
+        g = G(4, {1, 2}, *edges)
+        if is_tree(g):
+            forests.append(g)
+    assert len(forests) == 8
+    for g in forests:
+        assert integrate_graph(g, ExponentAssignment.uniform(4, a)).nonfinite == 0
+
+
 def test_converged_integrals_stop_at_level_three():
-    # level 2 is the first level and adds no node: level 3 holds its 49 per axis
-    t, _, _, odd = de_axis(3)
-    assert np.array_equal(t[~odd], de_axis(2)[0]) and len(t) == 97
-    star = integrate_graph(G(4, {1, 2}, (1, 3), (1, 4)), ExponentAssignment.uniform(4, 0.5))
-    assert star.converged and star.evaluations == 97**2
+    # level 2 is the first level and adds no node: level 3 holds its nodes
+    lt, lomt, lw = de_axis(3, 31, 22)
+    assert len(lt) == 54
+    assert all(np.array_equal(x[1::2], y) for x, y in zip((lt, lomt, lw), de_axis(2, 15, 11)))
+    star, alpha = G(4, {1, 2}, (1, 3), (1, 4)), ExponentAssignment.uniform(4, 0.5)
+    got = integrate_graph(star, alpha)
+    assert got.converged and got.evaluations == rule_nodes(star, alpha, 3) == 45 * 54
     beta = integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5), tol=1e-8)
-    assert beta.converged and beta.evaluations == 97
+    assert beta.converged and beta.evaluations == rule_nodes(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5), 3) == 54
+
+
+def test_error_estimate_bounds_the_true_error_of_three_free_vertex_stars():
+    # at the default tolerance the l = 3 stars stop at level 2, most with a
+    # true error of 1e-10 to 1e-8, far above rounding, so an estimate that
+    # missed its error fails here
+    rng = random.Random("estimate:3")
+    worst = 0.0
+    for _ in range(8):
+        a, b, c = (rng.uniform(0.2, 0.9) for _ in range(3))
+        g, alpha, want = star_case(3, a, b, c)
+        got = integrate_graph(g, alpha, tol=DEFAULT_TOL[3])
+        assert got.converged and got.nonfinite == 0
+        assert abs(got.value - want) <= got.err_estimate + 1e-14 * abs(want), (a, b, c)
+        worst = max(worst, abs(got.value - want) / abs(want))
+    assert worst > 1e-9
 
 
 @pytest.mark.parametrize("abc", [(0.3, 0.5, 0.4), (0.7, 0.25, 0.6)])
@@ -146,7 +198,7 @@ def test_dimension_three_convergence_flag_follows_its_error_estimate():
     assert integrate_graph(g, alpha, tol=1.0).converged is True
     strict = integrate_graph(g, alpha, tol=1e-14)
     assert strict.converged is False
-    assert strict.evaluations == 97**3 == len(reference_de_axis(_LEVELS[3][-1])[0]) ** 3
+    assert strict.evaluations == rule_nodes(g, alpha, _LEVELS[3][-1])
 
 
 def test_three_free_vertex_star_keeps_complex_part():
@@ -438,6 +490,55 @@ def reference_level_reached(g, alpha, root_values, tol):
     return level
 
 
+def face_exponents(g, alpha, root_values=None):
+    """(s at t_k -> 0, s at t_k -> 1) per axis, read off the gaps of every vertex pair.
+
+    With x_{r+d} = x_r t_1 ... t_d, the gap of a free vertex of depth d to
+    x_1 = 0 carries t_1 ... t_d; a gap between free vertices of depths
+    d < e is x_{r+d} (1 - t_{d+1} ... t_e), and a gap to the lowest root x_r
+    is x_r (1 - t_1 ... t_e).  Each pair adds its exponent, less one on an
+    edge, to the face powers of those factors, the Jacobian adds
+    t_k^(l-1-k), and s is 1 + the power.  Only a factor 1 - t_e of one axis
+    vanishes at the 1-end alone; a multi-axis one must have positive power
+    here, so that it leaves that end's power unchanged.
+    """
+    r = len(g.roots)
+    l = g.n - r
+    rv = root_values or {1: 0.0, 2: 1.0}
+    edges = {tuple(sorted(e)) for e in g.edges}
+    s0 = [1.0 + l - 1 - k for k in range(l)]
+    s1 = [1.0] * l
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            p = complex(alpha[(i, j)]).real - ((i, j) in edges)
+            if j <= r:
+                continue
+            if i == 1:
+                depths, span = (0, j - r), None
+            elif i <= r:
+                depths, span = (0, 0), (0, j - r) if rv[i] == rv[r] else None
+            else:
+                depths, span = (0, i - r), (i - r, j - r)
+            for k in range(*depths):
+                s0[k] += p
+            if span is not None and span[1] == span[0] + 1:
+                s1[span[0]] += p
+            elif span is not None:
+                assert p > 0, "a multi-axis factor of non-positive power"
+    return s0, s1
+
+
+def rule_nodes(g, alpha, level, root_values=None):
+    """Nodes of the tensor grid at a level, each end of each axis reaching the
+    u at which its face power leaves a relative tail exp(-s pi/2 e^u) of
+    2^-60, and at least 1."""
+
+    def reach(s):
+        return math.floor(max(1.0, math.log(2 * 60 * math.log(2) / (math.pi * s))) * 2**level)
+
+    return math.prod(reach(a) + reach(b) + 1 for a, b in zip(*face_exponents(g, alpha, root_values)))
+
+
 def spread_exponents(n, scale=1.0):
     """Distinct exponents per pair in (0.15, 0.85), times scale (real or complex)."""
     out = {}
@@ -488,25 +589,78 @@ def test_evaluations_count_each_node_of_the_finest_level_once(case):
     got = integrate_graph(g, alpha, tol=tol, root_values=rv)
     level = reference_level_reached(g, alpha, rv, tol)
     assert got.converged
-    assert got.evaluations == len(reference_de_axis(level)[0]) ** dim
+    assert got.evaluations == rule_nodes(g, alpha, level, rv)
 
 
 def test_de_levels_are_nested():
-    for level in range(4, 9):
-        t, omt, w, odd = de_axis(level)
-        t0, omt0, w0 = reference_de_axis(level - 1)
-        assert np.array_equal(t[~odd], t0) and np.array_equal(omt[~odd], omt0)
-        assert np.array_equal(2.0 * w[~odd], w0)
+    # node j of a level is node 2j of the next, bit for bit, and the
+    # log-space nodes are the linear ones where those do not underflow
+    for level in range(2, 10):
+        lo, hi = math.floor(7.3 * 2**level), math.floor(4.1 * 2**level)
+        nodes = de_axis(level, lo, hi)
+        coarse = de_axis(level - 1, lo // 2, hi // 2)
+        assert all(np.array_equal(x[lo % 2 :: 2], y) for x, y in zip(nodes, coarse))
+        u = np.arange(-lo, hi + 1) * 2.0**-level
+        a = 0.5 * math.pi * np.sinh(u)
+        with np.errstate(over="ignore"):
+            t, omt = 1.0 / (1.0 + np.exp(-2.0 * a)), 1.0 / (1.0 + np.exp(2.0 * a))
+            linear = t, omt, 0.25 * math.pi * np.cosh(u) / np.cosh(a) ** 2
+        for x, want in zip(nodes, linear):
+            keep = want > 1e-300
+            assert keep.sum() > 0.6 * len(u)
+            assert np.allclose(np.exp(x[keep]), want[keep], rtol=1e-12, atol=0.0)
+            assert np.all(np.isfinite(x)) and x.flags.writeable is False
+
+
+def test_node_table_growth_repeats_every_node_bit_for_bit(monkeypatch):
+    # the table grows to finer levels and by whole units of u as wider
+    # ranges are asked for; each node is formed at its own index, so an
+    # integral does not depend on the integrals that ran before it
+    monkeypatch.setattr(selberg, "_table", None)
+    first = [x.copy() for x in de_axis(3, 20, 30)]
+    de_axis(8, 2500, 100)
+    assert selberg._table[:2] == (8, 2560)
+    assert all(np.array_equal(x, y) for x, y in zip(first, de_axis(3, 20, 30)))
+
+
+def test_a_capped_corner_counts_its_tail():
+    # at uniform exponent 0.005 both axes of 1 - t_1 t_2, whose power a - 1
+    # comes from the edge (2, 4), ask for ranges past 6.16, where that
+    # factor is not finite; one is capped at 6, which leaves a relative tail
+    # of 7e-5.  The integral counts as unconverged, every node stays finite,
+    # and the estimate covers the error against its mirror image under
+    # x -> 1 - x, the star at vertex 1, which the caps do not touch
+    alpha = ExponentAssignment.uniform(4, 0.005)
+    got = integrate_graph(G(4, {1, 2}, (2, 3), (2, 4)), alpha)
+    mirror = integrate_graph(G(4, {1, 2}, (1, 3), (1, 4)), alpha)
+    assert mirror.converged and got.converged is False and got.nonfinite == 0
+    assert abs(got.value - mirror.value) <= got.err_estimate
+    f = _SimplexIntegrand(G(4, {1, 2}, (2, 3), (2, 4)), alpha, None)
+    assert sorted(u1 for _, u1 in f.ends)[0] == selberg._CORNER_U and 1e-5 < f.tail < 1e-4
+
+
+def test_tiny_exponents_reach_the_range_cap_and_say_so():
+    # exponents this small ask for ranges past u = 12, where each end is
+    # capped: the mass left beyond the cap enters the estimate, which then
+    # covers the error, and the integral counts as unconverged
+    g = G(3, {1, 2}, (2, 3))
+    for b in (1e-12, 1e-300):
+        got = integrate_graph(g, alpha3(0.5, b))
+        assert got.converged is False and got.nonfinite == 0 and got.evaluations < 10**4
+        assert abs(got.value - beta_prototype(0.5, b)) <= got.err_estimate
+    # at 1e-4 the cap leaves a tail of 8e-12, inside the tolerance
+    got = integrate_graph(g, alpha3(0.5, 1e-4))
+    assert got.converged and abs(got.value - beta_prototype(0.5, 1e-4)) <= got.err_estimate
 
 
 def test_non_convergence_is_reported():
-    # small exponents: the level-6 difference stays near 2e-10
+    # small exponents: the level-6 difference stays near 3e-11
     g, _ = ORACLE_CASES[5]
     alpha = spread_exponents(g.n, 0.2)
     got = integrate_graph(g, alpha, tol=1e-15)
     assert got.converged is False
     assert got.err_estimate > 1e-15 * max(1.0, abs(got.value))
-    assert got.evaluations == len(reference_de_axis(_LEVELS[2][-1])[0]) ** 2
+    assert got.evaluations == rule_nodes(g, alpha, _LEVELS[2][-1])
     ok = integrate_graph(g, alpha)
     assert ok.converged is True
     assert (ok + got).converged is False and (ok + ok).converged is True
@@ -515,7 +669,7 @@ def test_non_convergence_is_reported():
 
 def test_unconverged_counts_every_graph_of_a_sum():
     # no level of these two dimension-2 integrals meets tol 1e-15 (estimates
-    # 2e-10 and 4e-10): their sum counts both, and + and scaled carry the counts
+    # 3e-11 and 2e-10): their sum counts both, and + and scaled carry the counts
     alpha = spread_exponents(4, 0.2)
     g, h = G(4, {1, 2}, (2, 3), (3, 4)), G(4, {1, 2}, (2, 4), (3, 4))
     total = integrate_sum(GraphSum(4, g.roots, {g: 1, h: -2}), alpha, tol=1e-15)
@@ -579,22 +733,23 @@ def test_nonfinite_nodes_are_counted(scale):
     assert abs(got.value - want) < 1e-12 * abs(want)
     # a t_2 node at exactly 0 puts 0^(a - 1) = inf on its column: the guard
     # zeroes those nodes and counts them
-    ts = [np.array([0.25, 0.5, 0.75]).reshape(-1, 1), np.array([0.0, 0.5])]
-    omts = [1.0 - t for t in ts]
-    ws = [np.ones_like(t) for t in ts]
+    f = _SimplexIntegrand(g, alpha, None)
     with np.errstate(all="ignore"):
-        vals, bad = _SimplexIntegrand(g, alpha, None)(ts, omts, ws)
+        vals, bad = f(*block_axes(f, [[0.25, 0.5, 0.75], [0.0, 0.5]]))
     assert bad == 3 and vals.shape == (3, 2)
     assert np.all(vals[:, 0] == 0.0) and np.all(np.isfinite(vals[:, 1])) and np.all(vals[:, 1] != 0.0)
     total = integrate_sum(GraphSum(g.n, g.roots, {g: 1, G(4, {1, 2}, (1, 3), (2, 4)): 1}), alpha)
     assert total.nonfinite == got.nonfinite == 0
 
 
-def block_axes(axes):
-    """Broadcast-shaped axis arrays (t, 1 - t, unit weights) from 1-D node lists."""
+def block_axes(f, axes):
+    """Broadcast-shaped axis arrays (t, 1 - t, axis groups at unit weights) from 1-D node lists."""
     dim = len(axes)
     ts = [np.array(x, dtype=float).reshape((-1,) + (1,) * (dim - 1 - k)) for k, x in enumerate(axes)]
-    return ts, [1.0 - t for t in ts], [np.ones_like(t) for t in ts]
+    omts = [1.0 - t for t in ts]
+    with np.errstate(all="ignore"):
+        gs = [f.axis_group(k, np.log(t), np.log(omt), np.zeros_like(t)) for k, (t, omt) in enumerate(zip(ts, omts))]
+    return ts, omts, gs
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2**15])
@@ -604,15 +759,15 @@ def test_block_sum_matches_the_elementwise_sum(case, chunk, monkeypatch):
     # module's own size, on blocks of every dimension and shape
     g, rv = ORACLE_CASES[case]
     dim = g.n - len(g.roots)
-    t, omt, w, odd = de_axis(_LEVELS[dim][0] + 1)
-    picks = [~odd] * (dim - 1) + [odd]
-    shapes = [(-1,) + (1,) * (dim - 1 - k) for k in range(dim)]
-    ts, omts, ws = ([x[p].reshape(s) for p, s in zip(picks, shapes)] for x in (t, omt, w))
     monkeypatch.setattr(selberg, "_CHUNK", chunk)
     for scale in (1.0, 0.8 + 0.35j):
         f = _SimplexIntegrand(g, spread_exponents(g.n, scale), rv)
-        vals, bad = f(ts, omts, ws)
-        got, got_bad = f.block_sum(ts, omts, ws)
+        # the last block of the second level: old nodes on the axes before
+        # the last, new (odd) nodes on the last
+        axes = _level_axes(f, _LEVELS[dim][0] + 1)
+        ts, omts, gs = map(list, zip(*[old for _, old, _ in axes[:-1]], axes[-1][2]))
+        vals, bad = f(ts, omts, gs)
+        got, got_bad = f.block_sum(ts, omts, gs)
         assert bad == got_bad == 0
         assert abs(got - vals.sum()) <= 1e-14 * abs(vals).sum()
 
@@ -633,10 +788,10 @@ def test_nonfinite_chunks_fall_back_to_the_elementwise_guard(scale, chunk, monke
         ([[0.25, 0.5, 0.75], [0.0, 0.5, 0.9]], 3),
         ([[0.0, 0.5, 0.75], [0.0, 0.5, 0.9]], 5),
     ]:
-        ts, omts, ws = block_axes(axes)
+        ts, omts, gs = block_axes(f, axes)
         with np.errstate(all="ignore"):
-            vals, bad = f(ts, omts, ws)
-            got, got_bad = f.block_sum(ts, omts, ws)
+            vals, bad = f(ts, omts, gs)
+            got, got_bad = f.block_sum(ts, omts, gs)
         assert bad == got_bad == want_bad
         assert np.isfinite(got) and got != 0.0
         assert abs(got - vals.sum()) <= 1e-14 * abs(vals).sum()
@@ -696,4 +851,4 @@ def test_one_level_table_reports_no_convergence(monkeypatch):
     monkeypatch.setitem(selberg._LEVELS, 1, range(3, 4))
     got = integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5))
     assert got.converged is False and got.err_estimate == math.inf
-    assert got.evaluations == len(de_axis(3)[0])
+    assert got.evaluations == rule_nodes(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5), 3)

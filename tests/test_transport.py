@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selzeta import selberg
 from selzeta.braid import build_tower, sample_alpha
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta.ncalg import grouplike_defect, nc_letter, series_mul
@@ -300,14 +301,23 @@ def test_projection_identity_three_samples():
         assert rep.unconverged == 0
 
 
-def test_projection_reports_unconverged_integrals():
-    # alpha_14 = 1/50 puts an exponent below the 0.03 floor on (1,3) of both
-    # three-vertex sides: those two integrals run out of levels at tol 1e-10
+def test_projection_reports_unconverged_integrals(monkeypatch):
+    # alpha_14 = 1/50 puts a small exponent on (1,3) of both three-vertex
+    # sides; the ranges set by the face powers take its whole tail in
     alpha = dict(sample_alpha(4, random.Random(4)))
     alpha[(1, 4)] = Fraction(1, 50)
     rep = projection_identity_check(4, alpha, tol=1e-10)
-    assert rep.unconverged == 2
+    assert rep.unconverged == 0
+    assert rep.defect < 1e-13
+    # a table of levels 1 and 2 at one free vertex: no |S2 - S1| meets tol
+    # 1e-10 (estimates near 3e-8), so each of the three graph integrals of
+    # the boundary faces runs out of levels and is counted
+    monkeypatch.setattr(selberg, "_MEMO", {})
+    monkeypatch.setitem(selberg._LEVELS, 1, range(1, 3))
+    rep = projection_identity_check(4, alpha, tol=1e-10)
+    assert rep.unconverged == 3
     assert rep.defect < 1e-7
+    assert rep.defect <= rep.quadrature_err
 
 
 def test_projection_identity_five_vertices():
