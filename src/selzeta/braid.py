@@ -331,12 +331,6 @@ def matrix_generators(n, rng):
     return {u: fam.mats[u] for u in all_pairs(n)}
 
 
-def scalar_generators(n, rng):
-    """Commuting 1 x 1 instantiation (weaker but cheap)."""
-    alpha = sample_alpha(n, rng)
-    return {u: np.array([[alpha[u]]], dtype=object) for u in all_pairs(n)}
-
-
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
@@ -436,20 +430,8 @@ def spectrum(S, k, n, alpha):
 
 
 # ---------------------------------------------------------------------------
-# ordered products over graphs and the coordinate identity
+# the recursion coordinate and the eta-gamma identity
 # ---------------------------------------------------------------------------
-
-def graph_matrix(g, fam):
-    """Ordered product over the edges, largest edge leftmost, in the family."""
-    first = next(iter(fam.mats.values()))
-    dim = first.shape[0]
-    out = np.eye(dim) if first.dtype != object else np.diag([Fraction(1)] * dim)
-    for e in g.edges:
-        if max(e) > fam.level:
-            raise ValueError(f"edge {e} exceeds the family level")
-        out = fam.mats[pair(*e)] @ out
-    return out
-
 
 def _coord_offset(I):
     """Flat position of the (i_{r+1}, ..., i_n) coordinate, i_{r+1} slowest."""
@@ -543,55 +525,3 @@ def eta_gamma_check(I, rng, x=None, gens=None):
         rhs = rhs + _scaled_int(coef, rhs_den) * a_g
     diff = lhs * rhs_den - rhs * lhs_den
     return Fraction(max(abs(v) for v in diff.flat), lhs_den * rhs_den)
-
-
-def path_product_factors(g, p, q, gens):
-    """The step factors whose ordered product carries the p-slot input to the
-    q-component under the edgewise product over g (level = top vertex - 1).
-
-    Valid when the path positions increase from p to q; factors are the path
-    hops -G_{(vertex, n)} and, between hops, either G_edge + G_{(other, n)}
-    when the edge touches the current path vertex or the bare G_edge.
-    Returns None when the path positions are not increasing.
-    """
-    n = g.n + 1  # symbols live on [n], the family level is n - 1
-    adj = {}
-    for pos, (a, b) in enumerate(g.edges):
-        adj.setdefault(a, []).append((b, pos))
-        adj.setdefault(b, []).append((a, pos))
-    # unique path p -> q in the forest
-    prev = {p: None}
-    stack = [p]
-    while stack:
-        v = stack.pop()
-        for w, pos in adj.get(v, ()):
-            if w not in prev:
-                prev[w] = (v, pos)
-                stack.append(w)
-    if q not in prev:
-        return None
-    path = []
-    v = q
-    while prev[v] is not None:
-        u, pos = prev[v]
-        path.append((u, v, pos))
-        v = u
-    path.reverse()  # k_0 = p, ..., k_m = q with their edge positions
-    t_list = [pos for _, _, pos in path]
-    if t_list != sorted(t_list):
-        return None
-    verts = [p] + [b for _, b, _ in path]
-    factors = []
-    for pos, e in enumerate(g.edges):
-        j = sum(1 for t in t_list if t <= pos)
-        if pos in t_list:
-            factors.append(-gens[pair(verts[j], n)])
-        else:
-            cur = verts[j]
-            a, b = e
-            if cur in e:
-                other = b if a == cur else a
-                factors.append(gens[pair(a, b)] + gens[pair(other, n)])
-            else:
-                factors.append(gens[pair(a, b)])
-    return factors

@@ -337,29 +337,12 @@ def omega_coefficient(g, x):
 
 
 def is_tree(g):
-    """True iff g is a forest in which every component contains exactly one root."""
+    """True iff g is a forest in which every component contains exactly one
+    root: exactly when the ±1 incidence determinant of its log form is not 0."""
     cols = g.free_vertices
     if len(g.edges) != len(cols):
         raise ValueError("need #edges == #vertices - #roots")
-    parent = {v: v for v in range(1, g.n + 1)}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for p, q in g.edges:
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            return False
-        parent[rp] = rq
-    root_count = {}
-    for v in range(1, g.n + 1):
-        root_count.setdefault(find(v), 0)
-    for v in g.roots:
-        root_count[find(v)] += 1
-    return all(c == 1 for c in root_count.values())
+    return _incidence_sign(g.edges, tuple(cols)) != 0
 
 
 # ---------------------------------------------------------------------------

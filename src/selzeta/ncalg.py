@@ -98,10 +98,6 @@ def nc_letter(letter, trunc, c=1):
     return NCSeries(trunc, {letter: c})
 
 
-def from_terms(trunc, terms):
-    return NCSeries(trunc, dict(terms))
-
-
 def _check_same_trunc(a, b):
     if a.trunc != b.trunc:
         raise TruncationMismatch(f"truncation degrees differ: {a.trunc} != {b.trunc}")
@@ -221,17 +217,6 @@ def grouplike_defect(a):
                     if d > worst:
                         worst = d
     return worst
-
-
-def series_close(a, b, tol=0.0):
-    """Max coefficient deviation between two series (words up to common trunc)."""
-    _check_same_trunc(a, b)
-    worst = 0
-    for w in set(a.coeff) | set(b.coeff):
-        d = abs(a[w] - b[w])
-        if d > worst:
-            worst = d
-    return worst <= tol if tol else worst == 0
 
 
 # local-solution terms summed at 1/2; 90 terms give the same floats at

@@ -97,9 +97,6 @@ class ExponentAssignment:
     def __getitem__(self, ij):
         return self.alphas[pair(*ij)]
 
-    def get(self, ij, default=None):
-        return self.alphas.get(pair(*ij), default)
-
     def scale(self, t):
         return ExponentAssignment({u: t * v for u, v in self.alphas.items()})
 
@@ -664,8 +661,10 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
 
     Includes the product of the edge exponents as a prefactor.  Non-forest
     graphs integrate to exactly zero (their log form vanishes).  Dimension
-    n - r is capped at 3.  A tolerance must be finite and non-negative
-    (ValueError).  Each distinct integral is computed once per process.
+    n - r is capped at 3.  Every graph, forest or not, needs at least two
+    roots (x_1 = 0 and x_2 = 1 pin them), and a tolerance must be finite
+    and non-negative (ValueError).  Each distinct integral is computed once
+    per process.
     The graph with its edges sorted is integrated, and its result is kept
     under (n, roots, sorted edges, the exponents of the pairs of [n], tol,
     root values); any other edge order gets that result times the sign of
@@ -674,6 +673,8 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
     global memo_hits
     if not isinstance(alpha, ExponentAssignment):
         alpha = ExponentAssignment(alpha)
+    if len(g.roots) < 2:
+        raise ValueError(f"{len(g.roots)} roots: x_1 = 0 and x_2 = 1 need at least 2")
     l = g.n - len(g.roots)
     if l > 3:
         raise QuadratureError("more than three free vertices is unsupported")

@@ -193,38 +193,6 @@ def transport_series(trunc, x_from, x_to, tol=_STEP_TOL, x_eval=None):
     return [to_series(col) for col in cols]
 
 
-def iterated_integral_series(trunc, x_from, x_to, samples=4001):
-    """Direct iterated-integral expansion of the transport, as an oracle.
-
-    Coefficient of each word is the nested integral of the corresponding
-    1-form letters, evaluated by cumulative Simpson sweeps innermost-first.
-    Adequate for low truncation orders on interior intervals.
-    """
-    xs = np.linspace(x_from, x_to, samples)
-    fx = 1.0 / xs
-    fy = 1.0 / (xs - 1.0)
-
-    def cumulative(letter_values, inner):
-        vals = letter_values * inner
-        out = np.zeros_like(vals)
-        h = np.diff(xs)
-        mids = 0.5 * (vals[1:] + vals[:-1])
-        out[1:] = np.cumsum(mids * h)
-        return out
-
-    coeff = {"": 1.0}
-    frontier = {"": np.ones_like(xs)}
-    for _ in range(trunc):
-        new_frontier = {}
-        for w, inner in frontier.items():
-            for letter, fv in (("X", fx), ("Y", fy)):
-                cum = cumulative(fv, inner)
-                new_frontier[letter + w] = cum
-                coeff[letter + w] = float(cum[-1])
-        frontier = new_frontier
-    return NCSeries(trunc, coeff)
-
-
 # ---------------------------------------------------------------------------
 # regularized transport
 # ---------------------------------------------------------------------------

@@ -13,19 +13,16 @@ from selzeta.braid import (
     ascending_factorial,
     build_tower,
     eta_gamma_check,
-    graph_matrix,
     matrix_generators,
     pair,
-    path_product_factors,
     pure_braid_defects,
     sample_alpha,
-    scalar_generators,
     spectrum,
     spectrum_formula,
     stacked_column,
     tower_dim,
 )
-from selzeta.graphs import IndexTuple, OrderedRootedGraph, index_tuples, omega_coefficient, wedge_chain
+from selzeta.graphs import IndexTuple, index_tuples, omega_coefficient, wedge_chain
 
 
 def test_ascending_factorial():
@@ -242,27 +239,6 @@ def test_spectrum_rejects_bad_subset():
         spectrum({1, 4}, 3, 4, alpha)
 
 
-def test_graph_matrix_identity_and_single_edge():
-    rng = random.Random(3)
-    alpha = {u: float(f) for u, f in sample_alpha(4, rng).items()}
-    fam = build_tower(4, 3)[3].evaluate(alpha)
-    g0 = OrderedRootedGraph(3, frozenset({1, 2}), ())
-    assert np.allclose(graph_matrix(g0, fam), np.eye(3))
-    g1 = OrderedRootedGraph(3, frozenset({1, 2}), ((1, 2),))
-    assert np.allclose(graph_matrix(g1, fam), fam.mats[(1, 2)])
-
-
-def test_graph_matrix_order_matters():
-    rng = random.Random(8)
-    alpha = {u: float(f) for u, f in sample_alpha(4, rng).items()}
-    fam = build_tower(4, 3)[3].evaluate(alpha)
-    g_ab = OrderedRootedGraph(3, frozenset({1}), ((1, 2), (1, 3)))
-    g_ba = OrderedRootedGraph(3, frozenset({1}), ((1, 3), (1, 2)))
-    m1 = graph_matrix(g_ab, fam)
-    m2 = graph_matrix(g_ba, fam)
-    assert np.abs(m1 - m2).max() > 1e-4
-
-
 def test_eta_gamma_three_vertices():
     rng = random.Random(11)
     assert eta_gamma_check(IndexTuple(2, 3, (2,)), rng) == 0
@@ -273,6 +249,13 @@ def test_eta_gamma_four_vertices_exhaustive():
     rng = random.Random(12)
     for I in index_tuples(4, 2):
         assert eta_gamma_check(I, rng) == 0
+
+
+def scalar_generators(n, rng):
+    """Commuting 1 x 1 generators at a sampled exponent point: they satisfy the
+    pure-braid relations trivially, a weaker but cheap instantiation."""
+    alpha = sample_alpha(n, rng)
+    return {u: np.array([[alpha[u]]], dtype=object) for u in all_pairs(n)}
 
 
 def test_eta_gamma_scalar_generators():
@@ -360,6 +343,58 @@ def test_integer_path_keeps_nonzero_defect():
             gens[u] = gens[u].copy()
             gens[u][0, 1] += Fraction(1, 7)
         assert assert_matches_reference(I, rational_point(4, rng), gens) > 0
+
+
+def path_product_factors(g, p, q, gens):
+    """The step factors whose ordered product carries the p-slot input to the
+    q-component under the edgewise product over g (level = top vertex - 1).
+
+    Valid when the path positions increase from p to q; factors are the path
+    hops -G_{(vertex, n)} and, between hops, either G_edge + G_{(other, n)}
+    when the edge touches the current path vertex or the bare G_edge.
+    Returns None when the path positions are not increasing.
+    """
+    n = g.n + 1  # symbols live on [n], the family level is n - 1
+    adj = {}
+    for pos, (a, b) in enumerate(g.edges):
+        adj.setdefault(a, []).append((b, pos))
+        adj.setdefault(b, []).append((a, pos))
+    # unique path p -> q in the forest
+    prev = {p: None}
+    stack = [p]
+    while stack:
+        v = stack.pop()
+        for w, pos in adj.get(v, ()):
+            if w not in prev:
+                prev[w] = (v, pos)
+                stack.append(w)
+    if q not in prev:
+        return None
+    path = []
+    v = q
+    while prev[v] is not None:
+        u, pos = prev[v]
+        path.append((u, v, pos))
+        v = u
+    path.reverse()  # k_0 = p, ..., k_m = q with their edge positions
+    t_list = [pos for _, _, pos in path]
+    if t_list != sorted(t_list):
+        return None
+    verts = [p] + [b for _, b, _ in path]
+    factors = []
+    for pos, e in enumerate(g.edges):
+        j = sum(1 for t in t_list if t <= pos)
+        if pos in t_list:
+            factors.append(-gens[pair(verts[j], n)])
+        else:
+            cur = verts[j]
+            a, b = e
+            if cur in e:
+                other = b if a == cur else a
+                factors.append(gens[pair(a, b)] + gens[pair(other, n)])
+            else:
+                factors.append(gens[pair(a, b)])
+    return factors
 
 
 def test_path_product_closed_form():

@@ -213,6 +213,13 @@ def test_cli_selberg_integrate_rejects_four_roots(tmp_path, capsys):
     assert "4 roots" in _one_error_line(["selberg", "integrate", str(gf)], capsys)
 
 
+@pytest.mark.parametrize("line", ["3 1 | (1,2) (1,3)", "3 0 | (1,2) (1,3) (2,3)"])
+def test_cli_selberg_integrate_rejects_fewer_than_two_roots(tmp_path, capsys, line):
+    gf = tmp_path / "few_roots.txt"
+    gf.write_text(line + "\n")
+    assert "need at least 2" in _one_error_line(["selberg", "integrate", str(gf)], capsys)
+
+
 def test_cli_selberg_integrate_rejects_missing_alpha_pairs(tmp_path, capsys):
     gf = tmp_path / "star.txt"
     gf.write_text("4 2 | (1,3) (1,4)\n")

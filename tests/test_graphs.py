@@ -171,15 +171,38 @@ def test_is_tree_examples():
     assert not is_tree(G(3, {1, 2}, (1, 2)))
 
 
+def one_root_per_tree(g):
+    """Union-find: True iff g is a forest in which every component contains
+    exactly one root.  The oracle of is_tree, which reads a determinant."""
+    parent = {v: v for v in range(1, g.n + 1)}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for p, q in g.edges:
+        rp, rq = find(p), find(q)
+        if rp == rq:
+            return False
+        parent[rp] = rq
+    root_count = dict.fromkeys((find(v) for v in range(1, g.n + 1)), 0)
+    for v in g.roots:
+        root_count[find(v)] += 1
+    return all(c == 1 for c in root_count.values())
+
+
 def test_is_tree_iff_omega_nonzero_exhaustive():
     rng = random.Random(7)
-    for n, r in [(4, 2), (5, 2), (5, 3)]:
+    for n in range(2, 6):
         x = rational_point(n, rng)
-        roots = frozenset(range(1, r + 1))
         pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for edge_set in itertools.combinations(pairs, n - r):
-            g = OrderedRootedGraph(n, roots, edge_set)
-            assert (omega_coefficient(g, x) != 0) == is_tree(g)
+        for r in range(n + 1):
+            roots = frozenset(range(1, r + 1))
+            for edge_set in itertools.combinations(pairs, n - r):
+                g = OrderedRootedGraph(n, roots, edge_set)
+                assert (omega_coefficient(g, x) != 0) == is_tree(g) == one_root_per_tree(g)
 
 
 def test_log_form_det_on_node_arrays_matches_exact():

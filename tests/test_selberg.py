@@ -367,7 +367,7 @@ def test_exponent_assignment_utilities():
     assert abs(merged[(2, 4)] - 1.1) < 1e-15  # alpha_24 + alpha_34
     relabeled = al.relabel({1: 1, 3: 2})
     assert relabeled[(1, 2)] == 0.2
-    assert relabeled.get((2, 3)) is None
+    assert (2, 3) not in relabeled.alphas
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan), complex(math.inf, 1.0)])
@@ -384,6 +384,14 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
     # a non-forest needs no quadrature, but its tolerance is checked all the same
     with pytest.raises(ValueError, match="tolerance"):
         integrate_graph(G(4, {1, 2}, (1, 2), (3, 4)), ExponentAssignment.uniform(4, 0.1), tol=tol)
+
+
+def test_fewer_than_two_roots_are_rejected():
+    # a forest with root 2 free would take x_2 = 1 as a free coordinate, and
+    # a non-forest must not read as a converged zero
+    for g in (G(3, {1}, (1, 2), (1, 3)), G(3, set(), (1, 2), (1, 3), (2, 3))):
+        with pytest.raises(ValueError, match="need at least 2"):
+            integrate_graph(g, ExponentAssignment.uniform(3, 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from selzeta import selberg
 from selzeta.braid import build_tower, sample_alpha
 from selzeta.mzv import MZVIndex, mzv_eval
-from selzeta.ncalg import grouplike_defect, nc_letter, series_mul
+from selzeta.ncalg import NCSeries, grouplike_defect, nc_letter, series_mul
 from selzeta.transport import (
     ConnectionPair,
     ResonanceError,
@@ -19,7 +19,6 @@ from selzeta.transport import (
     associator_series,
     associator_symbolic,
     connection_ladder,
-    iterated_integral_series,
     projection_identity_check,
     regularized_connection_matrix,
     regularized_limit,
@@ -101,6 +100,39 @@ def test_interval_guard():
         transport_ode(conn, 0.0, 0.5)
     with pytest.raises(ValueError):
         transport_series(2, 0.5, 1.0)
+
+
+def iterated_integral_series(trunc, x_from, x_to, samples=4001):
+    """Direct iterated-integral expansion of the transport, the oracle of the
+    Taylor-step transport_series.
+
+    Coefficient of each word is the nested integral of the corresponding
+    1-form letters, evaluated by cumulative Simpson sweeps innermost-first.
+    Adequate for low truncation orders on interior intervals.
+    """
+    xs = np.linspace(x_from, x_to, samples)
+    fx = 1.0 / xs
+    fy = 1.0 / (xs - 1.0)
+
+    def cumulative(letter_values, inner):
+        vals = letter_values * inner
+        out = np.zeros_like(vals)
+        h = np.diff(xs)
+        mids = 0.5 * (vals[1:] + vals[:-1])
+        out[1:] = np.cumsum(mids * h)
+        return out
+
+    coeff = {"": 1.0}
+    frontier = {"": np.ones_like(xs)}
+    for _ in range(trunc):
+        new_frontier = {}
+        for w, inner in frontier.items():
+            for letter, fv in (("X", fx), ("Y", fy)):
+                cum = cumulative(fv, inner)
+                new_frontier[letter + w] = cum
+                coeff[letter + w] = float(cum[-1])
+        frontier = new_frontier
+    return NCSeries(trunc, coeff)
 
 
 def test_series_transport_matches_iterated_integrals():
