@@ -18,29 +18,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .graphs import all_pairs, pair
-
-
-def _rational(v):
-    """v as a Fraction, without a new object when it already is one."""
-    return v if type(v) is Fraction else Fraction(v)
-
-
-def _lcm_denominator(values):
-    """Least common multiple of the denominators of exact rationals."""
-    return math.lcm(*(_rational(v).denominator for v in values))
-
-
-def _scaled_int(v, scale):
-    """The integer v * scale, for an exact rational v whose denominator divides scale."""
-    v = _rational(v)
-    return v.numerator * (scale // v.denominator)
+from .graphs import all_pairs, common_denominator, pair
 
 
 def _divide(num, den):
@@ -113,15 +96,13 @@ class LinearMatrix:
         return LinearMatrix(total, terms)
 
     def evaluate(self, alpha):
-        """Numeric matrix sum_u alpha[u] * M_u (float if alpha is float)."""
-        exact = all(not isinstance(v, float) for v in alpha.values())
-        if exact:
-            # integer accumulation over the lcm of the exponent denominators
-            den = _lcm_denominator(alpha[u] for u in self.terms)
-            num = np.zeros((self.dim, self.dim), dtype=object)
+        """Numeric matrix sum_u alpha[u] * M_u: exact, in Python ints (object
+        dtype, no overflow), when every value is an int; float64 otherwise,
+        Fractions included, through float(alpha[u])."""
+        if all(type(v) is int for v in alpha.values()):
+            out = np.zeros((self.dim, self.dim), dtype=object)
             for u, m in self.terms.items():
-                num = num + m.astype(object) * _scaled_int(alpha[u], den)
-            out = _divide(num, den)
+                out = out + m.astype(object) * alpha[u]
         else:
             out = np.zeros((self.dim, self.dim))
             for u, m in self.terms.items():
@@ -323,12 +304,13 @@ def _symbolic_tower(n, r):
 
 
 def matrix_generators(n, rng):
-    """Exact noncommuting d x d matrices (d = n) satisfying the pure-braid
-    relations for [n]: one induction step from level n+1 at random rationals."""
+    """Exact noncommuting d x d matrices G_u (d = n) satisfying the pure-braid
+    relations for [n]: one induction step from level n+1 at random rationals
+    p/1000.  Returned as (1000, {u: 1000 G_u}), the integer matrices over
+    their common denominator."""
     top = _symbolic_tower(n + 1, n)
-    alpha = {u: Fraction(rng.randint(40, 160), 1000) for u in all_pairs(n + 1)}
-    fam = top[n].evaluate(alpha)
-    return {u: fam.mats[u] for u in all_pairs(n)}
+    fam = top[n].evaluate({u: rng.randint(40, 160) for u in all_pairs(n + 1)})
+    return 1000, {u: fam.mats[u] for u in all_pairs(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +391,7 @@ def spectrum(S, k, n, alpha):
         raise ValueError("need |S| >= 2")
     if not set(S) <= set(range(1, k + 1)):
         raise ValueError("S must sit inside [1, k]")
-    tower = build_tower(n, k)
-    falpha = {u: float(v) for u, v in alpha.items()}
-    fam = tower[k].evaluate(falpha)
+    fam = build_tower(n, k)[k].evaluate(alpha)
     a = sum(fam.mats[pair(i, j)] for i, j in itertools.combinations(sorted(S), 2))
     eig, vecs = np.linalg.eig(a)
     if np.abs(eig.imag).max() > 1e-9:
@@ -441,22 +421,9 @@ def _coord_offset(I):
     return off
 
 
-def _integer_generators(gens):
-    """(D, {u: D * G_u}) with D the lcm of every entry denominator; the scaled
-    generators are object arrays of Python ints, so products cannot overflow."""
-    scale = _lcm_denominator(v for g in gens.values() for v in g.flat)
-    scaled = {}
-    for u, g in gens.items():
-        flat = [_scaled_int(v, scale) for v in g.flat]
-        scaled[u] = np.array(flat, dtype=object).reshape(g.shape)
-    return scale, scaled
-
-
 def _scaled_gap_inverses(x, top):
     """(Q, [Q / (x_top - x_i) for i < top]) with Q the lcm of the denominators."""
-    inv = [1 / Fraction(x[top] - x[i]) for i in range(1, top)]
-    q = _lcm_denominator(inv)
-    return q, [_scaled_int(v, q) for v in inv]
+    return common_denominator(1 / Fraction(x[top] - x[i]) for i in range(1, top))
 
 
 def _integer_column(I, x, scale, igens, tower):
@@ -486,10 +453,10 @@ def stacked_column(I, x, gens):
     Starting from blocks G_{(i,n)} / (x_n - x_i), each level k stacks the
     blocks (lifted A^{(k+1)}_{k+1,i} / (x_{k+1} - x_i)) times the previous
     column; the (i_{r+1}, ..., i_n) coordinate is returned as a d x d matrix
-    of Fractions.  The recursion runs on integers and divides once at the end.
+    of Fractions.  gens is (D, {u: D G_u}) as matrix_generators returns it.
+    The recursion runs on integers and divides once at the end.
     """
-    scale, igens = _integer_generators(gens)
-    return _divide(*_integer_column(I, x, scale, igens, _symbolic_tower(I.n, I.r)))
+    return _divide(*_integer_column(I, x, *gens, _symbolic_tower(I.n, I.r)))
 
 
 def eta_gamma_check(I, rng, x=None, gens=None):
@@ -498,8 +465,9 @@ def eta_gamma_check(I, rng, x=None, gens=None):
     Both sides are evaluated at an exact rational point x with the symbols
     instantiated by a relation-satisfying matrix family; the identity holds
     in the quotient by the pure-braid relations, so the defect must be the
-    zero matrix.  Returns the max absolute entry as a Fraction.  Both sides
-    are compared as integer matrices over one common denominator.
+    zero matrix.  Returns the max absolute entry as a Fraction.  gens is
+    (D, {u: D G_u}) as matrix_generators returns it.  Both sides are
+    compared as integer matrices over one common denominator.
     """
     from .graphs import omega_coefficient, wedge_chain
 
@@ -509,19 +477,20 @@ def eta_gamma_check(I, rng, x=None, gens=None):
     if x is None:
         vals = rng.sample(range(1, 1000), n)
         x = {v: Fraction(vals[v - 1], 1009) for v in range(1, n + 1)}
-    scale, igens = _integer_generators(gens)
+    scale, igens = gens
     lhs, lhs_den = _integer_column(I, x, scale, igens, _symbolic_tower(n, r))
     d = lhs.shape[0]
     # term g is coef * (D^|E| a_g) with coef = c * omega_g / D^|E|
-    terms = []
+    coefs, products = [], []
     for g, c in wedge_chain(I).terms.items():
         a_g = np.identity(d, dtype=object)
         for e in g.edges:
             a_g = igens[pair(*e)] @ a_g
-        terms.append((c * omega_coefficient(g, x) / Fraction(scale) ** len(g.edges), a_g))
-    rhs_den = _lcm_denominator(coef for coef, _ in terms)
+        coefs.append(c * omega_coefficient(g, x) / Fraction(scale) ** len(g.edges))
+        products.append(a_g)
+    rhs_den, coefs = common_denominator(coefs)
     rhs = np.zeros((d, d), dtype=object)
-    for coef, a_g in terms:
-        rhs = rhs + _scaled_int(coef, rhs_den) * a_g
+    for coef, a_g in zip(coefs, products):
+        rhs = rhs + coef * a_g
     diff = lhs * rhs_den - rhs * lhs_den
     return Fraction(max(abs(v) for v in diff.flat), lhs_den * rhs_den)

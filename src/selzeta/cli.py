@@ -216,7 +216,7 @@ def check_sum_relation(config):
     from .selberg import ExponentAssignment, sum_relation_defect
 
     rng = _rng_for(config, "sum-relation")
-    alpha = ExponentAssignment({u: float(v) for u, v in sample_alpha(4, rng).items()})
+    alpha = ExponentAssignment(sample_alpha(4, rng))
     sums = [sum_relation_defect(4, 3, 4, {}, alpha, tol=1e-10, root_values={1: 0.0, 2: 1.0, 3: 0.45})]
     for p, partials in [(3, [{4: 1}, {4: 2}, {4: 3}]), (4, [{3: 1}, {3: 2}])]:
         for partial in partials:

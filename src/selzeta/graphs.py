@@ -67,9 +67,9 @@ def _graph(n, roots, edges):
     return g
 
 
-def empty_graph(roots, n=None):
+def empty_graph(roots):
     roots = frozenset(roots)
-    return OrderedRootedGraph(n if n is not None else max(roots), roots, ())
+    return OrderedRootedGraph(max(roots), roots, ())
 
 
 @dataclass
@@ -91,8 +91,8 @@ class GraphSum:
         self.terms = cleaned
 
     @staticmethod
-    def single(g, c=1):
-        return GraphSum(g.n, g.roots, {g: c})
+    def single(g):
+        return GraphSum(g.n, g.roots, {g: 1})
 
     def __add__(self, other):
         if (self.n, self.roots) != (other.n, other.roots):
@@ -173,7 +173,7 @@ def wedge(g, new_vertex, i):
 
 def wedge_chain(I):
     """Left fold of the wedge over the index tuple, starting from the bare roots."""
-    gs = GraphSum.single(empty_graph(range(1, I.r + 1), I.r))
+    gs = GraphSum.single(empty_graph(range(1, I.r + 1)))
     for p in range(I.r + 1, I.n + 1):
         gs = wedge(gs, p, I.entry(p))
     return gs
@@ -310,13 +310,23 @@ def _distinct(coords):
     return coords
 
 
+def common_denominator(values):
+    """(D, [D v for v in values]) for exact values (ints or Fractions), D the
+    lcm of their denominators: the one format of an exact value set, integers
+    over one common denominator.  Reads numerator and denominator, which ints
+    have too, and forms no Fraction; (1, []) for no values."""
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _coordinates(vals):
     """(scale, coordinates) for log_form_det, after the coincidence guard:
     exact (int or Fraction) values as integers over their common denominator,
     which is the scale; float values as they are, with scale None."""
     if {type(v) for v in vals.values()} <= {int, Fraction}:
-        scale = math.lcm(*(v.denominator for v in vals.values()))
-        return scale, _distinct({k: v.numerator * (scale // v.denominator) for k, v in vals.items()})
+        scale, nums = common_denominator(vals.values())
+        return scale, _distinct(dict(zip(vals, nums)))
     return None, _distinct(vals)
 
 

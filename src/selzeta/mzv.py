@@ -231,8 +231,8 @@ class MZVCombo:
         return MZVCombo({}, 1)
 
     @staticmethod
-    def single(idx, c=1):
-        return MZVCombo({idx: Fraction(c)}, 0)
+    def single(idx):
+        return MZVCombo({idx: 1})
 
     def __add__(self, other):
         terms = dict(self.terms)

@@ -200,19 +200,14 @@ _CORNER_U = 6.0
 # reach it
 _U_MAX = 12.0
 
-# (level, half, log t, log w) on u = j 2^-level for |j| <= half, at the
-# finest level asked for so far: every coarser level's nodes are a strided
-# view of it.  It grows by whole units of u as wider ranges are asked for.
-_table = None
 
+def _de_table(level):
+    """(level, half, log t, log w) on u = j 2^-level for |j| <= half = _U_MAX 2^level.
 
-def _de_table(level, half):
-    """log t and the log weight (without the mesh) on u = j 2^-level, |j| <= half.
-
-    Formed from a = pi/2 sinh u on u >= 0 and mirrored: log t at -u is
-    log(1 - t) at u.  Node j is computed at index j of the half table
-    whatever its size, so a grown table repeats the old values bit for bit.
+    The log weight leaves out the mesh.  Formed from a = pi/2 sinh u on
+    u >= 0 and mirrored: log t at -u is log(1 - t) at u.
     """
+    half = int(_U_MAX) << level
     u = np.arange(half + 1) * 2.0**-level
     a = 0.5 * math.pi * np.sinh(u)
     # t = 1 / (1 + e^-2a), 1 - t = e^-2a / (1 + e^-2a), dt/du = pi cosh u e^-2a / (1 + e^-2a)^2
@@ -222,7 +217,7 @@ def _de_table(level, half):
     out = np.concatenate((lomt[:0:-1], -l1p)), np.concatenate((lw[:0:-1], lw))
     for x in out:
         x.flags.writeable = False
-    return out
+    return level, half, *out
 
 
 def de_axis(level, lo, hi):
@@ -242,21 +237,13 @@ def de_axis(level, lo, hi):
     exp(-s pi/2 e^u) is 2^-60, and at least 1.  Past u = 6.16, 1 - t is 0
     in double precision, so a factor 1 - t_a ... t_b of non-positive power
     whose axes all reach past it is not finite there: one of those axes is
-    capped at _CORNER_U, where 1 - t still holds 1e-275.  Returns read-only
-    views of one cached table.
+    capped at _CORNER_U, where 1 - t still holds 1e-275, and every end at
+    _U_MAX.  Returns read-only views of one table (_NODES); a level finer
+    than it or a range past _U_MAX raises ValueError.
     """
-    global _table
-    # the table checked or built here is the one read, whatever replaces it
-    table = _table
-    if table is None or table[0] < level or max(lo, hi) << (table[0] - level) > table[1]:
-        fine, half = table[:2] if table else (level, 0)
-        half <<= max(0, level - fine)
-        fine = max(fine, level)
-        half = max(half, max(lo, hi) << (fine - level))
-        unit = 1 << fine
-        half = -(-half // unit) * unit
-        table = _table = (fine, half) + _de_table(fine, half)
-    fine, half, lt, lw = table
+    fine, half, lt, lw = _NODES
+    if level > fine or max(lo, hi) << (fine - level) > half:
+        raise ValueError(f"level {level} with range -{lo}..{hi} lies outside the node table")
     step = 1 << (fine - level)
     rows = slice(half - lo * step, half + hi * step + 1, step)
     return lt[rows], lt[::-1][rows], lw[rows]
@@ -374,8 +361,6 @@ class _SimplexIntegrand:
     """
 
     def __init__(self, g, alpha, root_values):
-        if g.roots != frozenset(range(1, len(g.roots) + 1)):
-            raise ValueError("roots must be the initial segment [r]")
         self.r = len(g.roots)
         self.l = g.n - self.r
         if root_values is None:
@@ -557,6 +542,9 @@ _CHUNK = 2**15
 # 4.7e-3 against Selberg's formula, against 3.1e-8 to 3.4e-8 from level 1.
 # It stops at level 3: level 4 has 16 times as many nodes.
 _LEVELS = {1: range(2, 9), 2: range(2, 7), 3: range(1, 4)}
+# the nodes of the finest level out to _U_MAX, built once: every level of
+# de_axis is a strided slice of it
+_NODES = _de_table(max(max(levels) for levels in _LEVELS.values()))
 
 
 def _level_axes(f, level):
@@ -662,9 +650,9 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
     Includes the product of the edge exponents as a prefactor.  Non-forest
     graphs integrate to exactly zero (their log form vanishes).  Dimension
     n - r is capped at 3.  Every graph, forest or not, needs at least two
-    roots (x_1 = 0 and x_2 = 1 pin them), and a tolerance must be finite
-    and non-negative (ValueError).  Each distinct integral is computed once
-    per process.
+    roots (x_1 = 0 and x_2 = 1 pin them) that form the initial segment [r],
+    and a tolerance must be finite and non-negative (ValueError).  Each
+    distinct integral is computed once per process.
     The graph with its edges sorted is integrated, and its result is kept
     under (n, roots, sorted edges, the exponents of the pairs of [n], tol,
     root values); any other edge order gets that result times the sign of
@@ -675,6 +663,8 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
         alpha = ExponentAssignment(alpha)
     if len(g.roots) < 2:
         raise ValueError(f"{len(g.roots)} roots: x_1 = 0 and x_2 = 1 need at least 2")
+    if g.roots != frozenset(range(1, len(g.roots) + 1)):
+        raise ValueError("roots must be the initial segment [r]")
     l = g.n - len(g.roots)
     if l > 3:
         raise QuadratureError("more than three free vertices is unsupported")

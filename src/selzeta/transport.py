@@ -446,11 +446,10 @@ def projection_identity_check(n, alpha, tol=None):
     residue pair.
     """
     tower = build_tower(n, 3)
-    falpha = {u: float(v) for u, v in alpha.items()}
-    rho_x = tower[3].mats[pair(1, 3)].evaluate(falpha)
-    rho_y = tower[3].mats[pair(2, 3)].evaluate(falpha)
+    rho_x = tower[3].mats[pair(1, 3)].evaluate(alpha)
+    rho_y = tower[3].mats[pair(2, 3)].evaluate(alpha)
     conn = ConnectionPair(rho_x, rho_y)
-    alpha_full = ExponentAssignment(falpha)
+    alpha_full = ExponentAssignment(alpha)
 
     entries = [I.entries for I in index_tuples(n, 3)]
     v1, quad1 = boundary_face(n, alpha_full, entries, 0, tol)
@@ -487,15 +486,14 @@ def alpha_limit_check(n, entries, alpha, tol=None):
     """
     I = IndexTuple(2, n, tuple(entries))
     gs = wedge_chain(I)
-    falpha = {u: float(v) for u, v in alpha.items()}
     case2 = entries[0] == 2 and all(i != 2 for i in entries[1:])
     if not case2 and not any(i == 2 for i in entries[1:]):
         raise ValueError("no entry attaches to vertex 2: the limit is not degenerate")
 
-    falpha = {u: v for u, v in falpha.items() if max(u) <= n}
+    alpha = {u: v for u, v in alpha.items() if max(u) <= n}
     samples, quad = [], QuadratureResult(0.0, 0.0, 0)
     for d in _LIMIT_DELTAS:
-        al = dict(falpha)
+        al = dict(alpha)
         for j in range(3, n + 1):
             al[pair(2, j)] = d
         res = integrate_sum(gs, ExponentAssignment(al), tol=tol)
@@ -511,7 +509,7 @@ def alpha_limit_check(n, entries, alpha, tol=None):
 
     target = 0.0
     if case2:
-        values, res = boundary_face(n, ExponentAssignment(falpha), [entries[1:]], 0, tol)
+        values, res = boundary_face(n, ExponentAssignment(alpha), [entries[1:]], 0, tol)
         target = values.item()
         quad = quad + res
     return abs(extrap - target), target, samples, quad.unconverged

@@ -48,7 +48,7 @@ def test_ind_right_multiplication_direction():
     # the level-2 matrix carries the column (a_31, a_32) to right-multiplication
     # by a_12; exact with noncommuting relation-satisfying generators
     rng = random.Random(0)
-    gens = matrix_generators(3, rng)
+    _, gens = matrix_generators(3, rng)
     tower = build_tower(3, 2)
     lifted = tower[2].mats[(1, 2)].instantiate(gens)
     v = np.vstack([gens[(1, 3)], gens[(2, 3)]])
@@ -73,6 +73,39 @@ def test_tower_entries_degree_one():
         for m in fam.mats.values():
             assert isinstance(m, LinearMatrix)
             assert np.allclose(m.evaluate(doubled), 2 * m.evaluate(alpha))
+
+
+def fraction_evaluation(m, alpha):
+    """sum_u alpha[u] M_u in Fraction arithmetic, entry by entry."""
+    out = np.zeros((m.dim, m.dim), dtype=object) + Fraction(0)
+    for u, term in m.terms.items():
+        out = out + term.astype(object) * alpha[u]
+    return out
+
+
+def test_evaluate_at_ints_is_exact_and_scales_the_fraction_evaluation():
+    rng = random.Random(5)
+    p = {u: rng.randint(40, 160) for u in all_pairs(5)}
+    for m in build_tower(5, 2)[2].mats.values():
+        got = m.evaluate(p)
+        assert got.dtype == object and all(type(v) is int for v in got.flat)
+        assert (got == 1000 * fraction_evaluation(m, {u: Fraction(v, 1000) for u, v in p.items()})).all()
+
+
+def test_evaluate_at_ints_stays_exact_past_int64():
+    big = {u: 2**70 + 3 * k for k, u in enumerate(all_pairs(4))}
+    for m in build_tower(4, 2)[2].mats.values():
+        got = m.evaluate(big)
+        assert abs(got).max() > 2**63
+        assert (got == fraction_evaluation(m, big)).all()
+
+
+def test_evaluate_at_fractions_is_the_float_evaluation_bit_for_bit():
+    alpha = sample_alpha(5, random.Random(6))
+    for m in build_tower(5, 2)[2].mats.values():
+        got = m.evaluate(alpha)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, m.evaluate({u: float(v) for u, v in alpha.items()}))
 
 
 def test_pure_braid_relations_preserved_exactly():
@@ -252,10 +285,17 @@ def test_eta_gamma_four_vertices_exhaustive():
 
 
 def scalar_generators(n, rng):
-    """Commuting 1 x 1 generators at a sampled exponent point: they satisfy the
-    pure-braid relations trivially, a weaker but cheap instantiation."""
+    """Commuting 1 x 1 generators at a sampled exponent point p/1000: they
+    satisfy the pure-braid relations trivially, a weaker but cheap
+    instantiation.  Returned as (1000, {u: [[p]]}), like matrix_generators."""
     alpha = sample_alpha(n, rng)
-    return {u: np.array([[alpha[u]]], dtype=object) for u in all_pairs(n)}
+    return 1000, {u: np.array([[int(1000 * alpha[u])]], dtype=object) for u in all_pairs(n)}
+
+
+def as_fractions(gens):
+    """The generators (D, {u: D G_u}) as Fraction matrices G_u, for the references."""
+    den, ints = gens
+    return {u: np.array([Fraction(v, den) for v in g.flat], dtype=object).reshape(g.shape) for u, g in ints.items()}
 
 
 def test_eta_gamma_scalar_generators():
@@ -309,13 +349,13 @@ def rational_point(n, rng):
 
 def assert_matches_reference(I, x, gens):
     got = stacked_column(I, x, gens)
-    want = reference_stacked_column(I, x, gens)
+    want = reference_stacked_column(I, x, as_fractions(gens))
     assert got.shape == want.shape
     assert all(type(v) is Fraction for v in got.flat)
     assert (got == want).all()
     defect = eta_gamma_check(I, None, x=x, gens=gens)
     assert type(defect) is Fraction
-    assert defect == reference_eta_gamma_defect(I, x, gens)
+    assert defect == reference_eta_gamma_defect(I, x, as_fractions(gens))
     return defect
 
 
@@ -338,11 +378,12 @@ def test_integer_path_keeps_nonzero_defect():
     # integer path would show as a defect different from the reference's
     rng = random.Random(33)
     for I in index_tuples(4, 2):
-        gens = matrix_generators(4, rng)
-        for u in gens:
-            gens[u] = gens[u].copy()
-            gens[u][0, 1] += Fraction(1, 7)
-        assert assert_matches_reference(I, rational_point(4, rng), gens) > 0
+        den, ints = matrix_generators(4, rng)
+        # each G_u gains 1/7 at (0, 1): D/7D over the denominator 7D
+        gens = {u: 7 * g for u, g in ints.items()}
+        for g in gens.values():
+            g[0, 1] += den
+        assert assert_matches_reference(I, rational_point(4, rng), (7 * den, gens)) > 0
 
 
 def path_product_factors(g, p, q, gens):
@@ -401,7 +442,7 @@ def test_path_product_closed_form():
     rng = random.Random(21)
     checked = 0
     for n in (4, 5):
-        gens = matrix_generators(n, rng)
+        _, gens = matrix_generators(n, rng)
         tower = build_tower(n, n - 1)
         lifted = {u: m.instantiate(gens) for u, m in tower[n - 1].mats.items()}
         d = n

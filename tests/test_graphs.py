@@ -10,6 +10,7 @@ from selzeta.graphs import (
     GraphSum,
     IndexTuple,
     OrderedRootedGraph,
+    common_denominator,
     empty_graph,
     format_graph,
     index_tuples,
@@ -388,6 +389,15 @@ def test_residue_identity_float_limit():
 def test_residue_requires_edge():
     with pytest.raises(ValueError):
         residue_expand(G(4, {1, 2}, (2, 3), (2, 4)), 3)
+
+
+def test_common_denominator_on_ints_fractions_and_a_mix():
+    assert common_denominator([]) == (1, [])
+    assert common_denominator([3, -2, 0]) == (1, [3, -2, 0])
+    assert common_denominator([Fraction(1, 4), Fraction(-5, 6)]) == (12, [3, -10])
+    den, nums = common_denominator(iter([2, Fraction(3, 8), Fraction(1, 6)]))
+    assert den == math.lcm(8, 6) == 24 and nums == [48, 9, 4]
+    assert all(type(v) is int for v in nums)
 
 
 def test_graph_validation():

@@ -147,7 +147,7 @@ def test_double_shuffle_numeric_weight_4():
 
 def test_regularize_literals():
     assert shuffle_regularize("XY") == MZVCombo.single(MZVIndex((2,)))
-    assert shuffle_regularize("YX") == MZVCombo.single(MZVIndex((2,)), -1)
+    assert shuffle_regularize("YX") == MZVCombo({MZVIndex((2,)): -1})
     assert shuffle_regularize("X").is_zero()
     assert shuffle_regularize("Y").is_zero()
     assert shuffle_regularize("") == MZVCombo.one()
@@ -184,7 +184,7 @@ def test_monotone_tail():
 
 
 def test_combo_arithmetic_and_weight():
-    c = MZVCombo.single(MZVIndex((2,)), Fraction(1, 2)) + MZVCombo.single(MZVIndex((2,)), Fraction(1, 2))
+    c = MZVCombo({MZVIndex((2,)): Fraction(1, 2)}) + MZVCombo({MZVIndex((2,)): Fraction(1, 2)})
     assert c == MZVCombo.single(MZVIndex((2,)))
     assert c.weight == 2
     assert (c - c).is_zero()

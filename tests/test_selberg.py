@@ -394,6 +394,15 @@ def test_fewer_than_two_roots_are_rejected():
             integrate_graph(g, ExponentAssignment.uniform(3, 0.5))
 
 
+def test_roots_off_the_initial_segment_are_rejected_forest_or_not():
+    # roots {1, 3} leave vertex 2 free; the non-forest must not read as a
+    # converged zero any more than the forest may integrate
+    alpha = ExponentAssignment.uniform(4, 0.5)
+    for edges in [((1, 3), (2, 4)), ((2, 4), (1, 2))]:
+        with pytest.raises(ValueError, match="initial segment"):
+            integrate_graph(OrderedRootedGraph(4, {1, 3}, edges), alpha)
+
+
 # ---------------------------------------------------------------------------
 # reference: the product DE rule evaluated level by level on raveled meshgrids,
 # with one power per vertex pair on every node; the oracle for the factored,
@@ -602,8 +611,9 @@ def test_evaluations_count_each_node_of_the_finest_level_once(case):
 
 def test_de_levels_are_nested():
     # node j of a level is node 2j of the next, bit for bit, and the
-    # log-space nodes are the linear ones where those do not underflow
-    for level in range(2, 10):
+    # log-space nodes are the linear ones where those do not underflow;
+    # _LEVELS uses levels 1 to 8, each checked here against the one below
+    for level in range(2, 9):
         lo, hi = math.floor(7.3 * 2**level), math.floor(4.1 * 2**level)
         nodes = de_axis(level, lo, hi)
         coarse = de_axis(level - 1, lo // 2, hi // 2)
@@ -620,15 +630,13 @@ def test_de_levels_are_nested():
             assert np.all(np.isfinite(x)) and x.flags.writeable is False
 
 
-def test_node_table_growth_repeats_every_node_bit_for_bit(monkeypatch):
-    # the table grows to finer levels and by whole units of u as wider
-    # ranges are asked for; each node is formed at its own index, so an
-    # integral does not depend on the integrals that ran before it
-    monkeypatch.setattr(selberg, "_table", None)
-    first = [x.copy() for x in de_axis(3, 20, 30)]
-    de_axis(8, 2500, 100)
-    assert selberg._table[:2] == (8, 2560)
-    assert all(np.array_equal(x, y) for x, y in zip(first, de_axis(3, 20, 30)))
+def test_de_axis_refuses_a_range_past_the_node_table():
+    # the table holds level 8 out to u = 12 at both ends; past it a slice
+    # would wrap or come up short
+    assert len(de_axis(8, 12 * 256, 12 * 256)[0]) == 2 * 12 * 256 + 1
+    for level, lo, hi in [(8, 12 * 256 + 1, 10), (8, 10, 12 * 256 + 1), (3, 97, 0), (9, 10, 10)]:
+        with pytest.raises(ValueError, match="outside the node table"):
+            de_axis(level, lo, hi)
 
 
 def test_a_capped_corner_counts_its_tail():
