@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,11 +54,18 @@ class OrderedRootedGraph:
 
     @property
     def free_vertices(self):
-        return sorted(set(range(1, self.n + 1)) - self.roots, reverse=True)
+        return _free_columns(self.n, self.roots)
 
     def __repr__(self):
         es = "".join(f"({p},{q})" for p, q in self.edges)
         return f"Graph[n={self.n},R={sorted(self.roots)}]{es or '*'}"
+
+
+@functools.lru_cache(maxsize=None)
+def _free_columns(n, roots):
+    """The non-root vertices of [n] in descending order: the columns of a
+    log form on (n, roots)."""
+    return tuple(sorted(set(range(1, n + 1)) - roots, reverse=True))
 
 
 def _graph(n, roots, edges):
@@ -320,13 +329,33 @@ def common_denominator(values):
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
+# (keys, values, result) of the last exact point _coordinates converted,
+# the empty point to start with
+_last_point = ((), (), (1, {}))
+
+
 def _coordinates(vals):
     """(scale, coordinates) for log_form_det, after the coincidence guard:
     exact (int or Fraction) values as integers over their common denominator,
-    which is the scale; float values as they are, with scale None."""
+    which is the scale; float values as they are, with scale None.
+
+    An exact point is converted once: while the same key and value objects
+    come back, the last result is reused.  Ints and Fractions are immutable,
+    so a point changed in place, or a new one, is converted again.
+    """
+    global _last_point
+    keys, values, result = _last_point
+    if (
+        len(keys) == len(vals)
+        and all(map(operator.is_, keys, vals))
+        and all(map(operator.is_, values, vals.values()))
+    ):
+        return result
     if {type(v) for v in vals.values()} <= {int, Fraction}:
         scale, nums = common_denominator(vals.values())
-        return scale, _distinct(dict(zip(vals, nums)))
+        result = scale, _distinct(dict(zip(vals, nums)))
+        _last_point = (tuple(vals), tuple(vals.values()), result)
+        return result
     return None, _distinct(vals)
 
 
@@ -338,7 +367,7 @@ def omega_coefficient(g, x):
     one column per non-root vertex in descending label order.  Zero exactly
     when the graph is not a rooted forest.
     """
-    cols = g.free_vertices
+    cols = _free_columns(g.n, g.roots)
     if len(g.edges) != len(cols):
         raise ValueError("need #edges == #vertices - #roots")
     vals = x if isinstance(x, dict) else {v: x[v - 1] for v in range(1, g.n + 1)}
@@ -349,10 +378,10 @@ def omega_coefficient(g, x):
 def is_tree(g):
     """True iff g is a forest in which every component contains exactly one
     root: exactly when the ±1 incidence determinant of its log form is not 0."""
-    cols = g.free_vertices
+    cols = _free_columns(g.n, g.roots)
     if len(g.edges) != len(cols):
         raise ValueError("need #edges == #vertices - #roots")
-    return _incidence_sign(g.edges, tuple(cols)) != 0
+    return _incidence_sign(g.edges, cols) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +411,25 @@ def residue_expand(g, k):
     k_list = [other for _, other in plus]       # k_1 ... k_s = k, positions decreasing
     t_list = [pos for pos, _ in plus]
     s = len(k_list)
-    minus_positions = {pos for pos, other in top if pos < pos_nk}
     roots = g.roots
+    if n in roots:
+        raise ValueError("roots outside vertex set")
     out = {}
 
     def build(assign, drop_pos):
+        # every edge is a (min, max) pair in [1, n-1]; only a repeat can occur
         edges = []
         for pos, e in enumerate(g.edges):
             if pos == drop_pos:
                 continue
             if pos in assign:
-                edges.append(assign[pos])
-            elif pos in minus_positions or (n in e and pos != drop_pos):
-                p, q = e
-                other = q if p == n else p
-                edges.append((other, k))
-            else:
-                edges.append(e)
-        return OrderedRootedGraph(n - 1, roots, tuple(edges))
+                e = assign[pos]
+            elif n in e:
+                e = (e[0], k) if e[0] < k else (k, e[0])
+            if e in edges:
+                raise ValueError(f"duplicate edge {e}")
+            edges.append(e)
+        return _graph(n - 1, roots, tuple(edges))
 
     if s == 1:
         h = build({}, pos_nk)
@@ -436,8 +466,7 @@ def _residue_surgery(g, k):
     if pos_nk is None:
         raise ValueError(f"({n},{k}) is not an edge")
     merged = tuple(tuple(k if v == n else v for v in e) for e in g.edges if e != (k, n))
-    cols = tuple(sorted(set(range(1, n)) - g.roots, reverse=True))
-    return (-1) ** ((len(g.edges) - 1) - pos_nk), merged, cols
+    return (-1) ** ((len(g.edges) - 1) - pos_nk), merged, _free_columns(n - 1, g.roots)
 
 
 def omega_residue_direct(g, k, x):
@@ -510,12 +539,23 @@ def format_graph(g):
     return f"{g.n} {r} |{(' ' + edges) if edges else ''}"
 
 
+_EDGE_TOKEN = re.compile(r"\((\d+),(\d+)\)")
+
+
 def parse_graph(line):
+    """The graph of a line "n r | (p,q) (p,q) ...", roots [r]; ValueError on
+    any other shape, naming the part that does not fit."""
+    if line.count("|") != 1:
+        raise ValueError(f"graph line {line!r} needs exactly one '|' between 'n r' and the edges")
     head, _, tail = line.partition("|")
-    n_str, r_str = head.split()
-    n, r = int(n_str), int(r_str)
+    fields = head.split()
+    if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+        raise ValueError(f"graph line head {head.strip()!r} is not two integers 'n r'")
+    n, r = int(fields[0]), int(fields[1])
     edges = []
     for tok in tail.split():
-        p, q = tok.strip("()").split(",")
-        edges.append((int(p), int(q)))
+        m = _EDGE_TOKEN.fullmatch(tok)
+        if m is None:
+            raise ValueError(f"malformed edge token {tok!r}: expected (p,q)")
+        edges.append((int(m[1]), int(m[2])))
     return OrderedRootedGraph(n, frozenset(range(1, r + 1)), tuple(edges))

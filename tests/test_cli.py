@@ -227,6 +227,21 @@ def test_cli_selberg_integrate_rejects_missing_alpha_pairs(tmp_path, capsys):
     assert "missing exponent for pairs (1,4) (2,4) (3,4)" in _one_error_line(argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("4 2 | (1,3) (1,4", "'(1,4'"),
+        ("4 2 | (1,3)(1,4)", "'(1,3)(1,4)'"),
+        ("4 2 (1,3) (1,4)", "exactly one '|'"),
+        ("4 | (1,3) (1,4)", "'4' is not two integers"),
+    ],
+)
+def test_cli_selberg_integrate_rejects_malformed_graph_lines(tmp_path, capsys, line, named):
+    gf = tmp_path / "bad.txt"
+    gf.write_text(line + "\n")
+    assert named in _one_error_line(["selberg", "integrate", str(gf)], capsys)
+
+
 def test_cli_selberg_integrate_rejects_missing_file(tmp_path, capsys):
     assert "No such file" in _one_error_line(["selberg", "integrate", str(tmp_path / "absent.txt")], capsys)
 

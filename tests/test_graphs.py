@@ -261,16 +261,20 @@ def test_factored_exact_log_form_matches_unfactored_determinant():
                 assert isinstance(got, (int, Fraction))
 
 
+def residue_reference(g, k, x):
+    """The residue at x_n = x_k: the signed unfactored determinant of the merged edges."""
+    pos = g.edges.index((k, g.n))
+    merged = [tuple(k if v == g.n else v for v in e) for e in g.edges if e != (k, g.n)]
+    cols = sorted(set(range(1, g.n)) - g.roots, reverse=True)
+    return (-1) ** (len(g.edges) - 1 - pos) * reference_log_form(merged, cols, x)
+
+
 def test_residue_direct_matches_unfactored_determinant():
     rng = random.Random(22)
     for g in all_wedge_supports(5, 2):
         x = rational_point(4, rng)
         for k in sorted({o for (p, q) in g.edges for o in (p, q) if g.n in (p, q) and o != g.n}):
-            pos = g.edges.index((k, g.n))
-            merged = [tuple(k if v == g.n else v for v in e) for e in g.edges if e != (k, g.n)]
-            cols = sorted(set(range(1, g.n)) - g.roots, reverse=True)
-            want = (-1) ** (len(g.edges) - 1 - pos) * reference_log_form(merged, cols, x)
-            assert omega_residue_direct(g, k, x) == want
+            assert omega_residue_direct(g, k, x) == residue_reference(g, k, x)
 
 
 def all_wedge_supports(n, r):
@@ -391,6 +395,105 @@ def test_residue_requires_edge():
         residue_expand(G(4, {1, 2}, (2, 3), (2, 4)), 3)
 
 
+def test_residue_expand_rejects_a_repeated_edge():
+    # (1,4) becomes (1,3) when x_4 -> x_3, and (1,3) is already an edge
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 3\)"):
+        residue_expand(G(4, {1, 2}, (1, 3), (1, 4), (3, 4)), 3)
+
+
+def test_residue_expand_rejects_the_top_vertex_as_a_root():
+    # on [n-1] the root n would leave the vertex set
+    with pytest.raises(ValueError, match="roots outside vertex set"):
+        residue_expand(G(4, {1, 4}, (1, 3), (3, 4)), 3)
+
+
+def test_residue_terms_equal_validated_graphs():
+    # the terms skip validation; each equals (and hashes as) the graph the
+    # validating constructor builds from its edges
+    for n, r in [(4, 2), (5, 2), (5, 3), (6, 2)]:
+        for g in all_wedge_supports(n, r):
+            for k in {o for (p, q) in g.edges for o in (p, q) if g.n in (p, q) and o != g.n}:
+                for h in residue_expand(g, k).terms:
+                    valid = OrderedRootedGraph(h.n, h.roots, h.edges)
+                    assert h == valid and hash(h) == hash(valid) and h.edges == valid.edges
+
+
+def fresh(x):
+    """The point x in new Fraction objects of the same values."""
+    return {v: Fraction(xv.numerator, xv.denominator) for v, xv in x.items()}
+
+
+# a forest on [5] with roots {1, 2}, and its residue at x_5 -> x_3
+MEMO_GRAPH = G(5, {1, 2}, (2, 3), (3, 4), (3, 5))
+
+
+def memo_values(x):
+    """omega_coefficient on MEMO_GRAPH at x, and the residue at x_5 -> x_3 at
+    x restricted to [4] (a new dict, but the same key and value objects)."""
+    return omega_coefficient(MEMO_GRAPH, x), omega_residue_direct(MEMO_GRAPH, 3, {v: x[v] for v in range(1, 5)})
+
+
+def memo_reference(x):
+    return reference_log_form(MEMO_GRAPH.edges, MEMO_GRAPH.free_vertices, x), residue_reference(MEMO_GRAPH, 3, x)
+
+
+def test_point_memo_sees_a_point_changed_in_place():
+    x = {1: Fraction(1, 9), 2: Fraction(2, 9), 3: Fraction(4, 9), 4: Fraction(5, 9), 5: Fraction(7, 9)}
+    before = memo_values(x)
+    assert before == memo_reference(x)
+    x[4] = Fraction(8, 11)
+    after = memo_values(x)
+    assert after == memo_reference(x) and after[0] != before[0] and after[1] != before[1]
+    del x[5]
+    x[5] = Fraction(1, 2)
+    assert memo_values(x) == memo_reference(x)
+
+
+def test_point_memo_alternating_points_keep_their_own_values():
+    x = {1: Fraction(1, 9), 2: Fraction(2, 9), 3: Fraction(4, 9), 4: Fraction(5, 9), 5: Fraction(7, 9)}
+    y = {1: Fraction(1, 13), 2: Fraction(3, 13), 3: Fraction(4, 13), 4: Fraction(9, 13), 5: Fraction(11, 13)}
+    want_x, want_y = memo_reference(x), memo_reference(y)
+    assert want_x != want_y
+    for _ in range(3):
+        assert memo_values(x) == want_x
+        assert memo_values(y) == want_y
+
+
+def test_point_memo_equal_values_in_distinct_objects():
+    x = {1: Fraction(1, 9), 2: Fraction(2, 9), 3: Fraction(4, 9), 4: Fraction(5, 9), 5: Fraction(7, 9)}
+    first = memo_values(x)
+    assert memo_values(fresh(x)) == first == memo_values(x) == memo_reference(fresh(x))
+
+
+def test_point_memo_mixed_int_and_fraction_point():
+    x = {1: 0, 2: 1, 3: Fraction(1, 3), 4: 5, 5: Fraction(-3, 4)}
+    got = memo_values(x)
+    assert got == memo_reference(x)
+    assert all(isinstance(v, (int, Fraction)) for v in got)
+    assert omega_coefficient(MEMO_GRAPH, [0, 1, Fraction(1, 3), 5, Fraction(-3, 4)]) == got[0]
+
+
+def test_point_memo_float_point_after_an_exact_one():
+    # dyadic values: each float equals its Fraction, so only object identity
+    # keeps the exact result from coming back for the float point
+    x = {1: Fraction(1, 8), 2: Fraction(1, 4), 3: Fraction(1, 2), 4: Fraction(5, 8), 5: Fraction(7, 8)}
+    exact = memo_values(x)
+    got = memo_values({v: float(xv) for v, xv in x.items()})
+    for value, want in zip(got, exact):
+        assert type(value) is float
+        assert abs(value - float(want)) <= 1e-12 * abs(float(want))
+
+
+def test_point_memo_coincident_exact_point_raises_every_time():
+    x = {1: Fraction(1, 9), 2: Fraction(2, 9), 3: Fraction(4, 9), 4: Fraction(4, 9), 5: Fraction(7, 9)}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
+            omega_coefficient(MEMO_GRAPH, x)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
+            omega_residue_direct(MEMO_GRAPH, 3, x)
+
+
 def test_common_denominator_on_ints_fractions_and_a_mix():
     assert common_denominator([]) == (1, [])
     assert common_denominator([3, -2, 0]) == (1, [3, -2, 0])
@@ -415,3 +518,23 @@ def test_line_format_round_trip():
     assert line == "4 2 | (2,3) (2,4)"
     assert parse_graph(line) == g
     assert parse_graph("3 3 |") == empty_graph({1, 2, 3})
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("4 2 | (1,3) (1,4", "'(1,4'"),
+        ("4 2 | (1,3)(1,4)", "'(1,3)(1,4)'"),
+        ("4 2 | (1,3) (1, 4)", "'(1,'"),
+        ("4 2 | (1,3) 1,4", "'1,4'"),
+        ("4 2 (1,3) (1,4)", "exactly one '|'"),
+        ("4 2 | (1,3) | (1,4)", "exactly one '|'"),
+        ("4 | (1,3) (1,4)", "'4' is not two integers"),
+        ("4 2 1 | (1,3) (1,4)", "'4 2 1' is not two integers"),
+        ("4 -2 | (1,3) (1,4)", "'4 -2' is not two integers"),
+    ],
+)
+def test_parse_graph_rejects_malformed_lines(line, named):
+    with pytest.raises(ValueError) as info:
+        parse_graph(line)
+    assert named in str(info.value)
