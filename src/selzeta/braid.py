@@ -11,7 +11,9 @@ tower matrices are verified after instantiating the symbols with an exact
 relation-satisfying matrix family (one extra induction level over random
 rationals), so no normal form for the symbol ring is ever needed.  These
 exact identities run on matrices of Python integers that carry one common
-denominator, divided out once at the end.
+denominator, divided out once at the end.  The recursion coordinate is
+built from only the column blocks it reads, found through the nonzero
+entries of the tower rows; the rest of the column is never formed.
 """
 
 from __future__ import annotations
@@ -107,17 +109,6 @@ class LinearMatrix:
             out = np.zeros((self.dim, self.dim))
             for u, m in self.terms.items():
                 out = out + m * float(alpha[u])
-        return out
-
-    def instantiate(self, gens):
-        """Substitute each symbol by a square matrix: sum_u kron(M_u, G_u)."""
-        d = next(iter(gens.values())).shape[0]
-        out = np.zeros((self.dim * d, self.dim * d), dtype=object)
-        for u, m in self.terms.items():
-            g = gens[u]
-            rows, cols = np.nonzero(m)
-            for i, j in zip(rows, cols):
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] += int(m[i, j]) * g
         return out
 
 
@@ -429,22 +420,36 @@ def _scaled_gap_inverses(x, top):
 def _integer_column(I, x, scale, igens, tower):
     """Numerator and denominator of the stacked_column coordinate.
 
-    Every level multiplies the generators scaled by D and the gap inverses
-    scaled by their lcm Q_k, so the column stays integral and its one
-    denominator is Q_0 D * prod_k (Q_k D).
+    Block b of the column after the level-k step is Q / (x_{k+1} - x_i)
+    times row block rest of the lifted A^{(k+1)}_{i,k+1} applied to the
+    previous column, with (i, rest) = divmod(b, tower[k+1].dim), so it reads
+    only the previous blocks j where some M_u[rest, j] is nonzero.  The blocks are formed on
+    demand from the requested one down, each once.  Every level multiplies
+    the generators scaled by D and the gap inverses scaled by their lcm
+    Q_top, so the blocks stay integral and their one denominator is the
+    product of Q_top D over the tops above the coordinate's level.
     """
-    n, r = I.n, I.r
+    n = I.n
     d = next(iter(igens.values())).shape[0]
-    q, c = _scaled_gap_inverses(x, n)
-    col = np.vstack([igens[pair(i, n)] * c[i - 1] for i in range(1, n)])
-    den = q * scale
-    for k in range(n - 2, r - 1, -1):
-        q, c = _scaled_gap_inverses(x, k + 1)
-        mats = tower[k + 1].mats
-        col = np.vstack([(mats[pair(i, k + 1)].instantiate(igens) @ col) * c[i - 1] for i in range(1, k + 1)])
+    level = min(I.r, n - 1)  # r = n reads the start column, as r = n - 1 does
+    gaps = {top: _scaled_gap_inverses(x, top) for top in range(level + 1, n + 1)}
+    den = 1
+    for q, _ in gaps.values():
         den *= q * scale
-    off = _coord_offset(I)
-    return col[off * d : (off + 1) * d, :], den
+
+    @functools.cache
+    def block(k, b):
+        if k == n - 1:
+            return igens[pair(b + 1, n)] * gaps[n][1][b]
+        fam = tower[k + 1]
+        i, rest = divmod(b, fam.dim)
+        out = np.zeros((d, d), dtype=object)
+        for u, m in fam[(i + 1, k + 1)].terms.items():
+            for j in np.flatnonzero(m[rest]):
+                out = out + int(m[rest, j]) * (igens[u] @ block(k + 1, int(j)))
+        return out * gaps[k + 1][1][i]
+
+    return block(level, _coord_offset(I)), den
 
 
 def stacked_column(I, x, gens):
@@ -454,7 +459,8 @@ def stacked_column(I, x, gens):
     blocks (lifted A^{(k+1)}_{k+1,i} / (x_{k+1} - x_i)) times the previous
     column; the (i_{r+1}, ..., i_n) coordinate is returned as a d x d matrix
     of Fractions.  gens is (D, {u: D G_u}) as matrix_generators returns it.
-    The recursion runs on integers and divides once at the end.
+    The recursion runs on integers and divides once at the end, and it forms
+    only the blocks of each level's column that the coordinate reads.
     """
     return _divide(*_integer_column(I, x, *gens, _symbolic_tower(I.n, I.r)))
 

@@ -470,6 +470,24 @@ def _input_error(message):
     return 2
 
 
+def _parse_alpha_specs(specs):
+    """{(i, j): value} from "(i,j)=value" strings; ValueError on a key that is
+    not exactly "(i,j)", as parse_graph's edge tokens, or a pair given twice."""
+    from .graphs import _EDGE_TOKEN, pair
+
+    alphas = {}
+    for spec in specs:
+        key, _, val = spec.partition("=")
+        m = _EDGE_TOKEN.fullmatch(key.strip())
+        if m is None:
+            raise ValueError(f"malformed --alpha key {key!r}: expected (i,j)=value")
+        u = pair(int(m[1]), int(m[2]))
+        if u in alphas:
+            raise ValueError(f"--alpha gives the pair ({u[0]},{u[1]}) twice")
+        alphas[u] = float(val)
+    return alphas
+
+
 def _cmd_selberg_integrate(args):
     from .graphs import parse_graph
     from .selberg import ExponentAssignment, QuadratureError, integrate_graph
@@ -481,12 +499,7 @@ def _cmd_selberg_integrate(args):
         if len(g.roots) > 3:
             return _input_error(f"{len(g.roots)} roots: root values are x_1 = 0, x_2 = 1 and --x3, so at most 3")
         if args.alpha:
-            alphas = {}
-            for spec in args.alpha:
-                key, _, val = spec.partition("=")
-                i, j = key.strip("() ").split(",")
-                alphas[(int(i), int(j))] = float(val)
-            alpha = ExponentAssignment(alphas)
+            alpha = ExponentAssignment(_parse_alpha_specs(args.alpha))
         else:
             alpha = ExponentAssignment.uniform(g.n, args.alpha_uniform)
         root_values = None

@@ -9,6 +9,8 @@ from selzeta.braid import (
     BraidFamily,
     LinearMatrix,
     _coord_offset,
+    _divide,
+    _integer_column,
     all_pairs,
     ascending_factorial,
     build_tower,
@@ -44,13 +46,26 @@ def test_ind_level3_literal():
         assert (a12.terms[u] == m).all()
 
 
+def instantiate(m, gens):
+    """Substitute each symbol of the LinearMatrix m by a square matrix:
+    sum_u kron(M_u, G_u), the dense lift."""
+    d = next(iter(gens.values())).shape[0]
+    out = np.zeros((m.dim * d, m.dim * d), dtype=object)
+    for u, term in m.terms.items():
+        g = gens[u]
+        rows, cols = np.nonzero(term)
+        for i, j in zip(rows, cols):
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] += int(term[i, j]) * g
+    return out
+
+
 def test_ind_right_multiplication_direction():
     # the level-2 matrix carries the column (a_31, a_32) to right-multiplication
     # by a_12; exact with noncommuting relation-satisfying generators
     rng = random.Random(0)
     _, gens = matrix_generators(3, rng)
     tower = build_tower(3, 2)
-    lifted = tower[2].mats[(1, 2)].instantiate(gens)
+    lifted = instantiate(tower[2].mats[(1, 2)], gens)
     v = np.vstack([gens[(1, 3)], gens[(2, 3)]])
     lhs = lifted @ v
     rhs = np.vstack([gens[(1, 3)] @ gens[(1, 2)], gens[(2, 3)] @ gens[(1, 2)]])
@@ -311,26 +326,36 @@ def test_eta_gamma_five_vertices_sampled():
         assert eta_gamma_check(I, rng) == 0
 
 
-def reference_stacked_column(I, x, gens):
-    """The recursion coordinate in Fraction object arrays throughout; the
-    reference for the integer path in selzeta.braid."""
-    n, r = I.n, I.r
-    d = next(iter(gens.values())).shape[0]
-    tower = build_tower(n, r)
+def reference_column(n, r, x, gens, tower=None):
+    """The whole recursion column at level r in Fraction object arrays
+    throughout; the reference for the integer path in selzeta.braid.  tower
+    defaults to build_tower(n, r)."""
+    if tower is None:
+        tower = build_tower(n, r)
     col = np.vstack([gens[pair(i, n)] * (Fraction(1) / (x[n] - x[i])) for i in range(1, n)])
     for k in range(n - 2, r - 1, -1):
-        lifted = {u: m.instantiate(gens) for u, m in tower[k + 1].mats.items()}
+        lifted = {u: instantiate(m, gens) for u, m in tower[k + 1].mats.items()}
         blocks = []
         for i in range(1, k + 1):
             blocks.append((lifted[pair(i, k + 1)] * (Fraction(1) / (x[k + 1] - x[i]))) @ col)
         col = np.vstack(blocks)
+    return col
+
+
+def reference_block(col, I, d):
+    """The d x d block of the coordinate I in a whole column."""
     off = _coord_offset(I)
     return col[off * d : (off + 1) * d, :]
 
 
-def reference_eta_gamma_defect(I, x, gens):
-    """max |lhs - rhs| of the eta-gamma identity with Fraction matrices."""
-    lhs = reference_stacked_column(I, x, gens)
+def reference_stacked_column(I, x, gens, tower=None):
+    """The recursion coordinate, read from the whole reference column."""
+    d = next(iter(gens.values())).shape[0]
+    return reference_block(reference_column(I.n, I.r, x, gens, tower), I, d)
+
+
+def reference_graph_sum(I, x, gens):
+    """The wedge-chain side of the eta-gamma identity with Fraction matrices."""
     d = next(iter(gens.values())).shape[0]
     rhs = np.zeros((d, d), dtype=object) + Fraction(0)
     for g, c in wedge_chain(I).terms.items():
@@ -338,7 +363,12 @@ def reference_eta_gamma_defect(I, x, gens):
         for e in g.edges:
             a_g = gens[pair(*e)] @ a_g
         rhs = rhs + (c * omega_coefficient(g, x)) * a_g
-    diff = lhs - rhs
+    return rhs
+
+
+def reference_eta_gamma_defect(I, x, gens):
+    """max |lhs - rhs| of the eta-gamma identity with Fraction matrices."""
+    diff = reference_stacked_column(I, x, gens) - reference_graph_sum(I, x, gens)
     return max(abs(v) for v in diff.flat)
 
 
@@ -373,17 +403,80 @@ def test_integer_path_matches_reference_on_scalar_generators():
         assert assert_matches_reference(I, rational_point(4, rng), scalar_generators(4, rng)) == 0
 
 
+def assert_coordinates_match_reference(tuples, x, gens):
+    """stacked_column and eta_gamma_check of tuples sharing (n, r), against
+    blocks of one whole reference column at (x, gens); returns the defects."""
+    exact = as_fractions(gens)
+    col = reference_column(tuples[0].n, tuples[0].r, x, exact)
+    d = col.shape[1]
+    defects = []
+    for I in tuples:
+        got = stacked_column(I, x, gens)
+        want = reference_block(col, I, d)
+        assert all(type(v) is Fraction for v in got.flat)
+        assert got.shape == want.shape and (got == want).all()
+        defect = eta_gamma_check(I, None, x=x, gens=gens)
+        assert defect == max(abs(v) for v in (want - reference_graph_sum(I, x, exact)).flat)
+        defects.append(defect)
+    return defects
+
+
+def test_demand_driven_column_matches_reference_at_five_vertices():
+    # every coordinate of (5,3) and (5,4), and four seeded ones of (5,2),
+    # which read a fraction of the 24 blocks of their level-2 column
+    rng = random.Random(34)
+    for tuples in [list(index_tuples(5, 3)), list(index_tuples(5, 4)), rng.sample(list(index_tuples(5, 2)), 4)]:
+        assert assert_coordinates_match_reference(tuples, rational_point(5, rng), matrix_generators(5, rng)) == [0] * len(tuples)
+
+
+def relation_breaking_generators(n, rng):
+    """matrix_generators(n) with 1/7 added to every G_u at (0, 1), over the
+    denominator 7D: a family that breaks the pure-braid relations."""
+    den, ints = matrix_generators(n, rng)
+    gens = {u: 7 * g for u, g in ints.items()}
+    for g in gens.values():
+        g[0, 1] += den
+    return 7 * den, gens
+
+
 def test_integer_path_keeps_nonzero_defect():
-    # a family that breaks the pure-braid relations: a scaling slip in the
-    # integer path would show as a defect different from the reference's
+    # a scaling slip in the integer path would show as a defect different
+    # from the reference's
     rng = random.Random(33)
     for I in index_tuples(4, 2):
-        den, ints = matrix_generators(4, rng)
-        # each G_u gains 1/7 at (0, 1): D/7D over the denominator 7D
-        gens = {u: 7 * g for u, g in ints.items()}
-        for g in gens.values():
-            g[0, 1] += den
-        assert assert_matches_reference(I, rational_point(4, rng), (7 * den, gens)) > 0
+        gens = relation_breaking_generators(4, rng)
+        assert assert_matches_reference(I, rational_point(4, rng), gens) > 0
+
+
+def test_demand_driven_column_keeps_nonzero_defect_at_five_vertices():
+    rng = random.Random(35)
+    for tuples in [rng.sample(list(index_tuples(5, 3)), 3), rng.sample(list(index_tuples(5, 2)), 1)]:
+        defects = assert_coordinates_match_reference(tuples, rational_point(5, rng), relation_breaking_generators(5, rng))
+        assert min(defects) > 0
+
+
+def test_demand_driven_column_reads_every_entry_of_a_mutated_row():
+    # an entry added where the coordinate's row had none on any symbol: the
+    # column must then read a block it skipped, as the dense reference does
+    rng = random.Random(36)
+    I = IndexTuple(2, 5, (2, 1, 3))
+    x, gens = rational_point(5, rng), matrix_generators(5, rng)
+    tower = build_tower(5, 2)
+    fam = tower[3]
+    i, rest = divmod(_coord_offset(I), fam.dim)
+    m = fam[(i + 1, 3)]
+    unread = [j for j in range(fam.dim) if not any(t[rest, j] for t in m.terms.values())]
+    assert unread
+    terms = {u: t.copy() for u, t in m.terms.items()}
+    terms.setdefault((1, 4), np.zeros((fam.dim, fam.dim), dtype=np.int64))[rest, unread[0]] += 3
+    mats = dict(fam.mats)
+    mats[(i + 1, 3)] = LinearMatrix(fam.dim, terms)
+    mutated = dict(tower)
+    mutated[3] = BraidFamily(3, mats)
+    got = _divide(*_integer_column(I, x, *gens, mutated))
+    want = reference_stacked_column(I, x, as_fractions(gens), tower=mutated)
+    assert (got == want).all()
+    assert not (got == stacked_column(I, x, gens)).all()
 
 
 def path_product_factors(g, p, q, gens):
@@ -444,7 +537,7 @@ def test_path_product_closed_form():
     for n in (4, 5):
         _, gens = matrix_generators(n, rng)
         tower = build_tower(n, n - 1)
-        lifted = {u: m.instantiate(gens) for u, m in tower[n - 1].mats.items()}
+        lifted = {u: instantiate(m, gens) for u, m in tower[n - 1].mats.items()}
         d = n
         fam_dim = (n - 1) * d
         for I in index_tuples(n - 1, 2):

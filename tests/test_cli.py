@@ -242,6 +242,26 @@ def test_cli_selberg_integrate_rejects_malformed_graph_lines(tmp_path, capsys, l
     assert named in _one_error_line(["selberg", "integrate", str(gf)], capsys)
 
 
+@pytest.mark.parametrize(
+    "specs, named",
+    [
+        (["(1,2=0.5"], "key '(1,2'"),
+        (["1,2)=0.5"], "key '1,2)'"),
+        (["((1,2))=0.5"], "key '((1,2))'"),
+        (["1,2,3=0.5"], "key '1,2,3'"),
+        (["(1,2)=0.5", "(1,2)=0.6"], "pair (1,2) twice"),
+        (["(1,2)=0.5", "(3,2)=0.6"], "pair (2,3) twice"),
+    ],
+)
+def test_cli_selberg_integrate_rejects_malformed_or_repeated_alpha_keys(tmp_path, capsys, specs, named):
+    gf = tmp_path / "graph.txt"
+    gf.write_text("3 2 | (2,3)\n")
+    argv = ["selberg", "integrate", str(gf)]
+    for spec in specs + ["(1,3)=0.5", "(2,3)=0.5"]:
+        argv += ["--alpha", spec]
+    assert named in _one_error_line(argv, capsys)
+
+
 def test_cli_selberg_integrate_rejects_missing_file(tmp_path, capsys):
     assert "No such file" in _one_error_line(["selberg", "integrate", str(tmp_path / "absent.txt")], capsys)
 
