@@ -431,7 +431,7 @@ def _integer_column(I, x, scale, igens, tower):
     """
     n = I.n
     d = next(iter(igens.values())).shape[0]
-    level = min(I.r, n - 1)  # r = n reads the start column, as r = n - 1 does
+    level = I.r
     gaps = {top: _scaled_gap_inverses(x, top) for top in range(level + 1, n + 1)}
     den = 1
     for q, _ in gaps.values():
@@ -452,6 +452,13 @@ def _integer_column(I, x, scale, igens, tower):
     return block(level, _coord_offset(I)), den
 
 
+def _require_entries(I):
+    """ValueError for an index tuple with r = n: it has no entries, so the
+    level recursion has no coordinate to read."""
+    if I.r == I.n:
+        raise ValueError(f"r = n = {I.n}: the index tuple has no entries, so the recursion has no coordinate")
+
+
 def stacked_column(I, x, gens):
     """The coordinate of the integrand column built by the level recursion.
 
@@ -461,7 +468,9 @@ def stacked_column(I, x, gens):
     of Fractions.  gens is (D, {u: D G_u}) as matrix_generators returns it.
     The recursion runs on integers and divides once at the end, and it forms
     only the blocks of each level's column that the coordinate reads.
+    Needs r < n.
     """
+    _require_entries(I)
     return _divide(*_integer_column(I, x, *gens, _symbolic_tower(I.n, I.r)))
 
 
@@ -473,10 +482,11 @@ def eta_gamma_check(I, rng, x=None, gens=None):
     in the quotient by the pure-braid relations, so the defect must be the
     zero matrix.  Returns the max absolute entry as a Fraction.  gens is
     (D, {u: D G_u}) as matrix_generators returns it.  Both sides are
-    compared as integer matrices over one common denominator.
+    compared as integer matrices over one common denominator.  Needs r < n.
     """
     from .graphs import omega_coefficient, wedge_chain
 
+    _require_entries(I)
     n, r = I.n, I.r
     if gens is None:
         gens = matrix_generators(n, rng)

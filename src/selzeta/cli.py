@@ -174,7 +174,6 @@ def check_residue(config):
     Each identity is evaluated in integers (graphs.residue_identity): every
     log form's numerator over the one common denominator of the point, summed
     as plain ints, so a gap is an exact Fraction and any nonzero one fails.
-    The wedge chains of the residue half are reused by the product half.
     """
     from .graphs import index_tuples, principal_product, residue_expand, residue_identity, wedge_chain
 
@@ -182,12 +181,10 @@ def check_residue(config):
     n_max = 4 if config.profile == "quick" else 5
     worst_residue = 0.0
     graphs_checked = 0
-    chains = {}
     for n in range(3, n_max + 1):
         seen = set()
         for I in index_tuples(n, 2):
-            chains[I] = wedge_chain(I)
-            for g in chains[I].terms:
+            for g in wedge_chain(I).terms:
                 if g in seen:
                     continue
                 seen.add(g)
@@ -205,7 +202,7 @@ def check_residue(config):
             if r > n - 1:
                 continue
             for I in index_tuples(n, r):
-                if principal_product(I) != (chains[I] if I in chains else wedge_chain(I)):
+                if principal_product(I) != wedge_chain(I):
                     mismatches += 1
     defect = max(float(worst_residue), float(mismatches))
     return defect, {"support_graphs": graphs_checked, "residue_gap": float(worst_residue), "product_mismatches": mismatches}
@@ -492,6 +489,8 @@ def _cmd_selberg_integrate(args):
     from .graphs import parse_graph
     from .selberg import ExponentAssignment, QuadratureError, integrate_graph
 
+    if args.alpha and args.alpha_uniform is not None:
+        return _input_error("--alpha and --alpha-uniform exclude each other: give the exponents one way")
     try:
         with open(args.graph_file) as fh:
             line = fh.read().strip()
@@ -499,9 +498,13 @@ def _cmd_selberg_integrate(args):
         if len(g.roots) > 3:
             return _input_error(f"{len(g.roots)} roots: root values are x_1 = 0, x_2 = 1 and --x3, so at most 3")
         if args.alpha:
-            alpha = ExponentAssignment(_parse_alpha_specs(args.alpha))
+            alphas = _parse_alpha_specs(args.alpha)
+            for i, j in alphas:
+                if not (1 <= i and j <= g.n):
+                    return _input_error(f"--alpha pair ({i},{j}) is not a vertex pair of the graph on [1,{g.n}]")
+            alpha = ExponentAssignment(alphas)
         else:
-            alpha = ExponentAssignment.uniform(g.n, args.alpha_uniform)
+            alpha = ExponentAssignment.uniform(g.n, 0.1 if args.alpha_uniform is None else args.alpha_uniform)
         root_values = None
         if len(g.roots) == 3:
             root_values = {1: 0.0, 2: 1.0, 3: 0.5 if args.x3 is None else args.x3}
@@ -604,7 +607,7 @@ def build_parser():
     ps = psub.add_parser("integrate", help="integrate a graph file: 'n r | (p,q) ...'")
     ps.add_argument("graph_file")
     ps.add_argument("--alpha", action="append", help="pair exponent, e.g. (1,3)=0.5; repeatable")
-    ps.add_argument("--alpha-uniform", type=float, default=0.1)
+    ps.add_argument("--alpha-uniform", type=float, default=None, help="one exponent for every pair (0.1 when neither option is given)")
     ps.add_argument("--tol", type=float, default=None)
     ps.add_argument("--x3", type=float, default=None, help="value of root 3 for a graph with 3 roots (default 0.5)")
     ps.set_defaults(func=_cmd_selberg_integrate)

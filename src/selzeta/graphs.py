@@ -51,6 +51,17 @@ class OrderedRootedGraph:
         object.__setattr__(self, "edges", tuple(norm))
         if not all(1 <= v <= n for v in self.roots):
             raise ValueError("roots outside vertex set")
+        object.__setattr__(self, "_hash", hash((n, self.roots, self.edges)))
+
+    # the hash is taken once, from the same fields as in _graph, so a
+    # validated graph and an unvalidated one with equal fields hash alike
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.edges == other.edges and self.n == other.n and self.roots == other.roots)
 
     @property
     def free_vertices(self):
@@ -72,7 +83,7 @@ def _graph(n, roots, edges):
     """An OrderedRootedGraph from a frozenset of roots and a tuple of edges
     that are already (min, max) pairs in [1, n] and distinct, unvalidated."""
     g = object.__new__(OrderedRootedGraph)
-    g.__dict__.update(n=n, roots=roots, edges=edges)
+    g.__dict__.update(n=n, roots=roots, edges=edges, _hash=hash((n, roots, edges)))
     return g
 
 
@@ -129,6 +140,14 @@ class GraphSum:
         return " + ".join(f"{c}*{g!r}" if c != 1 else repr(g) for g, c in sorted(self.terms.items(), key=lambda t: repr(t[0])))
 
 
+def _sum(n, roots, terms):
+    """A GraphSum of terms that are already graphs on (n, roots), with roots a
+    frozenset, unvalidated; the nonzero terms are copied into a new dict."""
+    gs = object.__new__(GraphSum)
+    gs.n, gs.roots, gs.terms = n, roots, {g: c for g, c in terms.items() if c}
+    return gs
+
+
 @dataclass(frozen=True)
 class IndexTuple:
     """Attachment indices (i_{r+1}, ..., i_n) with 1 <= i_p <= p-1."""
@@ -165,27 +184,56 @@ def wedge(g, new_vertex, i):
         raise ValueError("new vertex must be n + 1")
     if not (1 <= i <= g.n):
         raise ValueError(f"attachment vertex {i} outside [1,{g.n}]")
+    roots = g.roots
+    last = ((i, new_vertex),)
     terms = {}
     for graph, c in g.terms.items() if isinstance(g, GraphSum) else [(g, 1)]:
-        at_i = [pos for pos, e in enumerate(graph.edges) if i in e]
+        edges = graph.edges
+        at_i = [pos for pos, (p, q) in enumerate(edges) if p == i or q == i]
         for size in range(len(at_i) + 1):
             for subset in itertools.combinations(at_i, size):
-                edges = list(graph.edges)
+                rewired = list(edges)
                 for pos in subset:
-                    p, q = edges[pos]
-                    edges[pos] = (q if p == i else p, new_vertex)
-                edges.append((i, new_vertex))
-                h = _graph(new_vertex, g.roots, tuple(edges))
+                    p, q = rewired[pos]
+                    rewired[pos] = (q if p == i else p, new_vertex)
+                h = _graph(new_vertex, roots, tuple(rewired) + last)
                 terms[h] = terms.get(h, 0) + c
-    return GraphSum(new_vertex, g.roots, terms)
+    return _sum(new_vertex, roots, terms)
+
+
+# wedge_chain's folds, one per (r, entries prefix), so a tuple's chain is one
+# wedge on its parent's.  The oldest entries leave once the terms held pass
+# _CHAINS_TERMS, which bounds the memory a sweep at large n can take.
+_CHAINS = {}
+_CHAINS_TERMS = 1 << 14
+_chains_held = 0
+
+
+def _chain(r, entries):
+    global _chains_held
+    key = (r, entries)
+    gs = _CHAINS.get(key)
+    if gs is None:
+        if entries:
+            gs = wedge(_chain(r, entries[:-1]), r + len(entries), entries[-1])
+        else:
+            gs = GraphSum.single(empty_graph(range(1, r + 1)))
+        _CHAINS[key] = gs
+        _chains_held += len(gs.terms)
+        while _chains_held > _CHAINS_TERMS:
+            _chains_held -= len(_CHAINS.pop(next(iter(_CHAINS))).terms)
+    return gs
 
 
 def wedge_chain(I):
-    """Left fold of the wedge over the index tuple, starting from the bare roots."""
-    gs = GraphSum.single(empty_graph(range(1, I.r + 1)))
-    for p in range(I.r + 1, I.n + 1):
-        gs = wedge(gs, p, I.entry(p))
-    return gs
+    """Left fold of the wedge over the index tuple, starting from the bare roots.
+
+    Each prefix of the entries is folded once per process (while _CHAINS
+    keeps it); the caller gets a new GraphSum with its own terms dict, so
+    changing that leaves the memo as it was.
+    """
+    gs = _chain(I.r, I.entries)
+    return _sum(gs.n, gs.roots, gs.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +283,7 @@ def principal_product(I):
     for combo in itertools.product(*pair_sums.values()):
         g = _graph(I.n, roots, combo)
         terms[g] = terms.get(g, 0) + 1
-    return GraphSum(I.n, roots, terms)
+    return _sum(I.n, roots, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +336,11 @@ def log_form_det(edges, cols, diff, scale=None):
     the determinant taken on the ±1 entries alone; it is 0 exactly when the
     graph is not a rooted forest.  diff(p, q) returns x_p - x_q as a float or
     a node array, and the inverse gaps are multiplied in one by one.  With
-    scale = D, diff returns the integer D (x_p - x_q) instead, and the result
-    is the one exact Fraction det * D^m / prod D (x_p - x_q).  This is the one
-    builder behind omega_coefficient, omega_residue_direct and the sign of
-    the Selberg quadrature integrand's log form.
+    scale = D, diff is instead the mapping v -> D x_v of integer coordinates,
+    read directly, and the result is the one exact Fraction
+    det * D^m / prod D (x_p - x_q).  This is the one builder behind
+    omega_coefficient, omega_residue_direct and the sign of the Selberg
+    quadrature integrand's log form.
     """
     sign = _incidence_sign(tuple(edges), tuple(cols))
     if sign == 0:
@@ -299,7 +348,7 @@ def log_form_det(edges, cols, diff, scale=None):
     if scale is not None:
         den = 1
         for p, q in edges:
-            den *= diff(p, q)
+            den *= diff[p] - diff[q]
         return Fraction(sign * scale ** len(edges), den)
     out = sign
     for p, q in reversed(edges):
@@ -371,8 +420,16 @@ def omega_coefficient(g, x):
     if len(g.edges) != len(cols):
         raise ValueError("need #edges == #vertices - #roots")
     vals = x if isinstance(x, dict) else {v: x[v - 1] for v in range(1, g.n + 1)}
-    scale, coords = _coordinates(vals)
-    return log_form_det(g.edges, cols, lambda p, q: coords[p] - coords[q], scale)
+    return _log_form_at(g.edges, cols, vals)
+
+
+def _log_form_at(edges, cols, x):
+    """log_form_det of the edges on the columns at the point x, a dict of
+    exact or float coordinates, after _coordinates' conversion and guard."""
+    scale, coords = _coordinates(x)
+    if scale is None:
+        return log_form_det(edges, cols, lambda p, q: coords[p] - coords[q])
+    return log_form_det(edges, cols, coords, scale)
 
 
 def is_tree(g):
@@ -388,10 +445,13 @@ def is_tree(g):
 # residue of the log form at x_n -> x_k
 # ---------------------------------------------------------------------------
 
-def _top_edges(g):
-    """Positions/attachments of the edges containing the top vertex n."""
-    n = g.n
-    return [(pos, p if q == n else q) for pos, (p, q) in enumerate(g.edges) if n in (p, q)]
+def _top_position(g, k):
+    """Position of the edge (k, n) of g, n its top vertex; ValueError if it
+    has none.  Edges are (min, max) pairs, so n only ever comes second."""
+    try:
+        return g.edges.index((k, g.n))
+    except ValueError:
+        raise ValueError(f"({g.n},{k}) is not an edge") from None
 
 
 def residue_expand(g, k):
@@ -403,52 +463,43 @@ def residue_expand(g, k):
     is bare deletion with sign +1.
     """
     n = g.n
-    top = _top_edges(g)
-    pos_nk = next((pos for pos, other in top if other == k), None)
-    if pos_nk is None:
-        raise ValueError(f"({n},{k}) is not an edge")
-    plus = sorted([(pos, other) for pos, other in top if pos >= pos_nk], reverse=True)
-    k_list = [other for _, other in plus]       # k_1 ... k_s = k, positions decreasing
-    t_list = [pos for pos, _ in plus]
-    s = len(k_list)
-    roots = g.roots
-    if n in roots:
+    edges = g.edges
+    pos_nk = _top_position(g, k)
+    if n in g.roots:
         raise ValueError("roots outside vertex set")
-    out = {}
-
-    def build(assign, drop_pos):
-        # every edge is a (min, max) pair in [1, n-1]; only a repeat can occur
-        edges = []
-        for pos, e in enumerate(g.edges):
-            if pos == drop_pos:
-                continue
-            if pos in assign:
-                e = assign[pos]
-            elif n in e:
-                e = (e[0], k) if e[0] < k else (k, e[0])
-            if e in edges:
-                raise ValueError(f"duplicate edge {e}")
-            edges.append(e)
-        return _graph(n - 1, roots, tuple(edges))
-
-    if s == 1:
-        h = build({}, pos_nk)
-        return GraphSum(n - 1, roots, {h: 1})
-
-    middle = k_list[1:-1]
-    for size in range(len(middle) + 1):
+    # positions t_1 > ... > t_s and attachments k_1 ... k_s = k of the top
+    # edges at or above (n, k)
+    t_list = [pos for pos in range(len(edges) - 1, pos_nk - 1, -1) if edges[pos][1] == n]
+    k_list = [edges[pos][0] for pos in t_list]
+    s = len(t_list)
+    # the top edges below (n, k) have n replaced by k; the rest are set per term
+    base = [((p, k) if p < k else (k, p)) if q == n else (p, q) for p, q in edges]
+    terms = [(base, 1)] if s == 1 else []
+    for size in range(s - 1):
         for subset in itertools.combinations(range(1, s - 1), size):
             chosen = set(subset) | {0}          # indices j (0-based) with k_{j+1} in p + {k_1}
-            assign = {}
+            out = base[:]
             for i in range(1, s):               # paper's i = 2..s, 0-based i
                 # anchor to the nearest chosen predecessor: the one whose top
                 # edge has the smallest position among those still above t_i
                 m = max(j for j in chosen if j < i)
                 a, b = k_list[i], k_list[m]
-                assign[t_list[i]] = (min(a, b), max(a, b))
-            h = build(assign, t_list[0])
-            out[h] = out.get(h, 0) + (-1) ** (size + 1)
-    return GraphSum(n - 1, g.roots, out)
+                out[t_list[i]] = (a, b) if a < b else (b, a)
+            terms.append((out, 1 if size % 2 else -1))
+    roots = g.roots
+    expansion = {}
+    for out, c in terms:
+        del out[t_list[0]]
+        # every edge is a (min, max) pair in [1, n-1]; only a repeat can occur
+        if len(set(out)) < len(out):
+            seen = set()
+            for e in out:
+                if e in seen:
+                    raise ValueError(f"duplicate edge {e}")
+                seen.add(e)
+        h = _graph(n - 1, roots, tuple(out))
+        expansion[h] = expansion.get(h, 0) + c
+    return _sum(n - 1, roots, expansion)
 
 
 def _residue_surgery(g, k):
@@ -461,12 +512,10 @@ def _residue_surgery(g, k):
     on the free columns of [n-1].
     """
     n = g.n
-    top = _top_edges(g)
-    pos_nk = next((pos for pos, other in top if other == k), None)
-    if pos_nk is None:
-        raise ValueError(f"({n},{k}) is not an edge")
-    merged = tuple(tuple(k if v == n else v for v in e) for e in g.edges if e != (k, n))
-    return (-1) ** ((len(g.edges) - 1) - pos_nk), merged, _free_columns(n - 1, g.roots)
+    edges = g.edges
+    pos = _top_position(g, k)
+    merged = tuple((p, k) if q == n else (p, q) for p, q in edges[:pos] + edges[pos + 1 :])
+    return (1 if (len(edges) - pos) % 2 else -1), merged, _free_columns(n - 1, g.roots)
 
 
 def omega_residue_direct(g, k, x):
@@ -477,8 +526,8 @@ def omega_residue_direct(g, k, x):
     in floats otherwise.  Independent of residue_expand.
     """
     sign, merged, cols = _residue_surgery(g, k)
-    scale, coords = _coordinates(x)
-    return sign * log_form_det(merged, cols, lambda p, q: coords[p] - coords[q], scale)
+    value = _log_form_at(merged, cols, x)
+    return value if sign > 0 else -value
 
 
 def residue_identity(g, k, expansion):

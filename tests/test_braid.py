@@ -293,6 +293,20 @@ def test_eta_gamma_three_vertices():
     assert eta_gamma_check(IndexTuple(2, 3, (1,)), rng) == 0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_tuple_with_r_equal_to_n_has_no_coordinate(n):
+    # IndexTuple(n, n, ()) is a valid tuple with no entries; the recursion
+    # has no coordinate for it, so both sides refuse it instead of comparing
+    # the start block with the empty graph
+    I = IndexTuple(n, n, ())
+    rng = random.Random(0)
+    x = {v: Fraction(v, 7) for v in range(1, n + 1)}
+    with pytest.raises(ValueError, match=f"r = n = {n}"):
+        eta_gamma_check(I, rng)
+    with pytest.raises(ValueError, match=f"r = n = {n}"):
+        stacked_column(I, x, matrix_generators(n, rng))
+
+
 def test_eta_gamma_four_vertices_exhaustive():
     rng = random.Random(12)
     for I in index_tuples(4, 2):

@@ -262,6 +262,33 @@ def test_cli_selberg_integrate_rejects_malformed_or_repeated_alpha_keys(tmp_path
     assert named in _one_error_line(argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--alpha", "(1,9)=0.7"], "pair (1,9) is not a vertex pair of the graph on [1,3]"),
+        (["--alpha", "(4,3)=0.7"], "pair (3,4) is not a vertex pair"),
+        (["--alpha", "(0,2)=0.7"], "pair (0,2) is not a vertex pair"),
+        (["--alpha-uniform", "0.3"], "--alpha and --alpha-uniform exclude each other"),
+        (["--alpha-uniform", "0.1"], "--alpha and --alpha-uniform exclude each other"),
+    ],
+)
+def test_cli_selberg_integrate_rejects_unused_exponents(tmp_path, capsys, extra, named):
+    gf = tmp_path / "graph.txt"
+    gf.write_text("3 2 | (2,3)\n")
+    argv = ["selberg", "integrate", str(gf), "--alpha", "(1,2)=0.1", "--alpha", "(1,3)=0.5", "--alpha", "(2,3)=0.5"]
+    assert named in _one_error_line(argv + extra, capsys)
+
+
+@pytest.mark.parametrize("extra, value", [([], 0.1), (["--alpha-uniform", "0.1"], 0.1), (["--alpha-uniform", "0.4"], 0.4)])
+def test_cli_selberg_integrate_uniform_exponent(tmp_path, capsys, extra, value):
+    # 0.1 on every pair when neither option is given, as an explicit 0.1 gives
+    gf = tmp_path / "graph.txt"
+    gf.write_text("3 2 | (2,3)\n")
+    assert main(["selberg", "integrate", str(gf), *extra]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["alphas"] == {"(1,2)": value, "(1,3)": value, "(2,3)": value}
+
+
 def test_cli_selberg_integrate_rejects_missing_file(tmp_path, capsys):
     assert "No such file" in _one_error_line(["selberg", "integrate", str(tmp_path / "absent.txt")], capsys)
 

@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selzeta import graphs
 from selzeta.graphs import (
     GraphSum,
     IndexTuple,
     OrderedRootedGraph,
+    _graph,
     common_denominator,
     empty_graph,
     format_graph,
@@ -98,6 +100,108 @@ def test_wedge_chain_single_entry():
     I = IndexTuple(2, 3, (2,))
     gs = wedge_chain(I)
     assert gs == GraphSum.single(G(3, {1, 2}, (2, 3)))
+
+
+def fold_chain(I):
+    """The wedge chain as a plain left fold over wedge, with no memo."""
+    gs = GraphSum.single(empty_graph(range(1, I.r + 1)))
+    for p in range(I.r + 1, I.n + 1):
+        gs = wedge(gs, p, I.entry(p))
+    return gs
+
+
+def all_chain_tuples(n_max):
+    return [I for n in range(3, n_max + 1) for r in range(2, n) for I in index_tuples(n, r)]
+
+
+def test_wedge_chain_memo_equals_the_fold_cold_and_warm(monkeypatch):
+    # same terms in the same order, which fixes the order of any float sum
+    # taken over them downstream
+    monkeypatch.setattr(graphs, "_CHAINS", {})
+    monkeypatch.setattr(graphs, "_chains_held", 0)
+    tuples = all_chain_tuples(6)
+    for I in tuples:
+        want = fold_chain(I)
+        cold = wedge_chain(I)
+        assert cold == want and list(cold.terms.items()) == list(want.terms.items())
+    assert graphs._CHAINS
+    for I in tuples:
+        warm = wedge_chain(I)
+        assert list(warm.terms.items()) == list(fold_chain(I).terms.items())
+        assert (warm.n, warm.roots) == (I.n, frozenset(range(1, I.r + 1)))
+
+
+def test_wedge_chain_caller_cannot_change_the_memo():
+    I, parent = IndexTuple(2, 5, (1, 2, 3)), IndexTuple(2, 4, (1, 2))
+    want = list(fold_chain(I).terms.items())
+    got = wedge_chain(I)
+    got.terms.clear()
+    got.terms[G(5, {1, 2}, (1, 3), (1, 4), (1, 5))] = 7
+    mutated_parent = wedge_chain(parent)
+    for g in mutated_parent.terms:
+        mutated_parent.terms[g] = 0
+    assert list(wedge_chain(I).terms.items()) == want
+    assert wedge_chain(parent) == fold_chain(parent)
+    assert wedge_chain(IndexTuple(2, 5, (1, 2, 4))) == fold_chain(IndexTuple(2, 5, (1, 2, 4)))
+
+
+def test_wedge_chain_memo_stays_within_its_bound(monkeypatch):
+    def held():
+        return sum(len(gs.terms) for gs in graphs._CHAINS.values())
+
+    # at the default bound, a sweep of every chain to n = 6 is kept whole
+    for I in all_chain_tuples(6):
+        wedge_chain(I)
+        assert held() == graphs._chains_held <= graphs._CHAINS_TERMS
+    # a small bound evicts the oldest prefixes, and the chains stay right
+    monkeypatch.setattr(graphs, "_CHAINS", {})
+    monkeypatch.setattr(graphs, "_chains_held", 0)
+    monkeypatch.setattr(graphs, "_CHAINS_TERMS", 40)
+    most = 0
+    for I in all_chain_tuples(6):
+        assert wedge_chain(I) == fold_chain(I)
+        assert held() == graphs._chains_held <= 40
+        most = max(most, held())
+    assert most > 30
+
+
+def test_validated_and_unvalidated_graphs_are_interchangeable():
+    for n, r, edges in [(3, 2, ((2, 3),)), (5, 2, ((1, 3), (3, 4), (2, 5))), (4, 4, ())]:
+        roots = frozenset(range(1, r + 1))
+        valid, raw = OrderedRootedGraph(n, roots, edges), _graph(n, roots, edges)
+        assert valid == raw and raw == valid and hash(valid) == hash(raw)
+        assert {valid: 1}[raw] == 1 and {raw: 2}[valid] == 2
+        assert len({valid, raw}) == 1
+        # the validating constructor normalises the pairs before it hashes
+        swapped = OrderedRootedGraph(n, roots, tuple((q, p) for p, q in edges))
+        assert swapped == raw and hash(swapped) == hash(raw)
+    assert G(4, {1, 2}, (1, 3), (2, 4)) != G(4, {1, 2}, (2, 4), (1, 3))
+    assert G(4, {1, 2}, (1, 3), (2, 4)) != G(4, {1, 2, 3}, (1, 3), (2, 4))
+    assert G(4, {1, 2}, (1, 3), (2, 4)) != ((1, 3), (2, 4))
+
+
+def test_module_built_sums_have_no_zero_terms_and_share_n_and_roots():
+    for I in all_chain_tuples(5) + list(index_tuples(6, 2)):
+        chain = wedge_chain(I)
+        step = wedge(chain, I.n + 1, I.n)
+        for gs in (chain, step):
+            assert all(gs.terms.values())
+            assert all((g.n, g.roots) == (gs.n, gs.roots) for g in gs.terms)
+            assert isinstance(gs.roots, frozenset)
+        if I.r == 2:
+            for g in chain.terms:
+                for k in {p for p, q in g.edges if q == g.n}:
+                    res = residue_expand(g, k)
+                    assert res.terms and all(res.terms.values())
+                    assert all((h.n, h.roots) == (g.n - 1, g.roots) == (res.n, res.roots) for h in res.terms)
+    # a term whose coefficient was set to 0 after validation leaves no term
+    gs = wedge_chain(IndexTuple(2, 4, (1, 2)))
+    zeroed = next(iter(gs.terms))
+    gs.terms[zeroed] = 0
+    step = wedge(gs, 5, 3)
+    assert all(step.terms.values())
+    assert step == wedge(GraphSum(4, gs.roots, {g: c for g, c in gs.terms.items() if c}), 5, 3)
+    assert len(step.terms) < len(wedge(wedge_chain(IndexTuple(2, 4, (1, 2))), 5, 3).terms)
 
 
 def test_principal_min_edge_small():
@@ -393,6 +497,25 @@ def test_residue_identity_float_limit():
 def test_residue_requires_edge():
     with pytest.raises(ValueError):
         residue_expand(G(4, {1, 2}, (2, 3), (2, 4)), 3)
+
+
+@pytest.mark.parametrize("k, named", [(3, r"\(4,3\) is not an edge"), (1, r"\(4,1\) is not an edge"), (4, r"\(4,4\) is not an edge"), (6, r"\(4,6\) is not an edge")])
+def test_every_residue_path_names_a_missing_top_edge(k, named):
+    g = G(4, {1, 2}, (2, 3), (2, 4))
+    x = {1: Fraction(1, 7), 2: Fraction(3, 7), 3: Fraction(5, 7)}
+    with pytest.raises(ValueError, match=named):
+        residue_expand(g, k)
+    with pytest.raises(ValueError, match=named):
+        omega_residue_direct(g, k, x)
+    with pytest.raises(ValueError, match=named):
+        residue_identity(g, k, GraphSum(3, g.roots))
+
+
+def test_residue_expand_rejects_a_repeated_edge_among_the_rewired_top_edges():
+    # two top edges at or above (3,5): (1,5) is dropped and (3,5) becomes
+    # (1,3), which the graph already has
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 3\)"):
+        residue_expand(G(5, {1, 2}, (1, 3), (3, 5), (1, 5), (2, 4)), 3)
 
 
 def test_residue_expand_rejects_a_repeated_edge():
