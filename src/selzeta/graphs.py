@@ -132,6 +132,8 @@ class GraphSum:
         return sorted(self.terms, key=repr)
 
     def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return (self.n, self.roots, self.terms) == (other.n, other.roots, other.terms)
 
     def __repr__(self):

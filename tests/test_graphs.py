@@ -102,6 +102,13 @@ def test_wedge_chain_single_entry():
     assert gs == GraphSum.single(G(3, {1, 2}, (2, 3)))
 
 
+def test_graph_sum_compares_unequal_to_other_types():
+    gs = wedge_chain(IndexTuple(2, 3, (1,)))
+    assert (gs == None) is False  # noqa: E711
+    assert gs not in [None]
+    assert gs != 0
+
+
 def fold_chain(I):
     """The wedge chain as a plain left fold over wedge, with no memo."""
     gs = GraphSum.single(empty_graph(range(1, I.r + 1)))

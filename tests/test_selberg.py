@@ -316,6 +316,110 @@ def test_taylor_circle_sample_must_converge():
         taylor_coefficients(gs, direction, 4, tol=1e-18)
 
 
+@pytest.mark.parametrize("bad", [-1, 5, 2.5, True, "4"])
+def test_taylor_weight_is_checked_before_any_quadrature(bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr(selberg, "integrate_sum", lambda *args, **kw: calls.append(args))
+    gs = wedge_chain(IndexTuple(2, 3, (2,)))
+    direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
+    with pytest.raises(ValueError, match=r"max_weight must be an integer in 0\.\.4"):
+        taylor_coefficients(gs, direction, bad)
+    assert calls == []
+
+
+def taylor_cases():
+    """Two l = 1 stars, two l = 2 stars and the two Beta directions of
+    cli.check_taylor_mzv, each as (graph sum, direction, tol)."""
+    cases = []
+    for l, abc in [(1, (0.3, 0.5, 0.4)), (1, (0.7, 0.25, 0.6)), (2, (0.3, 0.5, 0.4)), (2, (0.7, 0.25, 0.6))]:
+        g, alpha, _ = star_case(l, *abc)
+        cases.append((GraphSum.single(g), alpha, None))
+    for a, b in [(1.0, 1.0), (0.1, 0.2)]:
+        cases.append((wedge_chain(IndexTuple(2, 3, (2,))), ExponentAssignment({(1, 2): max(a, b), (1, 3): a, (2, 3): b}), 1e-11))
+    return cases
+
+
+@pytest.mark.parametrize("gs, direction, tol", taylor_cases())
+def test_taylor_fit_on_32_points_matches_a_64_point_circle(gs, direction, tol, monkeypatch):
+    # bin j of the 32-point DFT also holds c_{j+32} rho^32, which the 64-point
+    # one keeps apart; that alias must stay below the fits' own gaps
+    coeffs, _ = taylor_coefficients(gs, direction, 4, tol=tol)
+    monkeypatch.setattr(selberg, "_M_POINTS", 64)
+    reference, _ = taylor_coefficients(gs, direction, 4, tol=tol)
+    assert max(abs(c - r) for c, r in zip(coeffs, reference)) <= 1e-9
+
+
+def test_taylor_circle_samples_are_the_even_points_of_the_64_point_circle(monkeypatch):
+    # with every direction entry 1.0 the sampled exponent is the circle point t
+    gs = wedge_chain(IndexTuple(2, 3, (2,)))
+    direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
+    integrate = selberg.integrate_sum
+    ts = []
+
+    def spy(gs, alpha, tol=None):
+        ts.append(alpha[1, 3])
+        return integrate(gs, alpha, tol=tol)
+
+    monkeypatch.setattr(selberg, "integrate_sum", spy)
+    taylor_coefficients(gs, direction, 4, tol=1e-11)
+    samples = list(ts)
+    ts.clear()
+    monkeypatch.setattr(selberg, "_M_POINTS", 64)
+    taylor_coefficients(gs, direction, 4, tol=1e-11)
+    assert len(samples) == 17 and len(ts) == 33
+    assert samples == ts[::2]
+
+
+EULER_GAMMA = 0.5772156649015329
+
+
+def star_taylor_reference(l, a, b, c, max_weight):
+    """Taylor coefficients at t = 0 of the l-star's closed form at (t a, t b, t c).
+
+    Each Gamma(t u) of Selberg's formula is Gamma(1 + t u) / (t u); the t^l of
+    the prefactor cancels those poles, and log Gamma(1 + x) = -gamma x +
+    sum_{n >= 2} (-1)^n zeta(n) x^n / n gives the log of the rest as a series.
+    """
+    const = (-1) ** l * a**l / math.factorial(l)
+    signed = []  # (u, +1 for a Gamma(1 + t u) in the numerator, -1 in the denominator)
+    for j in range(l):
+        const /= a + j * c / 2
+        signed += [(a + j * c / 2, 1), (b + j * c / 2, 1), ((j + 1) * c / 2, 1)]
+        signed += [(a + b + (l + j - 1) * c / 2, -1), (c / 2, -1)]
+    p = [0.0] * (max_weight + 1)
+    for k in range(1, max_weight + 1):
+        power_sum = sum(s * u**k for u, s in signed)
+        p[k] = -EULER_GAMMA * power_sum if k == 1 else (-1) ** k * mzv_eval(MZVIndex((k,)), 1e-13) * power_sum / k
+    e = [1.0] + [0.0] * max_weight
+    for n in range(1, max_weight + 1):
+        e[n] = sum(k * p[k] * e[n - k] for k in range(1, n + 1)) / n
+    return [const * v for v in e]
+
+
+def test_star_taylor_reference_matches_the_closed_form_near_zero():
+    a, b, c, t = 0.4, 0.7, 0.5, 1e-3
+    coeffs = star_taylor_reference(2, a, b, c, 4)
+    _, _, want = star_case(2, t * a, t * b, t * c)
+    assert abs(sum(x * t**k for k, x in enumerate(coeffs)) - want) < 1e-12 * abs(want)
+
+
+def test_taylor_bound_covers_the_gap_to_selbergs_formula_on_two_vertex_stars():
+    # at l = 2 the gap is the truncation of the recentring sum after _J_MAX
+    # terms, 1e-8 to 1e-3 here, far above the circle's residual
+    rng = random.Random("taylor-bound")
+    bounds = []
+    for _ in range(8):
+        a, b, c = (round(rng.uniform(0.2, 0.9), 3) for _ in range(3))
+        g, alpha, _ = star_case(2, a, b, c)
+        coeffs, bound = taylor_coefficients(GraphSum.single(g), alpha, 4)
+        want = star_taylor_reference(2, a, b, c, 4)
+        for k, (got, exact) in enumerate(zip(coeffs, want)):
+            assert abs(got - exact) <= bound, (a, b, c, k)
+        bounds.append(bound)
+    # the tail is reported, not held to max_residual (1e-4 by default)
+    assert max(bounds) > 1e-4
+
+
 def test_sum_relation_three_vertices():
     res = sum_relation_defect(3, 2, 3, {}, ExponentAssignment.uniform(3, 0.12), tol=1e-11)
     d, est = abs(res.value), res.err_estimate
