@@ -121,8 +121,11 @@ def word_eval(word, abs_err=1e-12):
 
     Splits the path at 1/2: the value is the sum over prefix/suffix splits of
     (reversed, letter-swapped prefix at 1/2) x (suffix at 1/2).  Each factor
-    converges geometrically, so the cutoff follows from abs_err directly.
+    converges geometrically, so the cutoff follows from abs_err directly,
+    which must be finite and positive (ValueError).
     """
+    if not (math.isfinite(abs_err) and abs_err > 0):
+        raise ValueError(f"abs_err {abs_err} must be finite and positive")
     if not is_admissible_word(word):
         raise NonAdmissibleIndex(f"word {word!r} is not admissible")
     terms = max(64, int(math.log2((len(word) + 2) * 8 / abs_err)) + 4)
@@ -134,7 +137,9 @@ def word_eval(word, abs_err=1e-12):
 
 
 def mzv_eval(idx, abs_err=1e-12):
-    """Numeric value of an admissible multiple zeta value, |error| <= abs_err."""
+    """Numeric value of an admissible multiple zeta value, |error| <= abs_err.
+
+    abs_err must be finite and at least MIN_ABS_ERR (ValueError)."""
     idx = idx if isinstance(idx, MZVIndex) else MZVIndex(tuple(idx))
     if abs_err < MIN_ABS_ERR:
         raise ValueError(f"abs_err below supported floor {MIN_ABS_ERR}")

@@ -44,6 +44,13 @@ axes against the single-axis groups, which carry the weights (for two free
 vertices g0^T P g1).  A chunk whose contracted sum is not finite is summed
 node by node instead, with the nonfinite nodes zeroed and counted.
 
+Set-up is built as rarely as the values allow, bit for bit as if rebuilt
+per level.  Per process: the node table (log t, log w, t, 1 - t of the
+finest level) and each graph's exponent-free form at its root values
+(_graph_form).  Per integral: the factor powers, scale and ranges, the
+second level's axes, whose old nodes are the first level, and one
+np.errstate.  Per later level: its axes.
+
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
 and every limit identity downstream is consistent with that choice.
@@ -202,10 +209,13 @@ _U_MAX = 12.0
 
 
 def _de_table(level):
-    """(level, half, log t, log w) on u = j 2^-level for |j| <= half = _U_MAX 2^level.
+    """(level, half, log t, log w, t, 1 - t) on u = j 2^-level for |j| <= half = _U_MAX 2^level.
 
     The log weight leaves out the mesh.  Formed from a = pi/2 sinh u on
-    u >= 0 and mirrored: log t at -u is log(1 - t) at u.
+    u >= 0 and mirrored: log t at -u is log(1 - t) at u, so 1 - t is exp of
+    log t read backward, tabled in that order.  numpy's exp of a backward
+    view can differ in the last bit from exp read forward, so 1 - t is not
+    t reversed.
     """
     half = int(_U_MAX) << level
     u = np.arange(half + 1) * 2.0**-level
@@ -214,23 +224,24 @@ def _de_table(level):
     l1p = np.log1p(np.exp(-2.0 * a))
     lomt = -2.0 * a - l1p
     lw = np.log(math.pi * np.cosh(u)) + lomt - l1p
-    out = np.concatenate((lomt[:0:-1], -l1p)), np.concatenate((lw[:0:-1], lw))
+    lt = np.concatenate((lomt[:0:-1], -l1p))
+    out = lt, np.concatenate((lw[:0:-1], lw)), np.exp(lt), np.exp(lt[::-1])
     for x in out:
         x.flags.writeable = False
     return level, half, *out
 
 
 def de_axis(level, lo, hi):
-    """Log-space nodes (log t, log(1 - t), log w) on (0, 1) at u = j 2^-level, -lo <= j <= hi.
+    """Nodes (log t, log(1 - t), log w, t, 1 - t) on (0, 1) at u = j 2^-level, -lo <= j <= hi.
 
     The tanh-sinh map t = (1 + tanh(pi/2 sinh u)) / 2 and its weight dt/du,
     without the mesh 2^-level, which the product rule multiplies in once per
-    level.  All three are formed in the sinh variable, so none underflows
+    level.  The logs are formed in the sinh variable, so none underflows
     however far the range reaches: log t and log(1 - t) fall like
-    -pi/2 e^|u| at the two ends.  Node j of a level is node 2j of the next,
-    bit for bit, and the caller's ranges lo, hi = floor(u_0 2^level),
-    floor(u_1 2^level) double with the level, so each level holds the
-    previous level's nodes.
+    -pi/2 e^|u| at the two ends; t and 1 - t are exp of them.  Node j of a
+    level is node 2j of the next, bit for bit, and the caller's ranges
+    lo, hi = floor(u_0 2^level), floor(u_1 2^level) double with the level,
+    so each level holds the previous level's nodes.
 
     The ranges come from the face powers (_axis_ends): the end of an axis
     whose face power is t^(s-1) reaches the u where its relative tail
@@ -241,12 +252,12 @@ def de_axis(level, lo, hi):
     _U_MAX.  Returns read-only views of one table (_NODES); a level finer
     than it or a range past _U_MAX raises ValueError.
     """
-    fine, half, lt, lw = _NODES
+    fine, half, lt, lw, t, omt = _NODES
     if level > fine or max(lo, hi) << (fine - level) > half:
         raise ValueError(f"level {level} with range -{lo}..{hi} lies outside the node table")
     step = 1 << (fine - level)
     rows = slice(half - lo * step, half + hi * step + 1, step)
-    return lt[rows], lt[::-1][rows], lw[rows]
+    return lt[rows], lt[::-1][rows], lw[rows], t[rows], omt[rows]
 
 
 # the range at which a face power t^(s-1) leaves _TAIL_EPS is log(_REACH / s)
@@ -335,6 +346,107 @@ def _group_product(factors, om, out=None):
     return out
 
 
+class _GraphForm:
+    """The exponent-free part of _SimplexIntegrand, one per graph and root
+    values (_graph_form): the root-value checks, each pair's gap constant and
+    edge flag, the log form's sign, and per primitive factor its Jacobian
+    power, the pairs whose exponents add to it, and its place among the
+    axis groups (singles) and multi-axis groups (multis)."""
+
+    def __init__(self, g, root_values):
+        r = len(g.roots)
+        l = g.n - r
+        rv = {1: 0.0, 2: 1.0} if root_values is None else dict(root_values)
+        if rv.get(1) != 0.0 or rv.get(2) != 1.0:
+            raise ValueError("root values must pin x_1 = 0 and x_2 = 1")
+        if any(i not in rv for i in range(3, r + 1)):
+            raise ValueError(f"root values must give x_3 ... x_{r}")
+        # coincident roots would make a gap 0 and the integral a silent 0
+        chain = [*range(2, r + 1), 1]
+        for hi, lo in zip(chain, chain[1:]):
+            if not rv[hi] > rv[lo]:
+                raise ValueError(
+                    "root values must decrease strictly along x_2, x_3, ..., x_r, x_1: "
+                    f"x_{hi} = {rv[hi]} is not above x_{lo} = {rv[lo]}"
+                )
+        self.r, self.top, self.rv = r, rv[r], rv
+
+        def rank(v):
+            return 0 if v == 1 else g.n + 2 - v
+
+        self.pairs = all_pairs(g.n)
+        edges = set(g.edges)
+        self.edge_pairs = tuple(map(self.pairs.index, g.edges))
+        self.edge_flags = tuple(u in edges for u in self.pairs)
+        self.scale = (-1.0 if l % 2 else 1.0) * self.top**l
+        # per factor, keyed by (c, a, b) for 1 - c t_{a+1} ... t_b (0-based
+        # axes a..b-1), its Jacobian power and the pairs whose exponents add
+        # to it.  t_k alone is (None, k, k + 1), present for every axis; the
+        # Jacobian top^l t_1^(l-1) t_2^(l-2) ... t_{l-1} gives its t powers.
+        sums = {(None, k, k + 1): (l - 1 - k, []) for k in range(l)}
+        consts, edge_gaps = [], set()
+        for index, (i, j) in enumerate(self.pairs):
+            lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
+            if (i, j) in edges:
+                edge_gaps.add((lo, hi))
+            const, m, factor = self._gap_form(lo, hi)
+            consts.append(const)
+            for k in range(m):
+                sums[None, k, k + 1][1].append(index)
+            if factor is not None:
+                sums.setdefault(factor, (0, []))[1].append(index)
+        self.consts = tuple(consts)
+        self.sums = tuple((power, tuple(terms)) for power, terms in sums.values())
+        # the log form's sign, from the one builder: each row's gap as +-1
+        self.sign = log_form_det(g.edges, g.free_vertices, lambda p, q: 1.0 if (q, p) in edge_gaps else -1.0)
+        # the factors of each axis alone, and those spanning several axes
+        # grouped by the axes they span, so that each group is multiplied
+        # out on those axes alone before it meets the others
+        singles = [[] for _ in range(l)]
+        multis = {}
+        for index, (c, a, b) in enumerate(sums):
+            if b == a + 1:
+                singles[a].append((c, index))
+            else:
+                multis.setdefault((a, b), []).append((c, index))
+        self.singles = singles
+        self.multis = sorted(multis.items())
+        self.linear = frozenset(k for a, b in multis for k in range(a, b))
+
+    def _gap_form(self, lo, hi):
+        """x_hi - x_lo (x_hi > x_lo) as (const, m, factor): const * t_1 ... t_m * factor."""
+        r, top, rv = self.r, self.top, self.rv
+        if hi <= r and lo <= r:
+            return rv[hi] - rv[lo], 0, None
+        if lo == 1:
+            # x_hi = top t_1 ... t_j
+            return top, hi - r, None
+        if hi <= r:
+            # x_hi - top t_1 ... t_j; c = 1 at the lowest root
+            return rv[hi], 0, (top / rv[hi], 0, lo - r)
+        # both free: hi < lo as labels, x_hi - x_lo = x_hi (1 - t_{i+1} ... t_j)
+        i, j = hi - r, lo - r
+        return top, i, (1.0, i, j)
+
+
+# _GraphForm per (graph, root values); the oldest entry leaves when the dict
+# is full.  Root values that fail its checks raise before an entry is kept.
+_FORMS = {}
+_FORMS_SIZE = 512
+
+
+def _graph_form(g, root_values):
+    """The _GraphForm of g at root_values (None for x_1 = 0, x_2 = 1), built once per process."""
+    key = (g, None if root_values is None else frozenset(root_values.items()))
+    form = _FORMS.get(key)
+    if form is None:
+        form = _GraphForm(g, root_values)
+        if len(_FORMS) >= _FORMS_SIZE:
+            del _FORMS[next(iter(_FORMS))]
+        _FORMS[key] = form
+    return form
+
+
 class _SimplexIntegrand:
     """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian * weights on the cube.
 
@@ -361,84 +473,32 @@ class _SimplexIntegrand:
     """
 
     def __init__(self, g, alpha, root_values):
-        self.r = len(g.roots)
-        self.l = g.n - self.r
-        if root_values is None:
-            root_values = {1: 0.0, 2: 1.0}
-        self.root_values = dict(root_values)
-        if self.root_values.get(1) != 0.0 or self.root_values.get(2) != 1.0:
-            raise ValueError("root values must pin x_1 = 0 and x_2 = 1")
-        if any(i not in self.root_values for i in range(3, self.r + 1)):
-            raise ValueError(f"root values must give x_3 ... x_{self.r}")
-        vals = [self.root_values[i] for i in range(2, self.r + 1)]
-        if sorted(vals, reverse=True) != vals or any(not (0.0 < v <= 1.0) for v in vals[1:]):
-            raise ValueError("root values must decrease along 2, 3, ..., r inside (0, 1]")
-        self.top = self.root_values[self.r]
-
-        def rank(v):
-            return 0 if v == 1 else g.n + 2 - v
-
-        pairs = all_pairs(g.n)
+        form = _graph_form(g, root_values)
         # keyed by the normalized pairs that all_pairs lists
-        exps = alpha.alphas
-        missing = [f"({i},{j})" for i, j in pairs if exps.get((i, j)) is None]
-        if missing:
-            raise ValueError(f"missing exponent for pairs {' '.join(missing)}")
-        # orientation, edge exponents, Jacobian top^l and every gap's constant
-        scale = (-1.0 if self.l % 2 else 1.0) * self.top**self.l
-        for e in g.edges:
-            scale *= alpha[e]
-        # exponent of each factor, keyed by (c, a, b) for 1 - c t_{a+1} ... t_b
-        # (0-based axes a..b-1); t_k alone is (None, k, k + 1), present for
-        # every axis.  The Jacobian top^l t_1^(l-1) t_2^(l-2) ... t_{l-1}
-        # contributes its t powers.
-        powers = {(None, k, k + 1): self.l - 1 - k for k in range(self.l)}
-        edge_gaps = set()
-        edges = set(g.edges)
-        for i, j in pairs:
-            a_ij = exps[i, j]
-            lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
-            if (i, j) in edges:
-                a_ij = a_ij - 1
-                edge_gaps.add((lo, hi))
-            const, m, factor = self._gap_form(lo, hi)
-            scale *= const**a_ij
-            for k in range(m):
-                powers[None, k, k + 1] += a_ij
-            if factor is not None:
-                powers[factor] = powers.get(factor, 0) + a_ij
-        # the log form's sign, from the one builder: each row's gap as +-1
-        sign = log_form_det(g.edges, g.free_vertices, lambda p, q: 1.0 if (q, p) in edge_gaps else -1.0)
-        self.scale = scale * sign
-        # the factors of each axis alone, and those spanning several axes
-        # grouped by the axes they span, so that each group is multiplied
-        # out on those axes alone before it meets the others
-        self.singles = [[] for _ in range(self.l)]
-        multis = {}
-        for (c, a, b), power in powers.items():
-            if b == a + 1:
-                self.singles[a].append((c, power))
-            else:
-                multis.setdefault((a, b), []).append((c, power))
-        self.multis = sorted(multis.items())
+        exps = [alpha.alphas.get(u) for u in form.pairs]
+        if None in exps:
+            missing = " ".join(f"({i},{j})" for (i, j), v in zip(form.pairs, exps) if v is None)
+            raise ValueError(f"missing exponent for pairs {missing}")
+        # orientation, Jacobian top^l, edge exponents and every gap's constant
+        scale = form.scale
+        for k in form.edge_pairs:
+            scale *= exps[k]
+        # an edge's gap loses one power to the log form
+        exps = [a - 1 if edge else a for a, edge in zip(exps, form.edge_flags)]
+        for const, a in zip(form.consts, exps):
+            scale *= const**a
+        # each primitive factor's power, its exponents added in pair order
+        powers = []
+        for power, terms in form.sums:
+            for k in terms:
+                power = power + exps[k]
+            powers.append(power)
+        self.scale = scale * form.sign
+        self.singles = [[(c, powers[k]) for c, k in axis] for axis in form.singles]
+        self.multis = [(span, [(c, powers[k]) for c, k in factors]) for span, factors in form.multis]
         # the axes whose t and 1 - t the multi-axis factors read
-        self.linear = {k for a, b in multis for k in range(a, b)}
+        self.linear = form.linear
         self.ends, self.tail = _axis_ends(self.singles, self.multis)
-
-    def _gap_form(self, lo, hi):
-        """x_hi - x_lo (x_hi > x_lo) as (const, m, factor): const * t_1 ... t_m * factor."""
-        r, top, rv = self.r, self.top, self.root_values
-        if hi <= r and lo <= r:
-            return rv[hi] - rv[lo], 0, None
-        if lo == 1:
-            # x_hi = top t_1 ... t_j
-            return top, hi - r, None
-        if hi <= r:
-            # x_hi - top t_1 ... t_j; c = 1 at the lowest root
-            return rv[hi], 0, (top / rv[hi], 0, lo - r)
-        # both free: hi < lo as labels, x_hi - x_lo = x_hi (1 - t_{i+1} ... t_j)
-        i, j = hi - r, lo - r
-        return top, i, (1.0, i, j)
 
     def axis_group(self, k, lt, lomt, lw):
         """Axis k's weights times its single-axis factors, exp(lw + sum of power * log base),
@@ -553,17 +613,17 @@ def _level_axes(f, level):
 
     Each axis is one slice of the node table (de_axis) over its ranges, with
     its axis group built once, shaped to broadcast in its place of the grid;
-    the old and new nodes are strided views of it.  t and 1 - t are None on
-    an axis that no multi-axis factor spans.
+    the old and new nodes are strided views of each array.  t and 1 - t are
+    None on an axis that no multi-axis factor spans.
     """
     dim = len(f.ends)
     axes = []
     for k, (u0, u1) in enumerate(f.ends):
         lo = math.floor(math.ldexp(u0, level))
-        lt, lomt, lw = de_axis(level, lo, math.floor(math.ldexp(u1, level)))
+        lt, lomt, lw, t, omt = de_axis(level, lo, math.floor(math.ldexp(u1, level)))
         shape = (-1,) + (1,) * (dim - 1 - k)
-        t, omt = (np.exp(lt), np.exp(lomt)) if k in f.linear else (None, None)
-        full = tuple(x if x is None else x.reshape(shape) for x in (t, omt, f.axis_group(k, lt, lomt, lw)))
+        group = f.axis_group(k, lt, lomt, lw).reshape(shape)
+        full = (t.reshape(shape), omt.reshape(shape), group) if k in f.linear else (None, None, group)
         # node j sits at index j + lo
         old, new = slice(lo % 2, None, 2), slice(1 - lo % 2, None, 2)
         axes.append([full] + [tuple(x if x is None else x[p] for x in full) for p in (old, new)])
@@ -577,33 +637,40 @@ def _de_levels(f, dim):
     mesh, so S_{L+1} = S_L / 2^dim + the sum over the new nodes.  The new
     nodes of the tensor grid form dim open-grid blocks of the level's axes
     (_level_axes); block k takes the old nodes on the axes before k, the new
-    (odd) nodes on axis k and all nodes on the axes after k.  The integrand
-    sums each block itself (block_sum), in cache-sized chunks.  Every node
-    is evaluated once; nodes and nonfinite are running totals.
+    (odd) nodes on axis k and all nodes on the axes after k.  The first
+    level is the old nodes of the second level's axes.  The integrand sums
+    each block itself (block_sum), in cache-sized chunks, and reduces only
+    arrays it forms, so a strided view sums as a copy would.  Every node is
+    evaluated once; nodes and nonfinite are running totals.  Floating-point
+    errors are ignored until the last level, also while the caller holds one.
     """
     total, nodes, nonfinite = 0.0, 0, 0
     levels = _LEVELS[dim]
-    for level in levels:
-        part = 0.0
-        with np.errstate(all="ignore"):
-            axes = _level_axes(f, level)
-            # the first level has no old nodes: its one block is the whole grid
+    second = levels[1] if len(levels) > 1 else None
+    with np.errstate(all="ignore"):
+        for level in levels:
             if level == levels[0]:
-                blocks = [[full for full, _, _ in axes]]
+                # the first level has no old nodes: its one block is the
+                # whole grid, the old nodes of the second level's axes
+                axes = _level_axes(f, level if second is None else second)
+                blocks = [[full if second is None else old for full, old, _ in axes]]
             else:
+                if level != second:
+                    axes = _level_axes(f, level)
                 blocks = [
                     [old for _, old, _ in axes[:k]] + [axes[k][2]] + [full for full, _, _ in axes[k + 1 :]]
                     for k in range(dim)
                 ]
+            part = 0.0
             for block in blocks:
                 ts, omts, gs = map(list, zip(*block))
                 sub, bad = f.block_sum(ts, omts, gs)
                 nodes += math.prod(g.shape[0] for g in gs)
                 part += sub
                 nonfinite += bad
-        # the weights leave out the mesh 2^-level, one factor per axis
-        total = total / 2**dim + part * 2.0 ** (-level * dim)
-        yield level, total, nodes, nonfinite
+            # the weights leave out the mesh 2^-level, one factor per axis
+            total = total / 2**dim + part * 2.0 ** (-level * dim)
+            yield level, total, nodes, nonfinite
 
 
 def _integrate_cube(f, dim, tol):

@@ -336,9 +336,26 @@ def test_cli_selberg_integrate_takes_x3_only_for_three_roots(tmp_path, capsys):
     assert values[0] == values[1] != values[2]
 
 
+@pytest.mark.parametrize("line", ["4 3 | (3,4)", "4 3 | (2,4)"])
+def test_cli_selberg_integrate_rejects_coincident_roots(tmp_path, capsys, line):
+    # x_3 = x_2 = 1 made a gap 0, and the integral printed a converged 0.0
+    gf = tmp_path / "coincident.txt"
+    gf.write_text(line + "\n")
+    err = _one_error_line(["selberg", "integrate", str(gf), "--x3", "1.0"], capsys)
+    assert "x_2 = 1.0 is not above x_3 = 1.0" in err
+    assert main(["selberg", "integrate", str(gf), "--x3", "0.999999"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["converged"] is True and got["value"] > 0.0
+
+
 def test_cli_mzv_eval_rejects_bad_index(capsys):
     assert "not admissible" in _one_error_line(["mzv", "eval", "1"], capsys)
     assert "invalid literal" in _one_error_line(["mzv", "eval", "1,x"], capsys)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_mzv_eval_rejects_a_non_finite_abs_err(capsys, bad):
+    assert f"abs_err {bad} must be finite" in _one_error_line(["mzv", "eval", "2", "--abs-err", bad], capsys)
 
 
 def test_cli_graph_wedge_rejects_entry_out_of_range(capsys):

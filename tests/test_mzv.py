@@ -72,6 +72,21 @@ def test_nested_oracle_brackets_everything_small():
         assert partial - 1e-9 <= val <= partial + hi + 1e-9
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_abs_err_is_refused_by_name(bad):
+    # NaN passes the floor comparison and inf reached math.log2(0)
+    with pytest.raises(ValueError, match="abs_err"):
+        mzv_eval(MZVIndex((2,)), abs_err=bad)
+    with pytest.raises(ValueError, match="abs_err"):
+        word_eval("XY", abs_err=bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-12])
+def test_word_eval_refuses_a_non_positive_abs_err_by_name(bad):
+    with pytest.raises(ValueError, match="abs_err .* must be finite and positive"):
+        word_eval("XY", abs_err=bad)
+
+
 def test_admissibility_guards():
     with pytest.raises(NonAdmissibleIndex):
         MZVIndex((2, 1))

@@ -156,7 +156,7 @@ def test_corner_nodes_stay_finite_on_every_two_vertex_forest(a):
 
 def test_converged_integrals_stop_at_level_three():
     # level 2 is the first level and adds no node: level 3 holds its nodes
-    lt, lomt, lw = de_axis(3, 31, 22)
+    lt, lomt, lw, _, _ = de_axis(3, 31, 22)
     assert len(lt) == 54
     assert all(np.array_equal(x[1::2], y) for x, y in zip((lt, lomt, lw), de_axis(2, 15, 11)))
     star, alpha = G(4, {1, 2}, (1, 3), (1, 4)), ExponentAssignment.uniform(4, 0.5)
@@ -255,6 +255,18 @@ def test_roots_only_value():
             got = integrate_graph(G(n, range(1, n + 1)), ExponentAssignment(alphas), root_values=rv)
             assert abs(got.value - want) <= 1e-15 * abs(want)
             assert (got.err_estimate, got.evaluations, got.converged, got.nonfinite) == (0.0, 1, True, 0)
+
+
+def test_coincident_roots_are_refused_naming_both():
+    # equal values passed the old "decrease" check and integrated to 0.0
+    rv = {1: 0, 2: 1, 3: 0.5, 4: 0.5}
+    for g in (G(4, {1, 2, 3, 4}), G(5, {1, 2, 3, 4}, (4, 5))):
+        with pytest.raises(ValueError, match="x_3 = 0.5 is not above x_4 = 0.5"):
+            integrate_graph(g, ExponentAssignment.uniform(g.n, 0.5), root_values=rv)
+    with pytest.raises(ValueError, match="x_2 = 1.0 is not above x_3 = 1.0"):
+        integrate_graph(G(4, {1, 2, 3}, (3, 4)), ExponentAssignment.uniform(4, 0.1), root_values={1: 0.0, 2: 1.0, 3: 1.0})
+    got = integrate_graph(G(4, {1, 2, 3}, (3, 4)), ExponentAssignment.uniform(4, 0.1), root_values={1: 0.0, 2: 1.0, 3: 0.999999})
+    assert got.converged and got.value > 0.0
 
 
 def test_roots_only_rejects_bad_root_values():
@@ -915,6 +927,184 @@ def test_nonfinite_chunks_fall_back_to_the_elementwise_guard(scale, chunk, monke
         assert bad == got_bad == want_bad
         assert np.isfinite(got) and got != 0.0
         assert abs(got - vals.sum()) <= 1e-14 * abs(vals).sum()
+
+
+# ---------------------------------------------------------------------------
+# set-up built once per integral, per graph and per process, pinned bit for
+# bit against test-local copies of the level loop and the integrand fields
+# that built everything per level and per integral
+# ---------------------------------------------------------------------------
+
+def per_level_axes(f, level):
+    """Axes of one level as built per level: t and 1 - t as exp of the
+    de_axis slices, the old and new nodes as strided views."""
+    dim = len(f.ends)
+    axes = []
+    for k, (u0, u1) in enumerate(f.ends):
+        lo = math.floor(math.ldexp(u0, level))
+        lt, lomt, lw, _, _ = de_axis(level, lo, math.floor(math.ldexp(u1, level)))
+        shape = (-1,) + (1,) * (dim - 1 - k)
+        t, omt = (np.exp(lt), np.exp(lomt)) if k in f.linear else (None, None)
+        full = tuple(x if x is None else x.reshape(shape) for x in (t, omt, f.axis_group(k, lt, lomt, lw)))
+        old, new = slice(lo % 2, None, 2), slice(1 - lo % 2, None, 2)
+        axes.append([full] + [tuple(x if x is None else x[p] for x in full) for p in (old, new)])
+    return axes
+
+
+def per_level_sums(f, dim):
+    """(level, sum, nodes, nonfinite) per level, each level's axes built for
+    it: the first level summed on its full grid, the others on their
+    new-node blocks."""
+    out, total, nodes, nonfinite = [], 0.0, 0, 0
+    levels = _LEVELS[dim]
+    for level in levels:
+        part = 0.0
+        with np.errstate(all="ignore"):
+            axes = per_level_axes(f, level)
+            if level == levels[0]:
+                blocks = [[full for full, _, _ in axes]]
+            else:
+                blocks = [[old for _, old, _ in axes[:k]] + [axes[k][2]] + [full for full, _, _ in axes[k + 1 :]] for k in range(dim)]
+            for block in blocks:
+                ts, omts, gs = map(list, zip(*block))
+                sub, bad = f.block_sum(ts, omts, gs)
+                nodes += math.prod(g.shape[0] for g in gs)
+                part += sub
+                nonfinite += bad
+        total = total / 2**dim + part * 2.0 ** (-level * dim)
+        out.append((level, total, nodes, nonfinite))
+    return out
+
+
+SETUP_CASES = [
+    (G(3, {1, 2}, (1, 3)), None),
+    (G(4, {1, 2, 3}, (3, 4)), THREE_ROOTS),
+    (G(4, {1, 2}, (1, 3), (1, 4)), None),
+    (G(4, {1, 2}, (2, 3), (3, 4)), None),
+    (G(5, {1, 2, 3}, (3, 4), (4, 5)), THREE_ROOTS),
+    (G(5, {1, 2}, (1, 3), (1, 4), (1, 5)), None),
+    (G(5, {1, 2}, (1, 3), (3, 4), (4, 5)), None),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.8 + 0.35j, 0.3 + 0.2j])
+@pytest.mark.parametrize("case", range(len(SETUP_CASES)))
+def test_levels_from_the_second_levels_axes_equal_levels_built_one_by_one(case, scale):
+    # every level's sum, node count and nonfinite count, with ==
+    g, rv = SETUP_CASES[case]
+    f = _SimplexIntegrand(g, spread_exponents(g.n, scale), rv)
+    dim = g.n - len(g.roots)
+    assert list(_de_levels(f, dim)) == per_level_sums(f, dim)
+
+
+def test_a_capped_corners_levels_equal_levels_built_one_by_one():
+    g = G(4, {1, 2}, (2, 3), (2, 4))
+    f = _SimplexIntegrand(g, ExponentAssignment.uniform(4, 0.005), None)
+    assert sorted(u1 for _, u1 in f.ends)[0] == selberg._CORNER_U
+    assert list(_de_levels(f, 2)) == per_level_sums(f, 2)
+
+
+def test_linear_node_tables_equal_exp_of_the_log_slices():
+    # t and 1 - t are sliced from tables as log t and log(1 - t) are; exp of
+    # a slice read backward can differ in the last bit from exp read
+    # forward, so each must equal exp of its own slice
+    for level in range(0, 9):
+        for lo, hi in [(0, 0), (1, 3), (math.floor(7.3 * 2**level), math.floor(4.1 * 2**level)), (12 << level, 12 << level)]:
+            lt, lomt, _, t, omt = de_axis(level, lo, hi)
+            assert np.array_equal(t, np.exp(lt)) and np.array_equal(omt, np.exp(lomt))
+            assert not t.flags.writeable and not omt.flags.writeable
+
+
+def integrand_fields(g, alpha, root_values):
+    """scale, singles and multis of the integrand as formed per integral: one
+    pass over the vertex pairs adds each exponent to its factors' powers."""
+    r, l = len(g.roots), g.n - len(g.roots)
+    rv = {1: 0.0, 2: 1.0} if root_values is None else root_values
+    top = rv[r]
+
+    def rank(v):
+        return 0 if v == 1 else g.n + 2 - v
+
+    def gap_form(lo, hi):
+        if hi <= r and lo <= r:
+            return rv[hi] - rv[lo], 0, None
+        if lo == 1:
+            return top, hi - r, None
+        if hi <= r:
+            return rv[hi], 0, (top / rv[hi], 0, lo - r)
+        return top, hi - r, (1.0, hi - r, lo - r)
+
+    scale = (-1.0 if l % 2 else 1.0) * top**l
+    for e in g.edges:
+        scale *= alpha[e]
+    powers = {(None, k, k + 1): l - 1 - k for k in range(l)}
+    edge_gaps = set()
+    for i, j in all_pairs(g.n):
+        a_ij = alpha.alphas[i, j]
+        lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
+        if (i, j) in g.edges:
+            a_ij = a_ij - 1
+            edge_gaps.add((lo, hi))
+        const, m, factor = gap_form(lo, hi)
+        scale *= const**a_ij
+        for k in range(m):
+            powers[None, k, k + 1] += a_ij
+        if factor is not None:
+            powers[factor] = powers.get(factor, 0) + a_ij
+    scale *= log_form_det(g.edges, g.free_vertices, lambda p, q: 1.0 if (q, p) in edge_gaps else -1.0)
+    singles, multis = [[] for _ in range(l)], {}
+    for (c, a, b), power in powers.items():
+        if b == a + 1:
+            singles[a].append((c, power))
+        else:
+            multis.setdefault((a, b), []).append((c, power))
+    return scale, singles, sorted(multis.items())
+
+
+def fields(f):
+    return f.scale, f.singles, f.multis, f.ends, f.tail
+
+
+def test_integrand_built_on_a_kept_graph_form_equals_one_built_cold(monkeypatch):
+    # each graph's form is made for one exponent assignment and then serves
+    # others; every field equals a cold build and the per-integral pass
+    monkeypatch.setattr(selberg, "_FORMS", {})
+    for g, rv in [*SETUP_CASES, *ORACLE_CASES, (G(4, {1, 2}, (3, 4), (1, 3)), None), (G(4, {1, 2, 3, 4}), {1: 0.0, 2: 1.0, 3: 0.61, 4: 0.23})]:
+        _SimplexIntegrand(g, spread_exponents(g.n, 0.5), rv)
+        for scale in (1.0, 0.8 + 0.35j, 0.03):
+            alpha = spread_exponents(g.n, scale)
+            warm = _SimplexIntegrand(g, alpha, rv)
+            selberg._FORMS.clear()
+            cold = _SimplexIntegrand(g, alpha, rv)
+            assert fields(warm) == fields(cold)
+            assert (warm.scale, warm.singles, warm.multis) == integrand_fields(g, alpha, rv)
+            assert warm.linear == {k for (a, b), _ in warm.multis for k in range(a, b)}
+
+
+def test_graph_forms_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(selberg, "_FORMS", {})
+    monkeypatch.setattr(selberg, "_FORMS_SIZE", 2)
+    graphs = [G(3, {1, 2}, (1, 3)), G(3, {1, 2}, (2, 3)), G(4, {1, 2}, (1, 3), (1, 4))]
+    for g in graphs:
+        _SimplexIntegrand(g, spread_exponents(g.n), None)
+    assert [key[0] for key in selberg._FORMS] == graphs[1:]
+    # another root value is another form
+    _SimplexIntegrand(G(4, {1, 2, 3}, (3, 4)), spread_exponents(4), THREE_ROOTS)
+    assert len(selberg._FORMS) == 2 and (G(4, {1, 2, 3}, (3, 4)), frozenset(THREE_ROOTS.items())) in selberg._FORMS
+
+
+def test_invalid_root_values_leave_no_graph_form(monkeypatch):
+    monkeypatch.setattr(selberg, "_FORMS", {})
+    g = G(4, {1, 2, 3}, (3, 4))
+    for rv in ({1: 0.0, 2: 1.0, 3: 1.0}, {1: 0.0, 2: 1.0, 3: math.nan}, {1: 0.0, 2: 1.0}, {1: 0.0, 2: 0.9, 3: 0.5}):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="root values"):
+                _SimplexIntegrand(g, spread_exponents(4), rv)
+    assert selberg._FORMS == {}
+    # a missing exponent is refused per integral, after the form is kept
+    with pytest.raises(ValueError, match="missing exponent for pairs"):
+        _SimplexIntegrand(g, ExponentAssignment({(1, 2): 0.5}), THREE_ROOTS)
+    assert len(selberg._FORMS) == 1
 
 
 def test_permuted_edge_order_is_sign_times_the_sorted_value():
