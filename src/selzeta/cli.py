@@ -331,7 +331,7 @@ class Check:
 
 REGISTRY = [
     Check("beta-identity", "three-vertex integral equals the Gamma-function ratio", 1e-8, check_beta_identity),
-    Check("taylor-mzv", "Taylor coefficients of the scaled integral match the zeta-series expansion", 1e-6, check_taylor_mzv),
+    Check("taylor-mzv", "Taylor coefficients of the scaled integral match the zeta-series expansion", 1e-12, check_taylor_mzv),
     Check("mzv-engine", "zeta evaluation, Euler identity, and double-shuffle consistency (normalized)", 1.0, check_mzv_engine),
     Check("pure-braid", "induction preserves the pure-braid relations exactly at every level", 0.0, check_pure_braid),
     Check("spectrum", "subset-sum eigenvalue formula matches dense spectra, full and reduced", 1e-9, check_spectrum),

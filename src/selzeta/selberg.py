@@ -1,64 +1,51 @@
-"""Numeric Selberg-type integrals of log forms over ordered simplices.
+"""Numeric Selberg-type integrals of log forms over ordered simplices, and
+their Taylor coefficients in the exponent scale.
 
 The domain for roots [r] (values x_1 = 0 < x_r < ... < x_2 = 1) is the chain
-0 < x_n < x_{n-1} < ... < x_{r+1} < x_r.  Free variables are mapped to the
-unit cube by the triangular substitution x_{r+j} = x_{r+j-1} t_j; each axis
-then gets a tanh-sinh (double-exponential) change of variable, which makes
-the x^(a-1)-type endpoint singularities harmless.  Every dimension, 1 to 3,
-uses the same product rule with nested level doubling: each level adds only
-the nodes the previous one lacks, as blocks of an open tensor grid (one
-array per axis, broadcast against the others, never a list of nodes).  A
+0 < x_n < ... < x_{r+1} < x_r.  Free variables map to the unit cube by
+x_{r+j} = x_{r+j-1} t_j; each axis then gets a tanh-sinh (double-exponential)
+change of variable, which makes the x^(a-1)-type endpoint singularities
+harmless.  Dimensions 1 to 3 use one product rule with nested level
+doubling: each level adds only the nodes the previous one lacks, as blocks of
+an open tensor grid (one array per axis, broadcast against the others).  A
 result counts the integrals that ran out of levels before meeting their
-tolerance (unconverged), and the nodes whose integrand value is not finite,
-which are zeroed (nonfinite); a sum of results adds both counts.
+tolerance (unconverged) and the nodes whose value is not finite, which are
+zeroed (nonfinite); a sum of results adds both counts.
 
-Each end of each axis gets its own range in the sinh variable u, set by
-the face power at that end (the standard double-exponential truncation,
-Takahasi-Mori 1974): a face power t^(s-1) leaves a relative tail
-exp(-s pi/2 e^u) beyond u, so the range is the u where that tail is 2^-60.
-At the 1-ends, where the factors 1 - t_a ... t_b meet in corners, s is the
-least power count of a corner (_axis_ends).  The range is fixed per
-integral, so the levels stay nested.  A factor 1 - t_a ... t_b of
-non-positive power is not finite where every 1 - t of it underflows: where
-all its axes would reach that far, one of them is capped short of it.
-Every end is capped at u = 12, which only exponents below about 1.6e-4
-reach.  The part of the integral a cap leaves out adds to the error
-estimate, and an integral whose estimate then misses the tolerance counts
-as unconverged.
+Each end of each axis gets its own range in the sinh variable u, set by the
+face power at that end (Takahasi-Mori 1974): a face power t^(s-1) leaves a
+relative tail exp(-s pi/2 e^u) beyond u, so the range is the u where that tail
+is 2^-60.  At the 1-ends, where the factors 1 - t_a ... t_b meet in corners, s
+is the least power count of a corner (_axis_ends).  A factor of non-positive
+power whose axes would all reach past u = 6.16, where 1 - t underflows, has
+one of them capped short of it, and every end is capped at u = 12.  The part
+of the integral a cap leaves out adds to the error estimate, and an integral
+whose estimate then misses the tolerance counts as unconverged.
 
-Every coordinate gap is a constant times a product of axis variables times
-one factor 1 - c t_a ... t_b.  The log form of a rooted forest is a sign
-over the product of its edge gaps, so the Selberg factor Phi, the log form
-and the Jacobian are evaluated together as one power per primitive factor,
-each on the axes it depends on.  The factors of one axis and its quadrature
-weights are evaluated together in log space, once per axis and level, from
-log t, log(1 - t) and log w formed in the sinh variable, so no node of the
-range underflows.  The sign comes from graphs.log_form_det, the one builder
-that also serves the exact Fraction paths (omega_coefficient and the residue
-surgery); non-forests integrate to exactly zero without quadrature.
+Every coordinate gap is a constant times axis variables times one factor
+1 - c t_a ... t_b, and a forest's log form is a sign (graphs.log_form_det)
+over its edge gaps, so Phi, the log form and the Jacobian are one power per
+primitive factor, on its axes.  One axis's factors and weights are evaluated
+in log space from log t, log(1 - t) and log w formed in the sinh variable.  A
+block is summed in cache-sized chunks by contracting the factor groups (g0^T
+P g1 at two free vertices); a chunk whose sum is not finite is summed node by
+node, its nonfinite nodes zeroed and counted.  Non-forests integrate to 0.
+Set-up is built as rarely as the values allow, bit for bit: per process the
+node table and each graph's exponent-free form (_graph_form); per integral
+the powers, ranges and the second level's axes (the first level is their old
+nodes); per later level its axes.
 
-A block of the product rule is never multiplied out on its full grid.  It is
-summed in chunks of rows along axis 0, small enough to stay in cache, by
-contracting the factor groups: the product of the factors spanning several
-axes against the single-axis groups, which carry the weights (for two free
-vertices g0^T P g1).  A chunk whose contracted sum is not finite is summed
-node by node instead, with the nonfinite nodes zeroed and counted.
-
-Set-up is built as rarely as the values allow, bit for bit as if rebuilt
-per level.  Per process: the node table (log t, log w, t, 1 - t of the
-finest level) and each graph's exponent-free form at its root values
-(_graph_form).  Per integral: the factor powers, scale and ranges, the
-second level's axes, whose old nodes are the first level, and one
-np.errstate.  Per later level: its axes.
+The Taylor coefficients at t = 0 of S(t alpha) come from one real pass of the
+same rule over jets in t, with each pole at t = 0 subtracted (_TaylorJets).
 
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
 and every limit identity downstream is consistent with that choice.
 """
-
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,10 +75,6 @@ class ExponentAssignment:
                 raise ValueError(f"exponent alpha{u} must have positive real part")
             cleaned[pair(*u)] = v if v.imag else v.real
         object.__setattr__(self, "alphas", cleaned)
-
-    @property
-    def min_real(self):
-        return min(complex(v).real for v in self.alphas.values())
 
     @property
     def is_real(self):
@@ -136,10 +119,9 @@ def boundary_face(n, alpha, entry_lists, face, tol):
     Face 0 is x_2 -> x_1, where vertex 2 is deleted; face 1 is x_3 -> x_2,
     where vertex 3 is merged into 2 and alpha_{3j} adds onto alpha_{2j}.  The
     other vertices keep their order, renumbered 1 .. n - 1, and each entry
-    list (i_4, ..., i_n) maps to the wedge chain of roots {1, 2} on them; a
-    list that attaches to the vacated vertex has component 0.  Returns the
-    component values, as an array, and the QuadratureResult sum of their
-    integrals.
+    list (i_4, ..., i_n) maps to the wedge chain of roots {1, 2} on them, 0 if
+    it attaches to the vacated vertex.  Returns the component values (an
+    array) and the QuadratureResult sum of their integrals.
     """
     if face not in (0, 1):
         raise ValueError("face must be 0 (x_2 -> x_1) or 1 (x_3 -> x_2)")
@@ -197,25 +179,19 @@ DEFAULT_TOL = {0: 0.0, 1: 1e-10, 2: 1e-8, 3: 1e-4}
 # relative tail that an end's range leaves beyond it
 _TAIL_EPS = 2.0**-60
 # cap on the 1-end of one axis of a factor 1 - t_a ... t_b of non-positive
-# power: past u = 6.16 every 1 - t of the factor underflows to 0, and 0 to
-# that power is not finite; at 6.0, 1 - t is 1e-275 and the factor stays
-# below 1e275
+# power, whose 1 - t underflow to 0 past u = 6.16; at 6.0 they are 1e-275
 _CORNER_U = 6.0
-# cap on every end, so that a tiny exponent, which ExponentAssignment
-# accepts, cannot ask for an unbounded node count: at 12 a face power of
-# exponent s leaves exp(-2.6e5 s), so only exponents below about 1.6e-4
-# reach it
+# cap on every end, so a tiny exponent cannot ask for unbounded nodes: a face
+# power of exponent s leaves exp(-2.6e5 s) there, so only s < 1.6e-4 reach it
 _U_MAX = 12.0
 
 
 def _de_table(level):
     """(level, half, log t, log w, t, 1 - t) on u = j 2^-level for |j| <= half = _U_MAX 2^level.
 
-    The log weight leaves out the mesh.  Formed from a = pi/2 sinh u on
-    u >= 0 and mirrored: log t at -u is log(1 - t) at u, so 1 - t is exp of
-    log t read backward, tabled in that order.  numpy's exp of a backward
-    view can differ in the last bit from exp read forward, so 1 - t is not
-    t reversed.
+    The log weight leaves out the mesh.  Formed from a = pi/2 sinh u on u >= 0
+    and mirrored: 1 - t is exp of log t read backward, tabled in that order,
+    since numpy's exp of a backward view can differ in the last bit.
     """
     half = int(_U_MAX) << level
     u = np.arange(half + 1) * 2.0**-level
@@ -236,21 +212,12 @@ def de_axis(level, lo, hi):
 
     The tanh-sinh map t = (1 + tanh(pi/2 sinh u)) / 2 and its weight dt/du,
     without the mesh 2^-level, which the product rule multiplies in once per
-    level.  The logs are formed in the sinh variable, so none underflows
-    however far the range reaches: log t and log(1 - t) fall like
-    -pi/2 e^|u| at the two ends; t and 1 - t are exp of them.  Node j of a
-    level is node 2j of the next, bit for bit, and the caller's ranges
-    lo, hi = floor(u_0 2^level), floor(u_1 2^level) double with the level,
-    so each level holds the previous level's nodes.
-
-    The ranges come from the face powers (_axis_ends): the end of an axis
-    whose face power is t^(s-1) reaches the u where its relative tail
-    exp(-s pi/2 e^u) is 2^-60, and at least 1.  Past u = 6.16, 1 - t is 0
-    in double precision, so a factor 1 - t_a ... t_b of non-positive power
-    whose axes all reach past it is not finite there: one of those axes is
-    capped at _CORNER_U, where 1 - t still holds 1e-275, and every end at
-    _U_MAX.  Returns read-only views of one table (_NODES); a level finer
-    than it or a range past _U_MAX raises ValueError.
+    level.  The logs are formed in the sinh variable, so none underflows:
+    log t and log(1 - t) fall like -pi/2 e^|u| at the two ends.  Node j of a
+    level is node 2j of the next, bit for bit, so with the ranges
+    lo, hi = floor(u_0 2^level), floor(u_1 2^level) of _axis_ends each level
+    holds the previous one.  Returns read-only views of one table (_NODES);
+    a level finer than it or a range past _U_MAX raises ValueError.
     """
     fine, half, lt, lw, t, omt = _NODES
     if level > fine or max(lo, hi) << (fine - level) > half:
@@ -260,13 +227,18 @@ def de_axis(level, lo, hi):
     return lt[rows], lt[::-1][rows], lw[rows], t[rows], omt[rows]
 
 
-# the range at which a face power t^(s-1) leaves _TAIL_EPS is log(_REACH / s)
-_REACH = 2.0 * math.log(1.0 / _TAIL_EPS) / math.pi
+@functools.cache
+def _reach(order):
+    """2 y / pi, y = s pi/2 e^u where t^(s-1) |log t|^order / order! leaves e^-y sum_{j<=order} y^j / j! = _TAIL_EPS."""
+    y = math.log(1.0 / _TAIL_EPS)
+    for _ in range(30):
+        y = math.log(1.0 / _TAIL_EPS) + math.log(sum(y**j / math.factorial(j) for j in range(order + 1)))
+    return 2.0 * y / math.pi
 
 
-def _cutoff(s):
-    """Range at an end whose face power is t^(s-1): its tail beyond it is _TAIL_EPS."""
-    return max(1.0, math.log(_REACH / s)) if s > 0 else math.inf
+def _cutoff(s, order=0):
+    """Range at an end of face power t^(s-1), times a log power up to order: its tail beyond is _TAIL_EPS."""
+    return max(1.0, math.log(_reach(order) / s)) if s > 0 else math.inf
 
 
 def _tail(s, u):
@@ -274,25 +246,21 @@ def _tail(s, u):
     return math.exp(-0.5 * math.pi * s * math.exp(u)) if s > 0 else math.inf
 
 
-def _axis_ends(singles, multis):
+def _axis_ends(singles, multis, order=0):
     """Ranges (u_0, u_1) of each axis toward t = 0 and t = 1, and the largest
-    relative tail that a cap leaves beyond a range it cut short.
+    relative tail that a cap leaves beyond a range it cut short; order is the
+    highest log power of a Taylor jet (_cutoff).
 
     singles[k] lists the factors (c, power) of axis k alone, t_k for c None
     and 1 - c t_k otherwise; multis lists ((a, b), factors) for the factors
     1 - c t_{a+1} ... t_b across axes a..b-1.  Real parts decide.  The 0-end
-    of axis k has s = 1 + the power of t_k.  Toward t = 1 the factors with
-    c = 1 vanish.  A set C of axes that tend to 1 together has the power
-    count sum over k in C of (1 + p_k), p_k the power of the single-axis
-    factor 1 - t_k, plus the negative powers of the factors 1 - t_a ... t_b
-    whose axes all lie in C (a positive one only speeds the decay).  The
-    1-end of axis k has the least count over the sets that hold it: 1 + p_k
-    when no factor across axes has a negative power.
-
-    A factor 1 - t_a ... t_b of non-positive power is not finite where all
-    its 1 - t underflow, so where every axis it spans reaches past
-    _CORNER_U, the one whose count loses least is capped there.  Every end
-    is capped at _U_MAX.
+    of axis k has s = 1 + the power of t_k.  Toward t = 1 a set C of axes has
+    the count sum over C of (1 + p_k), p_k the power of 1 - t_k, plus the
+    negative powers of the factors 1 - t_a ... t_b inside C (a positive one
+    only speeds the decay); the 1-end of an axis has the least count of the
+    sets that hold it.  Where every axis of such a factor of non-positive
+    power reaches past _CORNER_U, beyond which its 1 - t underflow, the one
+    whose count loses least is capped there.  Every end is capped at _U_MAX.
     """
     l = len(singles)
     s = [1.0] * (2 * l)
@@ -312,7 +280,7 @@ def _axis_ends(singles, multis):
                 count = sum(single[k] for k in axes) + sum(p for a, b, p in spans if set(range(a, b)) <= set(axes))
                 for k in axes:
                     s[l + k] = min(s[l + k], count)
-    want = [_cutoff(x) for x in s]
+    want = [_cutoff(x, order) for x in s]
     u = [min(w, _U_MAX) for w in want]
     for a, b, _ in spans:
         if min(u[l + a : l + b]) > _CORNER_U:
@@ -429,8 +397,8 @@ class _GraphForm:
         return top, i, (1.0, i, j)
 
 
-# _GraphForm per (graph, root values); the oldest entry leaves when the dict
-# is full.  Root values that fail its checks raise before an entry is kept.
+# _GraphForm per (graph, root values), the oldest leaving first; root values
+# that fail its checks raise before an entry is kept
 _FORMS = {}
 _FORMS_SIZE = 512
 
@@ -447,38 +415,33 @@ def _graph_form(g, root_values):
     return form
 
 
+def _exponents(form, alpha):
+    """alpha's exponent per pair of form.pairs; ValueError names the missing pairs."""
+    exps = [alpha.alphas.get(u) for u in form.pairs]
+    if None in exps:
+        missing = " ".join(f"({i},{j})" for (i, j), v in zip(form.pairs, exps) if v is None)
+        raise ValueError(f"missing exponent for pairs {missing}")
+    return exps
+
+
 class _SimplexIntegrand:
     """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian * weights on the cube.
 
-    Under the triangular substitution every gap x_hi - x_lo is
-    const * t_1 ... t_m * (1 - c t_a ... t_b), with either part possibly
-    absent.  On a rooted forest the log form is sign / prod over edges of the
-    gaps, so it lowers the power of each factor of an edge gap by one.  The
-    exponents of Phi, the log form and the Jacobian's powers of t are summed
-    once per primitive factor (each t_k and each 1 - c t_a ... t_b), so a call
-    raises every factor to one power on the axes it depends on.  The factors
-    of one axis alone and that axis's quadrature weights form its axis group,
-    evaluated in log space (axis_group) before it meets the factors spanning
-    several axes, so a deep corner's large powers meet its tiny weights
-    before they can overflow.  The axis arrays only need to broadcast
-    against each other: open-grid axes give the tensor grid without
-    materialising it.
-
-    The product rule calls block_sum, which sums a block chunk by chunk by
-    contracting these groups and never forms the node values; __call__
-    forms them, and serves as block_sum's fallback for a chunk whose sum is
-    not finite and as the entry point of the tests.  Both take per axis t,
-    1 - t (None on an axis that no multi-axis factor spans) and the axis
-    group.
+    Every gap is const * t_1 ... t_m * (1 - c t_a ... t_b), either part
+    possibly absent; the log form lowers by one the power of each factor of an
+    edge gap.  The exponents are summed once per primitive factor, so each
+    factor is raised to one power on the axes it depends on.  The factors of
+    one axis alone and its weights form its axis group, evaluated in log
+    space (axis_group), so a deep corner's large powers meet its tiny weights
+    before they can overflow.  block_sum sums a block of open-grid axes chunk
+    by chunk without forming the node values; __call__ forms them (its
+    fallback, and the tests' entry point).  Both take per axis t, 1 - t (None
+    on an axis that no multi-axis factor spans) and the axis group.
     """
 
     def __init__(self, g, alpha, root_values):
         form = _graph_form(g, root_values)
-        # keyed by the normalized pairs that all_pairs lists
-        exps = [alpha.alphas.get(u) for u in form.pairs]
-        if None in exps:
-            missing = " ".join(f"({i},{j})" for (i, j), v in zip(form.pairs, exps) if v is None)
-            raise ValueError(f"missing exponent for pairs {missing}")
+        exps = _exponents(form, alpha)
         # orientation, Jacobian top^l, edge exponents and every gap's constant
         scale = form.scale
         for k in form.edge_pairs:
@@ -499,6 +462,12 @@ class _SimplexIntegrand:
         # the axes whose t and 1 - t the multi-axis factors read
         self.linear = form.linear
         self.ends, self.tail = _axis_ends(self.singles, self.multis)
+
+    def axis(self, k, shape, lt, lomt, lw, t, omt):
+        """(t, 1 - t, axis group) of axis k, shaped to broadcast in its place of
+        the grid; t and 1 - t are None on an axis that no multi-axis factor spans."""
+        group = self.axis_group(k, lt, lomt, lw).reshape(shape)
+        return (t.reshape(shape), omt.reshape(shape), group) if k in self.linear else (None, None, group)
 
     def axis_group(self, k, lt, lomt, lw):
         """Axis k's weights times its single-axis factors, exp(lw + sum of power * log base),
@@ -535,18 +504,15 @@ class _SimplexIntegrand:
 
     def block_sum(self, ts, omts, gs):
         """Sum of the weighted integrand over the broadcast of the axis arrays,
-        and how many nonfinite nodes were zeroed; the same as summing what
-        __call__ returns, without the full grid.
+        and how many nonfinite nodes were zeroed, without the full grid.
 
-        Axis 0 is walked in chunks of rows of about _CHUNK nodes, so that a
-        chunk's arrays stay in cache.  The groups off axis 0 are multiplied
-        into one array once per block, as are the tails 1 - t_2 ... t_b of
-        the factors that span axis 0 and later axes.  In a chunk those
-        factors are evaluated and contracted against that array axis by
-        axis, last axis first, and the axis-0 group (weights included) is
-        contracted last: for dimension 2 this is g0^T P g1.  A chunk whose
-        contracted sum is not finite is evaluated node by node by __call__,
-        whose guard zeroes and counts the nonfinite nodes.
+        Axis 0 is walked in chunks of about _CHUNK nodes, which stay in cache.
+        The groups off axis 0, and the tails 1 - t_2 ... t_b of the factors
+        spanning axis 0, are formed once per block; in a chunk those factors
+        are contracted against them axis by axis, last first, and the axis-0
+        group (weights included) last: g0^T P g1 at dimension 2.  A chunk
+        whose sum is not finite is summed node by node by __call__, which
+        zeroes and counts the nonfinite nodes.
         """
         dim = len(gs)
         inner, spanning = self.scale, []
@@ -592,15 +558,11 @@ class _SimplexIntegrand:
 # 2^14 to 2^16 and slow down above (CHANGES.md)
 _CHUNK = 2**15
 
-# levels of the product rule per free dimension, coarsest first; the first
-# level that meets the tolerance, or else the last, is returned with its
-# difference to the one before as the error estimate.  The first level only
-# serves as the reference of the second, and level L + 1 holds level L's
-# nodes, so starting dimensions 1 and 2 at level 2 adds no node and lets an
-# integral stop at level 3 when |S3 - S2| meets tol.  Dimension 3 starts at
-# level 1: from level 0 the l = 3 stars stop with relative error 4.5e-3 to
-# 4.7e-3 against Selberg's formula, against 3.1e-8 to 3.4e-8 from level 1.
-# It stops at level 3: level 4 has 16 times as many nodes.
+# levels of the product rule per free dimension, coarsest first.  The first
+# only serves as the reference of the second, whose nodes it is, so starting
+# at level 2 lets an integral stop at level 3 when |S3 - S2| meets tol.
+# Dimension 3 starts at level 1 (from level 0 the l = 3 stars stop 4.5e-3
+# off Selberg's formula, from level 1 3.4e-8) and stops at level 3.
 _LEVELS = {1: range(2, 9), 2: range(2, 7), 3: range(1, 4)}
 # the nodes of the finest level out to _U_MAX, built once: every level of
 # de_axis is a strided slice of it
@@ -608,22 +570,14 @@ _NODES = _de_table(max(max(levels) for levels in _LEVELS.values()))
 
 
 def _level_axes(f, level):
-    """Per axis the triples (t, 1 - t, axis group) on all, the old (even) and
-    the new (odd) nodes of a level.
-
-    Each axis is one slice of the node table (de_axis) over its ranges, with
-    its axis group built once, shaped to broadcast in its place of the grid;
-    the old and new nodes are strided views of each array.  t and 1 - t are
-    None on an axis that no multi-axis factor spans.
-    """
+    """Per axis the arrays of f.axis (for an integrand t, 1 - t and the axis
+    group), shaped to broadcast in its place of the grid, on all, the old
+    (even) and the new (odd) nodes of a level, the last two strided views."""
     dim = len(f.ends)
     axes = []
     for k, (u0, u1) in enumerate(f.ends):
         lo = math.floor(math.ldexp(u0, level))
-        lt, lomt, lw, t, omt = de_axis(level, lo, math.floor(math.ldexp(u1, level)))
-        shape = (-1,) + (1,) * (dim - 1 - k)
-        group = f.axis_group(k, lt, lomt, lw).reshape(shape)
-        full = (t.reshape(shape), omt.reshape(shape), group) if k in f.linear else (None, None, group)
+        full = f.axis(k, (-1,) + (1,) * (dim - 1 - k), *de_axis(level, lo, math.floor(math.ldexp(u1, level))))
         # node j sits at index j + lo
         old, new = slice(lo % 2, None, 2), slice(1 - lo % 2, None, 2)
         axes.append([full] + [tuple(x if x is None else x[p] for x in full) for p in (old, new)])
@@ -633,16 +587,13 @@ def _level_axes(f, level):
 def _de_levels(f, dim):
     """Yield (level, sum, nodes, nonfinite) of the product DE rule per level.
 
-    Level L+1 reuses level L: its even-index nodes are level L's at half the
-    mesh, so S_{L+1} = S_L / 2^dim + the sum over the new nodes.  The new
-    nodes of the tensor grid form dim open-grid blocks of the level's axes
-    (_level_axes); block k takes the old nodes on the axes before k, the new
-    (odd) nodes on axis k and all nodes on the axes after k.  The first
-    level is the old nodes of the second level's axes.  The integrand sums
-    each block itself (block_sum), in cache-sized chunks, and reduces only
-    arrays it forms, so a strided view sums as a copy would.  Every node is
-    evaluated once; nodes and nonfinite are running totals.  Floating-point
-    errors are ignored until the last level, also while the caller holds one.
+    Level L+1 holds level L's nodes at half the mesh, so S_{L+1} = S_L / 2^dim
+    + the sum over its new nodes: dim open-grid blocks (_level_axes), block k
+    with the old nodes on the axes before k, the new ones on axis k and all on
+    the axes after it.  The first level is the old nodes of the second
+    level's axes.  The integrand sums each block itself (block_sum), reducing
+    only arrays it forms, so every node is evaluated once; nodes and
+    nonfinite are running totals.  Floating-point errors are ignored.
     """
     total, nodes, nonfinite = 0.0, 0, 0
     levels = _LEVELS[dim]
@@ -676,13 +627,11 @@ def _de_levels(f, dim):
 def _integrate_cube(f, dim, tol):
     """Product DE rule with nested level doubling on the unit cube, dimensions 1-3.
 
-    The rule runs on open tensor grids (one axis array per dimension, never a
-    materialised node list) and stops at the first level whose difference to
-    the previous one meets tol relative to max(1, |value|); otherwise the last
-    level is returned counted as unconverged.  Where a cap cut an axis range
-    short (_axis_ends), the part of the integral beyond it adds to the
-    estimate: a tail q of the whole is |value| q / (1 - q) beside the part
-    summed.  The integral converges only if the sum meets tol.
+    Stops at the first level whose difference to the previous one meets tol
+    relative to max(1, |value|); otherwise the last level is returned counted
+    as unconverged.  Where a cap cut a range short (_axis_ends), a tail q of
+    the whole adds |value| q / (1 - q) to the estimate, and the integral
+    converges only if the sum meets tol.
     """
     ratio = f.tail / (1.0 - f.tail) if f.tail < 1.0 else math.inf
     # a one-level table has no difference to estimate the error from
@@ -703,43 +652,46 @@ def _integrate_cube(f, dim, tol):
 # public entry points
 # ---------------------------------------------------------------------------
 
-# integrate_graph's results, one per distinct integral; the oldest entry
-# leaves when the dict is full
+# integrate_graph's results, one per distinct integral; the oldest leaves first
 _MEMO = {}
 _MEMO_SIZE = 2048
 # how many integrate_graph calls _MEMO answered, read by the tests
 memo_hits = 0
 
 
+def _dimension(n, roots, tol, defaults=DEFAULT_TOL):
+    """The free dimension l = n - r, at most 3, of an integral on the roots [r],
+    r >= 2, and its tolerance, finite and non-negative, or defaults[l]."""
+    if len(roots) < 2:
+        raise ValueError(f"{len(roots)} roots: x_1 = 0 and x_2 = 1 need at least 2")
+    if roots != frozenset(range(1, len(roots) + 1)):
+        raise ValueError("roots must be the initial segment [r]")
+    l = n - len(roots)
+    if l > 3:
+        raise QuadratureError("more than three free vertices is unsupported")
+    if tol is None:
+        return l, defaults[l]
+    if not (math.isfinite(tol) and tol >= 0):
+        # a NaN tolerance is never met and would run every level
+        raise ValueError(f"tolerance {tol} must be finite and non-negative")
+    return l, tol
+
+
 def integrate_graph(g, alpha, tol=None, root_values=None):
     """Selberg integral of one ordered rooted graph at fixed root values.
 
-    Includes the product of the edge exponents as a prefactor.  Non-forest
-    graphs integrate to exactly zero (their log form vanishes).  Dimension
-    n - r is capped at 3.  Every graph, forest or not, needs at least two
-    roots (x_1 = 0 and x_2 = 1 pin them) that form the initial segment [r],
-    and a tolerance must be finite and non-negative (ValueError).  Each
-    distinct integral is computed once per process.
-    The graph with its edges sorted is integrated, and its result is kept
-    under (n, roots, sorted edges, the exponents of the pairs of [n], tol,
-    root values); any other edge order gets that result times the sign of
-    its permutation, so a value never depends on the order of calls.
+    Includes the product of the edge exponents as a prefactor; non-forests
+    integrate to exactly zero.  Every graph needs the roots [r], r >= 2 (x_1 = 0
+    and x_2 = 1 pin them), at most 3 free vertices and a finite non-negative
+    tolerance (_dimension).  Each distinct integral is computed once per
+    process: the graph with its edges sorted, kept under (n, roots, sorted
+    edges, the exponents of the pairs of [n], tol, root values); another edge
+    order gets that result times the sign of its permutation.
     """
     global memo_hits
     if not isinstance(alpha, ExponentAssignment):
         alpha = ExponentAssignment(alpha)
-    if len(g.roots) < 2:
-        raise ValueError(f"{len(g.roots)} roots: x_1 = 0 and x_2 = 1 need at least 2")
-    if g.roots != frozenset(range(1, len(g.roots) + 1)):
-        raise ValueError("roots must be the initial segment [r]")
-    l = g.n - len(g.roots)
-    if l > 3:
-        raise QuadratureError("more than three free vertices is unsupported")
-    if tol is None:
-        tol = DEFAULT_TOL[l]
-    elif not (math.isfinite(tol) and tol >= 0):
-        # a NaN tolerance is never met and would run every level
-        raise ValueError(f"tolerance {tol} must be finite and non-negative")
+    l, tol = _dimension(g.n, g.roots, tol)
     if not is_tree(g):
         return QuadratureResult(0.0, 0.0, 0)
     edges = tuple(sorted(g.edges))
@@ -772,105 +724,165 @@ def selberg_component(I, alpha, tol=None, root_values=None):
     return integrate_sum(wedge_chain(I), alpha, tol=tol, root_values=root_values)
 
 
-# the sampled circle t = _T0 + _RHO e^(2 pi i k / _M_POINTS) and the DFT
-# terms _J_MAX read off it.  32 points are 17 quadratures by conjugate
-# symmetry, the even points of a 64-point circle bit for bit.  DFT bin j
-# also holds the alias c_{j+32} rho^32 of the term 32 places on.  The
-# integral is analytic on Re t > 0, so its series about _T0 has a radius
-# R >= _T0: for terms shrinking like R^-j the alias weighs at most about
-# (rho / _T0)^32 = 3e-3 of the truncation after _J_MAX, which the fit's
-# bound covers.
-# Measured, 32 and 64 points agree to 3.4e-10 on l = 1, 2 stars and the
-# Beta case; 28 points raise the Beta weight-4 gap from 2.2e-9 to 1.35e-8.
-_T0 = 0.3
-_RHO = 0.25
-_M_POINTS = 32
-_J_MAX = 24
-# the terms of the recentring sum whose ratios give its geometric tail
-_TAIL_TERMS = 4
+class _TaylorJets:
+    """A forest's integral at exponents t d as jets in t: taylor_coefficients' integrand.
 
-
-def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, max_residual=1e-4):
-    """Taylor coefficients at t = 0 of t -> S(t * alpha), with an error bound.
-
-    The integral is analytic in the scaling parameter, so it is sampled on a
-    circle in the complex t-plane kept inside Re t > 0 (where the integrand
-    stays integrable), its coefficients at the centre are read by a discrete
-    Fourier transform, and the polynomial is recentered to 0.  That
-    conditioning is dramatically better than extrapolating from real samples:
-    quadrature noise of 1e-11 still leaves the weight-4 coefficient at 1e-6.
-    The samples at complex exponents run through the same integrand and
-    log-form builder as the real ones.
-    The direction must be real: the samples on the lower half of the circle
-    are the conjugates of those on the upper half, S(conj t) = conj S(t),
-    which holds only then.  The circle has _M_POINTS = 32 points, so a fit
-    integrates 17 samples.
-
-    The bound returned beside the coefficients is the largest of the
-    reconstruction residual on the circle, the imaginary leak of the
-    coefficients, and twice the truncation tail of the recentring sum.  That
-    tail is estimated per weight from its last _TAIL_TERMS terms as a
-    geometric series (infinite when they do not shrink); on 8 seeded l = 2
-    stars it was 0.99 to 1.19 times each weight's true gap.  The bound does
-    not cover the noise of the samples, which recentring amplifies by up to
-    1e8 at weight 4.  Noise that stops the last terms shrinking makes the
-    bound infinite, as on the l = 3 star at (0.5, 0.8, 0.6) and its default
-    tolerance, whose weight-4 coefficient is off by 0.2; smaller noise goes
-    uncounted.
-
-    Raises ValueError unless max_weight is an integer in 0..4, and
-    QuadratureError when a circle sample did not converge or zeroed
-    nonfinite nodes, and when the reconstruction residual or the imaginary
-    leak exceeds max_residual (the truncation tail is not held to it).
+    Each primitive factor F has power p0 + t e, expanded as exp(t e log F).  A
+    face is an axis end whose factor z_k has power count 1 + p0 = 0 at t = 0:
+    t_k at 0 or 1 - t_k at 1.  With H the other factors, the integral is the
+    sum over sets S of faces of prod_{k in S} 1 / (t e_k) times the integral
+    off S of prod z_k^(t e_k - 1) DH, DH being H at S's faces minus its
+    alternating restrictions to the other faces, finite at t = 0: the
+    subtraction step of sector decomposition (Hepp 1966; Binoth-Heinrich,
+    Nucl. Phys. B 585, 2000).  log H splits into parts mu_W, W a set of faces,
+    each 0 once a face of W is taken, and DH = e^(mu_{}) sum over covers C of
+    the open faces of prod_{W in C} expm1(mu_W), so no difference cancels.
     """
-    if type(max_weight) is not int or not 0 <= max_weight <= 4:
-        raise ValueError(f"max_weight must be an integer in 0..4, got {max_weight!r}")
+
+    def __init__(self, g, d, weight):
+        form = _graph_form(g, None)
+        exps = _exponents(form, d)
+        fac = [(power - sum(form.edge_flags[k] for k in terms), sum(exps[k] for k in terms)) for power, terms in form.sums]
+        # (c, p0, e): c is None for t_k and 1.0 for 1 - t_k, the only c at roots {1, 2}
+        self.singles = [[(c, *fac[i]) for c, i in axis] for axis in form.singles]
+        self.multis = [(a, b, *fac[i]) for (a, b), factors in form.multis for _, i in factors]
+        name, l = " ".join(f"({i},{j})" for i, j in g.edges), len(self.singles)
+        self.faces, ones = {}, []  # per face axis (c, e) of its factor; per axis its count at 1
+        for k, axis in enumerate(self.singles):
+            counts = {c: 1 + p0 for c, p0, _ in axis}
+            zero = [(c, e) for c, p0, e in axis if p0 == -1]
+            if min(counts.values()) < 0 or len(zero) > 1:
+                raise QuadratureError(f"{name}: the ends of t_{k + 1} have power counts {counts} at t = 0")
+            self.faces.update({k: zero[0]} if zero else {})
+            ones.append(counts.get(1.0, 1))
+        for axes in itertools.chain.from_iterable(itertools.combinations(range(l), n) for n in range(2, l + 1)):
+            inside = [p0 for a, b, p0, _ in self.multis if set(range(a, b)) <= set(axes)]
+            count = sum(ones[k] for k in axes) + sum(min(p0, 0) for p0 in inside)
+            if inside and count <= 0:
+                raise QuadratureError(f"{name}: the corner {' = '.join(f't_{k + 1}' for k in axes)} = 1 has power count {count} at t = 0, a corner pole")
+        # a forest has l edges and at most l faces, so t^m cancels every pole
+        m, self.weight = len(g.edges), weight
+        self.scale = form.scale * form.sign * math.prod(exps[k] for k in form.edge_pairs)
+        # per set S of faces taken: its jet order and prod 1 / e_k
+        subsets = [S for n in range(len(self.faces) + 1) for S in itertools.combinations(self.faces, n)]
+        self.terms = [(S, weight + len(S) - m, 1.0 / math.prod(self.faces[k][1] for k in S)) for S in subsets if weight + len(S) >= m]
+        # DH has count 1 at each face
+        singles = [[(c, p0 + (k in self.faces and c == self.faces[k][0])) for c, p0, _ in axis] for k, axis in enumerate(self.singles)]
+        self.ends, _ = _axis_ends(singles, [((a, b), [(1.0, p0)]) for a, b, p0, _ in self.multis], weight + len(self.faces) - m)
+
+    def axis(self, k, shape, lt, lomt, lw, t, omt):
+        """Axis k shaped for the grid: exp(lw + sum p0 log F) and sum e log F over its
+        factors never taken to a face, the two sums over the others (mu_{k}), t, 1 - t."""
+        out = [lw, 0.0 * lt, 0.0 * lt, 0.0 * lt]
+        for c, p0, e in self.singles[k]:
+            log, rest = (lt if c is None else lomt), 2 * (k in self.faces and c != self.faces[k][0])
+            out[rest], out[rest + 1] = out[rest] + p0 * log, out[rest + 1] + e * log
+        return tuple(x.reshape(shape) for x in (np.exp(out[0]), out[1], out[2], out[3], t, omt))
+
+    def _jets(self, S, order, block):
+        """Sums of jets 0..order of the integrand with the faces S taken over a
+        block, pairs (axis, its arrays from axis) of the axes off S."""
+        ax = dict(block)
+        faces = [k for k in self.faces if k not in S]
+        mu = {frozenset([k]): (ax[k][2] if ax[k][2].any() else 0.0, ax[k][3]) for k in faces}
+        for a, b, p0, e in self.multis:
+            # 1 once a 0-face is taken; a 1-face taken drops out, open ones are split off
+            if all(k not in S or self.faces[k][0] for k in range(a, b)):
+                live = [k for k in range(a, b) if k not in S and self.faces.get(k, (None,))[0] is None]
+                p = math.prod(ax[k][4] for k in live)
+                om = _one_minus_product([ax[k][4] for k in live], [ax[k][5] for k in live])
+                at1 = [k for k in range(a, b) if k in faces and k not in live]
+                logs = [(live, np.log1p(-p, out=np.log(om), where=p < 0.5))] + [(live + [k], np.log1p(ax[k][5] * p / om)) for k in at1]
+                if len(at1) == 2:  # (1 - z_j z_k p)(1 - p) / ((1 - z_j p)(1 - z_k p)) = 1 + x, y = 1 - z
+                    (zj, yj), (_, yk) = [ax[k][4:6] for k in at1]
+                    den = (om + yj * p) * (om + yk * p)
+                    x = -p * yj * yk / den
+                    logs.append((live + at1, np.log1p(x, out=np.log((om + p * (yj + zj * yk)) * om / den), where=x > -0.5)))
+                for keys, lf in logs:
+                    old = mu.get(frozenset(keys).intersection(faces), (0.0, 0.0))
+                    mu[frozenset(keys).intersection(faces)] = old[0] + p0 * lf if p0 else old[0], old[1] + e * lf
+        lead, free = mu.pop(frozenset(), (0.0, 0.0)), sum(x[1] for x in ax.values())
+        covered = {frozenset(): [1.0] + [0.0] * order}  # per set of faces covered, the sum of the products
+        for W, (m0, m1) in mu.items():
+            part = _exp_jets(m0, m1, order, np.expm1(m0))
+            for c, jets in list(covered.items()):
+                new, old = _jet_product(jets, part), covered.get(c | W)
+                covered[c | W] = new if old is None else [x + y for x, y in zip(old, new)]
+        out = _jet_product(_exp_jets(lead[0], free + lead[1], order), covered.get(frozenset(faces), [0.0]))
+        group = math.prod(x[0] for x in ax.values())
+        return np.array([np.sum(group * x) for x in out] + [0.0] * (order + 1 - len(out)))
+
+    def levels(self):
+        """The coefficients 0..weight per level of _LEVELS, nested as in _de_levels."""
+        l, sums = len(self.ends), [0.0] * len(self.terms)
+        levels = _LEVELS.get(l, range(2))
+        for level in levels:
+            axes = _level_axes(self, level)
+            coeffs = np.zeros(self.weight + 1)
+            for i, (S, order, inv) in enumerate(self.terms):
+                free = [k for k in range(l) if k not in S]
+                first = level == levels[0]  # one block, all nodes; later block j: old before axis j, new on it, all after
+                blocks = [[(k, axes[k][0 if first else (q <= j) + (q == j)]) for q, k in enumerate(free)] for j in range(1 if first else len(free))]
+                sums[i] = sums[i] / 2 ** len(free) + sum(self._jets(S, order, b) for b in blocks) * 2.0 ** (-level * len(free))
+                coeffs[self.weight - order :] += inv * sums[i]
+            yield self.scale * coeffs
+
+
+def _exp_jets(p, e, order, first=None):
+    """Jets 0..order in t of exp(p + t e), the 0th replaced by first if given."""
+    out = list(itertools.accumulate(range(1, order + 1), lambda x, j: x * e / j, initial=np.exp(p)))
+    return out if first is None else [first] + out[1:]
+
+
+def _jet_product(x, y):
+    """Jets of the product of two jet lists, to the lower order, skipping scalar zeros."""
+    nonzero = [[isinstance(a, np.ndarray) or a != 0 for a in z] for z in (x, y)]
+    return [sum(x[i] * y[j - i] for i in range(j + 1) if nonzero[0][i] and nonzero[1][j - i]) for j in range(min(len(x), len(y)))]
+
+
+# taylor_coefficients' default tolerances: the stars' |S3 - S2| is 4e-9 though S3 is off by 1e-13
+_TAYLOR_TOL = {0: 1e-10, 1: 1e-10, 2: 1e-10, 3: DEFAULT_TOL[3]}
+# mzv.MAX_WEIGHT, the highest weight mzv evaluates, kept here so a fit compiles no mzv
+_MAX_WEIGHT = 8
+
+
+def taylor_coefficients(gs, alpha_direction, max_weight, tol=None):
+    """Taylor coefficients at t = 0 of t -> S(t * alpha_direction), weights
+    0..max_weight, and a bound on their error, from one real pass of
+    integrate_graph's nested rule over the jets of each forest (_TaylorJets), on
+    ranges for its subtracted face powers and top log power.  The fit stops at
+    the first level where every coefficient's difference to the last level,
+    plus rounding, meets tol * max(1, |c|) (tol defaults to _TAYLOR_TOL); the
+    bound is the largest such sum.  Non-forests contribute 0.  Supported:
+    forests whose count-0 sets at t = 0 are single-axis ends, as the Beta
+    graph (2,3) and the stars.  Refused with QuadratureError before any
+    quadrature: a corner of several axes with count <= 0, as (2,3) (2,4), and
+    an axis with a face at both ends.  ValueError unless the direction is real
+    and max_weight an integer in 0..mzv.MAX_WEIGHT; QuadratureError when no
+    level meets tol or a coefficient is not finite.
+    """
+    if type(max_weight) is not int or not 0 <= max_weight <= _MAX_WEIGHT:
+        raise ValueError(f"max_weight must be an integer in 0..{_MAX_WEIGHT}, got {max_weight!r}")
     if not alpha_direction.is_real:
         raise ValueError("the Taylor direction must be real")
-    # normalize so the smallest direction entry is 1: coefficients rescale by
-    # s^k and the circle keeps every exponent real part at least _T0 - _RHO
-    s = alpha_direction.min_real
-    direction = alpha_direction.scale(1.0 / s)
-    vals = np.empty(_M_POINTS, dtype=complex)
-    for k in range(_M_POINTS // 2 + 1):
-        t = _T0 + _RHO * np.exp(2j * math.pi * k / _M_POINTS)
-        res = integrate_sum(gs, direction.scale(t), tol=tol)
-        if res.unconverged or res.nonfinite:
-            raise QuadratureError(
-                f"circle sample at t = {t:.4f}: error estimate {res.err_estimate:.2e}, "
-                f"converged={res.converged}, {res.nonfinite} nonfinite nodes"
-            )
-        vals[k] = res.value
-    for k in range(_M_POINTS // 2 + 1, _M_POINTS):
-        vals[k] = np.conj(vals[_M_POINTS - k])
-    chat = np.fft.fft(vals) / _M_POINTS
-    cj = np.array([chat[j] / _RHO**j for j in range(_J_MAX + 1)])
-    coeffs, tail = [], 0.0
-    for k in range(max_weight + 1):
-        terms = [cj[j] * math.comb(j, k) * (-_T0) ** (j - k) for j in range(k, _J_MAX + 1)]
-        coeffs.append(sum(terms) * s**k)
-        tail = max(tail, _geometric_tail([abs(x) for x in terms[-_TAIL_TERMS:]]) * abs(s) ** k)
-    # reconstruction residual on the sampled circle plus the imaginary leak
-    recon = np.zeros(_M_POINTS, dtype=complex)
-    ks = np.exp(2j * math.pi * np.arange(_M_POINTS) / _M_POINTS)
-    for j in range(_J_MAX + 1):
-        recon += cj[j] * (_RHO * ks) ** j
-    residual = float(np.abs(recon - vals).max())
-    residual = max(residual, float(np.abs(np.array(coeffs).imag).max()))
-    if residual > max_residual:
-        raise QuadratureError(f"circle reconstruction residual {residual:.2e} above {max_residual:.0e}")
-    return [float(c.real) for c in coeffs], max(residual, 2.0 * tail)
+    _, tol = _dimension(gs.n, gs.roots, tol, _TAYLOR_TOL)
+    forests = [(c, _TaylorJets(g, alpha_direction, max_weight)) for g, c in gs.terms.items() if is_tree(g)]
+    if not forests:
+        return [0.0] * (max_weight + 1), 0.0
+    prev = None
+    with np.errstate(all="ignore"):
+        for values in zip(*(f.levels() for _, f in forests)):
+            coeffs = sum(c * v for (c, _), v in zip(forests, values))
+            if not np.isfinite(coeffs).all():
+                raise QuadratureError(f"Taylor coefficients not finite: {coeffs}")
+            if prev is not None:
+                # plus the rounding a coefficient carries at any level, 2^-46 max(1, |c|)
+                est = np.abs(coeffs - prev) + 2.0**-46 * np.maximum(1.0, np.abs(coeffs))
+                if (est <= tol * np.maximum(1.0, np.abs(coeffs))).all():
+                    return coeffs.tolist(), float(est.max())
+            prev = coeffs
+    raise QuadratureError(f"no level met tolerance {tol:.0e}: error estimates " + " ".join(f"{x:.2e}" for x in est))
 
-
-def _geometric_tail(terms):
-    """Sum of the terms after the last one, if they shrink by at worst the
-    largest ratio seen between successive ones: last * q / (1 - q)."""
-    if terms[-1] == 0.0:
-        return 0.0
-    if 0.0 in terms[:-1]:
-        return math.inf
-    q = max(b / a for a, b in zip(terms, terms[1:]))
-    return terms[-1] * q / (1.0 - q) if q < 1.0 else math.inf
 
 
 def sum_relation_defect(n, r, p, partial_entries, alpha, tol=None, root_values=None):
@@ -898,26 +910,13 @@ def beta_prototype(a, b):
 
 
 def beta_taylor_target(a, b, max_weight):
-    """Taylor coefficients of t -> beta_prototype(t a, t b).
-
-    From log Gamma(1+x) = -gamma x + sum_{n>=2} (-1)^n zeta(n) x^n / n the log
-    of the ratio is sum_{n>=2} (-1)^n zeta(n) (a^n + b^n - (a+b)^n) t^n / n;
-    exponentiating the polynomial gives the coefficients.
-    """
+    """Taylor coefficients of t -> beta_prototype(t a, t b): from log Gamma(1+x) = -gamma x +
+    sum_{n>=2} (-1)^n zeta(n) x^n / n, the log of the ratio is sum_{n>=2} u_n t^n, u_n = (-1)^n
+    zeta(n) (a^n + b^n - (a+b)^n) / n, and its exponential has e_n = sum_{k<=n} k u_k e_{n-k} / n."""
     from .mzv import MZVIndex, mzv_eval
 
-    u = np.zeros(max_weight + 1)
-    for m in range(2, max_weight + 1):
-        u[m] = (-1) ** m * mzv_eval(MZVIndex((m,)), 1e-13) * (a**m + b**m - (a + b) ** m) / m
-    out = np.zeros(max_weight + 1)
-    out[0] = 1.0
-    term = np.zeros(max_weight + 1)
-    term[0] = 1.0
-    for k in range(1, max_weight + 1):
-        new = np.zeros(max_weight + 1)
-        for i in range(max_weight + 1):
-            for j in range(max_weight + 1 - i):
-                new[i + j] += term[i] * u[j]
-        term = new / k
-        out += term
-    return list(out[: max_weight + 1])
+    u = [0.0, 0.0] + [(-1) ** m * mzv_eval(MZVIndex((m,)), 1e-13) * (a**m + b**m - (a + b) ** m) / m for m in range(2, max_weight + 1)]
+    e = [1.0]
+    for n in range(1, max_weight + 1):
+        e.append(sum(k * u[k] * e[n - k] for k in range(1, n + 1)) / n)
+    return e

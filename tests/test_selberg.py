@@ -10,7 +10,7 @@ import scipy.special
 
 from selzeta.braid import sample_alpha
 from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph, all_pairs, index_tuples, is_tree, log_form_det, wedge_chain
-from selzeta.mzv import MZVIndex, mzv_eval
+from selzeta.mzv import MAX_WEIGHT, MZVIndex, mzv_eval
 from selzeta import selberg
 from selzeta.selberg import (
     _LEVELS,
@@ -303,40 +303,74 @@ def test_taylor_coefficients_match_gamma_expansion():
     assert time.time() - start < 10.0
 
 
-def test_taylor_fit_residual_threshold():
-    gs = wedge_chain(IndexTuple(2, 3, (2,)))
-    direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
-    with pytest.raises(QuadratureError):
-        taylor_coefficients(gs, direction, 4, tol=1e-9, max_residual=1e-15)
+def test_taylor_fit_that_runs_out_of_levels_raises(monkeypatch):
+    # at two free vertices |S3 - S2| is about 4e-9 on this star: with level 3
+    # the last one, a tolerance of 1e-12 is never met, and the fit raises
+    # instead of returning under-resolved coefficients
+    g, alpha, _ = star_case(2, 0.608, 0.836, 0.553)
+    monkeypatch.setitem(selberg._LEVELS, 2, range(2, 4))
+    with pytest.raises(QuadratureError, match=r"no level met tolerance 1e-12: error estimates( \d\.\d\de-\d+){5}$"):
+        taylor_coefficients(GraphSum.single(g), alpha, 4, tol=1e-12)
 
 
 def test_taylor_direction_must_be_real():
-    # the circle's lower half is filled by conjugation, S(conj t) = conj S(t),
-    # which fails for a complex direction
+    # the jets are real logarithms times real direction sums
     gs = wedge_chain(IndexTuple(2, 3, (2,)))
     direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0 + 0.5j, (2, 3): 1.0})
     with pytest.raises(ValueError, match="must be real"):
         taylor_coefficients(gs, direction, 4, tol=1e-11)
 
 
-def test_taylor_circle_sample_must_converge():
-    # no level meets a tolerance below rounding at a complex sample, which
-    # raises instead of entering the fit
+def test_taylor_fit_below_rounding_must_raise():
+    # no level meets a tolerance below rounding, which raises with every
+    # coefficient's estimate instead of returning
     gs = wedge_chain(IndexTuple(2, 3, (2,)))
     direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
-    with pytest.raises(QuadratureError, match=r"circle sample at t = \S+j: error estimate \d\.\d\de-\d+, converged=False"):
+    with pytest.raises(QuadratureError, match=r"no level met tolerance 1e-18: error estimates( \d\.\d\de-\d+){5}$"):
         taylor_coefficients(gs, direction, 4, tol=1e-18)
 
 
-@pytest.mark.parametrize("bad", [-1, 5, 2.5, True, "4"])
+def count_quadrature(monkeypatch):
+    """Spy on integrate_sum and on the node table: the calls each one took."""
+    calls = {"integrate_sum": 0, "de_axis": 0}
+    for name in calls:
+        real = getattr(selberg, name)
+
+        def spy(*args, real=real, name=name, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(selberg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 2.5, True, "4"])
 def test_taylor_weight_is_checked_before_any_quadrature(bad, monkeypatch):
-    calls = []
-    monkeypatch.setattr(selberg, "integrate_sum", lambda *args, **kw: calls.append(args))
+    calls = count_quadrature(monkeypatch)
     gs = wedge_chain(IndexTuple(2, 3, (2,)))
     direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
-    with pytest.raises(ValueError, match=r"max_weight must be an integer in 0\.\.4"):
+    with pytest.raises(ValueError, match=r"max_weight must be an integer in 0\.\.8"):
         taylor_coefficients(gs, direction, bad)
-    assert calls == []
+    assert calls == {"integrate_sum": 0, "de_axis": 0}
+    # the cap is the highest weight the MZV engine evaluates
+    assert selberg._MAX_WEIGHT == MAX_WEIGHT
+
+
+def test_taylor_corner_pole_is_refused_before_any_quadrature(monkeypatch):
+    # (2,3) (2,4): 1 - t_1 and 1 - t_1 t_2 both lose a power to the log form,
+    # so the corner t_1 = t_2 = 1 has power count 0 at t = 0
+    calls = count_quadrature(monkeypatch)
+    g = G(4, {1, 2}, (2, 3), (2, 4))
+    with pytest.raises(QuadratureError, match=r"\(2,3\) \(2,4\): the corner t_1 = t_2 = 1 has power count 0"):
+        taylor_coefficients(GraphSum.single(g), ExponentAssignment.uniform(4, 0.5), 4)
+    assert calls == {"integrate_sum": 0, "de_axis": 0}
+    # an axis with a face at both ends is refused as well
+    with pytest.raises(QuadratureError, match=r"the ends of t_2 have power counts \{None: 0, 1.0: 0\}"):
+        taylor_coefficients(GraphSum.single(G(4, {1, 2}, (1, 4), (3, 4))), ExponentAssignment.uniform(4, 0.5), 4)
+    assert calls == {"integrate_sum": 0, "de_axis": 0}
+    # the spy sees the node table of a fit that runs
+    taylor_coefficients(GraphSum.single(G(4, {1, 2}, (1, 3), (1, 4))), ExponentAssignment.uniform(4, 0.5), 4)
+    assert calls["de_axis"] > 0
 
 
 def taylor_cases():
@@ -352,34 +386,39 @@ def taylor_cases():
 
 
 @pytest.mark.parametrize("gs, direction, tol", taylor_cases())
-def test_taylor_fit_on_32_points_matches_a_64_point_circle(gs, direction, tol, monkeypatch):
-    # bin j of the 32-point DFT also holds c_{j+32} rho^32, which the 64-point
-    # one keeps apart; that alias must stay below the fits' own gaps
-    coeffs, _ = taylor_coefficients(gs, direction, 4, tol=tol)
-    monkeypatch.setattr(selberg, "_M_POINTS", 64)
-    reference, _ = taylor_coefficients(gs, direction, 4, tol=tol)
-    assert max(abs(c - r) for c, r in zip(coeffs, reference)) <= 1e-9
+def test_taylor_fit_agrees_with_the_next_level_within_its_bound(gs, direction, tol):
+    # the level after the one the fit stops at changes no coefficient by
+    # more than the returned bound
+    coeffs, bound = taylor_coefficients(gs, direction, 4, tol=tol)
+    ((g, c),) = gs.terms.items()
+    levels = [c * v for v in selberg._TaylorJets(g, direction, 4).levels()]
+    stop = next(k for k, v in enumerate(levels) if v.tolist() == coeffs)
+    assert stop + 1 < len(levels)
+    assert max(abs(x - y) for x, y in zip(levels[stop + 1], coeffs)) <= bound
 
 
-def test_taylor_circle_samples_are_the_even_points_of_the_64_point_circle(monkeypatch):
-    # with every direction entry 1.0 the sampled exponent is the circle point t
-    gs = wedge_chain(IndexTuple(2, 3, (2,)))
-    direction = ExponentAssignment({(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
-    integrate = selberg.integrate_sum
-    ts = []
+def test_taylor_levels_evaluate_each_node_once(monkeypatch):
+    # level L + 1 adds only the nodes level L lacks: the nodes summed over
+    # all levels are those of the finest, and the nested sums equal a sum
+    # over the finest grid to rounding
+    g, alpha, _ = star_case(2, 0.4, 0.7, 0.5)
+    f = selberg._TaylorJets(g, alpha, 4)
+    jets, nodes = f._jets, {}
 
-    def spy(gs, alpha, tol=None):
-        ts.append(alpha[1, 3])
-        return integrate(gs, alpha, tol=tol)
+    def spy(S, order, block):
+        nodes[S] = nodes.get(S, 0) + math.prod(len(arrays[0]) for _, arrays in block)
+        return jets(S, order, block)
 
-    monkeypatch.setattr(selberg, "integrate_sum", spy)
-    taylor_coefficients(gs, direction, 4, tol=1e-11)
-    samples = list(ts)
-    ts.clear()
-    monkeypatch.setattr(selberg, "_M_POINTS", 64)
-    taylor_coefficients(gs, direction, 4, tol=1e-11)
-    assert len(samples) == 17 and len(ts) == 33
-    assert samples == ts[::2]
+    monkeypatch.setattr(f, "_jets", spy)
+    *_, nested = f.levels()
+    level = _LEVELS[2][-1]
+    axes = [full for full, _, _ in _level_axes(f, level)]
+    once = np.zeros(5)
+    for S, order, inv in f.terms:
+        free = [k for k in range(2) if k not in S]
+        assert nodes[S] == math.prod(len(axes[k][0]) for k in free)
+        once[4 - order :] += inv * jets(S, order, [(k, axes[k]) for k in free]) * 2.0 ** (-level * len(free))
+    assert np.allclose(nested, f.scale * once, rtol=1e-13, atol=1e-15)
 
 
 EULER_GAMMA = 0.5772156649015329
@@ -416,10 +455,8 @@ def test_star_taylor_reference_matches_the_closed_form_near_zero():
 
 
 def test_taylor_bound_covers_the_gap_to_selbergs_formula_on_two_vertex_stars():
-    # at l = 2 the gap is the truncation of the recentring sum after _J_MAX
-    # terms, 1e-8 to 1e-3 here, far above the circle's residual
+    # the fit stops at level 4, whose difference to level 3 bounds the gap
     rng = random.Random("taylor-bound")
-    bounds = []
     for _ in range(8):
         a, b, c = (round(rng.uniform(0.2, 0.9), 3) for _ in range(3))
         g, alpha, _ = star_case(2, a, b, c)
@@ -427,9 +464,69 @@ def test_taylor_bound_covers_the_gap_to_selbergs_formula_on_two_vertex_stars():
         want = star_taylor_reference(2, a, b, c, 4)
         for k, (got, exact) in enumerate(zip(coeffs, want)):
             assert abs(got - exact) <= bound, (a, b, c, k)
-        bounds.append(bound)
-    # the tail is reported, not held to max_residual (1e-4 by default)
-    assert max(bounds) > 1e-4
+        assert bound <= 1e-10, (a, b, c)
+
+
+@pytest.mark.parametrize("l, abc", [(1, (0.3, 0.5, 0.4)), (1, (0.7, 0.25, 0.6)), (2, (0.3, 0.5, 0.4)), (2, (0.7, 0.25, 0.6))])
+def test_taylor_weights_up_to_8_match_selbergs_formula(l, abc):
+    g, alpha, _ = star_case(l, *abc)
+    coeffs, bound = taylor_coefficients(GraphSum.single(g), alpha, 8)
+    want = star_taylor_reference(l, *abc, 8)
+    assert len(coeffs) == 9
+    assert max(abs(x - y) for x, y in zip(coeffs, want)) <= min(bound + 1e-13, 1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.1, 0.2)])
+def test_taylor_weights_up_to_8_match_the_beta_expansion(a, b):
+    gs = wedge_chain(IndexTuple(2, 3, (2,)))
+    direction = ExponentAssignment({(1, 2): max(a, b), (1, 3): a, (2, 3): b})
+    coeffs, bound = taylor_coefficients(gs, direction, 8, tol=1e-11)
+    # beta_taylor_target itself rounds to about 3e-14 at weight 8
+    assert max(abs(x - y) for x, y in zip(coeffs, beta_taylor_target(a, b, 8))) <= bound + 1e-13
+
+
+def test_taylor_three_vertex_star_is_within_its_bound():
+    # at three free vertices the fit stops at a coarse level (2 of 1..3), and its bound must still cover the gap
+    g, alpha, _ = star_case(3, 0.5, 0.8, 0.6)
+    coeffs, bound = taylor_coefficients(GraphSum.single(g), alpha, 4)
+    gap = max(abs(x - y) for x, y in zip(coeffs, star_taylor_reference(3, 0.5, 0.8, 0.6, 4)))
+    assert gap <= bound and gap <= 1e-6
+
+
+def test_taylor_bound_sees_a_perturbed_direction():
+    # a direction entry moved by 1e-6 moves some coefficient by more than
+    # the bound the fit returns, so the bound is tight enough to tell
+    a, b, c = 0.4, 0.7, 0.5
+    g, alpha, _ = star_case(2, a, b, c)
+    moved = ExponentAssignment({**alpha.alphas, (3, 4): c + 1e-6})
+    coeffs, bound = taylor_coefficients(GraphSum.single(g), moved, 4)
+    want = star_taylor_reference(2, a, b, c, 4)
+    assert max(abs(x - y) for x, y in zip(coeffs, want)) > bound
+
+
+def test_taylor_non_forest_term_contributes_exactly_zero():
+    g, alpha, _ = star_case(2, 0.4, 0.7, 0.5)
+    alone = taylor_coefficients(GraphSum.single(g), alpha, 4)
+    loose = G(4, {1, 2}, (1, 2), (3, 4))
+    assert not is_tree(loose)  # vertices 3 and 4 reach no root
+    both = GraphSum(4, frozenset({1, 2}), {g: 1, loose: 3})
+    assert taylor_coefficients(both, alpha, 4) == alone
+    assert taylor_coefficients(GraphSum.single(loose), alpha, 4) == ([0.0] * 5, 0.0)
+
+
+@pytest.mark.parametrize("edges", [((1, 4), (2, 3)), ((1, 4), (2, 3), (4, 5)), ((1, 4), (1, 5), (3, 5))])
+def test_taylor_polynomial_matches_a_small_scale_integral(edges):
+    # beyond the stars: a pole at t_1 -> 1 under 1 - t_1 t_2; two poles at
+    # t_1 -> 1 and t_3 -> 1 under 1 - t_1 t_2 t_3; and poles at 0 under
+    # (1 - t_2 t_3)^-1, the log form's power.  The weight-8 polynomial matches
+    # the integral at scale 0.01 (to 7.8e-15, 2.3e-15 and 1.4e-16 measured)
+    n = max(map(max, edges))
+    rng = random.Random(1)
+    alpha = ExponentAssignment({u: round(rng.uniform(0.3, 0.9), 3) for u in all_pairs(n)})
+    g = G(n, {1, 2}, *edges)
+    coeffs, _ = taylor_coefficients(GraphSum.single(g), alpha, 8)
+    res = integrate_graph(g, alpha.scale(0.01), tol=1e-11)
+    assert abs(sum(x * 0.01**k for k, x in enumerate(coeffs)) - res.value) <= 1e-12
 
 
 def test_sum_relation_three_vertices():
