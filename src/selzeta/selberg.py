@@ -44,7 +44,6 @@ and every limit identity downstream is consistent with that choice.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -60,25 +59,24 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExponentAssignment:
-    """Finite exponents alpha_{ij} with positive real part, one per unordered vertex pair."""
+    """Finite positive real exponents alpha_{ij}, one per unordered vertex pair."""
 
     alphas: dict
 
     def __post_init__(self):
         cleaned = {}
         for u, given in self.alphas.items():
-            v = complex(given)
-            # NaN fails no comparison, so finiteness is tested on its own
-            if not cmath.isfinite(v):
+            # float() would drop a numpy complex's imaginary part with a warning
+            if isinstance(given, (complex, np.complexfloating)):
+                raise ValueError(f"exponent alpha{u} = {given} is complex, not real")
+            v = float(given)
+            # NaN fails every comparison, so finiteness is tested on its own
+            if not math.isfinite(v):
                 raise ValueError(f"exponent alpha{u} = {given} is not finite")
-            if v.real <= 0:
-                raise ValueError(f"exponent alpha{u} must have positive real part")
-            cleaned[pair(*u)] = v if v.imag else v.real
+            if v <= 0:
+                raise ValueError(f"exponent alpha{u} = {given} must be positive")
+            cleaned[pair(*u)] = v
         object.__setattr__(self, "alphas", cleaned)
-
-    @property
-    def is_real(self):
-        return all(not isinstance(v, complex) for v in self.alphas.values())
 
     @staticmethod
     def uniform(n, value):
@@ -86,9 +84,6 @@ class ExponentAssignment:
 
     def __getitem__(self, ij):
         return self.alphas[pair(*ij)]
-
-    def scale(self, t):
-        return ExponentAssignment({u: t * v for u, v in self.alphas.items()})
 
     def relabel(self, vertex_map):
         """Push exponents through a vertex renaming (e.g. after deleting a vertex)."""
@@ -253,24 +248,24 @@ def _axis_ends(singles, multis, order=0):
 
     singles[k] lists the factors (c, power) of axis k alone, t_k for c None
     and 1 - c t_k otherwise; multis lists ((a, b), factors) for the factors
-    1 - c t_{a+1} ... t_b across axes a..b-1.  Real parts decide.  The 0-end
-    of axis k has s = 1 + the power of t_k.  Toward t = 1 a set C of axes has
-    the count sum over C of (1 + p_k), p_k the power of 1 - t_k, plus the
-    negative powers of the factors 1 - t_a ... t_b inside C (a positive one
-    only speeds the decay); the 1-end of an axis has the least count of the
-    sets that hold it.  Where every axis of such a factor of non-positive
-    power reaches past _CORNER_U, beyond which its 1 - t underflow, the one
-    whose count loses least is capped there.  Every end is capped at _U_MAX.
+    1 - c t_{a+1} ... t_b across axes a..b-1.  The 0-end of axis k has s = 1
+    + the power of t_k.  Toward t = 1 a set C of axes has the count sum over
+    C of (1 + p_k), p_k the power of 1 - t_k, plus the negative powers of the
+    factors 1 - t_a ... t_b inside C (a positive one only speeds the decay);
+    the 1-end of an axis has the least count of the sets that hold it.  Where
+    every axis of such a factor of non-positive power reaches past _CORNER_U,
+    beyond which its 1 - t underflow, the one whose count loses least is
+    capped there.  Every end is capped at _U_MAX.
     """
     l = len(singles)
     s = [1.0] * (2 * l)
     for k, factors in enumerate(singles):
         for c, power in factors:
             if c is None:
-                s[k] += power.real
+                s[k] += power
             elif c == 1.0:
-                s[l + k] += power.real
-    spans = [(a, b, p.real) for (a, b), factors in multis for c, p in factors if c == 1.0 and p.real <= 0.0]
+                s[l + k] += power
+    spans = [(a, b, p) for (a, b), factors in multis for c, p in factors if c == 1.0 and p <= 0.0]
     # the sets of one axis give 1 + p_k itself; those of several matter
     # only when a factor across axes has a negative power
     if spans:
@@ -297,20 +292,11 @@ def _one_minus_product(ts, omts):
     return om
 
 
-def _power(base, p):
-    """base ** p for a positive real base array.  A complex p takes one real
-    log and one complex exp, half the cost of numpy's complex power, with
-    results that differ from it in the last bit."""
-    if isinstance(p, complex):
-        return np.exp(p * np.log(base))
-    return np.power(base, p)
-
-
 def _group_product(factors, om, out=None):
     """out (None for 1) times each factor (c, power) of 1 - c p raised to its power, from om = 1 - p."""
     for c, power in factors:
         base = om if c == 1.0 else (1.0 - c) + c * om
-        out = _power(base, power) if out is None else out * _power(base, power)
+        out = np.power(base, power) if out is None else out * np.power(base, power)
     return out
 
 
@@ -543,7 +529,7 @@ class _SimplexIntegrand:
                 else:
                     acc = np.einsum("...j,...j->...", acc, fac.reshape(fac.shape[: axis + 1]))
             part = (acc * g0[rows]).sum().item()
-            if not cmath.isfinite(part):
+            if not math.isfinite(part):
                 chunk = [x if x is None else x[rows] for x in (ts[0], omts[0], gs[0])]
                 vals, bad = self(chunk[:1] + ts[1:], chunk[1:2] + omts[1:], chunk[2:] + gs[1:])
                 part = vals.sum().item()
@@ -553,7 +539,7 @@ class _SimplexIntegrand:
 
 
 # nodes per chunk of a block in _SimplexIntegrand.block_sum: 2^15 nodes are
-# 256 kB real and 512 kB complex, so the few arrays of a chunk stay in L2.
+# 256 kB, so the few arrays of a chunk stay in L2.
 # Level-6 dimension-2 and level-3 dimension-3 integrals time the same from
 # 2^14 to 2^16 and slow down above (CHANGES.md)
 _CHUNK = 2**15
@@ -584,37 +570,46 @@ def _level_axes(f, level):
     return axes
 
 
+def _level_blocks(f, frees):
+    """Yield (level, blocks) per level of _LEVELS at f's dimension, blocks[i]
+    the open-grid blocks of that level on the free axes frees[i], each a list
+    of (axis, its arrays from f.axis).
+
+    Level L+1 holds level L's nodes at half the mesh, so its blocks are only
+    its new nodes: block j has the old nodes on the free axes before the j-th,
+    the new ones on it and all on those after it (_level_axes).  The first
+    level has no old nodes: its one block is the whole grid, the old nodes of
+    the second level's axes, so those axes are built once for both.
+    """
+    levels = _LEVELS.get(len(f.ends), range(2))
+    second = levels[1] if len(levels) > 1 else None
+    for level in levels:
+        if level == levels[0]:
+            axes = _level_axes(f, level if second is None else second)
+            whole = 0 if second is None else 1
+            yield level, [[[(k, axes[k][whole]) for k in free]] for free in frees]
+            continue
+        if level != second:
+            axes = _level_axes(f, level)
+        # arrays 0, 1, 2 of an axis are all, its old and its new nodes
+        yield level, [[[(k, axes[k][(q <= j) + (q == j)]) for q, k in enumerate(free)] for j in range(len(free))] for free in frees]
+
+
 def _de_levels(f, dim):
     """Yield (level, sum, nodes, nonfinite) of the product DE rule per level.
 
-    Level L+1 holds level L's nodes at half the mesh, so S_{L+1} = S_L / 2^dim
-    + the sum over its new nodes: dim open-grid blocks (_level_axes), block k
-    with the old nodes on the axes before k, the new ones on axis k and all on
-    the axes after it.  The first level is the old nodes of the second
-    level's axes.  The integrand sums each block itself (block_sum), reducing
-    only arrays it forms, so every node is evaluated once; nodes and
-    nonfinite are running totals.  Floating-point errors are ignored.
+    S_{L+1} = S_L / 2^dim + the sum over the new nodes of level L+1, the
+    blocks of _level_blocks.  The integrand sums each block itself
+    (block_sum), reducing only arrays it forms, so every node is evaluated
+    once; nodes and nonfinite are running totals.  Floating-point errors are
+    ignored.
     """
     total, nodes, nonfinite = 0.0, 0, 0
-    levels = _LEVELS[dim]
-    second = levels[1] if len(levels) > 1 else None
     with np.errstate(all="ignore"):
-        for level in levels:
-            if level == levels[0]:
-                # the first level has no old nodes: its one block is the
-                # whole grid, the old nodes of the second level's axes
-                axes = _level_axes(f, level if second is None else second)
-                blocks = [[full if second is None else old for full, old, _ in axes]]
-            else:
-                if level != second:
-                    axes = _level_axes(f, level)
-                blocks = [
-                    [old for _, old, _ in axes[:k]] + [axes[k][2]] + [full for full, _, _ in axes[k + 1 :]]
-                    for k in range(dim)
-                ]
+        for level, (blocks,) in _level_blocks(f, [range(dim)]):
             part = 0.0
             for block in blocks:
-                ts, omts, gs = map(list, zip(*block))
+                ts, omts, gs = map(list, zip(*(arrays for _, arrays in block)))
                 sub, bad = f.block_sum(ts, omts, gs)
                 nodes += math.prod(g.shape[0] for g in gs)
                 part += sub
@@ -813,17 +808,13 @@ class _TaylorJets:
         return np.array([np.sum(group * x) for x in out] + [0.0] * (order + 1 - len(out)))
 
     def levels(self):
-        """The coefficients 0..weight per level of _LEVELS, nested as in _de_levels."""
-        l, sums = len(self.ends), [0.0] * len(self.terms)
-        levels = _LEVELS.get(l, range(2))
-        for level in levels:
-            axes = _level_axes(self, level)
+        """The coefficients 0..weight per level of _LEVELS, on the blocks of _level_blocks."""
+        frees = [[k for k in range(len(self.ends)) if k not in S] for S, _, _ in self.terms]
+        sums = [0.0] * len(self.terms)
+        for level, blocks in _level_blocks(self, frees):
             coeffs = np.zeros(self.weight + 1)
-            for i, (S, order, inv) in enumerate(self.terms):
-                free = [k for k in range(l) if k not in S]
-                first = level == levels[0]  # one block, all nodes; later block j: old before axis j, new on it, all after
-                blocks = [[(k, axes[k][0 if first else (q <= j) + (q == j)]) for q, k in enumerate(free)] for j in range(1 if first else len(free))]
-                sums[i] = sums[i] / 2 ** len(free) + sum(self._jets(S, order, b) for b in blocks) * 2.0 ** (-level * len(free))
+            for i, ((S, order, inv), free, term_blocks) in enumerate(zip(self.terms, frees, blocks)):
+                sums[i] = sums[i] / 2 ** len(free) + sum(self._jets(S, order, b) for b in term_blocks) * 2.0 ** (-level * len(free))
                 coeffs[self.weight - order :] += inv * sums[i]
             yield self.scale * coeffs
 
@@ -857,14 +848,12 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None):
     forests whose count-0 sets at t = 0 are single-axis ends, as the Beta
     graph (2,3) and the stars.  Refused with QuadratureError before any
     quadrature: a corner of several axes with count <= 0, as (2,3) (2,4), and
-    an axis with a face at both ends.  ValueError unless the direction is real
-    and max_weight an integer in 0..mzv.MAX_WEIGHT; QuadratureError when no
-    level meets tol or a coefficient is not finite.
+    an axis with a face at both ends.  ValueError unless max_weight is an
+    integer in 0..mzv.MAX_WEIGHT; QuadratureError when no level meets tol or
+    a coefficient is not finite.
     """
     if type(max_weight) is not int or not 0 <= max_weight <= _MAX_WEIGHT:
         raise ValueError(f"max_weight must be an integer in 0..{_MAX_WEIGHT}, got {max_weight!r}")
-    if not alpha_direction.is_real:
-        raise ValueError("the Taylor direction must be real")
     _, tol = _dimension(gs.n, gs.roots, tol, _TAYLOR_TOL)
     forests = [(c, _TaylorJets(g, alpha_direction, max_weight)) for g, c in gs.terms.items() if is_tree(g)]
     if not forests:
