@@ -290,7 +290,10 @@ def sample_alpha(n, rng, scale=Fraction(1)):
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_tower(n, r):
-    """build_tower(n, r), built once per (n, r) for the exact checks, which only read it."""
+    """build_tower(n, r), built once per (n, r) for its readers, which only
+    read it: the exact checks (matrix_generators, stacked_column,
+    eta_gamma_check), spectrum and transport.projection_identity_check.  The
+    pure-braid check builds its own towers, so the n = 6 tower is not kept."""
     return build_tower(n, r)
 
 
@@ -382,7 +385,7 @@ def spectrum(S, k, n, alpha):
         raise ValueError("need |S| >= 2")
     if not set(S) <= set(range(1, k + 1)):
         raise ValueError("S must sit inside [1, k]")
-    fam = build_tower(n, k)[k].evaluate(alpha)
+    fam = _symbolic_tower(n, k)[k].evaluate(alpha)
     a = sum(fam.mats[pair(i, j)] for i, j in itertools.combinations(sorted(S), 2))
     eig, vecs = np.linalg.eig(a)
     if np.abs(eig.imag).max() > 1e-9:

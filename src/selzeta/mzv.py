@@ -7,6 +7,11 @@ iterated-integral dictionary X <-> dt/t, Y <-> dt/(1-t) the index maps to the
 word X^{k_m - 1} Y X^{k_{m-1} - 1} Y ... X^{k_1 - 1} Y, read with the leftmost
 letter integrated at the upper endpoint 1.  Admissible words are exactly the
 words starting with X and ending with Y.
+
+Values that depend only on their arguments are computed once per process:
+the half-path polylogarithms and the word values per (word, series length),
+below word_eval and mzv_eval, which check abs_err on every call, and the
+shuffle regularization of each word.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ncalg import MAX_WEIGHT, all_words, shuffle_words
+from .ncalg import MAX_WEIGHT, all_words
 
 MIN_ABS_ERR = 1e-13
 
@@ -122,13 +127,20 @@ def word_eval(word, abs_err=1e-12):
     Splits the path at 1/2: the value is the sum over prefix/suffix splits of
     (reversed, letter-swapped prefix at 1/2) x (suffix at 1/2).  Each factor
     converges geometrically, so the cutoff follows from abs_err directly,
-    which must be finite and positive (ValueError).
+    which must be finite and positive (ValueError).  The value is kept once
+    per process per (word, series length) (_word_value), so the abs_err that
+    give the same length share it.
     """
     if not (math.isfinite(abs_err) and abs_err > 0):
         raise ValueError(f"abs_err {abs_err} must be finite and positive")
     if not is_admissible_word(word):
         raise NonAdmissibleIndex(f"word {word!r} is not admissible")
-    terms = max(64, int(math.log2((len(word) + 2) * 8 / abs_err)) + 4)
+    return _word_value(word, max(64, int(math.log2((len(word) + 2) * 8 / abs_err)) + 4))
+
+
+@functools.lru_cache(maxsize=None)
+def _word_value(word, terms):
+    """word_eval of an admissible word with each factor summed to `terms` terms."""
     total = 0.0
     for j in range(len(word) + 1):
         u, v = word[:j], word[j:]

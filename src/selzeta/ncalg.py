@@ -6,11 +6,14 @@ Coefficients may be exact (``int`` / ``fractions.Fraction``) or ``float``;
 every operation keeps whichever kind it is fed, so the same code path serves
 symbolic identities and numeric transport.  The canonical element of the
 two-letter connection, by power-series matching at 1/2, lives here too, so
-that computing it needs no numpy.
+that computing it needs no numpy.  The shuffle product of each pair of
+words is built once per process (_shuffle); shuffle_words hands every
+caller a fresh copy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -39,22 +42,68 @@ def shuffle_words(u, v):
 
     Every interleaving that preserves the internal order of u and of v
     appears once per choice of positions, so the total multiplicity is
-    binomial(len(u)+len(v), len(u)).
+    binomial(len(u)+len(v), len(u)).  Each call returns a fresh Counter,
+    copied from the product _shuffle keeps once per process.
     """
+    return Counter(_shuffle(u, v))
+
+
+@functools.lru_cache(maxsize=None)
+def _shuffle(u, v):
+    """shuffle_words(u, v), shared by every caller, so read only: the
+    recursion on the first letters reuses the products of suffix pairs."""
     if not u:
         return Counter({v: 1})
     if not v:
         return Counter({u: 1})
     out = Counter()
-    for w, mult in shuffle_words(u[1:], v).items():
+    for w, mult in _shuffle(u[1:], v).items():
         out[u[0] + w] += mult
-    for w, mult in shuffle_words(u, v[1:]).items():
+    for w, mult in _shuffle(u, v[1:]).items():
         out[v[0] + w] += mult
     return out
 
 
 class TruncationMismatch(ValueError):
     pass
+
+
+# the series operations on plain word -> coefficient dicts.  _trimmed drops
+# zero and over-long words as NCSeries does, so a recursion that trims after
+# each step gets a series' bits without building one
+
+def _trimmed(trunc, coeff):
+    """coeff without its zero words and those longer than trunc, in its order."""
+    return {w: c for w, c in coeff.items() if len(w) <= trunc and c != 0}
+
+
+def _add(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0) + c
+    return out
+
+
+def _scale(s, a):
+    return {w: s * c for w, c in a.items()}
+
+
+def _mul(n, a, b):
+    """Concatenation product of two dicts, keeping the words of degree <= n."""
+    out = {}
+    for u, cu in a.items():
+        if len(u) == n:
+            # only the empty word of b can still contribute
+            cb = b.get("")
+            if cb is not None:
+                out[u] = out.get(u, 0) + cu * cb
+            continue
+        room = n - len(u)
+        for v, cv in b.items():
+            if len(v) <= room:
+                w = u + v
+                out[w] = out.get(w, 0) + cu * cv
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,8 +118,7 @@ class NCSeries:
     coeff: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = {w: c for w, c in self.coeff.items() if len(w) <= self.trunc and c != 0}
-        object.__setattr__(self, "coeff", cleaned)
+        object.__setattr__(self, "coeff", _trimmed(self.trunc, self.coeff))
 
     def __getitem__(self, word):
         return self.coeff.get(word, 0)
@@ -105,38 +153,17 @@ def _check_same_trunc(a, b):
 
 def series_add(a, b):
     _check_same_trunc(a, b)
-    out = dict(a.coeff)
-    for w, c in b.coeff.items():
-        out[w] = out.get(w, 0) + c
-    return NCSeries(a.trunc, out)
-
-
-def series_sub(a, b):
-    return series_add(a, series_scale(-1, b))
+    return NCSeries(a.trunc, _add(a.coeff, b.coeff))
 
 
 def series_scale(s, a):
-    return NCSeries(a.trunc, {w: s * c for w, c in a.coeff.items()})
+    return NCSeries(a.trunc, _scale(s, a.coeff))
 
 
 def series_mul(a, b):
     """Concatenation product truncated at the common degree."""
     _check_same_trunc(a, b)
-    out = {}
-    n = a.trunc
-    for u, cu in a.coeff.items():
-        if len(u) == n:
-            # only the empty word of b can still contribute
-            cb = b.coeff.get("")
-            if cb is not None:
-                out[u] = out.get(u, 0) + cu * cb
-            continue
-        room = n - len(u)
-        for v, cv in b.coeff.items():
-            if len(v) <= room:
-                w = u + v
-                out[w] = out.get(w, 0) + cu * cv
-    return NCSeries(n, out)
+    return NCSeries(a.trunc, _mul(a.trunc, a.coeff, b.coeff))
 
 
 def _reciprocal(k, exact):
@@ -187,11 +214,6 @@ def series_inv(a):
     return result
 
 
-def bracket(a, b):
-    """Commutator [a, b] = ab - ba."""
-    return series_sub(series_mul(a, b), series_mul(b, a))
-
-
 def grouplike_defect(a):
     """Largest violation of the shuffle characterization of group-likeness.
 
@@ -231,37 +253,44 @@ def associator_series(trunc=4):
     dE = (X/x + Y/(x-1)) E are built by the recursions
     (k - ad_X) h_k = -Y (h_0 + ... + h_{k-1}) and its mirror; the connecting
     constant H_1(1/2)^{-1}-side times the 0-side value at 1/2 is the
-    regularized 0-to-1 transport, accurate to near machine precision.
+    regularized 0-to-1 transport, accurate to near machine precision.  The
+    recursions run on plain word -> coefficient dicts, trimmed after every
+    step as a series would be, so the bits are those of the same steps on
+    NCSeries.
     """
 
+    def trim(coeff):
+        return _trimmed(trunc, coeff)
+
     def ad_inverse(k, rhs, letter):
-        lead = nc_letter(letter, trunc, 1.0)
-        out = nc_zero(trunc)
+        lead = trim({letter: 1.0})
+        out = {}
         term = rhs
         scale = 1.0 / k
         for _ in range(trunc + 1):
-            out = series_add(out, series_scale(scale, term))
-            term = bracket(lead, term)
-            if not term.coeff:
+            out = trim(_add(out, trim(_scale(scale, term))))
+            # the commutator [lead, term]
+            term = trim(_add(trim(_mul(trunc, lead, term)), trim(_scale(-1, trim(_mul(trunc, term, lead))))))
+            if not term:
                 break
             scale /= k
         return out
 
     def local_solution(letter_fix, letter_src):
-        src = nc_letter(letter_src, trunc, 1.0)
-        hs = [nc_one(trunc, 1.0)]
+        src = trim({letter_src: 1.0})
+        hs = [trim({"": 1.0})]
         partial = hs[0]
         for k in range(1, _HALF_TERMS):
-            rhs = series_scale(-1.0, series_mul(src, partial))
+            rhs = trim(_scale(-1.0, trim(_mul(trunc, src, partial))))
             hk = ad_inverse(k, rhs, letter_fix)
             hs.append(hk)
-            partial = series_add(partial, hk)
-        value = nc_zero(trunc)
+            partial = trim(_add(partial, hk))
+        value = {}
         xk = 1.0
         for h in hs:
-            value = series_add(value, series_scale(xk, h))
+            value = trim(_add(value, trim(_scale(xk, h))))
             xk *= 0.5
-        return value
+        return NCSeries(trunc, value)
 
     h0_half = local_solution(X, Y)
     h1_half = local_solution(Y, X)

@@ -6,7 +6,10 @@ summed as power series and matched at 1/2 (accurate to rounding), which the
 projection identity checks against transported Selberg vectors; the
 two-letter series element is the same matching in ncalg
 (associator_series), and its zeta-combination form lives in mzv
-(associator_symbolic); both are re-exported here.
+(associator_symbolic); both are re-exported here.  The projection check
+builds its zeta-combination element once per process (_symbolic_element)
+and reads its symbolic tower from braid's per-process store
+(_symbolic_tower); both are only read.
 
 The ladder is an independent oracle only, for the tests; no registry check
 and no command runs it.  It continues plain transport of matrix or
@@ -20,12 +23,13 @@ connection_ladder, associator_numeric).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import build_tower
+from .braid import _symbolic_tower
 from .graphs import IndexTuple, index_tuples, pair, wedge_chain
 from .mzv import associator_symbolic
 from .ncalg import NCSeries, all_words, nc_letter, series_exp, series_inv, series_mul, series_scale
@@ -434,6 +438,13 @@ _SYMBOLIC_TRUNC = 5
 _SYMBOLIC_ABS_ERR = 1e-10
 
 
+@functools.cache
+def _symbolic_element():
+    """The zeta-combination element at _SYMBOLIC_TRUNC, evaluated at
+    _SYMBOLIC_ABS_ERR: it depends on no input, so it is built once per process."""
+    return associator_symbolic(_SYMBOLIC_TRUNC).to_ncseries(_SYMBOLIC_ABS_ERR)
+
+
 def projection_identity_check(n, alpha, tol=None):
     """Transported boundary values of the Selberg vector versus its matrix image.
 
@@ -445,7 +456,7 @@ def projection_identity_check(n, alpha, tol=None):
     zeta-combination element evaluated numerically and mapped through the
     residue pair.
     """
-    tower = build_tower(n, 3)
+    tower = _symbolic_tower(n, 3)
     rho_x = tower[3].mats[pair(1, 3)].evaluate(alpha)
     rho_y = tower[3].mats[pair(2, 3)].evaluate(alpha)
     conn = ConnectionPair(rho_x, rho_y)
@@ -461,8 +472,7 @@ def projection_identity_check(n, alpha, tol=None):
     rhs = mono.value @ v1
     defect = float(np.abs(v2p - rhs[proj_rows]).max())
 
-    phi = associator_symbolic(_SYMBOLIC_TRUNC).to_ncseries(_SYMBOLIC_ABS_ERR)
-    rho_phi = rho_apply(phi, rho_x, rho_y)
+    rho_phi = rho_apply(_symbolic_element(), rho_x, rho_y)
     rhs_sym = rho_phi @ v1
     defect_sym = float(np.abs(v2p - rhs_sym[proj_rows]).max())
     gap = float(np.abs(rho_phi - mono.value).max())

@@ -11,6 +11,7 @@ from selzeta.braid import (
     _coord_offset,
     _divide,
     _integer_column,
+    _symbolic_tower,
     all_pairs,
     ascending_factorial,
     build_tower,
@@ -277,6 +278,26 @@ def test_spectrum_matches_numeric():
                     assert rep.max_gap < 1e-9
                     assert rep.eigenvector_condition < 1e6
                     assert rep.invariance_defect < 1e-9
+
+
+def tower_terms(tower):
+    """A copy of every LinearMatrix.terms array of a tower, by level, pair and symbol."""
+    return {(k, u, v): m.copy() for k, fam in tower.items() for u, lm in fam.mats.items() for v, m in lm.terms.items()}
+
+
+def test_spectrum_leaves_the_shared_tower_as_it_was():
+    rng = random.Random(5)
+    for n in (4, 5):
+        tower = _symbolic_tower(n, 2)
+        before = tower_terms(tower)
+        alpha = sample_alpha(n, rng)
+        for k in (2, 3):
+            for S in itertools.combinations(range(1, k + 1), 2):
+                assert spectrum(S, k, n, alpha).max_gap < 1e-9
+        assert _symbolic_tower(n, 2) is tower
+        after = tower_terms(tower)
+        assert after.keys() == before.keys()
+        assert all(after[key].dtype == m.dtype and np.array_equal(after[key], m) for key, m in before.items())
 
 
 def test_spectrum_rejects_bad_subset():

@@ -12,6 +12,7 @@ from selzeta.mzv import (
     MZVCombo,
     MZVIndex,
     NonAdmissibleIndex,
+    _word_value,
     index_to_word,
     is_admissible_word,
     mzv_eval,
@@ -85,6 +86,30 @@ def test_non_finite_abs_err_is_refused_by_name(bad):
 def test_word_eval_refuses_a_non_positive_abs_err_by_name(bad):
     with pytest.raises(ValueError, match="abs_err .* must be finite and positive"):
         word_eval("XY", abs_err=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-12])
+def test_a_refused_abs_err_raises_on_every_call_and_leaves_no_memo_entry(bad):
+    word_eval("XXY", abs_err=1e-12)
+    before = _word_value.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="abs_err"):
+            word_eval("XXY", abs_err=bad)
+        with pytest.raises(ValueError, match="abs_err"):
+            mzv_eval(MZVIndex((3,)), abs_err=bad)
+    assert _word_value.cache_info().currsize == before
+
+
+def test_word_values_are_kept_per_word_and_series_length():
+    # 1e-12 and 1e-13 both sum 64 terms on a four-letter word, 1e-30 more
+    word = "XYXY"
+    first = word_eval(word, 1e-12)
+    size = _word_value.cache_info().currsize
+    assert word_eval(word, 1e-13) == first
+    assert _word_value.cache_info().currsize == size
+    finer = word_eval(word, 1e-30)
+    assert _word_value.cache_info().currsize == size + 1
+    assert abs(finer - first) < 1e-12
 
 
 def test_admissibility_guards():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from selzeta import ncalg
 from selzeta.ncalg import (
     NCSeries,
     TruncationMismatch,
     all_words,
-    bracket,
+    associator_series,
     grouplike_defect,
     nc_letter,
     nc_one,
@@ -34,6 +35,11 @@ def series_close(a, b, tol=0.0):
         if d > worst:
             worst = d
     return worst <= tol if tol else worst == 0
+
+
+def bracket(a, b):
+    """Commutator [a, b] = ab - ba."""
+    return series_add(series_mul(a, b), series_scale(-1, series_mul(b, a)))
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -165,3 +171,64 @@ def test_coefficient_count_bound():
     assert len(full.coeff) <= 2 ** (n + 1) - 1
     extra = NCSeries(n, {w: 1 for w in all_words(n + 2)})
     assert len(extra.coeff) <= 2 ** (n + 1) - 1
+
+
+def associator_series_on_ncseries(trunc):
+    """associator_series with every intermediate an NCSeries, step for step."""
+
+    def ad_inverse(k, rhs, letter):
+        lead = nc_letter(letter, trunc, 1.0)
+        out = nc_zero(trunc)
+        term = rhs
+        scale = 1.0 / k
+        for _ in range(trunc + 1):
+            out = series_add(out, series_scale(scale, term))
+            term = bracket(lead, term)
+            if not term.coeff:
+                break
+            scale /= k
+        return out
+
+    def local_solution(letter_fix, letter_src):
+        src = nc_letter(letter_src, trunc, 1.0)
+        hs = [nc_one(trunc, 1.0)]
+        partial = hs[0]
+        for k in range(1, ncalg._HALF_TERMS):
+            rhs = series_scale(-1.0, series_mul(src, partial))
+            hk = ad_inverse(k, rhs, letter_fix)
+            hs.append(hk)
+            partial = series_add(partial, hk)
+        value = nc_zero(trunc)
+        xk = 1.0
+        for h in hs:
+            value = series_add(value, series_scale(xk, h))
+            xk *= 0.5
+        return value
+
+    h0_half = local_solution("X", "Y")
+    h1_half = local_solution("Y", "X")
+    log_half = math.log(0.5)
+    e0 = series_mul(h0_half, series_exp(series_scale(log_half, nc_letter("X", trunc, 1.0))))
+    e1 = series_mul(h1_half, series_exp(series_scale(log_half, nc_letter("Y", trunc, 1.0))))
+    return series_mul(series_inv(e1), e0)
+
+
+@pytest.mark.parametrize("trunc", range(1, 7))
+def test_associator_series_on_dicts_keeps_the_bits_of_the_ncseries_steps(trunc):
+    got = associator_series(trunc).coeff
+    want = associator_series_on_ncseries(trunc).coeff
+    # keys, their order and every coefficient's bits
+    assert [(w, float(c).hex()) for w, c in got.items()] == [(w, float(c).hex()) for w, c in want.items()]
+
+
+def test_a_changed_shuffle_product_leaves_the_next_call_as_it_was():
+    first = shuffle_words("XY", "YX")
+    want = dict(first)
+    first["XYYX"] += 5
+    first["ZZ"] = 1
+    del first["YXXY"]
+    second = shuffle_words("XY", "YX")
+    assert second is not first
+    assert second == want and list(second) == list(want)
+    # the suffix products the recursion reused are untouched too
+    assert shuffle_words("Y", "YX") == {"YYX": 2, "YXY": 1}

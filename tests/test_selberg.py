@@ -153,6 +153,35 @@ def test_corner_nodes_stay_finite_on_every_two_vertex_forest(a):
         assert integrate_graph(g, ExponentAssignment.uniform(4, a)).nonfinite == 0
 
 
+# forests whose corner t_1 = t_2 = 1 carries a factor of non-positive power
+# at small exponents, with their root values
+CORNER_FORESTS = [
+    (G(4, {1, 2}, (2, 4), (3, 4)), None),
+    (G(5, {1, 2, 3}, (3, 4), (3, 5)), {1: 0.0, 2: 1.0, 3: 0.45}),
+    (G(5, {1, 2, 3}, (3, 5), (4, 5)), {1: 0.0, 2: 1.0, 3: 0.45}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CORNER_FORESTS)))
+def test_level_difference_bounds_the_gap_to_level_six_on_corner_forests(case):
+    # the estimate |S_L - S_(L-1)| must cover the distance to the finest
+    # level; the quadratic estimate d_L^2 / d_(L-1) misses it on these
+    # forests by up to 200x (ROADMAP item 6)
+    g, rv = CORNER_FORESTS[case]
+    rng = random.Random(f"corner:{case}")
+    early = 0
+    for _ in range(10):
+        alpha = ExponentAssignment({u: rng.uniform(0.02, 0.1) for u in all_pairs(g.n)})
+        level, finest, nodes, _ = list(_de_levels(_SimplexIntegrand(g, alpha, rv), 2))[-1]
+        assert level == 6
+        for tol in (1e-8, 1e-9, 1e-10):
+            got = integrate_graph(g, alpha, tol=tol, root_values=rv)
+            assert abs(got.value - finest) <= got.err_estimate, (alpha.alphas, tol)
+            early += got.evaluations < nodes
+    # 5 to 8 of the 30 integrals stop before level 6, where the bound is tested
+    assert early >= 3
+
+
 def test_converged_integrals_stop_at_level_three():
     # level 2 is the first level and adds no node: level 3 holds its nodes
     lt, lomt, lw, _, _ = de_axis(3, 31, 22)

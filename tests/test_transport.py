@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from selzeta import selberg
-from selzeta.braid import build_tower, sample_alpha
+from selzeta.braid import _symbolic_tower, build_tower, sample_alpha
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta.ncalg import NCSeries, grouplike_defect, nc_letter, series_mul
 from selzeta.transport import (
@@ -14,6 +14,7 @@ from selzeta.transport import (
     ResonanceError,
     TransportResult,
     _local_solution_at_half,
+    _symbolic_element,
     alpha_limit_check,
     associator_numeric,
     associator_series,
@@ -331,6 +332,23 @@ def test_projection_identity_three_samples():
         assert rep.defect < 1e-7
         assert rep.defect <= rep.quadrature_err + 1e-13
         assert rep.unconverged == 0
+
+
+def test_projection_leaves_its_shared_tower_and_element_as_they_were():
+    tower = _symbolic_tower(4, 3)
+    before = {(k, u, v): m.copy() for k, fam in tower.items() for u, lm in fam.mats.items() for v, m in lm.terms.items()}
+    element = dict(_symbolic_element().coeff)
+    rng = random.Random(6)
+    for _ in range(2):
+        assert projection_identity_check(4, sample_alpha(4, rng), tol=1e-10).defect < 1e-7
+    assert _symbolic_tower(4, 3) is tower
+    after = {(k, u, v): m for k, fam in tower.items() for u, lm in fam.mats.items() for v, m in lm.terms.items()}
+    assert after.keys() == before.keys()
+    assert all(after[key].dtype == m.dtype and np.array_equal(after[key], m) for key, m in before.items())
+    assert list(_symbolic_element().coeff.items()) == list(element.items())
+    # the element is the one associator_symbolic builds at the check's truncation
+    fresh = associator_symbolic(5).to_ncseries(1e-10).coeff
+    assert list(_symbolic_element().coeff.items()) == list(fresh.items())
 
 
 def test_projection_reports_unconverged_integrals(monkeypatch):
