@@ -2,8 +2,9 @@
 """Tabulate the canonical series element two ways and show their spread.
 
 Columns: power-series matching at 1/2, and the zeta-combination
-coefficients evaluated numerically, with their symbols.  Exits nonzero when
-the two differ by more than SPREAD_BOUND in any coefficient.
+coefficients evaluated numerically, with their symbols.  Exits 1 when the
+two differ by more than SPREAD_BOUND in any coefficient, and 2 with one
+error line when --degree is outside 0..MAX_WEIGHT.
 """
 
 import argparse
@@ -23,7 +24,11 @@ def main():
     ap.add_argument("--degree", type=int, default=4)
     args = ap.parse_args()
 
-    matched = associator_series(args.degree)
+    try:
+        matched = associator_series(args.degree)
+    except ValueError as exc:
+        print(f"associator_table.py: error: {exc}", file=sys.stderr)
+        return 2
     symbolic = associator_symbolic(args.degree)
     numeric_sym = symbolic.to_ncseries(1e-12)
 
@@ -34,8 +39,9 @@ def main():
     spread = max(abs(matched[w] - numeric_sym[w]) for w in all_words(args.degree))
     print(f"\nseries-match vs zeta-combination spread: {spread:.3e}")
     print(f"group-likeness defect (series-match): {grouplike_defect(matched):.3e}")
-    z2 = mzv_eval(MZVIndex((2,)))
-    print(f"weight-2 coefficient + zeta(2): {matched['XY'] + z2:+.3e}")
+    if args.degree >= 2:
+        z2 = mzv_eval(MZVIndex((2,)))
+        print(f"weight-2 coefficient + zeta(2): {matched['XY'] + z2:+.3e}")
     if spread > SPREAD_BOUND:
         print(f"spread {spread:.3e} exceeds {SPREAD_BOUND:.0e}", file=sys.stderr)
         return 1

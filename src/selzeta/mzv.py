@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ncalg import MAX_WEIGHT, all_words
+from .ncalg import MAX_WEIGHT, all_words, check_trunc
 
 MIN_ABS_ERR = 1e-13
 
@@ -266,8 +266,11 @@ class MZVCombo:
 
     @property
     def weight(self):
-        """Common weight of all symbols, or 0 for a pure constant; None if mixed."""
+        """Common weight of all symbols and the constant, a nonzero constant
+        having weight 0; 0 for zero, None if mixed."""
         ws = {i.weight for i in self.terms}
+        if self.const:
+            ws.add(0)
         if not ws:
             return 0
         if len(ws) > 1:
@@ -341,10 +344,8 @@ class HRElement:
         for w, combo in self.coeff.items():
             if combo.is_zero() or len(w) > self.trunc:
                 continue
-            cw = combo.weight
-            if cw is None or cw != len(w):
-                if not (len(w) == 0 and cw == 0):
-                    raise ValueError(f"weight grading violated at word {w!r}: {combo}")
+            if combo.weight != len(w):
+                raise ValueError(f"weight grading violated at word {w!r}: {combo}")
             cleaned[w] = combo
         object.__setattr__(self, "coeff", cleaned)
 
@@ -364,7 +365,9 @@ def associator_symbolic(trunc=4):
     general words reduce through shuffle regularization (which preserves the
     letter counts).  This sign convention reproduces the ladder and
     series-matching constructions; the test suite checks it through weight 4.
+    ValueError unless trunc is an integer in 0..MAX_WEIGHT.
     """
+    check_trunc(trunc)
     coeff = {"": MZVCombo.one()}
     for w in all_words(trunc, 1):
         combo = shuffle_regularize(w).scale((-1) ** w.count("Y"))

@@ -4,9 +4,12 @@ Words are plain strings over the alphabet ``{"X", "Y"}`` and a series is a
 finite dictionary word -> coefficient, truncated at a fixed total degree.
 Coefficients may be exact (``int`` / ``fractions.Fraction``) or ``float``;
 every operation keeps whichever kind it is fed, so the same code path serves
-symbolic identities and numeric transport.  The canonical element of the
-two-letter connection, by power-series matching at 1/2, lives here too, so
-that computing it needs no numpy.  The shuffle product of each pair of
+symbolic identities and numeric transport.  Every operation runs on the
+plain dicts; exp, log and the inverse are one power-sum kernel
+(_power_sum), and an NCSeries, which drops the zero words, is built only
+where a public function returns.  The canonical element of the two-letter
+connection, by power-series matching at 1/2, lives here too, so that
+computing it needs no numpy.  The shuffle product of each pair of
 words is built once per process (_shuffle); shuffle_words hands every
 caller a fresh copy.
 """
@@ -68,14 +71,9 @@ class TruncationMismatch(ValueError):
     pass
 
 
-# the series operations on plain word -> coefficient dicts.  _trimmed drops
-# zero and over-long words as NCSeries does, so a recursion that trims after
-# each step gets a series' bits without building one
-
-def _trimmed(trunc, coeff):
-    """coeff without its zero words and those longer than trunc, in its order."""
-    return {w: c for w, c in coeff.items() if len(w) <= trunc and c != 0}
-
+# the series operations on plain word -> coefficient dicts.  They keep the
+# words whose coefficient cancels to zero; an NCSeries drops them once, when
+# it is built from the result
 
 def _add(a, b):
     out = dict(a)
@@ -118,7 +116,8 @@ class NCSeries:
     coeff: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", _trimmed(self.trunc, self.coeff))
+        # zero and over-long words go, the rest keep their order
+        object.__setattr__(self, "coeff", {w: c for w, c in self.coeff.items() if len(w) <= self.trunc and c != 0})
 
     def __getitem__(self, word):
         return self.coeff.get(word, 0)
@@ -134,26 +133,8 @@ class NCSeries:
         return f"NCSeries<{terms}>"
 
 
-def nc_zero(trunc):
-    return NCSeries(trunc, {})
-
-
-def nc_one(trunc, one=1):
-    return NCSeries(trunc, {"": one})
-
-
 def nc_letter(letter, trunc, c=1):
     return NCSeries(trunc, {letter: c})
-
-
-def _check_same_trunc(a, b):
-    if a.trunc != b.trunc:
-        raise TruncationMismatch(f"truncation degrees differ: {a.trunc} != {b.trunc}")
-
-
-def series_add(a, b):
-    _check_same_trunc(a, b)
-    return NCSeries(a.trunc, _add(a.coeff, b.coeff))
 
 
 def series_scale(s, a):
@@ -162,7 +143,8 @@ def series_scale(s, a):
 
 def series_mul(a, b):
     """Concatenation product truncated at the common degree."""
-    _check_same_trunc(a, b)
+    if a.trunc != b.trunc:
+        raise TruncationMismatch(f"truncation degrees differ: {a.trunc} != {b.trunc}")
     return NCSeries(a.trunc, _mul(a.trunc, a.coeff, b.coeff))
 
 
@@ -170,18 +152,32 @@ def _reciprocal(k, exact):
     return Fraction(1, k) if exact else 1.0 / k
 
 
+def _power_sum(n, b, coeffs, exact):
+    """coeffs[0] + coeffs[1] b + ... + coeffs[n] b^n on dicts, to degree n.
+
+    Each power is the last one times b, scaled and added in turn; exp, log
+    and the inverse keep their bits through that order.  exact picks the
+    integer or float 1 that b^0 holds.
+    """
+    power = {"": 1 if exact else 1.0}
+    out = _scale(coeffs[0], power)
+    for k in range(1, n + 1):
+        power = _mul(n, power, b)
+        out = _add(out, _scale(coeffs[k], power))
+    return out
+
+
+def _exp_coeffs(n, exact):
+    """1, 1/1!, ..., 1/n!: the power-sum coefficients of exp."""
+    return [1 if exact else 1.0] + [_reciprocal(math.factorial(k), exact) for k in range(1, n + 1)]
+
+
 def series_exp(a):
     """exp of a series with zero constant term: sum of a^k / k! up to truncation."""
     if a[""] != 0:
         raise ValueError("series_exp requires zero constant term")
     exact = a.is_exact
-    one = 1 if exact else 1.0
-    result = nc_one(a.trunc, one)
-    power = nc_one(a.trunc, one)
-    for k in range(1, a.trunc + 1):
-        power = series_mul(power, a)
-        result = series_add(result, series_scale(_reciprocal(math.factorial(k), exact), power))
-    return result
+    return NCSeries(a.trunc, _power_sum(a.trunc, a.coeff, _exp_coeffs(a.trunc, exact), exact))
 
 
 def series_log(a):
@@ -189,14 +185,9 @@ def series_log(a):
     if a[""] != 1:
         raise ValueError("series_log requires constant term 1")
     exact = a.is_exact
-    b = NCSeries(a.trunc, {w: c for w, c in a.coeff.items() if w})
-    result = nc_zero(a.trunc)
-    power = nc_one(a.trunc, 1 if exact else 1.0)
-    for k in range(1, a.trunc + 1):
-        power = series_mul(power, b)
-        sign = 1 if k % 2 == 1 else -1
-        result = series_add(result, series_scale(sign * _reciprocal(k, exact), power))
-    return result
+    b = {w: c for w, c in a.coeff.items() if w}
+    coeffs = [0] + [(1 if k % 2 == 1 else -1) * _reciprocal(k, exact) for k in range(1, a.trunc + 1)]
+    return NCSeries(a.trunc, _power_sum(a.trunc, b, coeffs, exact))
 
 
 def series_inv(a):
@@ -204,14 +195,8 @@ def series_inv(a):
     if a[""] != 1:
         raise ValueError("series_inv requires constant term 1")
     exact = a.is_exact
-    one = 1 if exact else 1.0
-    b = NCSeries(a.trunc, {w: -c for w, c in a.coeff.items() if w})
-    result = nc_one(a.trunc, one)
-    power = nc_one(a.trunc, one)
-    for _ in range(a.trunc):
-        power = series_mul(power, b)
-        result = series_add(result, power)
-    return result
+    b = {w: -c for w, c in a.coeff.items() if w}
+    return NCSeries(a.trunc, _power_sum(a.trunc, b, [1 if exact else 1.0] * (a.trunc + 1), exact))
 
 
 def grouplike_defect(a):
@@ -246,6 +231,12 @@ def grouplike_defect(a):
 _HALF_TERMS = 60
 
 
+def check_trunc(trunc):
+    """ValueError unless trunc is an integer in 0..MAX_WEIGHT."""
+    if type(trunc) is not int or not 0 <= trunc <= MAX_WEIGHT:
+        raise ValueError(f"trunc must be an integer in 0..{MAX_WEIGHT}, got {trunc!r}")
+
+
 def associator_series(trunc=4):
     """The canonical element by power-series matching at 1/2: no ladder.
 
@@ -253,48 +244,46 @@ def associator_series(trunc=4):
     dE = (X/x + Y/(x-1)) E are built by the recursions
     (k - ad_X) h_k = -Y (h_0 + ... + h_{k-1}) and its mirror; the connecting
     constant H_1(1/2)^{-1}-side times the 0-side value at 1/2 is the
-    regularized 0-to-1 transport, accurate to near machine precision.  The
-    recursions run on plain word -> coefficient dicts, trimmed after every
-    step as a series would be, so the bits are those of the same steps on
-    NCSeries.
+    regularized 0-to-1 transport, accurate to near machine precision.  Every
+    step runs on plain word -> coefficient dicts; words whose coefficient
+    cancels to zero are dropped once, by the returned NCSeries.  ValueError
+    unless trunc is an integer in 0..MAX_WEIGHT.
     """
-
-    def trim(coeff):
-        return _trimmed(trunc, coeff)
+    check_trunc(trunc)
 
     def ad_inverse(k, rhs, letter):
-        lead = trim({letter: 1.0})
+        lead = {letter: 1.0}
         out = {}
         term = rhs
         scale = 1.0 / k
         for _ in range(trunc + 1):
-            out = trim(_add(out, trim(_scale(scale, term))))
+            out = _add(out, _scale(scale, term))
             # the commutator [lead, term]
-            term = trim(_add(trim(_mul(trunc, lead, term)), trim(_scale(-1, trim(_mul(trunc, term, lead))))))
-            if not term:
+            term = _add(_mul(trunc, lead, term), _scale(-1, _mul(trunc, term, lead)))
+            if not any(term.values()):
                 break
             scale /= k
         return out
 
     def local_solution(letter_fix, letter_src):
-        src = trim({letter_src: 1.0})
-        hs = [trim({"": 1.0})]
+        src = {letter_src: 1.0}
+        hs = [{"": 1.0}]
         partial = hs[0]
         for k in range(1, _HALF_TERMS):
-            rhs = trim(_scale(-1.0, trim(_mul(trunc, src, partial))))
+            rhs = _scale(-1.0, _mul(trunc, src, partial))
             hk = ad_inverse(k, rhs, letter_fix)
             hs.append(hk)
-            partial = trim(_add(partial, hk))
+            partial = _add(partial, hk)
         value = {}
         xk = 1.0
         for h in hs:
-            value = trim(_add(value, trim(_scale(xk, h))))
+            value = _add(value, _scale(xk, h))
             xk *= 0.5
-        return NCSeries(trunc, value)
+        return value
 
-    h0_half = local_solution(X, Y)
-    h1_half = local_solution(Y, X)
     log_half = math.log(0.5)
-    e0 = series_mul(h0_half, series_exp(series_scale(log_half, nc_letter(X, trunc, 1.0))))
-    e1 = series_mul(h1_half, series_exp(series_scale(log_half, nc_letter(Y, trunc, 1.0))))
-    return series_mul(series_inv(e1), e0)
+    exp_coeffs = _exp_coeffs(trunc, False)
+    e0 = _mul(trunc, local_solution(X, Y), _power_sum(trunc, {X: log_half}, exp_coeffs, False))
+    e1 = _mul(trunc, local_solution(Y, X), _power_sum(trunc, {Y: log_half}, exp_coeffs, False))
+    e1_inv = _power_sum(trunc, {w: -c for w, c in e1.items() if w}, [1.0] * (trunc + 1), False)
+    return NCSeries(trunc, _mul(trunc, e1_inv, e0))

@@ -394,6 +394,30 @@ def test_cli_assoc_expand_degree_stays_within_the_zeta_weights(capsys):
         assert "YYYYYYYX" in capsys.readouterr().out
 
 
+def _run_associator_table(degree):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(selzeta.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = os.path.join(root, "scripts", "associator_table.py")
+    return subprocess.run([sys.executable, script, "--degree", str(degree)], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("degree", [-1, 9])
+def test_associator_table_refuses_a_degree_outside_the_weights_on_one_line(degree):
+    proc = _run_associator_table(degree)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("associator_table.py: error:") and f"got {degree}" in line
+
+
+def test_associator_table_reads_the_weight_two_coefficient_only_where_it_is_kept():
+    low, high = _run_associator_table(1), _run_associator_table(2)
+    assert low.returncode == high.returncode == 0
+    assert "weight-2" not in low.stdout
+    assert "weight-2 coefficient + zeta(2)" in high.stdout
+
+
 # runs each command line as `python -m selzeta` would, in one fresh
 # interpreter, and prints the top-level packages loaded afterwards
 _RUN_AND_LIST_MODULES = """

@@ -13,6 +13,7 @@ from selzeta.mzv import (
     MZVIndex,
     NonAdmissibleIndex,
     _word_value,
+    associator_symbolic,
     index_to_word,
     is_admissible_word,
     mzv_eval,
@@ -22,7 +23,7 @@ from selzeta.mzv import (
     word_eval,
     word_to_index,
 )
-from selzeta.ncalg import shuffle_words
+from selzeta.ncalg import MAX_WEIGHT, shuffle_words
 
 
 def admissible_indices(max_weight):
@@ -230,6 +231,10 @@ def test_combo_arithmetic_and_weight():
     assert (c - c).is_zero()
     mixed = MZVCombo({MZVIndex((2,)): 1, MZVIndex((3,)): 1})
     assert mixed.weight is None
+    # a nonzero constant has weight 0
+    assert (c + MZVCombo.one()).weight is None
+    assert MZVCombo.one().weight == 0 and MZVCombo.zero().weight == 0
+    assert (c + MZVCombo.one() - MZVCombo.one()).weight == 2
 
 
 def test_hrelement_grading_enforced():
@@ -237,3 +242,11 @@ def test_hrelement_grading_enforced():
     assert good["XY"].weight == 2
     with pytest.raises(ValueError):
         HRElement(3, {"X": MZVCombo.single(MZVIndex((2,)))})
+    with pytest.raises(ValueError, match="'XY'"):
+        HRElement(3, {"XY": MZVCombo.single(MZVIndex((2,))) + MZVCombo.one()})
+
+
+@pytest.mark.parametrize("trunc", [-1, MAX_WEIGHT + 1, True, 4.0])
+def test_associator_symbolic_refuses_a_truncation_outside_the_weights(trunc):
+    with pytest.raises(ValueError, match=f"0..{MAX_WEIGHT}, got {trunc!r}"):
+        associator_symbolic(trunc)

@@ -14,9 +14,6 @@ from selzeta.ncalg import (
     associator_series,
     grouplike_defect,
     nc_letter,
-    nc_one,
-    nc_zero,
-    series_add,
     series_exp,
     series_inv,
     series_log,
@@ -35,6 +32,23 @@ def series_close(a, b, tol=0.0):
         if d > worst:
             worst = d
     return worst <= tol if tol else worst == 0
+
+
+def nc_zero(trunc):
+    return NCSeries(trunc, {})
+
+
+def nc_one(trunc, one=1):
+    return NCSeries(trunc, {"": one})
+
+
+def series_add(a, b):
+    if a.trunc != b.trunc:
+        raise TruncationMismatch(f"truncation degrees differ: {a.trunc} != {b.trunc}")
+    out = dict(a.coeff)
+    for w, c in b.coeff.items():
+        out[w] = out.get(w, 0) + c
+    return NCSeries(a.trunc, out)
 
 
 def bracket(a, b):
@@ -173,6 +187,84 @@ def test_coefficient_count_bound():
     assert len(extra.coeff) <= 2 ** (n + 1) - 1
 
 
+def _reciprocal(k, exact):
+    return Fraction(1, k) if exact else 1.0 / k
+
+
+def series_exp_by_steps(a):
+    """series_exp with every power and partial sum an NCSeries."""
+    exact = a.is_exact
+    one = 1 if exact else 1.0
+    result = nc_one(a.trunc, one)
+    power = nc_one(a.trunc, one)
+    for k in range(1, a.trunc + 1):
+        power = series_mul(power, a)
+        result = series_add(result, series_scale(_reciprocal(math.factorial(k), exact), power))
+    return result
+
+
+def series_log_by_steps(a):
+    """series_log with every power and partial sum an NCSeries."""
+    exact = a.is_exact
+    b = NCSeries(a.trunc, {w: c for w, c in a.coeff.items() if w})
+    result = nc_zero(a.trunc)
+    power = nc_one(a.trunc, 1 if exact else 1.0)
+    for k in range(1, a.trunc + 1):
+        power = series_mul(power, b)
+        sign = 1 if k % 2 == 1 else -1
+        result = series_add(result, series_scale(sign * _reciprocal(k, exact), power))
+    return result
+
+
+def series_inv_by_steps(a):
+    """series_inv with every power and partial sum an NCSeries."""
+    one = 1 if a.is_exact else 1.0
+    b = NCSeries(a.trunc, {w: -c for w, c in a.coeff.items() if w})
+    result = nc_one(a.trunc, one)
+    power = nc_one(a.trunc, one)
+    for _ in range(a.trunc):
+        power = series_mul(power, b)
+        result = series_add(result, power)
+    return result
+
+
+KERNEL_CASES = [
+    (series_exp, series_exp_by_steps, True),
+    (series_log, series_log_by_steps, False),
+    (series_inv, series_inv_by_steps, False),
+]
+
+
+@pytest.mark.parametrize("op, by_steps, zero_const", KERNEL_CASES)
+def test_power_sum_kernel_keeps_the_bits_of_the_ncseries_steps_on_floats(op, by_steps, zero_const):
+    rng = random.Random(29)
+    for _ in range(50):
+        trunc = rng.randint(0, 6)
+        a = random_series(trunc, rng, exact=False, zero_const=True, words_per_degree=rng.randint(1, 4))
+        if not zero_const:
+            a = NCSeries(trunc, {"": 1.0, **a.coeff})
+        got, want = op(a).coeff, by_steps(a).coeff
+        # keys, their order and every coefficient's type and bits (an empty
+        # series at truncation 0 counts as exact)
+        assert [(w, type(c), float(c).hex()) for w, c in got.items()] == [(w, type(c), float(c).hex()) for w, c in want.items()]
+
+
+@pytest.mark.parametrize("op, by_steps, zero_const", KERNEL_CASES)
+def test_power_sum_kernel_keeps_the_values_and_types_of_the_ncseries_steps_when_exact(op, by_steps, zero_const):
+    rng = random.Random(29)
+    for _ in range(50):
+        trunc = rng.randint(0, 6)
+        a = random_series(trunc, rng, exact=True, zero_const=True, words_per_degree=rng.randint(1, 4))
+        if rng.random() < 0.5:
+            # integer coefficients as well as fractions
+            a = NCSeries(trunc, {w: int(c * 2) for w, c in a.coeff.items()})
+        if not zero_const:
+            a = NCSeries(trunc, {"": 1, **a.coeff})
+        got, want = op(a).coeff, by_steps(a).coeff
+        # exact zeros now go once, at the end, so only the key order may differ
+        assert {w: (c, type(c)) for w, c in got.items()} == {w: (c, type(c)) for w, c in want.items()}
+
+
 def associator_series_on_ncseries(trunc):
     """associator_series with every intermediate an NCSeries, step for step."""
 
@@ -208,17 +300,23 @@ def associator_series_on_ncseries(trunc):
     h0_half = local_solution("X", "Y")
     h1_half = local_solution("Y", "X")
     log_half = math.log(0.5)
-    e0 = series_mul(h0_half, series_exp(series_scale(log_half, nc_letter("X", trunc, 1.0))))
-    e1 = series_mul(h1_half, series_exp(series_scale(log_half, nc_letter("Y", trunc, 1.0))))
-    return series_mul(series_inv(e1), e0)
+    e0 = series_mul(h0_half, series_exp_by_steps(series_scale(log_half, nc_letter("X", trunc, 1.0))))
+    e1 = series_mul(h1_half, series_exp_by_steps(series_scale(log_half, nc_letter("Y", trunc, 1.0))))
+    return series_mul(series_inv_by_steps(e1), e0)
 
 
-@pytest.mark.parametrize("trunc", range(1, 7))
+@pytest.mark.parametrize("trunc", range(0, ncalg.MAX_WEIGHT + 1))
 def test_associator_series_on_dicts_keeps_the_bits_of_the_ncseries_steps(trunc):
     got = associator_series(trunc).coeff
     want = associator_series_on_ncseries(trunc).coeff
     # keys, their order and every coefficient's bits
     assert [(w, float(c).hex()) for w, c in got.items()] == [(w, float(c).hex()) for w, c in want.items()]
+
+
+@pytest.mark.parametrize("trunc", [-1, ncalg.MAX_WEIGHT + 1, True, 4.0, "4"])
+def test_associator_series_refuses_a_truncation_outside_the_weights(trunc):
+    with pytest.raises(ValueError, match=f"0..{ncalg.MAX_WEIGHT}, got {trunc!r}"):
+        associator_series(trunc)
 
 
 def test_a_changed_shuffle_product_leaves_the_next_call_as_it_was():
