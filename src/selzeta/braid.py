@@ -61,13 +61,17 @@ class LinearMatrix:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = {}
+        cleaned, seen = {}, set()
         for u, m in self.terms.items():
+            key = pair(*u)
+            if key in seen:
+                raise ValueError(f"matrix terms give the pair ({key[0]},{key[1]}) twice")
+            seen.add(key)
             m = np.asarray(m, dtype=np.int64)
             if m.shape != (self.dim, self.dim):
                 raise ValueError("term shape mismatch")
             if m.any():
-                cleaned[pair(*u)] = m
+                cleaned[key] = m
         object.__setattr__(self, "terms", cleaned)
 
     def __add__(self, other):

@@ -203,36 +203,21 @@ def wedge(g, new_vertex, i):
     return _sum(new_vertex, roots, terms)
 
 
-# wedge_chain's folds, one per (r, entries prefix), so a tuple's chain is one
-# wedge on its parent's.  The oldest entries leave once the terms held pass
-# _CHAINS_TERMS, which bounds the memory a sweep at large n can take.
-_CHAINS = {}
-_CHAINS_TERMS = 1 << 14
-_chains_held = 0
-
-
+@functools.lru_cache(maxsize=1024)
 def _chain(r, entries):
-    global _chains_held
-    key = (r, entries)
-    gs = _CHAINS.get(key)
-    if gs is None:
-        if entries:
-            gs = wedge(_chain(r, entries[:-1]), r + len(entries), entries[-1])
-        else:
-            gs = GraphSum.single(empty_graph(range(1, r + 1)))
-        _CHAINS[key] = gs
-        _chains_held += len(gs.terms)
-        while _chains_held > _CHAINS_TERMS:
-            _chains_held -= len(_CHAINS.pop(next(iter(_CHAINS))).terms)
-    return gs
+    """wedge_chain's fold of the entries on the roots [r]: one wedge on the
+    fold of their prefix, so each prefix is folded once while it is kept."""
+    if not entries:
+        return GraphSum.single(empty_graph(range(1, r + 1)))
+    return wedge(_chain(r, entries[:-1]), r + len(entries), entries[-1])
 
 
 def wedge_chain(I):
     """Left fold of the wedge over the index tuple, starting from the bare roots.
 
-    Each prefix of the entries is folded once per process (while _CHAINS
+    Each prefix of the entries is folded once per process (while _chain
     keeps it); the caller gets a new GraphSum with its own terms dict, so
-    changing that leaves the memo as it was.
+    changing that leaves the kept fold as it was.
     """
     gs = _chain(I.r, I.entries)
     return _sum(gs.n, gs.roots, gs.terms)
@@ -242,43 +227,27 @@ def wedge_chain(I):
 # the principal graph (edges (p, i_p), p > r) and the product form of the wedge chain
 # ---------------------------------------------------------------------------
 
-def principal_path(I, p, q):
-    """Edge labels along the unique path p -> q in the principal graph, or None.
-
-    A parent's label is below its child's, so climbing the larger endpoint
-    walks both halves of the path up to the meeting vertex.
-    """
-    up, down = [], []
-    while p != q:
-        if max(p, q) <= I.r:
-            return None
-        if p > q:
-            up.append(p)
-            p = I.entry(p)
-        else:
-            down.append(q)
-            q = I.entry(q)
-    return up + down[::-1]
-
-
-def principal_min_edge(I, p, q):
-    """Minimal edge on the path p -> q in the principal graph, as (label, attachment)."""
-    labels = principal_path(I, p, q)
-    if not labels:
-        return None
-    lab = min(labels)
-    return (lab, I.entry(lab))
-
-
 def principal_product(I):
     """Expansion of the wedge chain as the distributive product of the pair
     sums S_i = sum of (p, q) whose path min-edge in the principal graph is the
-    i-th edge."""
+    i-th edge.
+
+    A parent's label is below its child's, so climbing the larger endpoint
+    of a pair walks both halves of its path up to the meeting vertex; the
+    labels climbed only fall, so the last one is the path's minimal edge.  A
+    pair whose climb reaches two distinct roots has no path.
+    """
     pair_sums = {i: [] for i in range(I.r + 1, I.n + 1)}
-    for p, q in all_pairs(I.n):
-        me = principal_min_edge(I, p, q)
-        if me is not None:
-            pair_sums[me[0]].append((p, q))
+    for pq in all_pairs(I.n):
+        p, q = pq
+        while p != q:
+            if p < q:
+                p, q = q, p
+            if p <= I.r:
+                break
+            low, p = p, I.entry(p)
+        else:
+            pair_sums[low].append(pq)
     roots = frozenset(range(1, I.r + 1))
     terms = {}
     # the pair sums partition the pairs p < q, so no product repeats an edge
@@ -381,7 +350,8 @@ def common_denominator(values):
 
 
 # (keys, values, result) of the last exact point _coordinates converted,
-# the empty point to start with
+# the empty point to start with: the one store of the package that is not a
+# functools cache, since a point is an unhashable dict, kept by identity
 _last_point = ((), (), (1, {}))
 
 

@@ -230,9 +230,12 @@ class MZVCombo:
     const: Fraction = Fraction(0)
 
     def __post_init__(self):
-        cleaned = {}
+        cleaned, seen = {}, set()
         for idx, c in self.terms.items():
             idx = idx if isinstance(idx, MZVIndex) else MZVIndex(tuple(idx))
+            if idx in seen:
+                raise ValueError(f"combination terms give the index {idx!r} twice")
+            seen.add(idx)
             c = Fraction(c)
             if c:
                 cleaned[idx] = c

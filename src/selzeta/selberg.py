@@ -66,6 +66,11 @@ class ExponentAssignment:
     def __post_init__(self):
         cleaned = {}
         for u, given in self.alphas.items():
+            if not (isinstance(u, tuple) and len(u) == 2):
+                raise ValueError(f"exponent key {u!r} is not a pair of two vertices")
+            key = pair(*u)
+            if key in cleaned:
+                raise ValueError(f"exponent keys give the pair ({key[0]},{key[1]}) twice")
             # float() would drop a numpy complex's imaginary part with a warning
             if isinstance(given, (complex, np.complexfloating)):
                 raise ValueError(f"exponent alpha{u} = {given} is complex, not real")
@@ -75,7 +80,7 @@ class ExponentAssignment:
                 raise ValueError(f"exponent alpha{u} = {given} is not finite")
             if v <= 0:
                 raise ValueError(f"exponent alpha{u} = {given} must be positive")
-            cleaned[pair(*u)] = v
+            cleaned[key] = v
         object.__setattr__(self, "alphas", cleaned)
 
     @staticmethod
@@ -328,10 +333,10 @@ class _GraphForm:
         def rank(v):
             return 0 if v == 1 else g.n + 2 - v
 
-        self.pairs = all_pairs(g.n)
+        pairs = all_pairs(g.n)
         edges = set(g.edges)
-        self.edge_pairs = tuple(map(self.pairs.index, g.edges))
-        self.edge_flags = tuple(u in edges for u in self.pairs)
+        self.edge_pairs = tuple(map(pairs.index, g.edges))
+        self.edge_flags = tuple(u in edges for u in pairs)
         self.scale = (-1.0 if l % 2 else 1.0) * self.top**l
         # per factor, keyed by (c, a, b) for 1 - c t_{a+1} ... t_b (0-based
         # axes a..b-1), its Jacobian power and the pairs whose exponents add
@@ -339,7 +344,7 @@ class _GraphForm:
         # Jacobian top^l t_1^(l-1) t_2^(l-2) ... t_{l-1} gives its t powers.
         sums = {(None, k, k + 1): (l - 1 - k, []) for k in range(l)}
         consts, edge_gaps = [], set()
-        for index, (i, j) in enumerate(self.pairs):
+        for index, (i, j) in enumerate(pairs):
             lo, hi = (i, j) if rank(i) < rank(j) else (j, i)
             if (i, j) in edges:
                 edge_gaps.add((lo, hi))
@@ -383,29 +388,19 @@ class _GraphForm:
         return top, i, (1.0, i, j)
 
 
-# _GraphForm per (graph, root values), the oldest leaving first; root values
-# that fail its checks raise before an entry is kept
-_FORMS = {}
-_FORMS_SIZE = 512
-
-
+@functools.lru_cache(maxsize=512)
 def _graph_form(g, root_values):
-    """The _GraphForm of g at root_values (None for x_1 = 0, x_2 = 1), built once per process."""
-    key = (g, None if root_values is None else frozenset(root_values.items()))
-    form = _FORMS.get(key)
-    if form is None:
-        form = _GraphForm(g, root_values)
-        if len(_FORMS) >= _FORMS_SIZE:
-            del _FORMS[next(iter(_FORMS))]
-        _FORMS[key] = form
-    return form
+    """The _GraphForm of g at root_values, a frozenset of (root, value) items
+    or None for x_1 = 0, x_2 = 1, built once per process; root values that
+    fail its checks raise and leave no entry."""
+    return _GraphForm(g, root_values)
 
 
-def _exponents(form, alpha):
-    """alpha's exponent per pair of form.pairs; ValueError names the missing pairs."""
-    exps = [alpha.alphas.get(u) for u in form.pairs]
+def _exponents(n, alpha):
+    """alpha's exponent per pair of all_pairs(n), as a tuple; ValueError names the missing pairs."""
+    exps = tuple(map(alpha.alphas.get, all_pairs(n)))
     if None in exps:
-        missing = " ".join(f"({i},{j})" for (i, j), v in zip(form.pairs, exps) if v is None)
+        missing = " ".join(f"({i},{j})" for (i, j), v in zip(all_pairs(n), exps) if v is None)
         raise ValueError(f"missing exponent for pairs {missing}")
     return exps
 
@@ -425,9 +420,8 @@ class _SimplexIntegrand:
     on an axis that no multi-axis factor spans) and the axis group.
     """
 
-    def __init__(self, g, alpha, root_values):
-        form = _graph_form(g, root_values)
-        exps = _exponents(form, alpha)
+    def __init__(self, form, exps):
+        """From the graph's _GraphForm and its exponents per pair (_exponents)."""
         # orientation, Jacobian top^l, edge exponents and every gap's constant
         scale = form.scale
         for k in form.edge_pairs:
@@ -647,13 +641,6 @@ def _integrate_cube(f, dim, tol):
 # public entry points
 # ---------------------------------------------------------------------------
 
-# integrate_graph's results, one per distinct integral; the oldest leaves first
-_MEMO = {}
-_MEMO_SIZE = 2048
-# how many integrate_graph calls _MEMO answered, read by the tests
-memo_hits = 0
-
-
 def _dimension(n, roots, tol, defaults=DEFAULT_TOL):
     """The free dimension l = n - r, at most 3, of an integral on the roots [r],
     r >= 2, and its tolerance, finite and non-negative, or defaults[l]."""
@@ -679,31 +666,31 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
     integrate to exactly zero.  Every graph needs the roots [r], r >= 2 (x_1 = 0
     and x_2 = 1 pin them), at most 3 free vertices and a finite non-negative
     tolerance (_dimension).  Each distinct integral is computed once per
-    process: the graph with its edges sorted, kept under (n, roots, sorted
-    edges, the exponents of the pairs of [n], tol, root values); another edge
-    order gets that result times the sign of its permutation.
+    process while _integral keeps it: the graph with its edges sorted, under
+    (n, roots, sorted edges, the exponents of the pairs of [n], tol, root
+    values); another edge order gets that result times the sign of its
+    permutation.
     """
-    global memo_hits
     if not isinstance(alpha, ExponentAssignment):
         alpha = ExponentAssignment(alpha)
-    l, tol = _dimension(g.n, g.roots, tol)
+    _, tol = _dimension(g.n, g.roots, tol)
     if not is_tree(g):
         return QuadratureResult(0.0, 0.0, 0)
-    edges = tuple(sorted(g.edges))
     rv = None if root_values is None else frozenset(root_values.items())
-    key = (g.n, g.roots, edges, tuple(map(alpha.alphas.get, all_pairs(g.n))), tol, rv)
-    res = _MEMO.get(key)
-    if res is None:
-        f = _SimplexIntegrand(g if edges == g.edges else OrderedRootedGraph(g.n, g.roots, edges), alpha, root_values)
-        # no free vertex: the integrand is its constant, the root gap powers
-        res = QuadratureResult(f.scale, 0.0, 1) if l == 0 else _integrate_cube(f, l, tol)
-        if len(_MEMO) >= _MEMO_SIZE:
-            del _MEMO[next(iter(_MEMO))]
-        _MEMO[key] = res
-    else:
-        memo_hits += 1
+    res = _integral(g.n, g.roots, tuple(sorted(g.edges)), _exponents(g.n, alpha), tol, rv)
     inversions = sum(a > b for a, b in itertools.combinations(g.edges, 2))
     return res.scaled(-1.0) if inversions % 2 else res
+
+
+@functools.lru_cache(maxsize=2048)
+def _integral(n, roots, edges, exps, tol, root_values):
+    """integrate_graph's result on the graph with the sorted edges, at the
+    exponents exps of all_pairs(n) and root values as a frozenset of items
+    (None for x_1 = 0, x_2 = 1), computed once per process."""
+    f = _SimplexIntegrand(_graph_form(OrderedRootedGraph(n, roots, edges), root_values), exps)
+    l = n - len(roots)
+    # no free vertex: the integrand is its constant, the root gap powers
+    return QuadratureResult(f.scale, 0.0, 1) if l == 0 else _integrate_cube(f, l, tol)
 
 
 def integrate_sum(gs, alpha, tol=None, root_values=None):
@@ -736,7 +723,7 @@ class _TaylorJets:
 
     def __init__(self, g, d, weight):
         form = _graph_form(g, None)
-        exps = _exponents(form, d)
+        exps = _exponents(g.n, d)
         fac = [(power - sum(form.edge_flags[k] for k in terms), sum(exps[k] for k in terms)) for power, terms in form.sums]
         # (c, p0, e): c is None for t_k and 1.0 for 1 - t_k, the only c at roots {1, 2}
         self.singles = [[(c, *fac[i]) for c, i in axis] for axis in form.singles]
@@ -833,7 +820,7 @@ def _jet_product(x, y):
 
 # taylor_coefficients' default tolerances: the stars' |S3 - S2| is 4e-9 though S3 is off by 1e-13
 _TAYLOR_TOL = {0: 1e-10, 1: 1e-10, 2: 1e-10, 3: DEFAULT_TOL[3]}
-# mzv.MAX_WEIGHT, the highest weight mzv evaluates, kept here so a fit compiles no mzv
+# ncalg.MAX_WEIGHT, the highest weight mzv evaluates, kept here so a fit imports neither ncalg nor mzv
 _MAX_WEIGHT = 8
 
 

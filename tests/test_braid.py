@@ -598,3 +598,11 @@ def test_path_product_closed_form():
                         if checked >= 20:
                             return
     assert checked >= 20
+
+
+def test_linear_matrix_terms_naming_one_pair_twice_are_refused():
+    with pytest.raises(ValueError, match=r"^matrix terms give the pair \(1,2\) twice$"):
+        LinearMatrix(1, {(1, 2): [[1]], (2, 1): [[2]]})
+    # a zero term counts: it names the pair as well
+    with pytest.raises(ValueError, match=r"pair \(1,3\) twice"):
+        LinearMatrix(1, {(3, 1): [[0]], (1, 3): [[2]]})

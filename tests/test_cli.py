@@ -71,14 +71,11 @@ def test_quick_suite_passes_and_is_seed_stable(tmp_path):
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
 
-def test_projection_reports_unconverged_limit_integrals(monkeypatch):
+def test_projection_reports_unconverged_limit_integrals(levels):
     # with the dimension-2 levels cut to 2..4, at seed 2 eight graph
     # integrals of the (2, 3) and (2, 2) limits at tol 1e-9 stop at level 4,
     # none of (2, 1) and (1, 2), and four of the n = 5 identity run at 1e-8
-    from selzeta import selberg
-
-    monkeypatch.setattr(selberg, "_MEMO", {})
-    monkeypatch.setitem(selberg._LEVELS, 2, range(2, 5))
+    levels(2, range(2, 5))
     rep = run_check("projection", RunConfig(seed=2, profile="full"))
     assert rep.inputs["limit_unconverged"] == {"(2, 3)": 8, "(2, 1)": 0, "(2, 2)": 8, "(1, 2)": 0}
     assert [run["unconverged"] for run in rep.inputs["identity_runs"]] == [0, 0, 0, 0, 4]

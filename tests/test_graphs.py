@@ -21,8 +21,6 @@ from selzeta.graphs import (
     omega_coefficient,
     omega_residue_direct,
     parse_graph,
-    principal_min_edge,
-    principal_path,
     principal_product,
     residue_expand,
     residue_identity,
@@ -121,21 +119,22 @@ def all_chain_tuples(n_max):
     return [I for n in range(3, n_max + 1) for r in range(2, n) for I in index_tuples(n, r)]
 
 
-def test_wedge_chain_memo_equals_the_fold_cold_and_warm(monkeypatch):
+def test_wedge_chain_memo_equals_the_fold_cold_and_warm():
     # same terms in the same order, which fixes the order of any float sum
     # taken over them downstream
-    monkeypatch.setattr(graphs, "_CHAINS", {})
-    monkeypatch.setattr(graphs, "_chains_held", 0)
+    graphs._chain.cache_clear()
     tuples = all_chain_tuples(6)
     for I in tuples:
         want = fold_chain(I)
         cold = wedge_chain(I)
         assert cold == want and list(cold.terms.items()) == list(want.terms.items())
-    assert graphs._CHAINS
+    misses = graphs._chain.cache_info().misses
+    assert misses == graphs._chain.cache_info().currsize > len(tuples)
     for I in tuples:
         warm = wedge_chain(I)
         assert list(warm.terms.items()) == list(fold_chain(I).terms.items())
         assert (warm.n, warm.roots) == (I.n, frozenset(range(1, I.r + 1)))
+    assert graphs._chain.cache_info().misses == misses
 
 
 def test_wedge_chain_caller_cannot_change_the_memo():
@@ -152,24 +151,19 @@ def test_wedge_chain_caller_cannot_change_the_memo():
     assert wedge_chain(IndexTuple(2, 5, (1, 2, 4))) == fold_chain(IndexTuple(2, 5, (1, 2, 4)))
 
 
-def test_wedge_chain_memo_stays_within_its_bound(monkeypatch):
-    def held():
-        return sum(len(gs.terms) for gs in graphs._CHAINS.values())
+def test_wedge_chain_memo_stays_within_its_bound(lru_check):
+    # the bare roots [r], one chain per r
+    lru_check(graphs._chain, lambda i: wedge_chain(IndexTuple(i + 2, i + 2, ())))
 
-    # at the default bound, a sweep of every chain to n = 6 is kept whole
-    for I in all_chain_tuples(6):
-        wedge_chain(I)
-        assert held() == graphs._chains_held <= graphs._CHAINS_TERMS
-    # a small bound evicts the oldest prefixes, and the chains stay right
-    monkeypatch.setattr(graphs, "_CHAINS", {})
-    monkeypatch.setattr(graphs, "_chains_held", 0)
-    monkeypatch.setattr(graphs, "_CHAINS_TERMS", 40)
-    most = 0
-    for I in all_chain_tuples(6):
-        assert wedge_chain(I) == fold_chain(I)
-        assert held() == graphs._chains_held <= 40
-        most = max(most, held())
-    assert most > 30
+
+def test_a_sweep_past_the_cache_keeps_every_chain_right():
+    # all chains to n = 7 at r = 2 and 3 are more prefixes than the cache
+    # keeps, so later prefixes evict earlier ones mid-sweep
+    graphs._chain.cache_clear()
+    for I in (*index_tuples(7, 2), *index_tuples(7, 3), *index_tuples(6, 2)):
+        assert list(wedge_chain(I).terms.items()) == list(fold_chain(I).terms.items())
+    info = graphs._chain.cache_info()
+    assert info.currsize == info.maxsize < info.misses
 
 
 def test_validated_and_unvalidated_graphs_are_interchangeable():
@@ -209,6 +203,54 @@ def test_module_built_sums_have_no_zero_terms_and_share_n_and_roots():
     assert all(step.terms.values())
     assert step == wedge(GraphSum(4, gs.roots, {g: c for g, c in gs.terms.items() if c}), 5, 3)
     assert len(step.terms) < len(wedge(wedge_chain(IndexTuple(2, 4, (1, 2))), 5, 3).terms)
+
+
+def principal_path(I, p, q):
+    """Edge labels along the unique path p -> q in the principal graph, or None.
+
+    A parent's label is below its child's, so climbing the larger endpoint
+    walks both halves of the path up to the meeting vertex.
+    """
+    up, down = [], []
+    while p != q:
+        if max(p, q) <= I.r:
+            return None
+        if p > q:
+            up.append(p)
+            p = I.entry(p)
+        else:
+            down.append(q)
+            q = I.entry(q)
+    return up + down[::-1]
+
+
+def principal_min_edge(I, p, q):
+    """Minimal edge on the path p -> q in the principal graph, as (label, attachment)."""
+    labels = principal_path(I, p, q)
+    if not labels:
+        return None
+    lab = min(labels)
+    return (lab, I.entry(lab))
+
+
+def reference_principal_product(I):
+    """principal_product from the path lists of principal_path: the pair sums
+    by each path's minimal edge, multiplied out."""
+    pair_sums = {i: [] for i in range(I.r + 1, I.n + 1)}
+    for p in range(1, I.n + 1):
+        for q in range(p + 1, I.n + 1):
+            me = principal_min_edge(I, p, q)
+            if me is not None:
+                pair_sums[me[0]].append((p, q))
+    roots = frozenset(range(1, I.r + 1))
+    return GraphSum(I.n, roots, {OrderedRootedGraph(I.n, roots, combo): 1 for combo in itertools.product(*pair_sums.values())})
+
+
+def test_principal_product_equals_the_path_list_reference():
+    for n in range(3, 8):
+        for r in (2, 3):
+            for I in index_tuples(n, r):
+                assert principal_product(I) == reference_principal_product(I)
 
 
 def test_principal_min_edge_small():

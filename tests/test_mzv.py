@@ -250,3 +250,10 @@ def test_hrelement_grading_enforced():
 def test_associator_symbolic_refuses_a_truncation_outside_the_weights(trunc):
     with pytest.raises(ValueError, match=f"0..{MAX_WEIGHT}, got {trunc!r}"):
         associator_symbolic(trunc)
+
+
+def test_combination_terms_naming_one_index_twice_are_refused():
+    with pytest.raises(ValueError, match=r"^combination terms give the index zeta\(2\) twice$"):
+        MZVCombo({(2,): 1, MZVIndex((2,)): 2})
+    with pytest.raises(ValueError, match=r"index zeta\(1,2\) twice"):
+        MZVCombo({MZVIndex((1, 2)): 0, (1, 2): Fraction(1, 2)})

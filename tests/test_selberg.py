@@ -35,6 +35,13 @@ def G(n, roots, *edges):
     return OrderedRootedGraph(n, frozenset(roots), tuple(edges))
 
 
+def integrand(g, alpha, root_values):
+    """The quadrature integrand of g at alpha and root_values (a dict, or None
+    for x_1 = 0, x_2 = 1), built as integrate_graph builds it."""
+    rv = None if root_values is None else frozenset(root_values.items())
+    return _SimplexIntegrand(selberg._graph_form(g, rv), selberg._exponents(g.n, alpha))
+
+
 def alpha3(a, b, ab=0.1):
     return ExponentAssignment({(1, 2): ab, (1, 3): a, (2, 3): b})
 
@@ -172,7 +179,7 @@ def test_level_difference_bounds_the_gap_to_level_six_on_corner_forests(case):
     early = 0
     for _ in range(10):
         alpha = ExponentAssignment({u: rng.uniform(0.02, 0.1) for u in all_pairs(g.n)})
-        level, finest, nodes, _ = list(_de_levels(_SimplexIntegrand(g, alpha, rv), 2))[-1]
+        level, finest, nodes, _ = list(_de_levels(integrand(g, alpha, rv), 2))[-1]
         assert level == 6
         for tol in (1e-8, 1e-9, 1e-10):
             got = integrate_graph(g, alpha, tol=tol, root_values=rv)
@@ -319,12 +326,12 @@ def test_taylor_coefficients_match_gamma_expansion():
     assert time.time() - start < 10.0
 
 
-def test_taylor_fit_that_runs_out_of_levels_raises(monkeypatch):
+def test_taylor_fit_that_runs_out_of_levels_raises(levels):
     # at two free vertices |S3 - S2| is about 4e-9 on this star: with level 3
     # the last one, a tolerance of 1e-12 is never met, and the fit raises
     # instead of returning under-resolved coefficients
     g, alpha, _ = star_case(2, 0.608, 0.836, 0.553)
-    monkeypatch.setitem(selberg._LEVELS, 2, range(2, 4))
+    levels(2, range(2, 4))
     with pytest.raises(QuadratureError, match=r"no level met tolerance 1e-12: error estimates( \d\.\d\de-\d+){5}$"):
         taylor_coefficients(GraphSum.single(g), alpha, 4, tol=1e-12)
 
@@ -590,6 +597,19 @@ def test_exponent_assignment_utilities():
     assert (2, 3) not in relabeled.alphas
 
 
+def test_exponent_keys_naming_one_pair_twice_are_refused():
+    with pytest.raises(ValueError, match=r"^exponent keys give the pair \(1,2\) twice$"):
+        ExponentAssignment({(1, 2): 0.1, (2, 1): 0.2})
+    with pytest.raises(ValueError, match=r"pair \(2,3\) twice"):
+        ExponentAssignment({(3, 2): 0.1, (1, 2): 0.2, (2, 3): 0.1})
+
+
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,), 5, "12"])
+def test_exponent_keys_that_are_not_vertex_pairs_are_refused(key):
+    with pytest.raises(ValueError, match=r"is not a pair of two vertices"):
+        ExponentAssignment({(1, 2): 0.1, key: 0.2})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_exponents_are_rejected(bad):
     # NaN passes a test of the sign; it must not reach the integrand
@@ -823,7 +843,7 @@ def test_nested_factored_levels_match_reference(case, scale):
     dim = g.n - len(g.roots)
     levels = _LEVELS[dim][:3]
     want = reference_level_sums(g, alpha, rv, levels)
-    got = {level: total for level, total, _, _ in _de_levels(_SimplexIntegrand(g, alpha, rv), dim)}
+    got = {level: total for level, total, _, _ in _de_levels(integrand(g, alpha, rv), dim)}
     for level in levels:
         assert abs(got[level] - want[level]) <= 1e-13 * abs(want[level])
 
@@ -882,7 +902,7 @@ def test_a_capped_corner_counts_its_tail():
     mirror = integrate_graph(G(4, {1, 2}, (1, 3), (1, 4)), alpha)
     assert mirror.converged and got.converged is False and got.nonfinite == 0
     assert abs(got.value - mirror.value) <= got.err_estimate
-    f = _SimplexIntegrand(G(4, {1, 2}, (2, 3), (2, 4)), alpha, None)
+    f = integrand(G(4, {1, 2}, (2, 3), (2, 4)), alpha, None)
     assert sorted(u1 for _, u1 in f.ends)[0] == selberg._CORNER_U and 1e-5 < f.tail < 1e-4
 
 
@@ -980,7 +1000,7 @@ def test_nonfinite_nodes_are_counted(scale):
     assert abs(got.value - want) < 1e-12 * abs(want)
     # a t_2 node at exactly 0 puts 0^(a - 1) = inf on its column: the guard
     # zeroes those nodes and counts them
-    f = _SimplexIntegrand(g, alpha, None)
+    f = integrand(g, alpha, None)
     with np.errstate(all="ignore"):
         vals, bad = f(*block_axes(f, [[0.25, 0.5, 0.75], [0.0, 0.5]]))
     assert bad == 3 and vals.shape == (3, 2)
@@ -1007,7 +1027,7 @@ def test_block_sum_matches_the_elementwise_sum(case, chunk, monkeypatch):
     g, rv = ORACLE_CASES[case]
     dim = g.n - len(g.roots)
     monkeypatch.setattr(selberg, "_CHUNK", chunk)
-    f = _SimplexIntegrand(g, spread_exponents(g.n), rv)
+    f = integrand(g, spread_exponents(g.n), rv)
     # the last block of the second level: old nodes on the axes before the
     # last, new (odd) nodes on the last
     axes = _level_axes(f, _LEVELS[dim][0] + 1)
@@ -1027,7 +1047,7 @@ def test_nonfinite_chunks_fall_back_to_the_elementwise_guard(scale, chunk, monke
     # contracted sum is not finite and is summed node by node instead: the
     # same zeroed sum and count as the elementwise guard
     g, alpha, _ = star_case(2, 0.3 * scale, 0.5 * scale, 0.2 * scale)
-    f = _SimplexIntegrand(g, alpha, None)
+    f = integrand(g, alpha, None)
     monkeypatch.setattr(selberg, "_CHUNK", chunk)
     for axes, want_bad in [
         ([[0.25, 0.0, 0.5, 0.75], [0.2, 0.5, 0.9]], 3),
@@ -1106,14 +1126,14 @@ SETUP_CASES = [
 def test_levels_from_the_second_levels_axes_equal_levels_built_one_by_one(case, scale):
     # every level's sum, node count and nonfinite count, with ==
     g, rv = SETUP_CASES[case]
-    f = _SimplexIntegrand(g, spread_exponents(g.n, scale), rv)
+    f = integrand(g, spread_exponents(g.n, scale), rv)
     dim = g.n - len(g.roots)
     assert list(_de_levels(f, dim)) == per_level_sums(f, dim)
 
 
 def test_a_capped_corners_levels_equal_levels_built_one_by_one():
     g = G(4, {1, 2}, (2, 3), (2, 4))
-    f = _SimplexIntegrand(g, ExponentAssignment.uniform(4, 0.005), None)
+    f = integrand(g, ExponentAssignment.uniform(4, 0.005), None)
     assert sorted(u1 for _, u1 in f.ends)[0] == selberg._CORNER_U
     assert list(_de_levels(f, 2)) == per_level_sums(f, 2)
 
@@ -1227,46 +1247,60 @@ def fields(f):
     return f.scale, f.singles, f.multis, f.ends, f.tail
 
 
-def test_integrand_built_on_a_kept_graph_form_equals_one_built_cold(monkeypatch):
+def test_integrand_built_on_a_kept_graph_form_equals_one_built_cold():
     # each graph's form is made for one exponent assignment and then serves
     # others; every field equals a cold build and the per-integral pass
-    monkeypatch.setattr(selberg, "_FORMS", {})
     for g, rv in [*SETUP_CASES, *ORACLE_CASES, (G(4, {1, 2}, (3, 4), (1, 3)), None), (G(4, {1, 2, 3, 4}), {1: 0.0, 2: 1.0, 3: 0.61, 4: 0.23})]:
-        _SimplexIntegrand(g, spread_exponents(g.n, 0.5), rv)
+        integrand(g, spread_exponents(g.n, 0.5), rv)
         for scale in (1.0, 0.03):
             alpha = spread_exponents(g.n, scale)
-            warm = _SimplexIntegrand(g, alpha, rv)
-            selberg._FORMS.clear()
-            cold = _SimplexIntegrand(g, alpha, rv)
+            warm = integrand(g, alpha, rv)
+            selberg._graph_form.cache_clear()
+            cold = integrand(g, alpha, rv)
             assert fields(warm) == fields(cold)
             assert (warm.scale, warm.singles, warm.multis) == integrand_fields(g, alpha, rv)
             assert warm.linear == {k for (a, b), _ in warm.multis for k in range(a, b)}
 
 
-def test_graph_forms_stay_within_their_bound(monkeypatch):
-    monkeypatch.setattr(selberg, "_FORMS", {})
-    monkeypatch.setattr(selberg, "_FORMS_SIZE", 2)
-    graphs = [G(3, {1, 2}, (1, 3)), G(3, {1, 2}, (2, 3)), G(4, {1, 2}, (1, 3), (1, 4))]
-    for g in graphs:
-        _SimplexIntegrand(g, spread_exponents(g.n), None)
-    assert [key[0] for key in selberg._FORMS] == graphs[1:]
-    # another root value is another form
-    _SimplexIntegrand(G(4, {1, 2, 3}, (3, 4)), spread_exponents(4), THREE_ROOTS)
-    assert len(selberg._FORMS) == 2 and (G(4, {1, 2, 3}, (3, 4)), frozenset(THREE_ROOTS.items())) in selberg._FORMS
+def test_graph_forms_stay_within_their_bound(lru_check):
+    # one graph at its maxsize + 1 root values x_3, each another form
+    g = G(3, {1, 2, 3})
+    lru_check(selberg._graph_form, lambda i: integrand(g, spread_exponents(3), {1: 0.0, 2: 1.0, 3: (i + 1) / 1024}))
 
 
-def test_invalid_root_values_leave_no_graph_form(monkeypatch):
-    monkeypatch.setattr(selberg, "_FORMS", {})
+def test_integrals_leave_least_recently_used_first(lru_check):
+    # no free vertex: each integral is its root gap power, one per exponent
+    g = G(2, {1, 2})
+    lru_check(selberg._integral, lambda i: integrate_graph(g, ExponentAssignment({(1, 2): (i + 1) / 4096})))
+
+
+def cache_infos():
+    return selberg._integral.cache_info(), selberg._graph_form.cache_info()
+
+
+def assert_refused_leaving_no_entry(call, error):
+    """call() raises ValueError matching error twice, and neither the integral
+    nor the form cache gains an entry or a hit."""
+    before = cache_infos()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=error):
+            call()
+    for now, then in zip(cache_infos(), before):
+        assert (now.hits, now.currsize) == (then.hits, then.currsize)
+
+
+def test_invalid_root_values_leave_no_graph_form():
+    # coincident, NaN, missing and misordered roots are refused as the form is built
     g = G(4, {1, 2, 3}, (3, 4))
     for rv in ({1: 0.0, 2: 1.0, 3: 1.0}, {1: 0.0, 2: 1.0, 3: math.nan}, {1: 0.0, 2: 1.0}, {1: 0.0, 2: 0.9, 3: 0.5}):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="root values"):
-                _SimplexIntegrand(g, spread_exponents(4), rv)
-    assert selberg._FORMS == {}
-    # a missing exponent is refused per integral, after the form is kept
-    with pytest.raises(ValueError, match="missing exponent for pairs"):
-        _SimplexIntegrand(g, ExponentAssignment({(1, 2): 0.5}), THREE_ROOTS)
-    assert len(selberg._FORMS) == 1
+        assert_refused_leaving_no_entry(lambda: integrate_graph(g, spread_exponents(4), root_values=rv), "root values")
+
+
+def test_a_missing_exponent_or_a_nan_tolerance_leaves_no_entry():
+    # both are refused before either cache is read
+    g = G(4, {1, 2, 3}, (3, 4))
+    assert_refused_leaving_no_entry(lambda: integrate_graph(g, ExponentAssignment({(1, 2): 0.5}), root_values=THREE_ROOTS), "missing exponent for pairs")
+    assert_refused_leaving_no_entry(lambda: integrate_graph(G(3, {1, 2}, (1, 3)), spread_exponents(3), tol=math.nan), "tolerance")
 
 
 def test_permuted_edge_order_is_sign_times_the_sorted_value():
@@ -1275,7 +1309,7 @@ def test_permuted_edge_order_is_sign_times_the_sorted_value():
     swapped = integrate_graph(G(4, {1, 2}, (3, 4), (1, 3)), alpha)
     assert swapped.value == -chain.value and swapped.err_estimate == chain.err_estimate
     # the sign is the log form's, not only the memo's: integrated directly
-    direct = selberg._integrate_cube(_SimplexIntegrand(G(4, {1, 2}, (3, 4), (1, 3)), alpha, None), 2, DEFAULT_TOL[2])
+    direct = selberg._integrate_cube(integrand(G(4, {1, 2}, (3, 4), (1, 3)), alpha, None), 2, DEFAULT_TOL[2])
     assert abs(direct.value + chain.value) <= 1e-14 * abs(chain.value)
     # three edges: a cyclic shift is even, one swap odd
     alpha = spread_exponents(5, 0.7)
@@ -1287,14 +1321,15 @@ def test_permuted_edge_order_is_sign_times_the_sorted_value():
 
 def test_repeated_integral_is_a_memo_hit():
     g, alpha = G(3, {1, 2}, (1, 3)), alpha3(0.37, 0.61, 0.29)
-    hits = selberg.memo_hits
+    selberg._integral.cache_clear()
     first = integrate_graph(g, alpha)
-    assert selberg.memo_hits == hits
+    assert selberg._integral.cache_info()[:2] == (0, 1)
     assert integrate_graph(g, ExponentAssignment(dict(reversed(alpha.alphas.items())))) is first
-    assert selberg.memo_hits == hits + 1
+    assert selberg._integral.cache_info()[:2] == (1, 1)
     # another tolerance or root values is another integral
     integrate_graph(g, alpha, tol=1e-9)
-    assert selberg.memo_hits == hits + 1
+    integrate_graph(g, alpha, root_values={1: 0.0, 2: 1.0})
+    assert selberg._integral.cache_info()[:2] == (1, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.value = 0.0
 
@@ -1302,25 +1337,16 @@ def test_repeated_integral_is_a_memo_hit():
 def test_non_forest_integrates_to_zero_without_the_memo():
     # vertex 3 joins both roots, vertex 4 reaches none
     g = G(4, {1, 2}, (1, 3), (2, 3))
-    size, hits = len(selberg._MEMO), selberg.memo_hits
+    before = cache_infos()
     for _ in range(2):
         got = integrate_graph(g, spread_exponents(4))
         assert (got.value, got.err_estimate, got.evaluations) == (0.0, 0.0, 0)
-    assert (len(selberg._MEMO), selberg.memo_hits) == (size, hits)
+    assert cache_infos() == before
 
 
-def test_memo_drops_its_oldest_entry_when_full(monkeypatch):
-    monkeypatch.setattr(selberg, "_MEMO", {})
-    monkeypatch.setattr(selberg, "_MEMO_SIZE", 2)
-    for a in (0.2, 0.3, 0.4):
-        integrate_graph(G(2, {1, 2}), ExponentAssignment({(1, 2): a}))
-    assert [key[3] for key in selberg._MEMO] == [(0.3,), (0.4,)]
-
-
-def test_one_level_table_reports_no_convergence(monkeypatch):
+def test_one_level_table_reports_no_convergence(levels):
     # with one level there is no difference to estimate the error from
-    monkeypatch.setattr(selberg, "_MEMO", {})
-    monkeypatch.setitem(selberg._LEVELS, 1, range(3, 4))
+    levels(1, range(3, 4))
     got = integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5))
     assert got.converged is False and got.err_estimate == math.inf
     assert got.evaluations == rule_nodes(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5), 3)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selzeta import selberg
 from selzeta.braid import _symbolic_tower, build_tower, sample_alpha
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta.ncalg import NCSeries, grouplike_defect, nc_letter, series_mul
@@ -351,7 +350,7 @@ def test_projection_leaves_its_shared_tower_and_element_as_they_were():
     assert list(_symbolic_element().coeff.items()) == list(fresh.items())
 
 
-def test_projection_reports_unconverged_integrals(monkeypatch):
+def test_projection_reports_unconverged_integrals(levels):
     # alpha_14 = 1/50 puts a small exponent on (1,3) of both three-vertex
     # sides; the ranges set by the face powers take its whole tail in
     alpha = dict(sample_alpha(4, random.Random(4)))
@@ -362,8 +361,7 @@ def test_projection_reports_unconverged_integrals(monkeypatch):
     # a table of levels 1 and 2 at one free vertex: no |S2 - S1| meets tol
     # 1e-10 (estimates near 3e-8), so each of the three graph integrals of
     # the boundary faces runs out of levels and is counted
-    monkeypatch.setattr(selberg, "_MEMO", {})
-    monkeypatch.setitem(selberg._LEVELS, 1, range(1, 3))
+    levels(1, range(1, 3))
     rep = projection_identity_check(4, alpha, tol=1e-10)
     assert rep.unconverged == 3
     assert rep.defect < 1e-7
