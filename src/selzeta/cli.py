@@ -265,6 +265,10 @@ def check_associator(config):
 # to rounding, so the quadrature error sets the defect: at most 6.9e-13 over
 # seeds 0-39 of the full profile, the small-exponent run included
 IDENTITY_NORM = 1e-6
+# normalizer of the vertex-2 limit gaps.  The face term is exact up to the
+# quadrature's rounding, so the gap to its target is at most 3.3e-16 over
+# seeds 0-7 of both profiles: 1e-12 leaves a headroom of 3e3
+LIMIT_NORM = 1e-12
 
 
 def check_projection(config):
@@ -305,15 +309,17 @@ def check_projection(config):
     alpha = sample_alpha(4, rng)
     case2 = [(2, 3)] if config.profile == "quick" else [(2, 3), (2, 1)]
     case1 = [(2, 2)] if config.profile == "quick" else [(2, 2), (1, 2)]
-    limit_gaps, limit_unconverged = {}, {}
+    limit_gaps, limit_bounds, limit_unconverged = {}, {}, {}
     for entries in case2 + case1:
-        dev, target, _, unconverged = alpha_limit_check(4, entries, alpha, tol=1e-9)
-        limit_gaps[str(entries)] = dev
-        limit_unconverged[str(entries)] = unconverged
-        worst = max(worst, dev / 1e-4)
+        lim = alpha_limit_check(4, entries, alpha, tol=1e-9)
+        limit_gaps[str(entries)] = lim.deviation
+        limit_bounds[str(entries)] = lim.bound + lim.target_err
+        limit_unconverged[str(entries)] = lim.unconverged
+        worst = max(worst, lim.deviation / LIMIT_NORM)
     inputs = {
         "alphas": alphas,
         "limit_gaps": limit_gaps,
+        "limit_bounds": limit_bounds,
         "limit_unconverged": limit_unconverged,
         "symbolic_defect": rep.defect_symbolic,
         "identity_runs": identity_runs,

@@ -35,8 +35,9 @@ node table and each graph's exponent-free form (_graph_form); per integral
 the powers, ranges and the second level's axes (the first level is their old
 nodes); per later level its axes.
 
-The Taylor coefficients at t = 0 of S(t alpha) come from one real pass of the
-same rule over jets in t, with each pole at t = 0 subtracted (_TaylorJets).
+The Taylor coefficients at t = 0 of S(alpha_0 + t d), along an affine ray of
+exponents, come from one real pass of the same rule over jets in t, with each
+pole at t = 0 subtracted (_TaylorJets).
 
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
@@ -57,6 +58,31 @@ class QuadratureError(RuntimeError):
     pass
 
 
+def _pair_reals(given, name, positive):
+    """given's values as floats keyed by unordered vertex pair.  ValueError
+    for a key that is not a pair of two vertices or names a pair twice, and
+    for a value that is complex, not finite, or not positive (positive) or
+    negative (otherwise); name heads the message."""
+    cleaned = {}
+    for u, value in given.items():
+        if not (isinstance(u, tuple) and len(u) == 2):
+            raise ValueError(f"{name} key {u!r} is not a pair of two vertices")
+        key = pair(*u)
+        if key in cleaned:
+            raise ValueError(f"{name} keys give the pair ({key[0]},{key[1]}) twice")
+        # float() would drop a numpy complex's imaginary part with a warning
+        if isinstance(value, (complex, np.complexfloating)):
+            raise ValueError(f"{name} alpha{u} = {value} is complex, not real")
+        v = float(value)
+        # NaN fails every comparison, so finiteness is tested on its own
+        if not math.isfinite(v):
+            raise ValueError(f"{name} alpha{u} = {value} is not finite")
+        if v <= 0 if positive else v < 0:
+            raise ValueError(f"{name} alpha{u} = {value} must be {'positive' if positive else 'non-negative'}")
+        cleaned[key] = v
+    return cleaned
+
+
 @dataclass(frozen=True)
 class ExponentAssignment:
     """Finite positive real exponents alpha_{ij}, one per unordered vertex pair."""
@@ -64,24 +90,7 @@ class ExponentAssignment:
     alphas: dict
 
     def __post_init__(self):
-        cleaned = {}
-        for u, given in self.alphas.items():
-            if not (isinstance(u, tuple) and len(u) == 2):
-                raise ValueError(f"exponent key {u!r} is not a pair of two vertices")
-            key = pair(*u)
-            if key in cleaned:
-                raise ValueError(f"exponent keys give the pair ({key[0]},{key[1]}) twice")
-            # float() would drop a numpy complex's imaginary part with a warning
-            if isinstance(given, (complex, np.complexfloating)):
-                raise ValueError(f"exponent alpha{u} = {given} is complex, not real")
-            v = float(given)
-            # NaN fails every comparison, so finiteness is tested on its own
-            if not math.isfinite(v):
-                raise ValueError(f"exponent alpha{u} = {given} is not finite")
-            if v <= 0:
-                raise ValueError(f"exponent alpha{u} = {given} must be positive")
-            cleaned[key] = v
-        object.__setattr__(self, "alphas", cleaned)
+        object.__setattr__(self, "alphas", _pair_reals(self.alphas, "exponent", positive=True))
 
     @staticmethod
     def uniform(n, value):
@@ -707,11 +716,13 @@ def selberg_component(I, alpha, tol=None, root_values=None):
 
 
 class _TaylorJets:
-    """A forest's integral at exponents t d as jets in t: taylor_coefficients' integrand.
+    """A forest's integral at exponents alpha_0 + t d as jets in t: taylor_coefficients' integrand.
 
-    Each primitive factor F has power p0 + t e, expanded as exp(t e log F).  A
-    face is an axis end whose factor z_k has power count 1 + p0 = 0 at t = 0:
-    t_k at 0 or 1 - t_k at 1.  With H the other factors, the integral is the
+    The ray (d, alpha_0) comes from _ray.  Each primitive factor F has power
+    p0 + t e, p0 its Jacobian power less one per edge gap plus the alpha_0 of
+    its pairs, expanded as exp(t e log F).  A face is an axis end whose factor
+    z_k has power count 1 + p0 = 0 at t = 0, so alpha_0 = 0 on its pairs: t_k
+    at 0 or 1 - t_k at 1.  With H the other factors, the integral is the
     sum over sets S of faces of prod_{k in S} 1 / (t e_k) times the integral
     off S of prod z_k^(t e_k - 1) DH, DH being H at S's faces minus its
     alternating restrictions to the other faces, finite at t = 0: the
@@ -719,38 +730,48 @@ class _TaylorJets:
     Nucl. Phys. B 585, 2000).  log H splits into parts mu_W, W a set of faces,
     each 0 once a face of W is taken, and DH = e^(mu_{}) sum over covers C of
     the open faces of prod_{W in C} expm1(mu_W), so no difference cancels.
+    The edge prefactor prod (alpha_0 + t d) over the edge pairs is t^m, m the
+    edges with alpha_0 = 0, times a polynomial in t (prefactor) that
+    multiplies the jets.  A set S keeps a term only if weight + |S| >= m; a
+    forest left with none (terms empty) has only zeros up to the weight.
     """
 
-    def __init__(self, g, d, weight):
+    def __init__(self, g, ray, weight):
         form = _graph_form(g, None)
-        exps = _exponents(g.n, d)
-        fac = [(power - sum(form.edge_flags[k] for k in terms), sum(exps[k] for k in terms)) for power, terms in form.sums]
+        d, a0 = ray
+        fac = [(power - sum(form.edge_flags[k] for k in terms) + sum(a0[k] for k in terms), sum(d[k] for k in terms)) for power, terms in form.sums]
         # (c, p0, e): c is None for t_k and 1.0 for 1 - t_k, the only c at roots {1, 2}
         self.singles = [[(c, *fac[i]) for c, i in axis] for axis in form.singles]
         self.multis = [(a, b, *fac[i]) for (a, b), factors in form.multis for _, i in factors]
-        name, l = " ".join(f"({i},{j})" for i, j in g.edges), len(self.singles)
+        self.name, l = " ".join(f"({i},{j})" for i, j in g.edges), len(self.singles)
         self.faces, ones = {}, []  # per face axis (c, e) of its factor; per axis its count at 1
         for k, axis in enumerate(self.singles):
             counts = {c: 1 + p0 for c, p0, _ in axis}
             zero = [(c, e) for c, p0, e in axis if p0 == -1]
             if min(counts.values()) < 0 or len(zero) > 1:
-                raise QuadratureError(f"{name}: the ends of t_{k + 1} have power counts {counts} at t = 0")
+                raise QuadratureError(f"{self.name}: the ends of t_{k + 1} have power counts {counts} at t = 0")
             self.faces.update({k: zero[0]} if zero else {})
             ones.append(counts.get(1.0, 1))
         for axes in itertools.chain.from_iterable(itertools.combinations(range(l), n) for n in range(2, l + 1)):
             inside = [p0 for a, b, p0, _ in self.multis if set(range(a, b)) <= set(axes)]
             count = sum(ones[k] for k in axes) + sum(min(p0, 0) for p0 in inside)
             if inside and count <= 0:
-                raise QuadratureError(f"{name}: the corner {' = '.join(f't_{k + 1}' for k in axes)} = 1 has power count {count} at t = 0, a corner pole")
-        # a forest has l edges and at most l faces, so t^m cancels every pole
-        m, self.weight = len(g.edges), weight
-        self.scale = form.scale * form.sign * math.prod(exps[k] for k in form.edge_pairs)
+                raise QuadratureError(f"{self.name}: the corner {' = '.join(f't_{k + 1}' for k in axes)} = 1 has power count {count} at t = 0, a corner pole")
+        # t^m cancels every pole: no forest at n <= 5 has more faces than
+        # edges at alpha_0 = 0, whichever pairs are at 0 (checked exhaustively)
+        zero = [k for k in form.edge_pairs if not a0[k]]
+        m, self.weight = len(zero), weight
+        self.prefactor = [form.scale * form.sign * math.prod(d[k] for k in zero)]
+        for k in form.edge_pairs:
+            if a0[k]:
+                self.prefactor = [x * a0[k] + y * d[k] for x, y in zip(self.prefactor + [0.0], [0.0] + self.prefactor)][: weight + 1]
         # per set S of faces taken: its jet order and prod 1 / e_k
         subsets = [S for n in range(len(self.faces) + 1) for S in itertools.combinations(self.faces, n)]
         self.terms = [(S, weight + len(S) - m, 1.0 / math.prod(self.faces[k][1] for k in S)) for S in subsets if weight + len(S) >= m]
-        # DH has count 1 at each face
-        singles = [[(c, p0 + (k in self.faces and c == self.faces[k][0])) for c, p0, _ in axis] for k, axis in enumerate(self.singles)]
-        self.ends, _ = _axis_ends(singles, [((a, b), [(1.0, p0)]) for a, b, p0, _ in self.multis], weight + len(self.faces) - m)
+        if self.terms:
+            # DH has count 1 at each face
+            singles = [[(c, p0 + (k in self.faces and c == self.faces[k][0])) for c, p0, _ in axis] for k, axis in enumerate(self.singles)]
+            self.ends, _ = _axis_ends(singles, [((a, b), [(1.0, p0)]) for a, b, p0, _ in self.multis], weight + len(self.faces) - m)
 
     def axis(self, k, shape, lt, lomt, lw, t, omt):
         """Axis k shaped for the grid: exp(lw + sum p0 log F) and sum e log F over its
@@ -803,7 +824,14 @@ class _TaylorJets:
             for i, ((S, order, inv), free, term_blocks) in enumerate(zip(self.terms, frees, blocks)):
                 sums[i] = sums[i] / 2 ** len(free) + sum(self._jets(S, order, b) for b in term_blocks) * 2.0 ** (-level * len(free))
                 coeffs[self.weight - order :] += inv * sums[i]
-            yield self.scale * coeffs
+            yield self.scaled(coeffs)
+
+    def scaled(self, coeffs):
+        """The coefficients 0..weight of prefactor(t) times sum coeffs[w] t^w."""
+        out = self.prefactor[0] * coeffs
+        for i, c in enumerate(self.prefactor[1:], 1):
+            out[i:] += c * coeffs[:-i]
+        return out
 
 
 def _exp_jets(p, e, order, first=None):
@@ -818,34 +846,66 @@ def _jet_product(x, y):
     return [sum(x[i] * y[j - i] for i in range(j + 1) if nonzero[0][i] and nonzero[1][j - i]) for j in range(min(len(x), len(y)))]
 
 
+def _ray(n, direction, base=None):
+    """The ray alpha_0 + t d of taylor_coefficients as the tuples (d, alpha_0) over all_pairs(n).
+
+    direction is an ExponentAssignment, or what builds one; its absent pairs
+    read d = 0.  base maps pairs of [n] to finite reals >= 0 (_pair_reals);
+    its absent pairs, and all of them when base is None, read the integer 0,
+    so a ray without a base computes bit for bit what t d does.  Its own
+    check, since ExponentAssignment refuses 0.  ValueError for a base key
+    outside [n], and for pairs with alpha_0 = 0 and no d > 0, where the ray
+    leaves the positive exponents.
+    """
+    if not isinstance(direction, ExponentAssignment):
+        direction = ExponentAssignment(direction)
+    pairs = all_pairs(n)
+    a0 = dict.fromkeys(pairs, 0)
+    for (i, j), v in _pair_reals(base or {}, "base", positive=False).items():
+        if (i, j) not in a0:
+            raise ValueError(f"base pair ({i},{j}) is not a pair of the vertices 1..{n}")
+        a0[i, j] = v
+    missing = " ".join(f"({i},{j})" for i, j in pairs if not a0[i, j] and (i, j) not in direction.alphas)
+    if missing:
+        raise ValueError(f"missing exponent for pairs {missing}: where the base is 0 the direction must be positive")
+    return tuple(direction.alphas.get(u, 0.0) for u in pairs), tuple(a0.values())
+
+
 # taylor_coefficients' default tolerances: the stars' |S3 - S2| is 4e-9 though S3 is off by 1e-13
 _TAYLOR_TOL = {0: 1e-10, 1: 1e-10, 2: 1e-10, 3: DEFAULT_TOL[3]}
 # ncalg.MAX_WEIGHT, the highest weight mzv evaluates, kept here so a fit imports neither ncalg nor mzv
 _MAX_WEIGHT = 8
 
 
-def taylor_coefficients(gs, alpha_direction, max_weight, tol=None):
-    """Taylor coefficients at t = 0 of t -> S(t * alpha_direction), weights
-    0..max_weight, and a bound on their error, from one real pass of
+def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, base=None):
+    """Taylor coefficients at t = 0 of t -> S(base + t * alpha_direction),
+    weights 0..max_weight, and a bound on their error, from one real pass of
     integrate_graph's nested rule over the jets of each forest (_TaylorJets), on
-    ranges for its subtracted face powers and top log power.  The fit stops at
-    the first level where every coefficient's difference to the last level,
-    plus rounding, meets tol * max(1, |c|) (tol defaults to _TAYLOR_TOL); the
-    bound is the largest such sum.  Non-forests contribute 0.  Supported:
-    forests whose count-0 sets at t = 0 are single-axis ends, as the Beta
-    graph (2,3) and the stars.  Refused with QuadratureError before any
-    quadrature: a corner of several axes with count <= 0, as (2,3) (2,4), and
-    an axis with a face at both ends.  ValueError unless max_weight is an
-    integer in 0..mzv.MAX_WEIGHT; QuadratureError when no level meets tol or
-    a coefficient is not finite.
+    ranges for its subtracted face powers and top log power.  base (None for
+    0) may vanish only where alpha_direction is positive (_ray); at a base of
+    0 on the pairs (2, j), j >= 3, the weight-0 coefficient is the limit
+    x_2 -> x_1.  The fit stops at the first level where every coefficient's
+    difference to the last level, plus rounding, meets tol * max(1, |c|) (tol
+    defaults to _TAYLOR_TOL); the bound is the largest such sum.  Non-forests,
+    and forests with more edges at base 0 than faces, which keep no term up
+    to max_weight, contribute 0 before any quadrature.  Supported: forests
+    whose count-0 sets at t = 0 are single-axis ends, as the Beta graph (2,3)
+    and the stars.  Refused with QuadratureError before any quadrature: a
+    corner of several axes with count <= 0, as (2,3) (2,4) at base 0, and an
+    axis with a face at both ends.  ValueError unless max_weight is an
+    integer in 0..mzv.MAX_WEIGHT, or for a ray _ray refuses; QuadratureError
+    naming the forest that changed most at the last level when no level meets
+    tol, and when a coefficient is not finite.
     """
     if type(max_weight) is not int or not 0 <= max_weight <= _MAX_WEIGHT:
         raise ValueError(f"max_weight must be an integer in 0..{_MAX_WEIGHT}, got {max_weight!r}")
     _, tol = _dimension(gs.n, gs.roots, tol, _TAYLOR_TOL)
-    forests = [(c, _TaylorJets(g, alpha_direction, max_weight)) for g, c in gs.terms.items() if is_tree(g)]
+    ray = _ray(gs.n, alpha_direction, base)
+    jets = [(c, _TaylorJets(g, ray, max_weight)) for g, c in gs.terms.items() if is_tree(g)]
+    forests = [(c, f) for c, f in jets if f.terms]
     if not forests:
         return [0.0] * (max_weight + 1), 0.0
-    prev = None
+    prev, est, last = None, None, None
     with np.errstate(all="ignore"):
         for values in zip(*(f.levels() for _, f in forests)):
             coeffs = sum(c * v for (c, _), v in zip(forests, values))
@@ -856,9 +916,12 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None):
                 est = np.abs(coeffs - prev) + 2.0**-46 * np.maximum(1.0, np.abs(coeffs))
                 if (est <= tol * np.maximum(1.0, np.abs(coeffs))).all():
                     return coeffs.tolist(), float(est.max())
-            prev = coeffs
-    raise QuadratureError(f"no level met tolerance {tol:.0e}: error estimates " + " ".join(f"{x:.2e}" for x in est))
-
+            prev, last, values_before = coeffs, values, last
+    if est is None:
+        raise QuadratureError(f"no level met tolerance {tol:.0e}: one level has no error estimate")
+    change = [float(np.abs(c * (v - w)).max()) for (c, _), v, w in zip(forests, last, values_before)]
+    worst = forests[change.index(max(change))][1].name
+    raise QuadratureError(f"{worst} changed most at the last level; no level met tolerance {tol:.0e}: error estimates " + " ".join(f"{x:.2e}" for x in est))
 
 
 def sum_relation_defect(n, r, p, partial_entries, alpha, tol=None, root_values=None):

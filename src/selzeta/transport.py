@@ -9,7 +9,9 @@ two-letter series element is the same matching in ncalg
 (associator_symbolic); both are re-exported here.  The projection check
 builds its zeta-combination element once per process (_symbolic_element)
 and reads its symbolic tower from braid's per-process store
-(_symbolic_tower); both are only read.
+(_symbolic_tower); both are only read.  Its vertex-2 limits are exact face
+terms, weight-0 Taylor coefficients along a ray of exponents
+(alpha_limit_check).
 
 The ladder is an independent oracle only, for the tests; no registry check
 and no command runs it.  It continues plain transport of matrix or
@@ -36,7 +38,7 @@ from .ncalg import NCSeries, all_words, nc_letter, series_exp, series_inv, serie
 # the series and symbolic constructions live beside their algebras, so that
 # `selzeta assoc expand` needs no numpy; they stay importable from here
 from .ncalg import associator_series  # noqa: F401
-from .selberg import ExponentAssignment, QuadratureResult, boundary_face, integrate_sum
+from .selberg import ExponentAssignment, QuadratureResult, boundary_face, taylor_coefficients
 
 
 class ResonanceError(RuntimeError):
@@ -479,47 +481,41 @@ def projection_identity_check(n, alpha, tol=None):
     return ProjectionReport(defect, defect_sym, gap, mono.err_estimate, quad.err_estimate, quad.unconverged)
 
 
-# vertex-2 exponents the limit is extrapolated from
-_LIMIT_DELTAS = (0.12, 0.08, 0.05, 0.03)
+@dataclass(frozen=True)
+class AlphaLimit:
+    """alpha_limit_check's face term beside its target."""
+
+    deviation: float
+    face: float
+    target: float
+    # taylor_coefficients' bound on the face term, the target's quadrature
+    # estimate, and the target's graph integrals that ran out of levels
+    bound: float
+    target_err: float
+    unconverged: int
 
 
 def alpha_limit_check(n, entries, alpha, tol=None):
-    """Behavior of the wedge-chain integral as every exponent at vertex 2 shrinks.
+    """The wedge-chain integral's limit as every exponent at vertex 2 goes to 0.
 
-    entries fixes the index tuple (i_3, ..., i_n) for roots {1, 2}.  When
-    i_3 = 2 is the only 2 the ladder extrapolates to the integral of the
-    chain with vertex 2 deleted, selberg.boundary_face's face 0 (case 2);
-    when some other i_k = 2 it extrapolates to zero (case 1).  Returns
-    (deviation, target, samples, unconverged), the last the number of graph
-    integrals, of samples and target, that ran out of levels before meeting
-    tol.
+    entries fixes the index tuple (i_3, ..., i_n) for roots {1, 2}.  The
+    limit is an exact face term: the weight-0 Taylor coefficient of
+    S(alpha_0 + t d) along d = 1 on every pair (2, j), j >= 3, with alpha's
+    other exponents as the base alpha_0 (selberg.taylor_coefficients).  When
+    i_3 = 2 is the only 2 it is the chain with vertex 2 deleted,
+    selberg.boundary_face's face 0 (case 2); when some other i_k = 2 it is 0
+    (case 1), and no forest keeps a term.  tol goes to the face term and to
+    the target; a face term that meets no level raises QuadratureError.
     """
-    I = IndexTuple(2, n, tuple(entries))
-    gs = wedge_chain(I)
     case2 = entries[0] == 2 and all(i != 2 for i in entries[1:])
     if not case2 and not any(i == 2 for i in entries[1:]):
         raise ValueError("no entry attaches to vertex 2: the limit is not degenerate")
-
     alpha = {u: v for u, v in alpha.items() if max(u) <= n}
-    samples, quad = [], QuadratureResult(0.0, 0.0, 0)
-    for d in _LIMIT_DELTAS:
-        al = dict(alpha)
-        for j in range(3, n + 1):
-            al[pair(2, j)] = d
-        res = integrate_sum(gs, ExponentAssignment(al), tol=tol)
-        samples.append(res.value)
-        quad = quad + res
-    extrap = 0.0
-    for i, (di, vi) in enumerate(zip(_LIMIT_DELTAS, samples)):
-        w = 1.0
-        for j, dj in enumerate(_LIMIT_DELTAS):
-            if j != i:
-                w *= dj / (dj - di)
-        extrap += w * vi
-
-    target = 0.0
+    vertex2 = {pair(2, j) for j in range(3, n + 1)}
+    base = {u: v for u, v in alpha.items() if pair(*u) not in vertex2}
+    (face,), bound = taylor_coefficients(wedge_chain(IndexTuple(2, n, tuple(entries))), dict.fromkeys(vertex2, 1.0), 0, tol=tol, base=base)
+    target, quad = 0.0, QuadratureResult(0.0, 0.0, 0)
     if case2:
-        values, res = boundary_face(n, ExponentAssignment(alpha), [entries[1:]], 0, tol)
+        values, quad = boundary_face(n, ExponentAssignment(alpha), [entries[1:]], 0, tol)
         target = values.item()
-        quad = quad + res
-    return abs(extrap - target), target, samples, quad.unconverged
+    return AlphaLimit(abs(face - target), face, target, bound, quad.err_estimate, quad.unconverged)

@@ -17,6 +17,7 @@ from selzeta.cli import (
     run_suite,
     validate_payload,
 )
+from selzeta.selberg import QuadratureError
 
 
 def test_registry_covers_every_criterion_once():
@@ -72,14 +73,28 @@ def test_quick_suite_passes_and_is_seed_stable(tmp_path):
 
 
 def test_projection_reports_unconverged_limit_integrals(levels):
-    # with the dimension-2 levels cut to 2..4, at seed 2 eight graph
-    # integrals of the (2, 3) and (2, 2) limits at tol 1e-9 stop at level 4,
-    # none of (2, 1) and (1, 2), and four of the n = 5 identity run at 1e-8
+    # with the dimension-2 levels cut to 2..4, at seed 2 four graph
+    # integrals of the n = 5 identity run at 1e-8 stop at level 4, and the
+    # vertex-2 face terms (two free vertices) still meet 1e-9
     levels(2, range(2, 5))
     rep = run_check("projection", RunConfig(seed=2, profile="full"))
-    assert rep.inputs["limit_unconverged"] == {"(2, 3)": 8, "(2, 1)": 0, "(2, 2)": 8, "(1, 2)": 0}
     assert [run["unconverged"] for run in rep.inputs["identity_runs"]] == [0, 0, 0, 0, 4]
     assert all(run["defect"] <= run["quadrature_err"] + 1e-13 for run in rep.inputs["identity_runs"])
+    assert rep.inputs["limit_unconverged"] == {"(2, 3)": 0, "(2, 1)": 0, "(2, 2)": 0, "(1, 2)": 0}
+    # the limit's unconverged integrals are its targets': with the
+    # dimension-1 levels cut to 1..2 the one graph of each case-2 target
+    # stops at level 2, and its estimate enters the limit's bound; case 1
+    # has no target and no forest that keeps a term
+    levels(1, range(1, 3))
+    rep = run_check("projection", RunConfig(seed=2, profile="full"))
+    assert rep.inputs["limit_unconverged"] == {"(2, 3)": 1, "(2, 1)": 1, "(2, 2)": 0, "(1, 2)": 0}
+    bounds = rep.inputs["limit_bounds"]
+    assert min(bounds["(2, 3)"], bounds["(2, 1)"]) > 1e-9 and bounds["(2, 2)"] == bounds["(1, 2)"] == 0.0
+    # a face term that meets no level raises, naming the forest that
+    # changed most, instead of passing with an unresolved limit
+    levels(2, range(1, 3))
+    with pytest.raises(QuadratureError, match=r"^\(2,3\) \(3,4\) changed most at the last level; no level met tolerance 1e-09"):
+        run_check("projection", RunConfig(seed=2, profile="full"))
 
 
 def test_residue_check_cannot_be_fooled(monkeypatch):

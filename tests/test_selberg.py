@@ -406,7 +406,7 @@ def test_taylor_fit_agrees_with_the_next_level_within_its_bound(gs, direction, t
     # more than the returned bound
     coeffs, bound = taylor_coefficients(gs, direction, 4, tol=tol)
     ((g, c),) = gs.terms.items()
-    levels = [c * v for v in selberg._TaylorJets(g, direction, 4).levels()]
+    levels = [c * v for v in selberg._TaylorJets(g, selberg._ray(g.n, direction), 4).levels()]
     stop = next(k for k, v in enumerate(levels) if v.tolist() == coeffs)
     assert stop + 1 < len(levels)
     assert max(abs(x - y) for x, y in zip(levels[stop + 1], coeffs)) <= bound
@@ -417,7 +417,7 @@ def test_taylor_levels_evaluate_each_node_once(monkeypatch):
     # all levels are those of the finest, and the nested sums equal a sum
     # over the finest grid to rounding
     g, alpha, _ = star_case(2, 0.4, 0.7, 0.5)
-    f = selberg._TaylorJets(g, alpha, 4)
+    f = selberg._TaylorJets(g, selberg._ray(g.n, alpha), 4)
     jets, nodes = f._jets, {}
 
     def spy(S, order, block):
@@ -433,7 +433,7 @@ def test_taylor_levels_evaluate_each_node_once(monkeypatch):
         free = [k for k in range(2) if k not in S]
         assert nodes[S] == math.prod(len(axes[k][0]) for k in free)
         once[4 - order :] += inv * jets(S, order, [(k, axes[k]) for k in free]) * 2.0 ** (-level * len(free))
-    assert np.allclose(nested, f.scale * once, rtol=1e-13, atol=1e-15)
+    assert np.allclose(nested, f.scaled(once), rtol=1e-13, atol=1e-15)
 
 
 EULER_GAMMA = 0.5772156649015329
@@ -527,6 +527,119 @@ def test_taylor_non_forest_term_contributes_exactly_zero():
     both = GraphSum(4, frozenset({1, 2}), {g: 1, loose: 3})
     assert taylor_coefficients(both, alpha, 4) == alone
     assert taylor_coefficients(GraphSum.single(loose), alpha, 4) == ([0.0] * 5, 0.0)
+
+
+def test_taylor_below_a_components_vanishing_order_is_zero(monkeypatch):
+    # each forest of the n = 4 chain (1, 2) has two more edges than faces,
+    # so it keeps no term below weight 2: weights 0 and 1 are exact zeros
+    # with no quadrature, and weight 2 reads -zeta(2)/4
+    gs = wedge_chain(IndexTuple(2, 4, (1, 2)))
+    alpha = ExponentAssignment.uniform(4, 0.5)
+    calls = count_quadrature(monkeypatch)
+    assert taylor_coefficients(gs, alpha, 0) == ([0.0], 0.0)
+    assert taylor_coefficients(gs, alpha, 1) == ([0.0, 0.0], 0.0)
+    assert calls == {"integrate_sum": 0, "de_axis": 0}
+    coeffs, bound = taylor_coefficients(gs, alpha, 2)
+    assert coeffs == [0.0, 0.0, -0.4112335167120566]
+    assert abs(coeffs[2] + mzv_eval(MZVIndex((2,))) / 4) <= bound
+
+
+def richardson_jets(f, h=4e-3):
+    """f(0), f'(0) and f''(0) / 2 from central differences at h and h / 2,
+    Richardson-extrapolated (error O(h^4))."""
+    def diffs(h):
+        return (f(h) - f(-h)) / (2 * h), (f(h) - 2 * f(0.0) + f(-h)) / (2 * h * h)
+
+    coarse, fine = diffs(h), diffs(h / 2)
+    return [f(0.0)] + [(4 * y - x) / 3 for x, y in zip(coarse, fine)]
+
+
+@pytest.mark.parametrize(
+    "base, direction",
+    [
+        # the vertex-2 limit ray: alpha_23 = t, a face at t_1 -> 1
+        ({(1, 2): 0.4, (1, 3): 0.3}, {(2, 3): 1.0}),
+        # a positive base: no face, the edge prefactor 0.6 + 0.7 t
+        ({(1, 2): 0.4, (1, 3): 0.3, (2, 3): 0.6}, {(1, 3): 0.5, (2, 3): 0.7}),
+        # a base 0 on (1, 2), whose constant gap the integral never reads
+        ({(1, 3): 0.8, (2, 3): 0.25}, {(1, 2): 1.0, (2, 3): 0.1}),
+    ],
+)
+def test_taylor_on_a_ray_matches_differences_of_the_beta_value(base, direction):
+    # S(alpha_0 + t d) of the Beta graph is beta_prototype(a(t), b(t)), whose
+    # differences share no code with the jets (gaps up to 7.6e-11 measured)
+    def beta(t):
+        return beta_prototype(base.get((1, 3), 0.0) + t * direction.get((1, 3), 0.0), base.get((2, 3), 0.0) + t * direction.get((2, 3), 0.0))
+
+    gs = wedge_chain(IndexTuple(2, 3, (2,)))
+    coeffs, bound = taylor_coefficients(gs, ExponentAssignment(direction), 2, tol=1e-11, base=base)
+    assert bound < 1e-12
+    assert max(abs(x - y) for x, y in zip(coeffs, richardson_jets(beta))) < 1e-9
+
+
+def test_taylor_weight_zero_at_a_positive_base_is_the_integral():
+    # with alpha_0 > 0 on every pair no factor has a face, so every forest
+    # of the n = 4 chains expands, the corner forests refused at base 0
+    # included, and weight 0 is integrate_graph's value at alpha_0
+    base = sample_alpha(4, random.Random(3))
+    direction = ExponentAssignment.uniform(4, 1.0)
+    forests = {g for I in index_tuples(4, 2) for g in wedge_chain(I).terms}
+    assert G(4, {1, 2}, (2, 3), (2, 4)) in forests
+    for g in forests:
+        (c0,), bound = taylor_coefficients(GraphSum.single(g), direction, 0, base=base)
+        res = integrate_graph(g, ExponentAssignment(base))
+        assert abs(c0 - res.value) <= bound + res.err_estimate, g.edges
+
+
+def test_no_forest_has_more_faces_than_edges_at_base_zero():
+    # t^m, m the edges at alpha_0 = 0, cancels every pole only if no forest
+    # has more faces than that: every forest of roots {1, 2} at n <= 4,
+    # every set of pairs at alpha_0 = 0 (n = 5 holds as well, and takes 4 s)
+    for n in (3, 4):
+        pairs = all_pairs(n)
+        forests = [g for g in (G(n, {1, 2}, *es) for es in itertools.combinations(pairs, n - 2)) if is_tree(g)]
+        for zeros in itertools.product((False, True), repeat=len(pairs)):
+            ray = selberg._ray(n, dict.fromkeys(pairs, 1.0), {u: 0.37 for u, z in zip(pairs, zeros) if not z})
+            for g in forests:
+                try:
+                    f = selberg._TaylorJets(g, ray, 0)
+                except QuadratureError:
+                    continue
+                assert len(f.faces) <= sum(zero and u in g.edges for u, zero in zip(pairs, zeros)), (g.edges, zeros)
+
+
+@pytest.mark.parametrize("weight", [0, 4])
+def test_taylor_base_omitted_or_zero_is_bit_identical(weight):
+    for gs, direction, tol in taylor_cases():
+        plain = taylor_coefficients(gs, direction, weight, tol=tol)
+        assert taylor_coefficients(gs, direction, weight, tol=tol, base={}) == plain
+        assert taylor_coefficients(gs, direction, weight, tol=tol, base=dict.fromkeys(all_pairs(gs.n), 0.0)) == plain
+
+
+@pytest.mark.parametrize(
+    "base, direction, message",
+    [
+        ({(1, 3): -0.1}, None, r"base alpha\(1, 3\) = -0.1 must be non-negative"),
+        ({(1, 3): math.nan}, None, r"base alpha\(1, 3\) = nan is not finite"),
+        ({(1, 3): math.inf}, None, r"base alpha\(1, 3\) = inf is not finite"),
+        ({(1, 3): complex(0.5, 0.1)}, None, r"base alpha\(1, 3\) = \(0.5\+0.1j\) is complex"),
+        ({(1,): 0.5}, None, r"base key \(1,\) is not a pair of two vertices"),
+        ({(3, 3): 0.5}, None, "pair needs distinct vertices"),
+        ({(1, 4): 0.5}, None, r"base pair \(1,4\) is not a pair of the vertices 1\.\.3"),
+        ({(1, 3): 0.5, (3, 1): 0.5}, None, r"base keys give the pair \(1,3\) twice"),
+        # alpha_0 = 0 where d is absent, that is 0: the ray leaves the positive exponents
+        ({}, {(1, 2): 1.0, (2, 3): 1.0}, r"missing exponent for pairs \(1,3\): where the base is 0"),
+        ({(1, 3): 0.0}, {(1, 2): 1.0, (2, 3): 1.0}, r"missing exponent for pairs \(1,3\): where the base is 0"),
+        (None, {(2, 3): 1.0}, r"missing exponent for pairs \(1,2\) \(1,3\): where the base is 0"),
+    ],
+)
+def test_taylor_base_is_checked_before_any_quadrature(base, direction, message, monkeypatch):
+    calls = count_quadrature(monkeypatch)
+    gs = wedge_chain(IndexTuple(2, 3, (2,)))
+    direction = ExponentAssignment(direction or {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0})
+    with pytest.raises(ValueError, match=message):
+        taylor_coefficients(gs, direction, 2, base=base)
+    assert calls == {"integrate_sum": 0, "de_axis": 0}
 
 
 @pytest.mark.parametrize("edges", [((1, 4), (2, 3)), ((1, 4), (2, 3), (4, 5)), ((1, 4), (1, 5), (3, 5))])
@@ -1156,7 +1269,7 @@ def per_level_taylor(f):
                     blocks = [[(k, axes[k][1 if q < j else 2 if q == j else 0]) for q, k in enumerate(free)] for j in range(len(free))]
                 sums[i] = sums[i] / 2 ** len(free) + sum(f._jets(S, order, b) for b in blocks) * 2.0 ** (-level * len(free))
                 coeffs[f.weight - order :] += inv * sums[i]
-            out.append((f.scale * coeffs).tolist())
+            out.append(f.scaled(coeffs).tolist())
     return out
 
 
@@ -1167,7 +1280,7 @@ def test_taylor_levels_from_the_second_levels_axes_equal_levels_built_one_by_one
     cases += [(g, spread_exponents(4)) for g in wedge_chain(IndexTuple(2, 4, (2, 1))).terms]
     with np.errstate(all="ignore"):
         for g, direction in cases:
-            f = selberg._TaylorJets(g, direction, 4)
+            f = selberg._TaylorJets(g, selberg._ray(g.n, direction), 4)
             assert [v.tolist() for v in f.levels()] == per_level_taylor(f), g.edges
 
 

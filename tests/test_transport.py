@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,8 +7,12 @@ import numpy as np
 import pytest
 
 from selzeta.braid import _symbolic_tower, build_tower, sample_alpha
+from selzeta.cli import LIMIT_NORM, RunConfig, run_check
+from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph
 from selzeta.mzv import MZVIndex, mzv_eval
 from selzeta.ncalg import NCSeries, grouplike_defect, nc_letter, series_mul
+from selzeta import transport
+from selzeta.selberg import QuadratureResult, beta_prototype, selberg_component
 from selzeta.transport import (
     ConnectionPair,
     ResonanceError,
@@ -395,39 +400,95 @@ def test_projection_identity_degenerate_exponent():
 
 
 def test_alpha_limit_case2():
+    # the face term meets the chain with vertex 2 deleted within its bound
+    # plus the target's estimate, and both to rounding
     rng = random.Random(11)
     alpha = sample_alpha(4, rng)
     for entries in [(2, 3), (2, 1)]:
-        dev, target, samples, unconverged = alpha_limit_check(4, entries, alpha, tol=1e-9)
-        assert dev < 1e-4
-        assert unconverged == 0
-        assert abs(target) > 0.1
-        gaps = [abs(s - target) for s in samples]
-        assert gaps == sorted(gaps, reverse=True)  # monotone approach
+        lim = alpha_limit_check(4, entries, alpha, tol=1e-9)
+        assert lim.unconverged == 0
+        assert abs(lim.target) > 0.1
+        assert lim.deviation == abs(lim.face - lim.target)
+        assert lim.deviation <= lim.bound + lim.target_err
+        assert lim.deviation < 1e-15 and lim.bound < 1e-13
 
 
 def test_alpha_limit_case1():
+    # no forest of a case-1 chain keeps a term at weight 0, so the face
+    # term is 0.0 exactly, with no quadrature and a bound of 0
     rng = random.Random(12)
     alpha = sample_alpha(4, rng)
     for entries in [(2, 2), (1, 2)]:
-        dev, target, samples, unconverged = alpha_limit_check(4, entries, alpha, tol=1e-9)
-        assert target == 0.0
-        assert unconverged == 0
-        assert dev < 1e-4
-        assert abs(samples[-1]) < 5 * 0.03  # final rung stays delta-proportional
+        lim = alpha_limit_check(4, entries, alpha, tol=1e-9)
+        assert (lim.deviation, lim.face, lim.target, lim.bound, lim.target_err, lim.unconverged) == (0.0, 0.0, 0.0, 0.0, 0.0, 0)
 
 
 def test_alpha_limit_prototype_matches_beta():
-    rng = random.Random(13)
-    alpha = dict(sample_alpha(3, rng))
-    alpha[(1, 3)] = Fraction(3, 10)
-    dev, target, samples, _ = alpha_limit_check(3, (2,), alpha, tol=1e-11)
-    assert target == 1.0
-    assert dev < 1e-4
-    from selzeta.selberg import beta_prototype
+    # the Beta graph's beta_prototype(a, b) -> 1 as b = alpha_23 -> 0, at three bases
+    for a13, a12 in [(0.3, 0.1), (0.9, 1.7), (0.05, 0.5)]:
+        lim = alpha_limit_check(3, (2,), {(1, 2): Fraction(a12), (1, 3): Fraction(a13)}, tol=1e-11)
+        assert lim.target == beta_prototype(a13, 0.0) == 1.0
+        assert abs(lim.face - 1.0) <= 1e-14
+        assert lim.deviation <= lim.bound
 
-    for d, s in zip((0.12, 0.08, 0.05, 0.03), samples):
-        assert abs(s - beta_prototype(0.3, d)) < 1e-8
+
+def vertex_three_face(n, alpha, entry_lists, face, tol):
+    """boundary_face's face 0 with vertex 3 deleted in place of vertex 2: a wrong target."""
+    assert face == 0
+    vertex_map = {v: v - (v > 3) for v in range(1, n + 1) if v != 3}
+    alpha = alpha.relabel(vertex_map)
+    values, total = [], QuadratureResult(0.0, 0.0, 0)
+    for entries in entry_lists:
+        if 3 in entries:
+            values.append(0.0)
+            continue
+        res = selberg_component(IndexTuple(2, n - 1, tuple(vertex_map[i] for i in entries)), alpha, tol=tol)
+        values.append(res.value)
+        total = total + res
+    return np.array(values), total
+
+
+def test_alpha_limit_sees_a_wrong_face(monkeypatch):
+    # with vertex 3 deleted instead of vertex 2 every case-2 gap is far
+    # above its bound and above the check's normalizer
+    alpha = sample_alpha(4, random.Random(11))
+    monkeypatch.setattr(transport, "boundary_face", vertex_three_face)
+    for entries in [(2, 3), (2, 1)]:
+        lim = alpha_limit_check(4, entries, alpha, tol=1e-9)
+        assert lim.deviation > 1e-3 > 1e6 * (lim.bound + lim.target_err)
+        assert lim.deviation / LIMIT_NORM > 1e9
+
+
+def test_alpha_limit_sees_a_term_planted_in_a_case_one_chain(monkeypatch):
+    # (2,3) (1,4) keeps a term at weight 0 (its face 1 - t_1 meets its one
+    # edge at base 0): added to a case-1 chain it gives a nonzero limit,
+    # and the projection check fails on it
+    chain = transport.wedge_chain
+    planted = GraphSum.single(OrderedRootedGraph(4, frozenset({1, 2}), ((2, 3), (1, 4))))
+    monkeypatch.setattr(transport, "wedge_chain", lambda I: chain(I) + planted)
+    alpha = sample_alpha(4, random.Random(12))
+    for entries in [(2, 2), (1, 2)]:
+        lim = alpha_limit_check(4, entries, alpha, tol=1e-9)
+        assert lim.target == 0.0
+        assert lim.deviation > 0.1 > 1e6 * lim.bound
+    rep = run_check("projection", RunConfig(seed=0, profile="full"))
+    assert not rep.passed
+    assert min(rep.inputs["limit_gaps"][k] for k in ("(2, 2)", "(1, 2)")) > 0.1
+
+
+def test_alpha_limit_meets_every_face_at_five_vertices():
+    # all 18 entry tuples of n = 5 with a 2, three free vertices at the
+    # default tolerance: each face term meets its target within its own
+    # reported bound (the worst gap is 1.6e-6, at (2, 3, 3))
+    alpha = sample_alpha(5, random.Random(3))
+    cases = [e for e in itertools.product((1, 2), (1, 2, 3), (1, 2, 3, 4)) if 2 in e]
+    assert len(cases) == 18
+    for entries in cases:
+        lim = alpha_limit_check(5, entries, alpha)
+        assert lim.deviation <= lim.bound, entries
+        assert lim.unconverged == 0
+        if entries[0] != 2 or 2 in entries[1:]:
+            assert lim.face == lim.target == lim.bound == 0.0
 
 
 def test_projection_defect_within_quadrature_error():
