@@ -19,25 +19,27 @@ is 2^-60.  At the 1-ends, where the factors 1 - t_a ... t_b meet in corners, s
 is the least power count of a corner (_axis_ends).  A factor of non-positive
 power whose axes would all reach past u = 6.16, where 1 - t underflows, has
 one of them capped short of it, and every end is capped at u = 12.  The part
-of the integral a cap leaves out adds to the error estimate, and an integral
-whose estimate then misses the tolerance counts as unconverged.
+a cap leaves out adds to an integral's error estimate and to a Taylor fit's
+bound: an integral whose estimate then misses the tolerance counts as
+unconverged, and such a fit raises.
 
 Every coordinate gap is a constant times axis variables times one factor
 1 - c t_a ... t_b, and a forest's log form is a sign (graphs.log_form_det)
 over its edge gaps, so Phi, the log form and the Jacobian are one power per
-primitive factor, on its axes.  One axis's factors and weights are evaluated
-in log space from log t, log(1 - t) and log w formed in the sinh variable.  A
-block is summed in cache-sized chunks by contracting the factor groups (g0^T
-P g1 at two free vertices); a chunk whose sum is not finite is summed node by
-node, its nonfinite nodes zeroed and counted.  Non-forests integrate to 0.
-Set-up is built as rarely as the values allow, bit for bit: per process the
-node table and each graph's exponent-free form (_graph_form); per integral
-the powers, ranges and the second level's axes (the first level is their old
-nodes); per later level its axes.
-
-The Taylor coefficients at t = 0 of S(alpha_0 + t d), along an affine ray of
-exponents, come from one real pass of the same rule over jets in t, with each
-pole at t = 0 subtracted (_TaylorJets).
+primitive factor, on its axes.  One integrand, _TaylorJets, takes those
+powers along an affine ray of exponents alpha_0 + t d and gives the Taylor
+coefficients at t = 0 of S(alpha_0 + t d), each pole at t = 0 subtracted;
+the integral itself is its weight-0 coefficient on the ray d = 0.  One
+axis's factors and weights are evaluated in log space from log t, log(1 - t)
+and log w formed in the sinh variable.  A ray with no pole to subtract at
+weight 0 (every integral) is summed block by block in cache-sized chunks by
+contracting the factor groups (g0^T P g1 at two free vertices); a chunk whose
+sum is not finite is summed node by node, its nonfinite nodes zeroed and
+counted.  Other rays run one real pass over jets in t.  Non-forests
+integrate to 0.  Set-up is built as rarely as the values allow, bit for bit:
+per process the node table and each graph's exponent-free form
+(_graph_form); per integral the powers, ranges and the second level's axes
+(the first level is their old nodes); per later level its axes.
 
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
@@ -250,19 +252,21 @@ def _cutoff(s, order=0):
     return max(1.0, math.log(_reach(order) / s)) if s > 0 else math.inf
 
 
-def _tail(s, u):
-    """Relative tail exp(-s pi/2 e^u) that a face power t^(s-1) leaves beyond u."""
-    return math.exp(-0.5 * math.pi * s * math.exp(u)) if s > 0 else math.inf
+def _tail(s, u, order=0):
+    """Relative tail e^-y sum_{j<=order} y^j / j!, y = s pi/2 e^u, that a face
+    power t^(s-1) times a log power up to order leaves beyond u (_reach)."""
+    y = 0.5 * math.pi * s * math.exp(u)
+    return math.exp(-y) * sum(y**j / math.factorial(j) for j in range(order + 1)) if s > 0 else math.inf
 
 
 def _axis_ends(singles, multis, order=0):
     """Ranges (u_0, u_1) of each axis toward t = 0 and t = 1, and the largest
     relative tail that a cap leaves beyond a range it cut short; order is the
-    highest log power of a Taylor jet (_cutoff).
+    highest log power of a Taylor jet (_cutoff, _tail).
 
-    singles[k] lists the factors (c, power) of axis k alone, t_k for c None
-    and 1 - c t_k otherwise; multis lists ((a, b), factors) for the factors
-    1 - c t_{a+1} ... t_b across axes a..b-1.  The 0-end of axis k has s = 1
+    singles[k] lists the factors (c, power, slope) of axis k alone, t_k for
+    c None and 1 - c t_k otherwise; multis lists ((a, b), factors) for the
+    factors 1 - c t_{a+1} ... t_b across axes a..b-1.  The 0-end of axis k has s = 1
     + the power of t_k.  Toward t = 1 a set C of axes has the count sum over
     C of (1 + p_k), p_k the power of 1 - t_k, plus the negative powers of the
     factors 1 - t_a ... t_b inside C (a positive one only speeds the decay);
@@ -274,12 +278,12 @@ def _axis_ends(singles, multis, order=0):
     l = len(singles)
     s = [1.0] * (2 * l)
     for k, factors in enumerate(singles):
-        for c, power in factors:
+        for c, power, _ in factors:
             if c is None:
                 s[k] += power
             elif c == 1.0:
                 s[l + k] += power
-    spans = [(a, b, p) for (a, b), factors in multis for c, p in factors if c == 1.0 and p <= 0.0]
+    spans = [(a, b, p) for (a, b), factors in multis for c, p, _ in factors if c == 1.0 and p <= 0.0]
     # the sets of one axis give 1 + p_k itself; those of several matter
     # only when a factor across axes has a negative power
     if spans:
@@ -294,7 +298,7 @@ def _axis_ends(singles, multis, order=0):
     for a, b, _ in spans:
         if min(u[l + a : l + b]) > _CORNER_U:
             u[l + max(range(a, b), key=lambda k: s[l + k])] = _CORNER_U
-    tail = max((_tail(x, end) for x, w, end in zip(s, want, u) if w > end), default=0.0)
+    tail = max((_tail(x, end, order) for x, w, end in zip(s, want, u) if w > end), default=0.0)
     return list(zip(u[:l], u[l:])), tail
 
 
@@ -307,19 +311,19 @@ def _one_minus_product(ts, omts):
 
 
 def _group_product(factors, om, out=None):
-    """out (None for 1) times each factor (c, power) of 1 - c p raised to its power, from om = 1 - p."""
-    for c, power in factors:
+    """out (None for 1) times each factor (c, power, slope) of 1 - c p raised to its power, from om = 1 - p."""
+    for c, power, _ in factors:
         base = om if c == 1.0 else (1.0 - c) + c * om
         out = np.power(base, power) if out is None else out * np.power(base, power)
     return out
 
 
 class _GraphForm:
-    """The exponent-free part of _SimplexIntegrand, one per graph and root
-    values (_graph_form): the root-value checks, each pair's gap constant and
-    edge flag, the log form's sign, and per primitive factor its Jacobian
-    power, the pairs whose exponents add to it, and its place among the
-    axis groups (singles) and multi-axis groups (multis)."""
+    """The exponent-free part of _TaylorJets, one per graph and root values
+    (_graph_form): the root-value checks, the graph's edges as a name, each
+    pair's gap constant and edge flag, the log form's sign, and per primitive
+    factor its Jacobian power, the pairs whose exponents add to it, and its
+    place among the axis groups (singles) and multi-axis groups (multis)."""
 
     def __init__(self, g, root_values):
         r = len(g.roots)
@@ -338,6 +342,7 @@ class _GraphForm:
                     f"x_{hi} = {rv[hi]} is not above x_{lo} = {rv[lo]}"
                 )
         self.r, self.top, self.rv = r, rv[r], rv
+        self.name = " ".join(f"({i},{j})" for i, j in g.edges)
 
         def rank(v):
             return 0 if v == 1 else g.n + 2 - v
@@ -363,7 +368,8 @@ class _GraphForm:
                 sums[None, k, k + 1][1].append(index)
             if factor is not None:
                 sums.setdefault(factor, (0, []))[1].append(index)
-        self.consts = tuple(consts)
+        # the constants other than 1, whose powers alone move the prefactor
+        self.consts = tuple((k, c) for k, c in enumerate(consts) if c != 1.0)
         self.sums = tuple((power, tuple(terms)) for power, terms in sums.values())
         # the log form's sign, from the one builder: each row's gap as +-1
         self.sign = log_form_det(g.edges, g.free_vertices, lambda p, q: 1.0 if (q, p) in edge_gaps else -1.0)
@@ -414,69 +420,120 @@ def _exponents(n, alpha):
     return exps
 
 
-class _SimplexIntegrand:
-    """Evaluates Phi * (prod alpha_e) * omega-coefficient * Jacobian * weights on the cube.
+class _TaylorJets:
+    """A forest's integral at exponents alpha_0 + t d as jets in t, weights
+    0..weight, from its _GraphForm and a ray (d, alpha_0) of _ray: the one
+    integrand of taylor_coefficients and of integrate_graph (d = 0, alpha_0
+    the exponents, weight 0).  Each gap is const * t_1 ... t_m * (1 - c t_a
+    ... t_b), and the log form lowers by one each factor of an edge gap, so
+    each primitive factor F has one power p0 + t e: p0 its Jacobian power
+    plus the alpha_0 of its pairs in pair order, less one on an edge gap,
+    and e the sum of their d.  The factors of one axis alone and its weights
+    form its axis group exp(lw + sum p0 log F), evaluated in log space, so a
+    deep corner's large powers meet its tiny weights before they overflow.
 
-    Every gap is const * t_1 ... t_m * (1 - c t_a ... t_b), either part
-    possibly absent; the log form lowers by one the power of each factor of an
-    edge gap.  The exponents are summed once per primitive factor, so each
-    factor is raised to one power on the axes it depends on.  The factors of
-    one axis alone and its weights form its axis group, evaluated in log
-    space (axis_group), so a deep corner's large powers meet its tiny weights
-    before they can overflow.  block_sum sums a block of open-grid axes chunk
-    by chunk without forming the node values; __call__ forms them (its
-    fallback, and the tests' entry point).  Both take per axis t, 1 - t (None
-    on an axis that no multi-axis factor spans) and the axis group.
+    A face is an axis end whose factor z_k has power count 1 + p0 = 0 at
+    t = 0 and e != 0: t_k at 0 or 1 - t_k at 1.  With H the other factors, the
+    integral is the sum over sets S of faces of prod_{k in S} 1 / (t e_k) times
+    the integral off S of prod z_k^(t e_k - 1) DH, DH being H at S's faces
+    minus its alternating restrictions to the other faces, finite at t = 0:
+    the subtraction step of sector decomposition (Hepp 1966; Binoth-Heinrich,
+    Nucl. Phys. B 585, 2000).  log H splits into parts mu_W, W a set of faces,
+    each 0 once a face of W is taken, and DH = e^(mu_{}) sum over covers C of
+    the open faces of prod_{W in C} expm1(mu_W), so no difference cancels.
+    The prefactor, a polynomial in t, is the orientation, the Jacobian top^l,
+    each gap constant to its power at t = 0 and prod (alpha_0 + t d) over the
+    edge pairs; the last is t^m, m the edges with alpha_0 = 0, times a
+    polynomial.  A set S keeps a term only if weight + |S| >= m; a forest left
+    with none (terms empty) has only zeros up to the weight.
+
+    A ray with no face and no edge at alpha_0 = 0, at weight 0 (whole), has
+    one term, the integrand at t = 0: block_sum sums it, the prefactor
+    inside, and __call__ forms its node values (block_sum's fallback).  The
+    jets of other rays (_jets) read no c and no constant's slope, so they
+    take only the roots x_1 = 0, x_2 = 1 (c = 1, constants 1).
     """
 
-    def __init__(self, form, exps):
-        """From the graph's _GraphForm and its exponents per pair (_exponents)."""
-        # orientation, Jacobian top^l, edge exponents and every gap's constant
-        scale = form.scale
-        for k in form.edge_pairs:
-            scale *= exps[k]
-        # an edge's gap loses one power to the log form
-        exps = [a - 1 if edge else a for a, edge in zip(exps, form.edge_flags)]
-        for const, a in zip(form.consts, exps):
-            scale *= const**a
-        # each primitive factor's power, its exponents added in pair order
-        powers = []
+    def __init__(self, form, ray, weight):
+        d, a0 = ray
+        fac = []
         for power, terms in form.sums:
+            e = 0
             for k in terms:
-                power = power + exps[k]
-            powers.append(power)
-        self.scale = scale * form.sign
-        self.singles = [[(c, powers[k]) for c, k in axis] for axis in form.singles]
-        self.multis = [(span, [(c, powers[k]) for c, k in factors]) for span, factors in form.multis]
+                power, e = power + (a0[k] - form.edge_flags[k]), e + d[k]
+            fac.append((power, e))
+        # (c, p0, e): c is None for t_k, 1.0 for 1 - t_k and below 1 for a root gap
+        self.singles = [[(c, *fac[i]) for c, i in axis] for axis in form.singles]
+        self.multis = [(span, [(c, *fac[i]) for c, i in factors]) for span, factors in form.multis]
         # the axes whose t and 1 - t the multi-axis factors read
-        self.linear = form.linear
-        self.ends, self.tail = _axis_ends(self.singles, self.multis)
+        self.linear, self.name, self.weight = form.linear, form.name, weight
+        # per face axis (c, e) of its factor
+        self.faces = {k: (c, e) for k, axis in enumerate(self.singles) for c, p0, e in axis if p0 == -1 and e}
+        # t^m cancels every pole: no forest at n <= 5 has more faces than
+        # edges at alpha_0 = 0, whichever pairs are at 0 (checked exhaustively)
+        zero = [k for k in form.edge_pairs if not a0[k]]
+        m = len(zero)
+        # a whole ray subtracts no pole, so a count <= 0 on it is a divergence
+        # at t = 0 itself, which its ranges report as an infinite tail
+        self.whole = not (self.faces or weight or m)
+        pole = None if self.whole else next(self._poles(), None)
+        if pole:
+            raise QuadratureError(f"{self.name}: {pole}")
+        prefactor = [form.scale * form.sign * math.prod([d[k] for k in zero])]
+        for k in form.edge_pairs:
+            if a0[k]:
+                prefactor = [x * a0[k] + y * d[k] for x, y in zip(prefactor + [0.0], [0.0] + prefactor)][: weight + 1]
+        for k, const in form.consts:
+            prefactor = [x * const ** (a0[k] - form.edge_flags[k]) for x in prefactor]
+        self.prefactor = prefactor
+        # per set S of faces taken: its jet order and prod 1 / e_k
+        subsets = [S for n in range(len(self.faces) + 1) for S in itertools.combinations(self.faces, n)]
+        self.terms = [(S, weight + len(S) - m, 1.0 / math.prod([self.faces[k][1] for k in S])) for S in subsets if weight + len(S) >= m]
+        if self.terms:
+            # DH has count 1 at each face
+            singles = [[(c, p0 + (k in self.faces and c == self.faces[k][0]), e) for c, p0, e in axis] for k, axis in enumerate(self.singles)] if self.faces else self.singles
+            self.ends, self.tail = _axis_ends(singles, self.multis, weight + len(self.faces) - m)
+            # what the caps leave out relative to what the rule sums
+            self.ratio = self.tail / (1.0 - self.tail) if self.tail < 1.0 else math.inf
+
+    def _poles(self):
+        """The poles at t = 0 no face subtraction takes: an axis end of count
+        < 0 or an axis with two faces, then a corner of count <= 0."""
+        ones = []  # per axis its count at 1
+        for k, axis in enumerate(self.singles):
+            counts = {c: 1 + p0 for c, p0, _ in axis}
+            if min(counts.values()) < 0 or sum(p0 == -1 and e != 0 for _, p0, e in axis) > 1:
+                yield f"the ends of t_{k + 1} have power counts {counts} at t = 0"
+            ones.append(counts.get(1.0, 1))
+        l = len(ones)
+        for axes in itertools.chain.from_iterable(itertools.combinations(range(l), n) for n in range(2, l + 1)):
+            inside = [p0 for (a, b), factors in self.multis for c, p0, _ in factors if c == 1.0 and set(range(a, b)) <= set(axes)]
+            count = sum(ones[k] for k in axes) + sum(min(p0, 0) for p0 in inside)
+            if inside and count <= 0:
+                yield f"the corner {' = '.join(f't_{k + 1}' for k in axes)} = 1 has power count {count} at t = 0, a corner pole"
 
     def axis(self, k, shape, lt, lomt, lw, t, omt):
-        """(t, 1 - t, axis group) of axis k, shaped to broadcast in its place of
-        the grid; t and 1 - t are None on an axis that no multi-axis factor spans."""
-        group = self.axis_group(k, lt, lomt, lw).reshape(shape)
-        return (t.reshape(shape), omt.reshape(shape), group) if k in self.linear else (None, None, group)
-
-    def axis_group(self, k, lt, lomt, lw):
-        """Axis k's weights times its single-axis factors, exp(lw + sum of power * log base),
-        from log t, log(1 - t) and log w on its nodes."""
-        acc = lw
-        for c, power in self.singles[k]:
-            if c is None:
-                log_base = lt
-            elif c == 1.0:
-                log_base = lomt
-            else:
-                log_base = np.log((1.0 - c) + c * np.exp(lomt))
-            acc = acc + power * log_base
-        return np.exp(acc, out=acc)
+        """Axis k shaped for the grid: t and 1 - t (None on an axis that no
+        multi-axis factor spans), its group exp(lw + sum p0 log F) over its
+        factors never taken to a face, and for the jets sum e log F over
+        those and the two sums over the others (mu_{k}), from log t,
+        log(1 - t) and log w on its nodes."""
+        out = [lw] if self.whole else [lw, *[0.0 * lt] * 3]
+        for c, p0, e in self.singles[k]:
+            log = lt if c is None else lomt if c == 1.0 else np.log((1.0 - c) + c * np.exp(lomt))
+            rest = 2 * (k in self.faces and c != self.faces[k][0])
+            out[rest] = out[rest] + p0 * log
+            if e and not self.whole:
+                out[rest + 1] = out[rest + 1] + e * log
+        out[0] = np.exp(out[0])
+        t, omt = (t.reshape(shape), omt.reshape(shape)) if k in self.linear else (None, None)
+        return t, omt, *[x.reshape(shape) for x in out]
 
     def __call__(self, ts, omts, gs):
-        """Weighted integrand values on the broadcast of the axis arrays (ts,
-        their complements omts and axis groups gs), and how many nonfinite
-        ones were zeroed."""
-        out = self.scale
+        """Weighted whole integrand values on the broadcast of the axis arrays
+        (ts, their complements omts and axis groups gs), and how many
+        nonfinite ones were zeroed."""
+        out = self.prefactor[0]
         for g in gs:
             out = out * g
         for (a, b), factors in self.multis:
@@ -492,8 +549,8 @@ class _SimplexIntegrand:
         return out, nonfinite
 
     def block_sum(self, ts, omts, gs):
-        """Sum of the weighted integrand over the broadcast of the axis arrays,
-        and how many nonfinite nodes were zeroed, without the full grid.
+        """Sum of the weighted whole integrand over the broadcast of the axis
+        arrays, and how many nonfinite nodes were zeroed, without the full grid.
 
         Axis 0 is walked in chunks of about _CHUNK nodes, which stay in cache.
         The groups off axis 0, and the tails 1 - t_2 ... t_b of the factors
@@ -504,7 +561,7 @@ class _SimplexIntegrand:
         zeroes and counts the nonfinite nodes.
         """
         dim = len(gs)
-        inner, spanning = self.scale, []
+        inner, spanning = self.prefactor[0], []
         for g in gs[1:]:
             inner = inner * g
         for (a, b), factors in self.multis:
@@ -540,8 +597,84 @@ class _SimplexIntegrand:
             total += part
         return total, nonfinite
 
+    def _jets(self, S, order, block):
+        """Sums of jets 0..order of the integrand with the faces S taken over a
+        block, pairs (axis, its arrays from axis) of the axes off S."""
+        ax = dict(block)
+        faces = [k for k in self.faces if k not in S]
+        mu = {frozenset([k]): (ax[k][4] if ax[k][4].any() else 0.0, ax[k][5]) for k in faces}
+        for (a, b), factors in self.multis:
+            # 1 once a 0-face is taken; a 1-face taken drops out, open ones are split off
+            if all(k not in S or self.faces[k][0] for k in range(a, b)):
+                live = [k for k in range(a, b) if k not in S and self.faces.get(k, (None,))[0] is None]
+                p = math.prod(ax[k][0] for k in live)
+                om = _one_minus_product([ax[k][0] for k in live], [ax[k][1] for k in live])
+                at1 = [k for k in range(a, b) if k in faces and k not in live]
+                logs = [(live, np.log1p(-p, out=np.log(om), where=p < 0.5))] + [(live + [k], np.log1p(ax[k][1] * p / om)) for k in at1]
+                if len(at1) == 2:  # (1 - z_j z_k p)(1 - p) / ((1 - z_j p)(1 - z_k p)) = 1 + x, y = 1 - z
+                    (zj, yj), (_, yk) = [ax[k][:2] for k in at1]
+                    den = (om + yj * p) * (om + yk * p)
+                    x = -p * yj * yk / den
+                    logs.append((live + at1, np.log1p(x, out=np.log((om + p * (yj + zj * yk)) * om / den), where=x > -0.5)))
+                for _, p0, e in factors:
+                    for keys, lf in logs:
+                        old = mu.get(frozenset(keys).intersection(faces), (0.0, 0.0))
+                        mu[frozenset(keys).intersection(faces)] = old[0] + p0 * lf if p0 else old[0], old[1] + e * lf
+        lead, free = mu.pop(frozenset(), (0.0, 0.0)), sum(x[3] for x in ax.values())
+        covered = {frozenset(): [1.0] + [0.0] * order}  # per set of faces covered, the sum of the products
+        for W, (m0, m1) in mu.items():
+            part = _exp_jets(m0, m1, order, np.expm1(m0))
+            for c, jets in list(covered.items()):
+                new, old = _jet_product(jets, part), covered.get(c | W)
+                covered[c | W] = new if old is None else [x + y for x, y in zip(old, new)]
+        out = _jet_product(_exp_jets(lead[0], free + lead[1], order), covered.get(frozenset(faces), [0.0]))
+        group = math.prod(x[2] for x in ax.values())
+        return np.array([np.sum(group * x) for x in out] + [0.0] * (order + 1 - len(out)))
 
-# nodes per chunk of a block in _SimplexIntegrand.block_sum: 2^15 nodes are
+    def levels(self):
+        """Yield (level, coefficients 0..weight, nodes, nonfinite) per level of
+        _LEVELS, nodes and nonfinite running totals.
+
+        S_{L+1} = S_L / 2^dim + the sum over the new nodes of level L+1, the
+        blocks of _level_blocks, per term on the axes off its faces; each
+        node is evaluated once.  A whole ray's term is summed by block_sum,
+        which zeroes and counts nonfinite nodes, every other by _jets.
+        Floating-point errors are ignored.
+        """
+        frees = [[k for k in range(len(self.ends)) if k not in S] for S, _, _ in self.terms]
+        sums, nodes, nonfinite = [0.0] * len(self.terms), 0, 0
+        with np.errstate(all="ignore"):
+            for level, blocks in _level_blocks(self, frees):
+                for i, ((S, order, _), free, term_blocks) in enumerate(zip(self.terms, frees, blocks)):
+                    part = 0.0
+                    for block in term_blocks:
+                        if self.whole:
+                            ts, omts, gs = map(list, zip(*(arrays for _, arrays in block)))
+                            sub, bad = self.block_sum(ts, omts, gs)
+                        else:
+                            sub, bad = self._jets(S, order, block), 0
+                        nodes += math.prod(len(arrays[2]) for _, arrays in block)
+                        part += sub
+                        nonfinite += bad
+                    # the weights leave out the mesh 2^-level, one factor per axis
+                    sums[i] = sums[i] / 2 ** len(free) + part * 2.0 ** (-level * len(free))
+                if self.whole:  # the one term, the prefactor inside, is weight 0
+                    yield level, np.array(sums), nodes, nonfinite
+                    continue
+                coeffs = np.zeros(self.weight + 1)
+                for (_, order, inv), total in zip(self.terms, sums):
+                    coeffs[self.weight - order :] += inv * total
+                yield level, self.scaled(coeffs), nodes, nonfinite
+
+    def scaled(self, coeffs):
+        """The coefficients 0..weight of prefactor(t) times sum coeffs[w] t^w."""
+        out = self.prefactor[0] * coeffs
+        for i, c in enumerate(self.prefactor[1:], 1):
+            out[i:] += c * coeffs[:-i]
+        return out
+
+
+# nodes per chunk of a block in _TaylorJets.block_sum: 2^15 nodes are
 # 256 kB, so the few arrays of a chunk stay in L2.
 # Level-6 dimension-2 and level-3 dimension-3 integrals time the same from
 # 2^14 to 2^16 and slow down above (CHANGES.md)
@@ -559,8 +692,8 @@ _NODES = _de_table(max(max(levels) for levels in _LEVELS.values()))
 
 
 def _level_axes(f, level):
-    """Per axis the arrays of f.axis (for an integrand t, 1 - t and the axis
-    group), shaped to broadcast in its place of the grid, on all, the old
+    """Per axis the arrays of f.axis (t, 1 - t, the axis group and the jets'
+    log sums), shaped to broadcast in its place of the grid, on all, the old
     (even) and the new (odd) nodes of a level, the last two strided views."""
     dim = len(f.ends)
     axes = []
@@ -598,32 +731,9 @@ def _level_blocks(f, frees):
         yield level, [[[(k, axes[k][(q <= j) + (q == j)]) for q, k in enumerate(free)] for j in range(len(free))] for free in frees]
 
 
-def _de_levels(f, dim):
-    """Yield (level, sum, nodes, nonfinite) of the product DE rule per level.
-
-    S_{L+1} = S_L / 2^dim + the sum over the new nodes of level L+1, the
-    blocks of _level_blocks.  The integrand sums each block itself
-    (block_sum), reducing only arrays it forms, so every node is evaluated
-    once; nodes and nonfinite are running totals.  Floating-point errors are
-    ignored.
-    """
-    total, nodes, nonfinite = 0.0, 0, 0
-    with np.errstate(all="ignore"):
-        for level, (blocks,) in _level_blocks(f, [range(dim)]):
-            part = 0.0
-            for block in blocks:
-                ts, omts, gs = map(list, zip(*(arrays for _, arrays in block)))
-                sub, bad = f.block_sum(ts, omts, gs)
-                nodes += math.prod(g.shape[0] for g in gs)
-                part += sub
-                nonfinite += bad
-            # the weights leave out the mesh 2^-level, one factor per axis
-            total = total / 2**dim + part * 2.0 ** (-level * dim)
-            yield level, total, nodes, nonfinite
-
-
-def _integrate_cube(f, dim, tol):
-    """Product DE rule with nested level doubling on the unit cube, dimensions 1-3.
+def _integrate_cube(f, tol):
+    """Product DE rule with nested level doubling on the unit cube, dimensions
+    1-3, over the levels of a whole ray f (_TaylorJets.levels).
 
     Stops at the first level whose difference to the previous one meets tol
     relative to max(1, |value|); otherwise the last level is returned counted
@@ -631,19 +741,19 @@ def _integrate_cube(f, dim, tol):
     the whole adds |value| q / (1 - q) to the estimate, and the integral
     converges only if the sum meets tol.
     """
-    ratio = f.tail / (1.0 - f.tail) if f.tail < 1.0 else math.inf
     # a one-level table has no difference to estimate the error from
     prev, err = None, math.inf
-    for _, total, nodes, nonfinite in _de_levels(f, dim):
+    for _, coeffs, nodes, nonfinite in f.levels():
+        total = coeffs[0].item()
         if prev is not None:
             err = abs(total - prev)
             bound = tol * max(1.0, abs(total))
             if err <= bound:
-                err += ratio * abs(total)
+                err += f.ratio * abs(total)
                 # an infinite ratio at a zero value makes the estimate NaN
                 return QuadratureResult(total, err, nodes, int(not err <= bound), nonfinite)
         prev = total
-    return QuadratureResult(total, err + ratio * abs(total), nodes, 1, nonfinite)
+    return QuadratureResult(total, err + f.ratio * abs(total), nodes, 1, nonfinite)
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +805,11 @@ def integrate_graph(g, alpha, tol=None, root_values=None):
 def _integral(n, roots, edges, exps, tol, root_values):
     """integrate_graph's result on the graph with the sorted edges, at the
     exponents exps of all_pairs(n) and root values as a frozenset of items
-    (None for x_1 = 0, x_2 = 1), computed once per process."""
-    f = _SimplexIntegrand(_graph_form(OrderedRootedGraph(n, roots, edges), root_values), exps)
-    l = n - len(roots)
+    (None for x_1 = 0, x_2 = 1), computed once per process: the weight-0
+    jet on the ray d = 0, alpha_0 = exps."""
+    f = _TaylorJets(_graph_form(OrderedRootedGraph(n, roots, edges), root_values), ((0.0,) * len(exps), exps), 0)
     # no free vertex: the integrand is its constant, the root gap powers
-    return QuadratureResult(f.scale, 0.0, 1) if l == 0 else _integrate_cube(f, l, tol)
+    return QuadratureResult(f.prefactor[0], 0.0, 1) if n == len(roots) else _integrate_cube(f, tol)
 
 
 def integrate_sum(gs, alpha, tol=None, root_values=None):
@@ -713,125 +823,6 @@ def integrate_sum(gs, alpha, tol=None, root_values=None):
 def selberg_component(I, alpha, tol=None, root_values=None):
     """Integral of the wedge chain for one index tuple."""
     return integrate_sum(wedge_chain(I), alpha, tol=tol, root_values=root_values)
-
-
-class _TaylorJets:
-    """A forest's integral at exponents alpha_0 + t d as jets in t: taylor_coefficients' integrand.
-
-    The ray (d, alpha_0) comes from _ray.  Each primitive factor F has power
-    p0 + t e, p0 its Jacobian power less one per edge gap plus the alpha_0 of
-    its pairs, expanded as exp(t e log F).  A face is an axis end whose factor
-    z_k has power count 1 + p0 = 0 at t = 0, so alpha_0 = 0 on its pairs: t_k
-    at 0 or 1 - t_k at 1.  With H the other factors, the integral is the
-    sum over sets S of faces of prod_{k in S} 1 / (t e_k) times the integral
-    off S of prod z_k^(t e_k - 1) DH, DH being H at S's faces minus its
-    alternating restrictions to the other faces, finite at t = 0: the
-    subtraction step of sector decomposition (Hepp 1966; Binoth-Heinrich,
-    Nucl. Phys. B 585, 2000).  log H splits into parts mu_W, W a set of faces,
-    each 0 once a face of W is taken, and DH = e^(mu_{}) sum over covers C of
-    the open faces of prod_{W in C} expm1(mu_W), so no difference cancels.
-    The edge prefactor prod (alpha_0 + t d) over the edge pairs is t^m, m the
-    edges with alpha_0 = 0, times a polynomial in t (prefactor) that
-    multiplies the jets.  A set S keeps a term only if weight + |S| >= m; a
-    forest left with none (terms empty) has only zeros up to the weight.
-    """
-
-    def __init__(self, g, ray, weight):
-        form = _graph_form(g, None)
-        d, a0 = ray
-        fac = [(power - sum(form.edge_flags[k] for k in terms) + sum(a0[k] for k in terms), sum(d[k] for k in terms)) for power, terms in form.sums]
-        # (c, p0, e): c is None for t_k and 1.0 for 1 - t_k, the only c at roots {1, 2}
-        self.singles = [[(c, *fac[i]) for c, i in axis] for axis in form.singles]
-        self.multis = [(a, b, *fac[i]) for (a, b), factors in form.multis for _, i in factors]
-        self.name, l = " ".join(f"({i},{j})" for i, j in g.edges), len(self.singles)
-        self.faces, ones = {}, []  # per face axis (c, e) of its factor; per axis its count at 1
-        for k, axis in enumerate(self.singles):
-            counts = {c: 1 + p0 for c, p0, _ in axis}
-            zero = [(c, e) for c, p0, e in axis if p0 == -1]
-            if min(counts.values()) < 0 or len(zero) > 1:
-                raise QuadratureError(f"{self.name}: the ends of t_{k + 1} have power counts {counts} at t = 0")
-            self.faces.update({k: zero[0]} if zero else {})
-            ones.append(counts.get(1.0, 1))
-        for axes in itertools.chain.from_iterable(itertools.combinations(range(l), n) for n in range(2, l + 1)):
-            inside = [p0 for a, b, p0, _ in self.multis if set(range(a, b)) <= set(axes)]
-            count = sum(ones[k] for k in axes) + sum(min(p0, 0) for p0 in inside)
-            if inside and count <= 0:
-                raise QuadratureError(f"{self.name}: the corner {' = '.join(f't_{k + 1}' for k in axes)} = 1 has power count {count} at t = 0, a corner pole")
-        # t^m cancels every pole: no forest at n <= 5 has more faces than
-        # edges at alpha_0 = 0, whichever pairs are at 0 (checked exhaustively)
-        zero = [k for k in form.edge_pairs if not a0[k]]
-        m, self.weight = len(zero), weight
-        self.prefactor = [form.scale * form.sign * math.prod(d[k] for k in zero)]
-        for k in form.edge_pairs:
-            if a0[k]:
-                self.prefactor = [x * a0[k] + y * d[k] for x, y in zip(self.prefactor + [0.0], [0.0] + self.prefactor)][: weight + 1]
-        # per set S of faces taken: its jet order and prod 1 / e_k
-        subsets = [S for n in range(len(self.faces) + 1) for S in itertools.combinations(self.faces, n)]
-        self.terms = [(S, weight + len(S) - m, 1.0 / math.prod(self.faces[k][1] for k in S)) for S in subsets if weight + len(S) >= m]
-        if self.terms:
-            # DH has count 1 at each face
-            singles = [[(c, p0 + (k in self.faces and c == self.faces[k][0])) for c, p0, _ in axis] for k, axis in enumerate(self.singles)]
-            self.ends, _ = _axis_ends(singles, [((a, b), [(1.0, p0)]) for a, b, p0, _ in self.multis], weight + len(self.faces) - m)
-
-    def axis(self, k, shape, lt, lomt, lw, t, omt):
-        """Axis k shaped for the grid: exp(lw + sum p0 log F) and sum e log F over its
-        factors never taken to a face, the two sums over the others (mu_{k}), t, 1 - t."""
-        out = [lw, 0.0 * lt, 0.0 * lt, 0.0 * lt]
-        for c, p0, e in self.singles[k]:
-            log, rest = (lt if c is None else lomt), 2 * (k in self.faces and c != self.faces[k][0])
-            out[rest], out[rest + 1] = out[rest] + p0 * log, out[rest + 1] + e * log
-        return tuple(x.reshape(shape) for x in (np.exp(out[0]), out[1], out[2], out[3], t, omt))
-
-    def _jets(self, S, order, block):
-        """Sums of jets 0..order of the integrand with the faces S taken over a
-        block, pairs (axis, its arrays from axis) of the axes off S."""
-        ax = dict(block)
-        faces = [k for k in self.faces if k not in S]
-        mu = {frozenset([k]): (ax[k][2] if ax[k][2].any() else 0.0, ax[k][3]) for k in faces}
-        for a, b, p0, e in self.multis:
-            # 1 once a 0-face is taken; a 1-face taken drops out, open ones are split off
-            if all(k not in S or self.faces[k][0] for k in range(a, b)):
-                live = [k for k in range(a, b) if k not in S and self.faces.get(k, (None,))[0] is None]
-                p = math.prod(ax[k][4] for k in live)
-                om = _one_minus_product([ax[k][4] for k in live], [ax[k][5] for k in live])
-                at1 = [k for k in range(a, b) if k in faces and k not in live]
-                logs = [(live, np.log1p(-p, out=np.log(om), where=p < 0.5))] + [(live + [k], np.log1p(ax[k][5] * p / om)) for k in at1]
-                if len(at1) == 2:  # (1 - z_j z_k p)(1 - p) / ((1 - z_j p)(1 - z_k p)) = 1 + x, y = 1 - z
-                    (zj, yj), (_, yk) = [ax[k][4:6] for k in at1]
-                    den = (om + yj * p) * (om + yk * p)
-                    x = -p * yj * yk / den
-                    logs.append((live + at1, np.log1p(x, out=np.log((om + p * (yj + zj * yk)) * om / den), where=x > -0.5)))
-                for keys, lf in logs:
-                    old = mu.get(frozenset(keys).intersection(faces), (0.0, 0.0))
-                    mu[frozenset(keys).intersection(faces)] = old[0] + p0 * lf if p0 else old[0], old[1] + e * lf
-        lead, free = mu.pop(frozenset(), (0.0, 0.0)), sum(x[1] for x in ax.values())
-        covered = {frozenset(): [1.0] + [0.0] * order}  # per set of faces covered, the sum of the products
-        for W, (m0, m1) in mu.items():
-            part = _exp_jets(m0, m1, order, np.expm1(m0))
-            for c, jets in list(covered.items()):
-                new, old = _jet_product(jets, part), covered.get(c | W)
-                covered[c | W] = new if old is None else [x + y for x, y in zip(old, new)]
-        out = _jet_product(_exp_jets(lead[0], free + lead[1], order), covered.get(frozenset(faces), [0.0]))
-        group = math.prod(x[0] for x in ax.values())
-        return np.array([np.sum(group * x) for x in out] + [0.0] * (order + 1 - len(out)))
-
-    def levels(self):
-        """The coefficients 0..weight per level of _LEVELS, on the blocks of _level_blocks."""
-        frees = [[k for k in range(len(self.ends)) if k not in S] for S, _, _ in self.terms]
-        sums = [0.0] * len(self.terms)
-        for level, blocks in _level_blocks(self, frees):
-            coeffs = np.zeros(self.weight + 1)
-            for i, ((S, order, inv), free, term_blocks) in enumerate(zip(self.terms, frees, blocks)):
-                sums[i] = sums[i] / 2 ** len(free) + sum(self._jets(S, order, b) for b in term_blocks) * 2.0 ** (-level * len(free))
-                coeffs[self.weight - order :] += inv * sums[i]
-            yield self.scaled(coeffs)
-
-    def scaled(self, coeffs):
-        """The coefficients 0..weight of prefactor(t) times sum coeffs[w] t^w."""
-        out = self.prefactor[0] * coeffs
-        for i, c in enumerate(self.prefactor[1:], 1):
-            out[i:] += c * coeffs[:-i]
-        return out
 
 
 def _exp_jets(p, e, order, first=None):
@@ -880,13 +871,16 @@ _MAX_WEIGHT = 8
 def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, base=None):
     """Taylor coefficients at t = 0 of t -> S(base + t * alpha_direction),
     weights 0..max_weight, and a bound on their error, from one real pass of
-    integrate_graph's nested rule over the jets of each forest (_TaylorJets), on
-    ranges for its subtracted face powers and top log power.  base (None for
+    the nested rule over the jets of each forest (_TaylorJets, integrate_graph's
+    integrand too), on ranges for its subtracted face powers and top log
+    power.  base (None for
     0) may vanish only where alpha_direction is positive (_ray); at a base of
     0 on the pairs (2, j), j >= 3, the weight-0 coefficient is the limit
     x_2 -> x_1.  The fit stops at the first level where every coefficient's
     difference to the last level, plus rounding, meets tol * max(1, |c|) (tol
-    defaults to _TAYLOR_TOL); the bound is the largest such sum.  Non-forests,
+    defaults to _TAYLOR_TOL), each forest's coefficients adding q / (1 - q)
+    of themselves where a cap cut a range short, q its tail (_axis_ends); the
+    bound is the largest such sum.  Non-forests,
     and forests with more edges at base 0 than faces, which keep no term up
     to max_weight, contribute 0 before any quadrature.  Supported: forests
     whose count-0 sets at t = 0 are single-axis ends, as the Beta graph (2,3)
@@ -894,26 +888,29 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, base=None):
     corner of several axes with count <= 0, as (2,3) (2,4) at base 0, and an
     axis with a face at both ends.  ValueError unless max_weight is an
     integer in 0..mzv.MAX_WEIGHT, or for a ray _ray refuses; QuadratureError
-    naming the forest that changed most at the last level when no level meets
-    tol, and when a coefficient is not finite.
+    naming the forest that changed most at the last level, and the largest
+    cap's tail, when no level meets tol, and when a coefficient is not finite.
     """
     if type(max_weight) is not int or not 0 <= max_weight <= _MAX_WEIGHT:
         raise ValueError(f"max_weight must be an integer in 0..{_MAX_WEIGHT}, got {max_weight!r}")
     _, tol = _dimension(gs.n, gs.roots, tol, _TAYLOR_TOL)
     ray = _ray(gs.n, alpha_direction, base)
-    jets = [(c, _TaylorJets(g, ray, max_weight)) for g, c in gs.terms.items() if is_tree(g)]
+    jets = [(c, _TaylorJets(_graph_form(g, None), ray, max_weight)) for g, c in gs.terms.items() if is_tree(g)]
     forests = [(c, f) for c, f in jets if f.terms]
     if not forests:
         return [0.0] * (max_weight + 1), 0.0
     prev, est, last = None, None, None
     with np.errstate(all="ignore"):
-        for values in zip(*(f.levels() for _, f in forests)):
+        for levels in zip(*(f.levels() for _, f in forests)):
+            values = [v for _, v, _, _ in levels]
             coeffs = sum(c * v for (c, _), v in zip(forests, values))
             if not np.isfinite(coeffs).all():
                 raise QuadratureError(f"Taylor coefficients not finite: {coeffs}")
             if prev is not None:
-                # plus the rounding a coefficient carries at any level, 2^-46 max(1, |c|)
+                # plus the rounding a coefficient carries at any level, 2^-46
+                # max(1, |c|), and each forest's part left out by a cap
                 est = np.abs(coeffs - prev) + 2.0**-46 * np.maximum(1.0, np.abs(coeffs))
+                est += sum(f.ratio * np.abs(c * v) for (c, f), v in zip(forests, values))
                 if (est <= tol * np.maximum(1.0, np.abs(coeffs))).all():
                     return coeffs.tolist(), float(est.max())
             prev, last, values_before = coeffs, values, last
@@ -921,7 +918,9 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, base=None):
         raise QuadratureError(f"no level met tolerance {tol:.0e}: one level has no error estimate")
     change = [float(np.abs(c * (v - w)).max()) for (c, _), v, w in zip(forests, last, values_before)]
     worst = forests[change.index(max(change))][1].name
-    raise QuadratureError(f"{worst} changed most at the last level; no level met tolerance {tol:.0e}: error estimates " + " ".join(f"{x:.2e}" for x in est))
+    capped = max((f for _, f in forests), key=lambda f: f.tail)
+    tail = f"; a cap leaves {capped.name} a relative tail of {capped.tail:.1e}" if capped.tail else ""
+    raise QuadratureError(f"{worst} changed most at the last level; no level met tolerance {tol:.0e}: error estimates " + " ".join(f"{x:.2e}" for x in est) + tail)
 
 
 def sum_relation_defect(n, r, p, partial_entries, alpha, tol=None, root_values=None):

@@ -16,9 +16,8 @@ from selzeta.selberg import (
     DEFAULT_TOL,
     ExponentAssignment,
     QuadratureError,
-    _de_levels,
     _level_axes,
-    _SimplexIntegrand,
+    _TaylorJets,
     beta_prototype,
     beta_taylor_target,
     boundary_face,
@@ -37,9 +36,21 @@ def G(n, roots, *edges):
 
 def integrand(g, alpha, root_values):
     """The quadrature integrand of g at alpha and root_values (a dict, or None
-    for x_1 = 0, x_2 = 1), built as integrate_graph builds it."""
+    for x_1 = 0, x_2 = 1), built as integrate_graph builds it: the weight-0
+    jets on the ray d = 0, alpha_0 = alpha."""
     rv = None if root_values is None else frozenset(root_values.items())
-    return _SimplexIntegrand(selberg._graph_form(g, rv), selberg._exponents(g.n, alpha))
+    exps = selberg._exponents(g.n, alpha)
+    return _TaylorJets(selberg._graph_form(g, rv), ((0.0,) * len(exps), exps), 0)
+
+
+def taylor_jets(g, ray, weight):
+    """The jets of g on a ray of _ray, as taylor_coefficients builds them."""
+    return _TaylorJets(selberg._graph_form(g, None), ray, weight)
+
+
+def whole_levels(f):
+    """(level, sum, nodes, nonfinite) per level of a whole ray's levels."""
+    return [(level, total, nodes, bad) for level, (total,), nodes, bad in f.levels()]
 
 
 def alpha3(a, b, ab=0.1):
@@ -179,7 +190,7 @@ def test_level_difference_bounds_the_gap_to_level_six_on_corner_forests(case):
     early = 0
     for _ in range(10):
         alpha = ExponentAssignment({u: rng.uniform(0.02, 0.1) for u in all_pairs(g.n)})
-        level, finest, nodes, _ = list(_de_levels(integrand(g, alpha, rv), 2))[-1]
+        level, finest, nodes, _ = whole_levels(integrand(g, alpha, rv))[-1]
         assert level == 6
         for tol in (1e-8, 1e-9, 1e-10):
             got = integrate_graph(g, alpha, tol=tol, root_values=rv)
@@ -406,7 +417,7 @@ def test_taylor_fit_agrees_with_the_next_level_within_its_bound(gs, direction, t
     # more than the returned bound
     coeffs, bound = taylor_coefficients(gs, direction, 4, tol=tol)
     ((g, c),) = gs.terms.items()
-    levels = [c * v for v in selberg._TaylorJets(g, selberg._ray(g.n, direction), 4).levels()]
+    levels = [c * v for _, v, _, _ in taylor_jets(g, selberg._ray(g.n, direction), 4).levels()]
     stop = next(k for k, v in enumerate(levels) if v.tolist() == coeffs)
     assert stop + 1 < len(levels)
     assert max(abs(x - y) for x, y in zip(levels[stop + 1], coeffs)) <= bound
@@ -417,15 +428,15 @@ def test_taylor_levels_evaluate_each_node_once(monkeypatch):
     # all levels are those of the finest, and the nested sums equal a sum
     # over the finest grid to rounding
     g, alpha, _ = star_case(2, 0.4, 0.7, 0.5)
-    f = selberg._TaylorJets(g, selberg._ray(g.n, alpha), 4)
+    f = taylor_jets(g, selberg._ray(g.n, alpha), 4)
     jets, nodes = f._jets, {}
 
     def spy(S, order, block):
-        nodes[S] = nodes.get(S, 0) + math.prod(len(arrays[0]) for _, arrays in block)
+        nodes[S] = nodes.get(S, 0) + math.prod(len(arrays[2]) for _, arrays in block)
         return jets(S, order, block)
 
     monkeypatch.setattr(f, "_jets", spy)
-    *_, nested = f.levels()
+    *_, (_, nested, _, _) = f.levels()
     level = _LEVELS[2][-1]
     axes = [full for full, _, _ in _level_axes(f, level)]
     once = np.zeros(5)
@@ -580,15 +591,41 @@ def test_taylor_on_a_ray_matches_differences_of_the_beta_value(base, direction):
 def test_taylor_weight_zero_at_a_positive_base_is_the_integral():
     # with alpha_0 > 0 on every pair no factor has a face, so every forest
     # of the n = 4 chains expands, the corner forests refused at base 0
-    # included, and weight 0 is integrate_graph's value at alpha_0
+    # included, and weight 0 is the integral at alpha_0.  integrate_graph
+    # computes it with the same jets, so the oracle is the test-local
+    # full-grid rule at levels 5 and 6, its own estimate their difference
+    # (gaps to level 6 up to 7.8e-16 measured)
     base = sample_alpha(4, random.Random(3))
     direction = ExponentAssignment.uniform(4, 1.0)
     forests = {g for I in index_tuples(4, 2) for g in wedge_chain(I).terms}
     assert G(4, {1, 2}, (2, 3), (2, 4)) in forests
     for g in forests:
         (c0,), bound = taylor_coefficients(GraphSum.single(g), direction, 0, base=base)
-        res = integrate_graph(g, ExponentAssignment(base))
-        assert abs(c0 - res.value) <= bound + res.err_estimate, g.edges
+        ref = reference_level_sums(g, ExponentAssignment(base), None, [5, 6])
+        assert abs(c0 - ref[6]) <= bound + abs(ref[6] - ref[5]), g.edges
+
+
+def test_a_capped_corners_tail_enters_the_taylor_bound():
+    # at alpha_0 = 0.003 the cap on the corner t_1 = t_2 = 1 of (2,3) (2,4)
+    # leaves a relative tail of 3.3e-3: integrate_graph counts the integral
+    # unconverged, and the weight-0 fit, the same jets, must not return a
+    # bound below tol 1e-4 (it returned 8.5e-5 when the tail was dropped,
+    # against a true error of 1.1e-3)
+    g = G(4, {1, 2}, (2, 3), (2, 4))
+    base = dict.fromkeys(all_pairs(4), 0.003)
+    assert integrate_graph(g, ExponentAssignment(base)).converged is False
+    direction = ExponentAssignment.uniform(4, 1.0)
+    for weight in (0, 1):
+        with pytest.raises(QuadratureError, match="a cap leaves \\(2,3\\) \\(2,4\\) a relative tail of"):
+            taylor_coefficients(GraphSum.single(g), direction, weight, tol=1e-4, base=base)
+
+
+@pytest.mark.parametrize("order", range(MAX_WEIGHT + 1))
+def test_a_tail_at_its_cutoff_is_the_target_at_every_log_order(order):
+    # _cutoff and _tail read the same e^-y sum_{j<=order} y^j / j!
+    for s in (0.003, 0.5, 2.0):
+        assert selberg._tail(s, selberg._cutoff(s, order), order) == pytest.approx(selberg._TAIL_EPS, rel=1e-12, abs=0.0)
+    assert selberg._tail(0.0, 1.0, order) == math.inf
 
 
 def test_no_forest_has_more_faces_than_edges_at_base_zero():
@@ -602,7 +639,7 @@ def test_no_forest_has_more_faces_than_edges_at_base_zero():
             ray = selberg._ray(n, dict.fromkeys(pairs, 1.0), {u: 0.37 for u, z in zip(pairs, zeros) if not z})
             for g in forests:
                 try:
-                    f = selberg._TaylorJets(g, ray, 0)
+                    f = taylor_jets(g, ray, 0)
                 except QuadratureError:
                     continue
                 assert len(f.faces) <= sum(zero and u in g.edges for u, zero in zip(pairs, zeros)), (g.edges, zeros)
@@ -956,7 +993,7 @@ def test_nested_factored_levels_match_reference(case, scale):
     dim = g.n - len(g.roots)
     levels = _LEVELS[dim][:3]
     want = reference_level_sums(g, alpha, rv, levels)
-    got = {level: total for level, total, _, _ in _de_levels(integrand(g, alpha, rv), dim)}
+    got = {level: total for level, total, _, _ in whole_levels(integrand(g, alpha, rv))}
     for level in levels:
         assert abs(got[level] - want[level]) <= 1e-13 * abs(want[level])
 
@@ -1031,6 +1068,15 @@ def test_tiny_exponents_reach_the_range_cap_and_say_so():
     # at 1e-4 the cap leaves a tail of 8e-12, inside the tolerance
     got = integrate_graph(g, alpha3(0.5, 1e-4))
     assert got.converged and abs(got.value - beta_prototype(0.5, 1e-4)) <= got.err_estimate
+
+
+def test_a_corner_count_rounded_to_zero_is_reported_not_refused():
+    # at uniform 1e-17 the count of the corner t_1 = t_2 = 1 rounds to 0: the
+    # integral at those exponents has no pole in t to subtract, so the
+    # corner forests integrate and report an infinite estimate, unconverged
+    for edges in [((2, 3), (2, 4)), ((2, 3), (3, 4)), ((2, 4), (3, 4))]:
+        got = integrate_graph(G(4, {1, 2}, *edges), ExponentAssignment.uniform(4, 1e-17))
+        assert got.converged is False and got.err_estimate == math.inf and got.nonfinite == 0, edges
 
 
 def test_non_convergence_is_reported():
@@ -1128,7 +1174,7 @@ def block_axes(f, axes):
     ts = [np.array(x, dtype=float).reshape((-1,) + (1,) * (dim - 1 - k)) for k, x in enumerate(axes)]
     omts = [1.0 - t for t in ts]
     with np.errstate(all="ignore"):
-        gs = [f.axis_group(k, np.log(t), np.log(omt), np.zeros_like(t)) for k, (t, omt) in enumerate(zip(ts, omts))]
+        gs = [f.axis(k, t.shape, np.log(t), np.log(omt), np.zeros_like(t), t, omt)[2] for k, (t, omt) in enumerate(zip(ts, omts))]
     return ts, omts, gs
 
 
@@ -1144,7 +1190,7 @@ def test_block_sum_matches_the_elementwise_sum(case, chunk, monkeypatch):
     # the last block of the second level: old nodes on the axes before the
     # last, new (odd) nodes on the last
     axes = _level_axes(f, _LEVELS[dim][0] + 1)
-    ts, omts, gs = map(list, zip(*[old for _, old, _ in axes[:-1]], axes[-1][2]))
+    ts, omts, gs, *_ = map(list, zip(*[old for _, old, _ in axes[:-1]], axes[-1][2]))
     vals, bad = f(ts, omts, gs)
     got, got_bad = f.block_sum(ts, omts, gs)
     assert bad == got_bad == 0
@@ -1191,8 +1237,7 @@ def per_level_axes(f, level):
         lo = math.floor(math.ldexp(u0, level))
         lt, lomt, lw, _, _ = de_axis(level, lo, math.floor(math.ldexp(u1, level)))
         shape = (-1,) + (1,) * (dim - 1 - k)
-        t, omt = (np.exp(lt), np.exp(lomt)) if k in f.linear else (None, None)
-        full = tuple(x if x is None else x.reshape(shape) for x in (t, omt, f.axis_group(k, lt, lomt, lw)))
+        full = f.axis(k, shape, lt, lomt, lw, np.exp(lt), np.exp(lomt))
         old, new = slice(lo % 2, None, 2), slice(1 - lo % 2, None, 2)
         axes.append([full] + [tuple(x if x is None else x[p] for x in full) for p in (old, new)])
     return axes
@@ -1213,7 +1258,7 @@ def per_level_sums(f, dim):
             else:
                 blocks = [[old for _, old, _ in axes[:k]] + [axes[k][2]] + [full for full, _, _ in axes[k + 1 :]] for k in range(dim)]
             for block in blocks:
-                ts, omts, gs = map(list, zip(*block))
+                ts, omts, gs, *_ = map(list, zip(*block))
                 sub, bad = f.block_sum(ts, omts, gs)
                 nodes += math.prod(g.shape[0] for g in gs)
                 part += sub
@@ -1241,14 +1286,14 @@ def test_levels_from_the_second_levels_axes_equal_levels_built_one_by_one(case, 
     g, rv = SETUP_CASES[case]
     f = integrand(g, spread_exponents(g.n, scale), rv)
     dim = g.n - len(g.roots)
-    assert list(_de_levels(f, dim)) == per_level_sums(f, dim)
+    assert whole_levels(f) == per_level_sums(f, dim)
 
 
 def test_a_capped_corners_levels_equal_levels_built_one_by_one():
     g = G(4, {1, 2}, (2, 3), (2, 4))
     f = integrand(g, ExponentAssignment.uniform(4, 0.005), None)
     assert sorted(u1 for _, u1 in f.ends)[0] == selberg._CORNER_U
-    assert list(_de_levels(f, 2)) == per_level_sums(f, 2)
+    assert whole_levels(f) == per_level_sums(f, 2)
 
 
 def per_level_taylor(f):
@@ -1280,8 +1325,8 @@ def test_taylor_levels_from_the_second_levels_axes_equal_levels_built_one_by_one
     cases += [(g, spread_exponents(4)) for g in wedge_chain(IndexTuple(2, 4, (2, 1))).terms]
     with np.errstate(all="ignore"):
         for g, direction in cases:
-            f = selberg._TaylorJets(g, selberg._ray(g.n, direction), 4)
-            assert [v.tolist() for v in f.levels()] == per_level_taylor(f), g.edges
+            f = taylor_jets(g, selberg._ray(g.n, direction), 4)
+            assert [v.tolist() for _, v, _, _ in f.levels()] == per_level_taylor(f), g.edges
 
 
 def test_a_taylor_fit_builds_axes_once_per_level_but_the_first(monkeypatch):
@@ -1311,8 +1356,9 @@ def test_linear_node_tables_equal_exp_of_the_log_slices():
 
 
 def integrand_fields(g, alpha, root_values):
-    """scale, singles and multis of the integrand as formed per integral: one
-    pass over the vertex pairs adds each exponent to its factors' powers."""
+    """prefactor, singles and multis of the integrand as formed per integral:
+    one pass over the vertex pairs adds each exponent to its factors' powers,
+    and on the ray d = 0 every factor's slope is 0."""
     r, l = len(g.roots), g.n - len(g.roots)
     rv = {1: 0.0, 2: 1.0} if root_values is None else root_values
     top = rv[r]
@@ -1350,14 +1396,14 @@ def integrand_fields(g, alpha, root_values):
     singles, multis = [[] for _ in range(l)], {}
     for (c, a, b), power in powers.items():
         if b == a + 1:
-            singles[a].append((c, power))
+            singles[a].append((c, power, 0.0))
         else:
-            multis.setdefault((a, b), []).append((c, power))
-    return scale, singles, sorted(multis.items())
+            multis.setdefault((a, b), []).append((c, power, 0.0))
+    return [scale], singles, sorted(multis.items())
 
 
 def fields(f):
-    return f.scale, f.singles, f.multis, f.ends, f.tail
+    return f.prefactor, f.singles, f.multis, f.ends, f.tail
 
 
 def test_integrand_built_on_a_kept_graph_form_equals_one_built_cold():
@@ -1371,7 +1417,7 @@ def test_integrand_built_on_a_kept_graph_form_equals_one_built_cold():
             selberg._graph_form.cache_clear()
             cold = integrand(g, alpha, rv)
             assert fields(warm) == fields(cold)
-            assert (warm.scale, warm.singles, warm.multis) == integrand_fields(g, alpha, rv)
+            assert (warm.prefactor, warm.singles, warm.multis) == integrand_fields(g, alpha, rv)
             assert warm.linear == {k for (a, b), _ in warm.multis for k in range(a, b)}
 
 
@@ -1422,7 +1468,7 @@ def test_permuted_edge_order_is_sign_times_the_sorted_value():
     swapped = integrate_graph(G(4, {1, 2}, (3, 4), (1, 3)), alpha)
     assert swapped.value == -chain.value and swapped.err_estimate == chain.err_estimate
     # the sign is the log form's, not only the memo's: integrated directly
-    direct = selberg._integrate_cube(integrand(G(4, {1, 2}, (3, 4), (1, 3)), alpha, None), 2, DEFAULT_TOL[2])
+    direct = selberg._integrate_cube(integrand(G(4, {1, 2}, (3, 4), (1, 3)), alpha, None), DEFAULT_TOL[2])
     assert abs(direct.value + chain.value) <= 1e-14 * abs(chain.value)
     # three edges: a cyclic shift is even, one swap odd
     alpha = spread_exponents(5, 0.7)
