@@ -83,7 +83,8 @@ def _graph(n, roots, edges):
     """An OrderedRootedGraph from a frozenset of roots and a tuple of edges
     that are already (min, max) pairs in [1, n] and distinct, unvalidated."""
     g = object.__new__(OrderedRootedGraph)
-    g.__dict__.update(n=n, roots=roots, edges=edges, _hash=hash((n, roots, edges)))
+    d = g.__dict__
+    d["n"], d["roots"], d["edges"], d["_hash"] = n, roots, edges, hash((n, roots, edges))
     return g
 
 
@@ -264,8 +265,9 @@ def principal_product(I):
 def _det(m):
     """Cofactor determinant of the ±1 incidence rows of a log form.
 
-    Structural zeros are skipped, so the expansion only descends into the
-    minors of the nonzero entries.
+    Sizes up to 3 are closed forms; above that, structural zeros are
+    skipped, so the expansion only descends into the minors of the nonzero
+    entries.
     """
     size = len(m)
     if size == 0:
@@ -274,6 +276,9 @@ def _det(m):
         return m[0][0]
     if size == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if size == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     total = 0
     for j, a in enumerate(m[0]):
         if a == 0:
@@ -349,35 +354,13 @@ def common_denominator(values):
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-# (keys, values, result) of the last exact point _coordinates converted,
-# the empty point to start with: the one store of the package that is not a
+# the last exact point seen, the empty point to start with: its key and
+# value objects, its integer coordinates over the common denominator scale,
+# and the log-form values built there, keyed on the exact (edges, cols)
+# tuple, edge order and orientation included.  A new point replaces the
+# whole slot, values and all.  The one store of the package that is not a
 # functools cache, since a point is an unhashable dict, kept by identity
-_last_point = ((), (), (1, {}))
-
-
-def _coordinates(vals):
-    """(scale, coordinates) for log_form_det, after the coincidence guard:
-    exact (int or Fraction) values as integers over their common denominator,
-    which is the scale; float values as they are, with scale None.
-
-    An exact point is converted once: while the same key and value objects
-    come back, the last result is reused.  Ints and Fractions are immutable,
-    so a point changed in place, or a new one, is converted again.
-    """
-    global _last_point
-    keys, values, result = _last_point
-    if (
-        len(keys) == len(vals)
-        and all(map(operator.is_, keys, vals))
-        and all(map(operator.is_, values, vals.values()))
-    ):
-        return result
-    if {type(v) for v in vals.values()} <= {int, Fraction}:
-        scale, nums = common_denominator(vals.values())
-        result = scale, _distinct(dict(zip(vals, nums)))
-        _last_point = (tuple(vals), tuple(vals.values()), result)
-        return result
-    return None, _distinct(vals)
+_last_point = ((), (), 1, {}, {})
 
 
 def omega_coefficient(g, x):
@@ -397,11 +380,33 @@ def omega_coefficient(g, x):
 
 def _log_form_at(edges, cols, x):
     """log_form_det of the edges on the columns at the point x, a dict of
-    exact or float coordinates, after _coordinates' conversion and guard."""
-    scale, coords = _coordinates(x)
-    if scale is None:
-        return log_form_det(edges, cols, lambda p, q: coords[p] - coords[q])
-    return log_form_det(edges, cols, coords, scale)
+    exact or float coordinates, after the coincidence guard.
+
+    Exact (int or Fraction) values are read as integers over their common
+    denominator, which is the scale; float values as they are.  An exact
+    point is converted once, and each log form on it is built once: while
+    the same key and value objects come back, the last point's coordinates
+    and values are reused.  Ints and Fractions are immutable, so a point
+    changed in place, or a new one, is converted again with no value kept.
+    """
+    global _last_point
+    keys, values, scale, coords, forms = _last_point
+    if not (
+        len(keys) == len(x)
+        and all(map(operator.is_, keys, x))
+        and all(map(operator.is_, values, x.values()))
+    ):
+        if not {type(v) for v in x.values()} <= {int, Fraction}:
+            coords = _distinct(x)
+            return log_form_det(edges, cols, lambda p, q: coords[p] - coords[q])
+        scale, nums = common_denominator(x.values())
+        coords, forms = _distinct(dict(zip(x, nums))), {}
+        _last_point = (tuple(x), tuple(x.values()), scale, coords, forms)
+    key = (edges, cols)
+    value = forms.get(key)
+    if value is None:
+        value = forms[key] = log_form_det(edges, cols, coords, scale)
+    return value
 
 
 def is_tree(g):
@@ -432,46 +437,65 @@ def residue_expand(g, k):
     Top-vertex edges at positions >= that of (n,k) are rewired through the
     subset rule; the one at the largest position is dropped, remaining
     top-vertex edges have n replaced by k.  For a single such edge the residue
-    is bare deletion with sign +1.
+    is bare deletion with sign +1; for two, it is the one rewired graph with
+    sign -1.
     """
     n = g.n
     edges = g.edges
     pos_nk = _top_position(g, k)
     if n in g.roots:
         raise ValueError("roots outside vertex set")
-    # positions t_1 > ... > t_s and attachments k_1 ... k_s = k of the top
-    # edges at or above (n, k)
+    # positions t_1 > ... > t_s of the top edges at or above (n, k)
     t_list = [pos for pos in range(len(edges) - 1, pos_nk - 1, -1) if edges[pos][1] == n]
-    k_list = [edges[pos][0] for pos in t_list]
     s = len(t_list)
     # the top edges below (n, k) have n replaced by k; the rest are set per term
     base = [((p, k) if p < k else (k, p)) if q == n else (p, q) for p, q in edges]
-    terms = [(base, 1)] if s == 1 else []
+    roots = g.roots
+    if s <= 2:
+        # one term: with (n, k) the only top edge, its bare deletion with +1;
+        # with one top edge (n, k_1) above it, (n, k) becomes (k_1, k) and
+        # (n, k_1) is dropped, with -1
+        if s == 2:
+            a = edges[t_list[0]][0]
+            base[pos_nk] = (a, k) if a < k else (k, a)
+        gs = object.__new__(GraphSum)
+        gs.n, gs.roots, gs.terms = n - 1, roots, {_residue_term(n, roots, base, t_list[0]): 1 if s == 1 else -1}
+        return gs
+    # their attachments k_1 ... k_s = k
+    k_list = [edges[pos][0] for pos in t_list]
+    terms = []
     for size in range(s - 1):
         for subset in itertools.combinations(range(1, s - 1), size):
-            chosen = set(subset) | {0}          # indices j (0-based) with k_{j+1} in p + {k_1}
+            chosen = set(subset)                # indices j > 0 (0-based) with k_{j+1} in p; j = 0 always is
             out = base[:]
+            m = 0
             for i in range(1, s):               # paper's i = 2..s, 0-based i
-                # anchor to the nearest chosen predecessor: the one whose top
+                # anchor to the nearest chosen predecessor m: the one whose top
                 # edge has the smallest position among those still above t_i
-                m = max(j for j in chosen if j < i)
                 a, b = k_list[i], k_list[m]
                 out[t_list[i]] = (a, b) if a < b else (b, a)
+                if i in chosen:
+                    m = i
             terms.append((out, 1 if size % 2 else -1))
-    roots = g.roots
     expansion = {}
     for out, c in terms:
-        del out[t_list[0]]
-        # every edge is a (min, max) pair in [1, n-1]; only a repeat can occur
-        if len(set(out)) < len(out):
-            seen = set()
-            for e in out:
-                if e in seen:
-                    raise ValueError(f"duplicate edge {e}")
-                seen.add(e)
-        h = _graph(n - 1, roots, tuple(out))
+        h = _residue_term(n, roots, out, t_list[0])
         expansion[h] = expansion.get(h, 0) + c
     return _sum(n - 1, roots, expansion)
+
+
+def _residue_term(n, roots, out, top):
+    """The graph on [n-1] of the rewired edge list out, less the edge at
+    position top; ValueError on a repeated edge."""
+    del out[top]
+    # every edge is a (min, max) pair in [1, n-1]; only a repeat can occur
+    if len(set(out)) < len(out):
+        seen = set()
+        for e in out:
+            if e in seen:
+                raise ValueError(f"duplicate edge {e}")
+            seen.add(e)
+    return _graph(n - 1, roots, tuple(out))
 
 
 def _residue_surgery(g, k):
@@ -486,16 +510,18 @@ def _residue_surgery(g, k):
     n = g.n
     edges = g.edges
     pos = _top_position(g, k)
-    merged = tuple((p, k) if q == n else (p, q) for p, q in edges[:pos] + edges[pos + 1 :])
-    return (1 if (len(edges) - pos) % 2 else -1), merged, _free_columns(n - 1, g.roots)
+    merged = [(p, k) if q == n else (p, q) for p, q in edges]
+    del merged[pos]
+    return (1 if (len(edges) - pos) % 2 else -1), tuple(merged), _free_columns(n - 1, g.roots)
 
 
 def omega_residue_direct(g, k, x):
     """Residue coefficient at x_n = x_k computed by determinant surgery.
 
     The surgery is _residue_surgery's; the merged log form is evaluated by
-    log_form_det, exactly (one Fraction) at int or Fraction coordinates and
-    in floats otherwise.  Independent of residue_expand.
+    log_form_det, exactly (one Fraction, read from the point's table after
+    its first evaluation) at int or Fraction coordinates and in floats
+    otherwise.  Independent of residue_expand.
     """
     sign, merged, cols = _residue_surgery(g, k)
     value = _log_form_at(merged, cols, x)

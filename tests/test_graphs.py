@@ -579,6 +579,54 @@ def test_residue_expand_rejects_the_top_vertex_as_a_root():
         residue_expand(G(4, {1, 4}, (1, 3), (3, 4)), 3)
 
 
+def residue_expand_reference(g, k):
+    """residue_expand by the general subset rule alone, one and two top edges
+    included: the oracle of the module's one-term shortcuts."""
+    n, edges = g.n, g.edges
+    pos_nk = edges.index((k, n))
+    t_list = [pos for pos in range(len(edges) - 1, pos_nk - 1, -1) if edges[pos][1] == n]
+    k_list = [edges[pos][0] for pos in t_list]
+    s = len(t_list)
+    base = [((p, k) if p < k else (k, p)) if q == n else (p, q) for p, q in edges]
+    terms = [(base, 1)] if s == 1 else []
+    for size in range(s - 1):
+        for subset in itertools.combinations(range(1, s - 1), size):
+            chosen = set(subset) | {0}
+            out = base[:]
+            for i in range(1, s):
+                m = max(j for j in chosen if j < i)
+                a, b = k_list[i], k_list[m]
+                out[t_list[i]] = (a, b) if a < b else (b, a)
+            terms.append((out, 1 if size % 2 else -1))
+    expansion = {}
+    for out, c in terms:
+        del out[t_list[0]]
+        h = OrderedRootedGraph(n - 1, g.roots, tuple(out))
+        expansion[h] = expansion.get(h, 0) + c
+    return GraphSum(n - 1, g.roots, expansion)
+
+
+def residue_pairs(n):
+    """Every (g, k) of the r = 2 and r = 3 wedge-chain supports on [n]."""
+    for r in (2, 3):
+        for g in all_wedge_supports(n, r):
+            for k in sorted({o for (p, q) in g.edges for o in (p, q) if g.n in (p, q) and o != g.n}):
+                yield g, k
+
+
+def test_residue_expand_equals_the_subset_loop_reference():
+    # same terms, coefficients and insertion order, on the one-term cases
+    # (one or two top edges at or above (n, k)) as on the longer ones
+    counts = {}
+    for g, k in (pair for n in range(3, 7) for pair in residue_pairs(n)):
+        got, want = residue_expand(g, k), residue_expand_reference(g, k)
+        assert (got.n, got.roots) == (want.n, want.roots)
+        assert [(h.edges, c) for h, c in got.terms.items()] == [(h.edges, c) for h, c in want.terms.items()]
+        s = sum(1 for e in g.edges[g.edges.index((k, g.n)) :] if e[1] == g.n)
+        counts[s] = counts.get(s, 0) + 1
+    assert sorted(counts) == [1, 2, 3, 4]
+
+
 def test_residue_terms_equal_validated_graphs():
     # the terms skip validation; each equals (and hashes as) the graph the
     # validating constructor builds from its edges
@@ -664,6 +712,70 @@ def test_point_memo_coincident_exact_point_raises_every_time():
     for _ in range(2):
         with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
             omega_residue_direct(MEMO_GRAPH, 3, x)
+
+
+def form_table():
+    """The log-form values kept with the last exact point, by (edges, cols)."""
+    return graphs._last_point[-1]
+
+
+def residue_values(g, k, x):
+    """omega_residue_direct(g, k, x) and omega_coefficient at x of each term
+    of residue_expand(g, k), in term order."""
+    return [omega_residue_direct(g, k, x)] + [omega_coefficient(h, x) for h in residue_expand(g, k).terms]
+
+
+def test_warm_form_table_equals_a_cold_evaluation_in_value_and_type():
+    rng = random.Random(25)
+    for n in range(3, 7):
+        x = rational_point(n - 1, rng)
+        pairs = list(residue_pairs(n))
+        first = [residue_values(g, k, x) for g, k in pairs]
+        keys = len(form_table())
+        warm = [residue_values(g, k, x) for g, k in pairs]
+        # the second pass reads the table and adds no form to it
+        assert len(form_table()) == keys
+        # a new point object per pair starts an empty table each time
+        cold = [residue_values(g, k, fresh(x)) for g, k in pairs]
+        assert warm == first == cold
+        for got, want in zip(warm, cold):
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_form_table_holds_only_the_last_points_forms():
+    x = {1: Fraction(1, 9), 2: Fraction(2, 9), 3: Fraction(4, 9), 4: Fraction(5, 9), 5: Fraction(7, 9)}
+    y = {1: Fraction(1, 13), 2: Fraction(3, 13), 3: Fraction(4, 13), 4: Fraction(9, 13)}
+    for g, k in residue_pairs(5):
+        residue_values(g, k, {v: x[v] for v in range(1, 5)})
+    assert len(form_table()) > 1
+    g = G(4, {1, 2}, (1, 3), (3, 4))
+    value = omega_coefficient(g, y)
+    assert form_table() == {(g.edges, g.free_vertices): value}
+    assert value == reference_log_form(g.edges, g.free_vertices, y)
+
+
+def test_mutated_expansions_keep_a_nonzero_gap_on_a_warm_table():
+    rng = random.Random(26)
+    for n in range(3, 7):
+        x = rational_point(n - 1, rng)
+        pairs = list(residue_pairs(n))
+        for g, k in pairs:
+            residue_values(g, k, x)
+        for g, k in pairs:
+            direct = omega_residue_direct(g, k, x)
+            for j, expansion in enumerate(mutated_expansions(residue_expand(g, k))):
+                gap = direct - sum(c * omega_coefficient(h, x) for h, c in expansion.terms.items())
+                assert (gap == 0) == (j == 0)
+
+
+def test_swapped_edges_read_the_negated_value_from_a_warm_table():
+    g = G(5, {1, 2}, (2, 3), (3, 4), (1, 5))
+    h = G(5, {1, 2}, (3, 4), (2, 3), (1, 5))
+    x = rational_point(5, random.Random(27))
+    value = omega_coefficient(g, x)
+    assert value != 0 and (g.edges, g.free_vertices) in form_table()
+    assert omega_coefficient(h, x) == -value == -reference_log_form(g.edges, g.free_vertices, x)
+    assert omega_coefficient(g, x) == value and len(form_table()) == 2
 
 
 def test_common_denominator_on_ints_fractions_and_a_mix():
