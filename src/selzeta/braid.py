@@ -1,18 +1,19 @@
 """The pure-braid matrix tower and its exact verification machinery.
 
 Matrices whose entries are degree-1 homogeneous in the commuting symbols
-a_{ij} (one per unordered pair of vertices) are stored as a dictionary
-pair -> integer matrix: A = sum over pairs u of a_u * M_u.  The induction
-step that removes the top vertex maps such families to block families one
-level down, multiplying the dimension by (level - 1) and preserving the
-infinitesimal pure-braid relations, which are checked exactly on the sparse
-int64 entries of a whole family at once.  Identities involving products of
+a_{ij} (one per unordered pair of vertices), A = sum over pairs u of
+a_u * M_u, are stored as their nonzero int64 entries (symbol, row, column,
+value).  The induction step that removes the top vertex places a family's
+entries into block families one level down, multiplying the dimension by
+(level - 1) and preserving the infinitesimal pure-braid relations, which
+are checked exactly by joining the entries of a whole family at once; each
+tower level is built once per process.  Identities involving products of
 tower matrices are verified after instantiating the symbols with an exact
 relation-satisfying matrix family (one extra induction level over random
 rationals), so no normal form for the symbol ring is ever needed.  These
 exact identities run on matrices of Python integers that carry one common
 denominator, divided out once at the end.  The recursion coordinate is
-built from only the column blocks it reads, found through the nonzero
+built from only the column blocks it reads, found through the stored
 entries of the tower rows; the rest of the column is never formed.
 """
 
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,84 +38,92 @@ def _divide(num, den):
 
 def ascending_factorial(a, b):
     """a (a+1) ... (a+b-1); empty product for b = 0."""
-    out = 1
-    for t in range(b):
-        out *= a + t
-    return out
+    return math.prod(range(a, a + b))
 
 
 def tower_dim(k, n):
     """k (k+1) ... (n-1)."""
-    out = 1
-    for t in range(k, n):
-        out *= t
-    return out
+    return math.prod(range(k, n))
 
 
 # ---------------------------------------------------------------------------
 # degree-1 symbolic matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _code(u):
+    """The number of the pair u = (i, j), i < j, in the order (1,2), (1,3),
+    (2,3), (1,4), ...: the same at every level."""
+    return (u[1] - 1) * (u[1] - 2) // 2 + u[0] - 1
+
+
+def _pair_of(c):
+    """The pair that _code numbers c."""
+    t = (1 + math.isqrt(1 + 8 * c)) // 2
+    return (c - t * (t - 1) // 2 + 1, t + 1)
+
+
+def _take(size, which):
+    """Positions, in the concatenation of arrays of the given sizes, of the
+    entries of arrays which[0], which[1], ... in turn."""
+    count = size[which]
+    return np.repeat((np.cumsum(size) - size)[which] - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 class LinearMatrix:
-    """Matrix with entries linear in the pair symbols: sum_u a_u * M_u."""
+    """Matrix with entries linear in the pair symbols: sum_u a_u * M_u.
 
-    dim: int
-    terms: dict = field(default_factory=dict)
+    `entries` is one read-only int64 array of rows (symbol, row, column,
+    value), symbols numbered by _code, each symbol's entries consecutive in
+    the order of the given terms, the order in which evaluate adds them.
+    """
 
-    def __post_init__(self):
-        cleaned, seen = {}, set()
-        for u, m in self.terms.items():
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim, terms=None):
+        parts, seen = [np.zeros((4, 0), dtype=np.int64)], set()
+        for u, m in (terms or {}).items():
             key = pair(*u)
             if key in seen:
                 raise ValueError(f"matrix terms give the pair ({key[0]},{key[1]}) twice")
             seen.add(key)
             m = np.asarray(m, dtype=np.int64)
-            if m.shape != (self.dim, self.dim):
+            if m.shape != (dim, dim):
                 raise ValueError("term shape mismatch")
-            if m.any():
-                cleaned[key] = m
-        object.__setattr__(self, "terms", cleaned)
+            row, col = np.nonzero(m)
+            parts.append(np.stack([np.full(len(row), _code(key)), row, col, m[row, col]]))
+        self.dim, self.entries = dim, np.concatenate(parts, axis=1)
+        self.entries.flags.writeable = False
 
-    def __add__(self, other):
-        terms = {u: m.copy() for u, m in self.terms.items()}
-        for u, m in other.terms.items():
-            terms[u] = terms.get(u, 0) + m
-        return LinearMatrix(self.dim, terms)
+    @classmethod
+    def _of(cls, dim, entries):
+        """The matrix stored as the given read-only entries array."""
+        out = cls.__new__(cls)
+        out.dim, out.entries = dim, entries
+        return out
 
-    def __neg__(self):
-        return LinearMatrix(self.dim, {u: -m for u, m in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    @staticmethod
-    def block(grid, dims):
-        """Assemble from a square grid of LinearMatrix / None blocks."""
-        total = sum(dims)
-        offs = np.concatenate(([0], np.cumsum(dims)))
-        terms = {}
-        for bi, row in enumerate(grid):
-            for bj, cell in enumerate(row):
-                if cell is None:
-                    continue
-                for u, m in cell.terms.items():
-                    tgt = terms.setdefault(u, np.zeros((total, total), dtype=np.int64))
-                    tgt[offs[bi] : offs[bi + 1], offs[bj] : offs[bj + 1]] = m
-        return LinearMatrix(total, terms)
+    @property
+    def terms(self):
+        """{pair: M_u} as new read-only dense int64 arrays, in the stored order."""
+        sym, row, col, val = self.entries
+        out = {}
+        for c in dict.fromkeys(sym.tolist()):
+            m = out[_pair_of(c)] = np.zeros((self.dim, self.dim), dtype=np.int64)
+            m[row[sym == c], col[sym == c]] = val[sym == c]
+            m.flags.writeable = False
+        return out
 
     def evaluate(self, alpha):
         """Numeric matrix sum_u alpha[u] * M_u: exact, in Python ints (object
         dtype, no overflow), when every value is an int; float64 otherwise,
-        Fractions included, through float(alpha[u])."""
-        if all(type(v) is int for v in alpha.values()):
-            out = np.zeros((self.dim, self.dim), dtype=object)
-            for u, m in self.terms.items():
-                out = out + m.astype(object) * alpha[u]
-        else:
-            out = np.zeros((self.dim, self.dim))
-            for u, m in self.terms.items():
-                out = out + m * float(alpha[u])
+        Fractions included, through float(alpha[u]), adding each entry's
+        symbols in the stored order."""
+        exact = all(type(v) is int for v in alpha.values())
+        out = np.zeros((self.dim, self.dim), dtype=object if exact else float)
+        scale = {}
+        for c, i, j, v in self.entries.T.tolist():
+            if c not in scale:
+                scale[c] = alpha[_pair_of(c)] if exact else float(alpha[_pair_of(c)])
+            out[i, j] += v * scale[c]
         return out
 
 
@@ -120,7 +131,7 @@ class LinearMatrix:
 # the induction step and the tower
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class BraidFamily:
     """Matrices A_{ij}, 1 <= i < j <= level, over a shared entry type."""
 
@@ -145,60 +156,80 @@ def ind_step(fam):
     The (i, j) output is the (k-1) x (k-1) block matrix with A_ij on the
     diagonal except positions (i, i) = A_ij + A_kj and (j, j) = A_ij + A_ki,
     and off-diagonal blocks (i, j) = -A_ki, (j, i) = -A_kj, where k is the
-    removed top vertex.
+    removed top vertex.  The entries are placed by index arithmetic, summed
+    where they meet and zeros dropped; an output lists the symbols of A_ij,
+    then the new ones of A_kj, then of A_ki, as a scan of dense blocks would.
     """
     k = fam.level
     if k < 3:
         raise ValueError("induction needs level >= 3")
-    sub = fam.dim
-    dims = [sub] * (k - 1)
-    out = {}
-    for i in range(1, k):
-        for j in range(i + 1, k):
-            a_ij = fam[(i, j)]
-            a_kj = fam[(j, k)]
-            a_ki = fam[(i, k)]
-            grid = [[None] * (k - 1) for _ in range(k - 1)]
-            for p in range(1, k):
-                grid[p - 1][p - 1] = a_ij
-            grid[i - 1][i - 1] = a_ij + a_kj
-            grid[j - 1][j - 1] = a_ij + a_ki
-            grid[i - 1][j - 1] = -a_ki
-            grid[j - 1][i - 1] = -a_kj
-            out[(i, j)] = LinearMatrix.block(grid, dims)
-    return BraidFamily(k - 1, out)
+    sub, dim = fam.dim, (k - 1) * fam.dim
+    index = {u: s for s, u in enumerate(all_pairs(k))}
+    ents = [fam.mats[u].entries for u in index]
+    flat = np.concatenate(ents, axis=1)
+    n_sym = int(flat[0].max(initial=0)) + 1
+    syms = [e[0][np.flatnonzero(np.diff(e[0], prepend=-1))].tolist() for e in ents]
+    outs = all_pairs(k - 1)
+    place = np.zeros((len(outs), n_sym), dtype=np.int64)  # a symbol's place in an output's order
+    pieces = []  # (output, source, sign, block row, block column)
+    for m, (i, j) in enumerate(outs):
+        ij, kj, ki = index[(i, j)], index[(j, k)], index[(i, k)]
+        for pos, c in enumerate(dict.fromkeys(syms[ij] + syms[kj] + syms[ki])):
+            place[m, c] = pos
+        pieces += [(m, ij, 1, p, p) for p in range(k - 1)]
+        pieces += [(m, kj, 1, i - 1, i - 1), (m, ki, 1, j - 1, j - 1), (m, ki, -1, i - 1, j - 1), (m, kj, -1, j - 1, i - 1)]
+    out, src, sign, bi, bj = np.array(pieces, dtype=np.int64).T
+    size = np.array([e.shape[1] for e in ents])
+    take, count = _take(size, src), size[src]
+    sym, row, col, val = flat[:, take]
+    out = np.repeat(out, count)
+    row, col, val = row + np.repeat(bi * sub, count), col + np.repeat(bj * sub, count), val * np.repeat(sign, count)
+    key = ((out * n_sym + place[out, sym]) * dim + row) * dim + col
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    val = np.add.reduceat(val[order], starts)
+    first = order[starts][val != 0]
+    entries = np.stack([sym[first], row[first], col[first], val[val != 0]])
+    entries.flags.writeable = False
+    bounds = np.searchsorted(out[first], np.arange(len(outs) + 1))
+    return BraidFamily(k - 1, {u: LinearMatrix._of(dim, entries[:, a:b]) for u, a, b in zip(outs, bounds, bounds[1:])})
+
+
+@functools.cache
+def _tower_level(n, k):
+    """Level k of the symbolic tower from n, built once per process from level
+    k + 1; read-only, so that every caller may share it."""
+    fam = ind_step(_tower_level(n, k + 1)) if k < n else BraidFamily(n, {u: LinearMatrix(1, {u: [[1]]}) for u in all_pairs(n)})
+    if fam.dim != tower_dim(k, n):
+        raise ValueError("tower dimension mismatch")
+    return BraidFamily(k, MappingProxyType(fam.mats))
 
 
 def build_tower(n, r):
     """Symbolic families for levels n down to r, capped at n <= 6 (dimension
-    120 at level 2); a numeric family is tower[k].evaluate(alpha)."""
+    120 at level 2), in a new dict of the shared levels (_tower_level); a
+    numeric family is tower[k].evaluate(alpha)."""
     if n > 6:
         raise ValueError("symbolic tower capped at n = 6")
     if not (2 <= r <= n):
         raise ValueError("need 2 <= r <= n")
-    mats = {u: LinearMatrix(1, {u: [[1]]}) for u in all_pairs(n)}
-    fam = BraidFamily(n, mats)
-    tower = {n: fam}
-    for k in range(n, r, -1):
-        fam = ind_step(fam)
-        tower[k - 1] = fam
-    for k, f in tower.items():
-        if f.dim != tower_dim(k, n):
-            raise ValueError("tower dimension mismatch")
-    return tower
+    return {k: _tower_level(n, k) for k in range(n, r - 1, -1)}
 
 
+@functools.cache
 def _relations(k):
-    """The infinitesimal pure-braid relations of level k as (description, P sides, Q side):
-    [A_ij, A_kl] for disjoint pairs, then [A_ij + A_jk, A_ik] for every triple."""
-    out = []
-    for (i, j), (a, b) in itertools.combinations(all_pairs(k), 2):
-        if len({i, j, a, b}) == 4:
-            out.append((f"[A{i}{j}, A{a}{b}]", ((i, j),), (a, b)))
+    """Descriptions of the pure-braid relations of level k, [A_ij, A_kl] for
+    disjoint pairs, then [A_ij + A_jk, A_ik] for every triple, and read-only
+    (relation, place in all_pairs(k)) rows of their P and of their Q sides."""
+    pairs = all_pairs(k)
+    rels = [(((i, j),), (a, b)) for (i, j), (a, b) in itertools.combinations(pairs, 2) if len({i, j, a, b}) == 4]
     for a, b, c in itertools.combinations(range(1, k + 1), 3):
-        for x, y, z in [((a, b), (b, c), (a, c)), ((a, b), (a, c), (b, c)), ((a, c), (b, c), (a, b))]:
-            out.append((f"[A{x[0]}{x[1]} + A{y[0]}{y[1]}, A{z[0]}{z[1]}]", (x, y), z))
-    return out
+        rels += [((x, y), z) for x, y, z in [((a, b), (b, c), (a, c)), ((a, b), (a, c), (b, c)), ((a, c), (b, c), (a, b))]]
+    descs = tuple(f"[{' + '.join(f'A{a}{b}' for a, b in us)}, A{v[0]}{v[1]}]" for us, v in rels)
+    ps = np.array([(r, pairs.index(u)) for r, (us, _) in enumerate(rels) for u in us], dtype=np.int64).reshape(-1, 2).T
+    qs = np.array([(r, pairs.index(v)) for r, (_, v) in enumerate(rels)], dtype=np.int64).reshape(-1, 2).T
+    ps.flags.writeable = qs.flags.writeable = False
+    return descs, ps, qs
 
 
 def _join(left, right):
@@ -218,39 +249,26 @@ def pure_braid_defects(fam):
     Checks [A_ij, A_kl] for disjoint pairs and [A_ij + A_jk, A_ik] for all
     triples; returns (description, defect) pairs with a nonzero exact defect,
     the largest integer coefficient of the commutator grouped by degree-2
-    monomial a_v a_w.  The whole family is one sparse int64 pass: each
-    matrix's nonzero entries (symbol, row, column, value) are taken once,
-    every relation's P and Q sides are stacked with a relation id, the
-    products P[i, j] Q[j, k] and -Q[i, j] P[j, k] come from a join on
-    (relation, j), and the products are summed per (relation, monomial, i, k).
+    monomial a_v a_w.  Level 2 has no relations.  A family is one int64 pass
+    over its stored entries: every relation's P and Q sides are gathered with
+    a relation id, the products P[i, j] Q[j, k] and -Q[i, j] P[j, k] come from
+    a join on (relation, j) and are summed per (relation, monomial, i, k).
     """
-    rels = _relations(fam.level)
+    descs, p_side, q_side = _relations(fam.level)
+    if not descs:
+        return []
     d = fam.dim
-    syms = sorted({v for m in fam.mats.values() for v in m.terms})
-    n_sym = len(syms)
-    index = {v: s for s, v in enumerate(syms)}
-    entries = {}  # pair -> (symbol, row, column, value) arrays of its nonzero entries
-    for u, m in fam.mats.items():
-        if not m.terms:
-            continue
-        stack = np.stack(list(m.terms.values()))
-        t, i, j = np.nonzero(stack)
-        entries[u] = (np.array([index[v] for v in m.terms])[t], i, j, stack[t, i, j])
-    big = max((int(np.abs(e[3]).max()) for e in entries.values()), default=0)
+    ents = [fam[u].entries for u in all_pairs(fam.level)]
+    flat = np.concatenate(ents, axis=1)
+    big = int(np.abs(flat[3]).max(initial=0))
     # a coefficient sums 8 d products of two entries at most: 2 d per join
     # and monomial order, doubled where P stacks two matrices
     if 8 * d * big * big >= 2**63:
         raise OverflowError("commutator coefficients exceed the int64 range")
-
-    def side(members):
-        """(relation, symbol, row, column, value) of the stacked sides."""
-        parts = [(np.full(len(entries[u][0]), r),) + entries[u] for r, u in members if u in entries]
-        if not parts:
-            return [np.zeros(0, dtype=np.int64)] * 5
-        return [np.concatenate(x).astype(np.int64) for x in zip(*parts)]
-
-    ps = side((r, u) for r, (_, us, _) in enumerate(rels) for u in us)
-    qs = side((r, v) for r, (_, _, v) in enumerate(rels))
+    n_sym = int(flat[0].max(initial=0)) + 1
+    size = np.array([e.shape[1] for e in ents])
+    # (relation, symbol, row, column, value) of the P sides and of the Q sides
+    ps, qs = ([np.repeat(rel, size[mat]), *flat[:, _take(size, mat)]] for rel, mat in (p_side, q_side))
     keys, vals = [], []
     for (rel, s1, i, j, x), (rel2, s2, j2, k, y), sign in [(ps, qs, 1), (qs, ps, -1)]:
         li, ri = _join(rel * d + j, rel2 * d + j2)
@@ -258,14 +276,12 @@ def pure_braid_defects(fam):
         keys.append(((rel[li] * n_sym * n_sym + lo * n_sym + hi) * d + i[li]) * d + k[ri])
         vals.append(sign * x[li] * y[ri])
     keys, vals = np.concatenate(keys), np.concatenate(vals)
-    if not len(keys):
-        return []
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    defect = np.zeros(len(rels), dtype=np.int64)
+    defect = np.zeros(len(descs), dtype=np.int64)
     np.maximum.at(defect, keys[starts] // (n_sym * n_sym * d * d), np.abs(np.add.reduceat(vals, starts)))
-    return [(desc, int(v)) for (desc, _, _), v in zip(rels, defect) if v]
+    return [(desc, int(v)) for desc, v in zip(descs, defect) if v]
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +308,12 @@ def sample_alpha(n, rng, scale=Fraction(1)):
     raise RuntimeError("could not sample generic exponents")
 
 
-@functools.lru_cache(maxsize=None)
-def _symbolic_tower(n, r):
-    """build_tower(n, r), built once per (n, r) for its readers, which only
-    read it: the exact checks (matrix_generators, stacked_column,
-    eta_gamma_check), spectrum and transport.projection_identity_check.  The
-    pure-braid check builds its own towers, so the n = 6 tower is not kept."""
-    return build_tower(n, r)
-
-
 def matrix_generators(n, rng):
     """Exact noncommuting d x d matrices G_u (d = n) satisfying the pure-braid
     relations for [n]: one induction step from level n+1 at random rationals
     p/1000.  Returned as (1000, {u: 1000 G_u}), the integer matrices over
     their common denominator."""
-    top = _symbolic_tower(n + 1, n)
+    top = build_tower(n + 1, n)
     fam = top[n].evaluate({u: rng.randint(40, 160) for u in all_pairs(n + 1)})
     return 1000, {u: fam.mats[u] for u in all_pairs(n)}
 
@@ -342,10 +349,7 @@ def spectrum_formula(S, k, n, alpha, reduced=False):
 
 def reduced_dim(k, n):
     """(k-1) k ... (n-2): the fully reduced block-sum-zero subspace dimension."""
-    out = 1
-    for j in range(k, n):
-        out *= j - 1
-    return out
+    return math.prod(range(k - 1, n - 1))
 
 
 def reduced_basis(k, n):
@@ -358,11 +362,7 @@ def reduced_basis(k, n):
     """
     basis = np.ones((1, 1))
     for j in range(n - 1, k - 1, -1):
-        diff = np.zeros((j, j - 1))
-        for i in range(j - 1):
-            diff[i, i] = 1.0
-            diff[i + 1, i] = -1.0
-        basis = np.kron(diff, basis)
+        basis = np.kron(np.eye(j, j - 1) - np.eye(j, j - 1, -1), basis)
     return basis
 
 
@@ -387,10 +387,12 @@ def spectrum(S, k, n, alpha):
     """Formula multiset vs dense eigensolver, full and reduced variants."""
     if len(S) < 2:
         raise ValueError("need |S| >= 2")
+    if len(set(S)) != len(S):
+        raise ValueError(f"S = {tuple(S)} repeats a vertex")
     if not set(S) <= set(range(1, k + 1)):
         raise ValueError("S must sit inside [1, k]")
-    fam = _symbolic_tower(n, k)[k].evaluate(alpha)
-    a = sum(fam.mats[pair(i, j)] for i, j in itertools.combinations(sorted(S), 2))
+    fam = build_tower(n, k)[k]
+    a = sum(fam[(i, j)].evaluate(alpha) for i, j in itertools.combinations(sorted(S), 2))
     eig, vecs = np.linalg.eig(a)
     if np.abs(eig.imag).max() > 1e-9:
         raise ArithmeticError("unexpected complex spectrum")
@@ -400,10 +402,7 @@ def spectrum(S, k, n, alpha):
     numeric_red = sorted(np.linalg.eigvals(red).real)
     formula = spectrum_formula(S, k, n, alpha)
     formula_red = spectrum_formula(S, k, n, alpha, reduced=True)
-    gap = max(
-        max(abs(x - y) for x, y in zip(formula, numeric)),
-        max(abs(x - y) for x, y in zip(formula_red, numeric_red)),
-    )
+    gap = max(max(abs(x - y) for x, y in zip(f, e)) for f, e in [(formula, numeric), (formula_red, numeric_red)])
     return SpectrumReport(gap, cond, inv_defect)
 
 
@@ -430,8 +429,8 @@ def _integer_column(I, x, scale, igens, tower):
     Block b of the column after the level-k step is Q / (x_{k+1} - x_i)
     times row block rest of the lifted A^{(k+1)}_{i,k+1} applied to the
     previous column, with (i, rest) = divmod(b, tower[k+1].dim), so it reads
-    only the previous blocks j where some M_u[rest, j] is nonzero.  The blocks are formed on
-    demand from the requested one down, each once.  Every level multiplies
+    only the previous blocks j of the stored entries (u, rest, j, M_u[rest, j]) of that
+    row.  The blocks are formed on demand from the requested one down, each once.  Every level multiplies
     the generators scaled by D and the gap inverses scaled by their lcm
     Q_top, so the blocks stay integral and their one denominator is the
     product of Q_top D over the tops above the coordinate's level.
@@ -450,10 +449,10 @@ def _integer_column(I, x, scale, igens, tower):
             return igens[pair(b + 1, n)] * gaps[n][1][b]
         fam = tower[k + 1]
         i, rest = divmod(b, fam.dim)
+        e = fam[(i + 1, k + 1)].entries
         out = np.zeros((d, d), dtype=object)
-        for u, m in fam[(i + 1, k + 1)].terms.items():
-            for j in np.flatnonzero(m[rest]):
-                out = out + int(m[rest, j]) * (igens[u] @ block(k + 1, int(j)))
+        for c, _, j, v in e[:, e[1] == rest].T.tolist():
+            out = out + v * (igens[_pair_of(c)] @ block(k + 1, j))
         return out * gaps[k + 1][1][i]
 
     return block(level, _coord_offset(I)), den
@@ -478,7 +477,7 @@ def stacked_column(I, x, gens):
     Needs r < n.
     """
     _require_entries(I)
-    return _divide(*_integer_column(I, x, *gens, _symbolic_tower(I.n, I.r)))
+    return _divide(*_integer_column(I, x, *gens, build_tower(I.n, I.r)))
 
 
 def eta_gamma_check(I, rng, x=None, gens=None):
@@ -501,7 +500,7 @@ def eta_gamma_check(I, rng, x=None, gens=None):
         vals = rng.sample(range(1, 1000), n)
         x = {v: Fraction(vals[v - 1], 1009) for v in range(1, n + 1)}
     scale, igens = gens
-    lhs, lhs_den = _integer_column(I, x, scale, igens, _symbolic_tower(n, r))
+    lhs, lhs_den = _integer_column(I, x, scale, igens, build_tower(n, r))
     d = lhs.shape[0]
     # term g is coef * (D^|E| a_g) with coef = c * omega_g / D^|E|
     coefs, products = [], []

@@ -8,8 +8,8 @@ two-letter series element is the same matching in ncalg
 (associator_series), and its zeta-combination form lives in mzv
 (associator_symbolic); both are re-exported here.  The projection check
 builds its zeta-combination element once per process (_symbolic_element)
-and reads its symbolic tower from braid's per-process store
-(_symbolic_tower); both are only read.  Its vertex-2 limits are exact face
+and reads its symbolic tower from braid's per-process store (build_tower);
+both are only read.  Its vertex-2 limits are exact face
 terms, weight-0 Taylor coefficients along a ray of exponents
 (alpha_limit_check).
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import _symbolic_tower
+from .braid import build_tower
 from .graphs import IndexTuple, index_tuples, pair, wedge_chain
 from .mzv import associator_symbolic
 from .ncalg import NCSeries, all_words, nc_letter, series_exp, series_inv, series_mul, series_scale
@@ -458,7 +458,7 @@ def projection_identity_check(n, alpha, tol=None):
     zeta-combination element evaluated numerically and mapped through the
     residue pair.
     """
-    tower = _symbolic_tower(n, 3)
+    tower = build_tower(n, 3)
     rho_x = tower[3].mats[pair(1, 3)].evaluate(alpha)
     rho_y = tower[3].mats[pair(2, 3)].evaluate(alpha)
     conn = ConnectionPair(rho_x, rho_y)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from selzeta.braid import (
     _coord_offset,
     _divide,
     _integer_column,
-    _symbolic_tower,
+    _tower_level,
     all_pairs,
     ascending_factorial,
     build_tower,
@@ -148,28 +149,159 @@ def test_corrupted_entry_detected():
     assert pure_braid_defects(BraidFamily(3, bad)) != []
 
 
+# ---------------------------------------------------------------------------
+# the dense construction that the stored entries replace, as a reference
+# ---------------------------------------------------------------------------
+
+def dense_add(p, q):
+    """Sum of two dense terms dicts {pair: M_u}: p's symbols, then q's new
+    ones, and a symbol whose matrices cancel is dropped."""
+    out = {u: m.copy() for u, m in p.items()}
+    for u, m in q.items():
+        out[u] = out[u] + m if u in out else m.copy()
+    return {u: m for u, m in out.items() if m.any()}
+
+
+def dense_block(grid, sub):
+    """Dense terms of a square grid of terms dicts / None, each block sub x sub;
+    a symbol is listed where a row-major scan of the blocks first meets it."""
+    total = len(grid) * sub
+    terms = {}
+    for bi, row in enumerate(grid):
+        for bj, cell in enumerate(row):
+            if cell is None:
+                continue
+            for u, m in cell.items():
+                tgt = terms.setdefault(u, np.zeros((total, total), dtype=np.int64))
+                tgt[bi * sub : (bi + 1) * sub, bj * sub : (bj + 1) * sub] = m
+    return terms
+
+
+def dense_ind_step(k, mats, sub):
+    """The induction step on {pair: terms dict} families of sub x sub matrices."""
+    out = {}
+    for i in range(1, k):
+        for j in range(i + 1, k):
+            a_ij, a_kj, a_ki = mats[(i, j)], mats[(j, k)], mats[(i, k)]
+            grid = [[None] * (k - 1) for _ in range(k - 1)]
+            for p in range(k - 1):
+                grid[p][p] = a_ij
+            grid[i - 1][i - 1] = dense_add(a_ij, a_kj)
+            grid[j - 1][j - 1] = dense_add(a_ij, a_ki)
+            grid[i - 1][j - 1] = {u: -m for u, m in a_ki.items()}
+            grid[j - 1][i - 1] = {u: -m for u, m in a_kj.items()}
+            out[(i, j)] = dense_block(grid, sub)
+    return out
+
+
+def dense_tower(n, r):
+    """{level: {pair: terms dict}} for levels n down to r, built densely."""
+    mats = {u: {u: np.ones((1, 1), dtype=np.int64)} for u in all_pairs(n)}
+    tower = {n: mats}
+    for k in range(n, r, -1):
+        mats = dense_ind_step(k, mats, tower_dim(k, n))
+        tower[k - 1] = mats
+    return tower
+
+
+def dense_evaluate(terms, alpha):
+    """sum_u float(alpha[u]) M_u over the dense terms, in their order."""
+    d = next(iter(terms.values())).shape[0]
+    out = np.zeros((d, d))
+    for u, m in terms.items():
+        out = out + m * float(alpha[u])
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stored_entries_match_the_dense_construction(n):
+    # every level, pair and symbol, in the dense symbol order
+    ref = dense_tower(n, 2)
+    tower = build_tower(n, 2)
+    assert list(tower) == list(ref)
+    for k, fam in tower.items():
+        assert list(fam.mats) == list(ref[k])
+        for u, m in fam.mats.items():
+            terms = m.terms
+            assert list(terms) == list(ref[k][u])
+            for v, t in terms.items():
+                assert t.dtype == np.int64 and np.array_equal(t, ref[k][u][v])
+
+
+def test_evaluate_adds_the_symbols_in_the_dense_order():
+    # at n = 5 another order changes some float results, so equality pins it
+    rng = random.Random(43)
+    reordered = 0
+    for n in (3, 4, 5):
+        ref = dense_tower(n, 2)
+        alpha = sample_alpha(n, rng)
+        for values in (alpha, {u: float(v) for u, v in alpha.items()}):
+            for k, fam in build_tower(n, 2).items():
+                for u, m in fam.mats.items():
+                    want = dense_evaluate(ref[k][u], values)
+                    assert np.array_equal(m.evaluate(values), want)
+                    reversed_terms = dict(reversed(list(ref[k][u].items())))
+                    reordered += not np.array_equal(dense_evaluate(reversed_terms, values), want)
+    assert reordered > 0
+
+
+def test_stored_arrays_are_read_only():
+    m = build_tower(4, 2)[3][(1, 2)]
+    with pytest.raises(ValueError):
+        m.entries[3, 0] = 7
+    with pytest.raises(ValueError):
+        m.entries.base[0, 0] = 7
+    with pytest.raises(ValueError):
+        m.terms[(1, 2)][0, 0] = 7
+    with pytest.raises(ValueError):
+        LinearMatrix(2, {(1, 2): [[1, 0], [0, 2]]}).entries[3, 0] = 7
+    with pytest.raises(TypeError):
+        build_tower(4, 2)[3].mats[(1, 2)] = m
+
+
+@pytest.mark.parametrize("first, second", [((5, 3), (5, 2)), ((5, 2), (5, 3))])
+def test_one_tower_per_n_is_shared_in_either_call_order(first, second):
+    _tower_level.cache_clear()
+    a, b = build_tower(*first), build_tower(*second)
+    assert a is not b
+    assert all(a[k] is b[k] for k in (5, 4, 3))
+    assert sorted(build_tower(5, 2)) == [2, 3, 4, 5]
+
+
+def test_the_n6_tower_is_stored_in_under_256_kb():
+    bases = {}
+    for fam in build_tower(6, 2).values():
+        for m in fam.mats.values():
+            e = m.entries if m.entries.base is None else m.entries.base
+            bases[id(e)] = e.nbytes
+    assert sum(bases.values()) < 256 * 1024
+
+
 def reference_commutator_defect(p, q):
-    """Largest coefficient of [p, q] by degree-2 monomial, in int64 matmuls pair by pair."""
+    """Largest coefficient of [p, q] by degree-2 monomial, in int64 matmuls
+    pair by pair; p and q are dense terms dicts {pair: M_u}."""
     acc = {}
-    for u, mu in p.terms.items():
-        for v, nv in q.terms.items():
+    for u, mu in p.items():
+        for v, nv in q.items():
             key = tuple(sorted((u, v)))
             acc[key] = acc.get(key, 0) + mu @ nv - nv @ mu
     return max((int(np.abs(m).max()) for m in acc.values()), default=0)
 
 
 def reference_relation_defects(fam):
-    """(description, defect) of every violated relation, one relation and one term pair at a time."""
+    """(description, defect) of every violated relation, one relation and one
+    term pair at a time, on the dense terms of the family."""
     k = fam.level
+    terms = {u: m.terms for u, m in fam.mats.items()}
     out = []
     for (i, j), (a, b) in itertools.combinations(all_pairs(k), 2):
         if len({i, j, a, b}) == 4:
-            d = reference_commutator_defect(fam[(i, j)], fam[(a, b)])
+            d = reference_commutator_defect(terms[(i, j)], terms[(a, b)])
             if d:
                 out.append((f"[A{i}{j}, A{a}{b}]", d))
     for a, b, c in itertools.combinations(range(1, k + 1), 3):
         for x, y, z in [((a, b), (b, c), (a, c)), ((a, b), (a, c), (b, c)), ((a, c), (b, c), (a, b))]:
-            d = reference_commutator_defect(fam[x] + fam[y], fam[z])
+            d = reference_commutator_defect(dense_add(terms[x], terms[y]), terms[z])
             if d:
                 out.append((f"[A{x[0]}{x[1]} + A{y[0]}{y[1]}, A{z[0]}{z[1]}]", d))
     return out
@@ -185,19 +317,48 @@ def test_stacked_commutator_defect_matches_pairwise_reference():
     # entry may land on a symbol the matrix did not carry
     seen = []
     for _ in range(12):
-        fam = rng.choice([f for f in fams if f.level >= 3 and f.dim <= 20])
-        mats = dict(fam.mats)
-        u = rng.choice(list(mats))
-        terms = {v: m.copy() for v, m in mats[u].terms.items()}
-        v = rng.choice(all_pairs(fam.level + 1))
-        m = terms.setdefault(v, np.zeros((fam.dim, fam.dim), dtype=np.int64))
-        m[rng.randrange(fam.dim), rng.randrange(fam.dim)] += rng.choice([-3, -1, 2, 5])
-        mats[u] = LinearMatrix(fam.dim, terms)
-        bad = BraidFamily(fam.level, mats)
+        bad = perturbed(rng.choice([f for f in fams if f.level >= 3 and f.dim <= 20]), rng)
         got = pure_braid_defects(bad)
         assert got == reference_relation_defects(bad)
         seen.append(len(got))
     assert max(seen) > 0
+
+
+def perturbed(fam, rng):
+    """A copy of fam with one seeded entry of one matrix moved by a small
+    integer, possibly on a symbol the matrix did not carry; fam and the
+    stored tower are left as they were."""
+    mats = dict(fam.mats)
+    u = rng.choice(list(mats))
+    terms = {v: m.copy() for v, m in mats[u].terms.items()}
+    v = rng.choice(all_pairs(fam.level + 1))
+    m = terms.setdefault(v, np.zeros((fam.dim, fam.dim), dtype=np.int64))
+    m[rng.randrange(fam.dim), rng.randrange(fam.dim)] += rng.choice([-3, -1, 2, 5])
+    mats[u] = LinearMatrix(fam.dim, terms)
+    return BraidFamily(fam.level, mats)
+
+
+def test_entry_defects_match_the_dense_commutator_on_perturbed_levels():
+    # 32 perturbations, eight at each of levels 3..6 of the n = 6 tower;
+    # level 6 is 1 x 1, where every commutator vanishes
+    rng = random.Random(41)
+    tower = build_tower(6, 2)
+    before = tower_terms(tower)
+    seen = []
+    for t in range(32):
+        bad = perturbed(tower[3 + t % 4], rng)
+        got = pure_braid_defects(bad)
+        assert got == reference_relation_defects(bad)
+        seen.append(len(got))
+    assert 0 in seen and sum(1 for c in seen if c) >= 10
+    assert_terms_equal(tower_terms(build_tower(6, 2)), before)
+
+
+def test_a_perturbed_level_two_family_has_no_relations_to_break():
+    rng = random.Random(42)
+    fam = build_tower(4, 2)[2]
+    for _ in range(3):
+        assert pure_braid_defects(perturbed(fam, rng)) == []
 
 
 def test_commutator_defect_refuses_inexact_range():
@@ -285,19 +446,23 @@ def tower_terms(tower):
     return {(k, u, v): m.copy() for k, fam in tower.items() for u, lm in fam.mats.items() for v, m in lm.terms.items()}
 
 
+def assert_terms_equal(after, before):
+    assert after.keys() == before.keys()
+    assert all(after[key].dtype == m.dtype and np.array_equal(after[key], m) for key, m in before.items())
+
+
 def test_spectrum_leaves_the_shared_tower_as_it_was():
     rng = random.Random(5)
     for n in (4, 5):
-        tower = _symbolic_tower(n, 2)
+        tower = build_tower(n, 2)
         before = tower_terms(tower)
         alpha = sample_alpha(n, rng)
         for k in (2, 3):
             for S in itertools.combinations(range(1, k + 1), 2):
                 assert spectrum(S, k, n, alpha).max_gap < 1e-9
-        assert _symbolic_tower(n, 2) is tower
-        after = tower_terms(tower)
-        assert after.keys() == before.keys()
-        assert all(after[key].dtype == m.dtype and np.array_equal(after[key], m) for key, m in before.items())
+        again = build_tower(n, 2)
+        assert all(again[k] is fam for k, fam in tower.items())
+        assert_terms_equal(tower_terms(tower), before)
 
 
 def test_spectrum_rejects_bad_subset():
@@ -306,6 +471,13 @@ def test_spectrum_rejects_bad_subset():
         spectrum({1}, 2, 4, alpha)
     with pytest.raises(ValueError):
         spectrum({1, 4}, 3, 4, alpha)
+
+
+@pytest.mark.parametrize("S", [(1, 1), (1, 2, 2)])
+def test_spectrum_refuses_a_repeated_vertex_by_name(S):
+    alpha = sample_alpha(4, random.Random(1))
+    with pytest.raises(ValueError, match=rf"^S = {re.escape(str(S))} repeats a vertex$"):
+        spectrum(S, 3, 4, alpha)
 
 
 def test_eta_gamma_three_vertices():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selzeta.braid import _symbolic_tower, build_tower, sample_alpha
+from selzeta.braid import build_tower, sample_alpha
 from selzeta.cli import LIMIT_NORM, RunConfig, run_check
 from selzeta.graphs import GraphSum, IndexTuple, OrderedRootedGraph
 from selzeta.mzv import MZVIndex, mzv_eval
@@ -339,13 +339,13 @@ def test_projection_identity_three_samples():
 
 
 def test_projection_leaves_its_shared_tower_and_element_as_they_were():
-    tower = _symbolic_tower(4, 3)
+    tower = build_tower(4, 3)
     before = {(k, u, v): m.copy() for k, fam in tower.items() for u, lm in fam.mats.items() for v, m in lm.terms.items()}
     element = dict(_symbolic_element().coeff)
     rng = random.Random(6)
     for _ in range(2):
         assert projection_identity_check(4, sample_alpha(4, rng), tol=1e-10).defect < 1e-7
-    assert _symbolic_tower(4, 3) is tower
+    assert all(build_tower(4, 3)[k] is fam for k, fam in tower.items())
     after = {(k, u, v): m for k, fam in tower.items() for u, lm in fam.mats.items() for v, m in lm.terms.items()}
     assert after.keys() == before.keys()
     assert all(after[key].dtype == m.dtype and np.array_equal(after[key], m) for key, m in before.items())
