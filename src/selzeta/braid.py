@@ -22,12 +22,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 
+from ._value import Frozen
 from .graphs import all_pairs, common_denominator, pair
 
 
@@ -131,12 +131,12 @@ class LinearMatrix:
 # the induction step and the tower
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraidFamily:
+class BraidFamily(Frozen):
     """Matrices A_{ij}, 1 <= i < j <= level, over a shared entry type."""
 
-    level: int
-    mats: dict
+    def __init__(self, level, mats):
+        d = self.__dict__
+        d["level"], d["mats"] = level, mats
 
     def __getitem__(self, ij):
         return self.mats[pair(*ij)]
@@ -376,11 +376,9 @@ def _reduced_restriction(a, k, n):
     return red, defect
 
 
-@dataclass
 class SpectrumReport:
-    max_gap: float
-    eigenvector_condition: float
-    invariance_defect: float
+    def __init__(self, max_gap, eigenvector_condition, invariance_defect):
+        self.max_gap, self.eigenvector_condition, self.invariance_defect = max_gap, eigenvector_condition, invariance_defect
 
 
 def spectrum(S, k, n, alpha):

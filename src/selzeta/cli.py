@@ -16,21 +16,17 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import Frozen
 
 SCHEMA = "selzeta-verification/1"
 
 
-@dataclass
 class VerificationReport:
-    check_id: str
-    statement: str
-    inputs: dict
-    defect: float
-    tolerance: float
-    passed: bool
-    runtime: float
+    def __init__(self, check_id, statement, inputs, defect, tolerance, passed, runtime):
+        self.check_id, self.statement, self.inputs = check_id, statement, inputs
+        self.defect, self.tolerance, self.passed, self.runtime = defect, tolerance, passed, runtime
 
     def payload(self):
         return {
@@ -43,11 +39,9 @@ class VerificationReport:
         }
 
 
-@dataclass
 class RunConfig:
-    seed: int = 0
-    profile: str = "full"
-    tol_override: float = None
+    def __init__(self, seed=0, profile="full", tol_override=None):
+        self.seed, self.profile, self.tol_override = seed, profile, tol_override
 
 
 def _rng_for(config, check_id):
@@ -327,12 +321,10 @@ def check_projection(config):
     return worst, inputs
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    statement: str
-    tolerance: float
-    runner: object
+class Check(Frozen):
+    def __init__(self, check_id, statement, tolerance, runner):
+        d = self.__dict__
+        d["check_id"], d["statement"], d["tolerance"], d["runner"] = check_id, statement, tolerance, runner
 
 
 REGISTRY = [

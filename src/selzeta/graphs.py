@@ -13,8 +13,9 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from ._value import Frozen, integer
 
 
 def pair(i, j):
@@ -29,17 +30,13 @@ def all_pairs(n):
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-@dataclass(frozen=True)
-class OrderedRootedGraph:
-    n: int
-    roots: frozenset
-    edges: tuple
-
-    def __post_init__(self):
-        n = self.n
-        object.__setattr__(self, "roots", frozenset(self.roots))
+class OrderedRootedGraph(Frozen):
+    def __init__(self, n, roots, edges):
+        n = integer(n)
+        roots = frozenset(map(integer, roots))
         norm = []
-        for p, q in self.edges:
+        for e in edges:
+            p, q = map(integer, e)
             if p == q:
                 raise ValueError("edge endpoints must be distinct")
             if not (1 <= p <= n and 1 <= q <= n):
@@ -48,10 +45,11 @@ class OrderedRootedGraph:
             if e in norm:
                 raise ValueError(f"duplicate edge {e}")
             norm.append(e)
-        object.__setattr__(self, "edges", tuple(norm))
-        if not all(1 <= v <= n for v in self.roots):
+        if not all(1 <= v <= n for v in roots):
             raise ValueError("roots outside vertex set")
-        object.__setattr__(self, "_hash", hash((n, self.roots, self.edges)))
+        edges = tuple(norm)
+        d = self.__dict__
+        d["n"], d["roots"], d["edges"], d["_hash"] = n, roots, edges, hash((n, roots, edges))
 
     # the hash is taken once, from the same fields as in _graph, so a
     # validated graph and an unvalidated one with equal fields hash alike
@@ -93,18 +91,13 @@ def empty_graph(roots):
     return OrderedRootedGraph(max(roots), roots, ())
 
 
-@dataclass
 class GraphSum:
     """Integer formal sum of ordered rooted graphs sharing (n, roots)."""
 
-    n: int
-    roots: frozenset
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.roots = frozenset(self.roots)
+    def __init__(self, n, roots, terms=None):
+        self.n, self.roots = n, frozenset(roots)
         cleaned = {}
-        for g, c in self.terms.items():
+        for g, c in (terms or {}).items():
             if (g.n, g.roots) != (self.n, self.roots):
                 raise ValueError("graph sum terms must share vertex and root sets")
             if c:
@@ -151,23 +144,20 @@ def _sum(n, roots, terms):
     return gs
 
 
-@dataclass(frozen=True)
-class IndexTuple:
+class IndexTuple(Frozen):
     """Attachment indices (i_{r+1}, ..., i_n) with 1 <= i_p <= p-1."""
 
-    r: int
-    n: int
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(i) for i in self.entries))
-        if not (2 <= self.r <= self.n):
+    def __init__(self, r, n, entries):
+        r, n, entries = integer(r), integer(n), tuple(map(integer, entries))
+        if not (2 <= r <= n):
             raise ValueError("need 2 <= r <= n")
-        if len(self.entries) != self.n - self.r:
+        if len(entries) != n - r:
             raise ValueError("entry count must be n - r")
-        for p, i in zip(range(self.r + 1, self.n + 1), self.entries):
+        for p, i in zip(range(r + 1, n + 1), entries):
             if not (1 <= i <= p - 1):
                 raise ValueError(f"entry i_{p}={i} outside [1,{p - 1}]")
+        d = self.__dict__
+        d["r"], d["n"], d["entries"] = r, n, entries
 
     def entry(self, p):
         return self.entries[p - self.r - 1]

@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import Frozen, integer
 from .ncalg import MAX_WEIGHT, all_words, check_trunc
 
 MIN_ABS_ERR = 1e-13
@@ -32,7 +32,7 @@ class NonAdmissibleIndex(ValueError):
 
 
 def check_index(parts):
-    parts = tuple(int(k) for k in parts)
+    parts = tuple(map(integer, parts))
     if not parts:
         raise NonAdmissibleIndex("empty index")
     if any(k < 1 for k in parts) or parts[-1] < 2:
@@ -40,12 +40,24 @@ def check_index(parts):
     return parts
 
 
-@dataclass(frozen=True, order=True)
-class MZVIndex:
-    parts: tuple
+class MZVIndex(Frozen):
+    """An admissible index; equal, hashed and ordered by its parts."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", check_index(self.parts))
+    def __init__(self, parts):
+        self.__dict__["parts"] = check_index(parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts < other.parts
 
     @property
     def weight(self):
@@ -222,16 +234,12 @@ def stuffle_indices(a, b):
 # combinations of zeta symbols and regularization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MZVCombo:
+class MZVCombo(Frozen):
     """Rational linear combination of admissible zeta symbols plus a constant."""
 
-    terms: dict = field(default_factory=dict)
-    const: Fraction = Fraction(0)
-
-    def __post_init__(self):
+    def __init__(self, terms=None, const=0):
         cleaned, seen = {}, set()
-        for idx, c in self.terms.items():
+        for idx, c in (terms or {}).items():
             idx = idx if isinstance(idx, MZVIndex) else MZVIndex(tuple(idx))
             if idx in seen:
                 raise ValueError(f"combination terms give the index {idx!r} twice")
@@ -239,8 +247,13 @@ class MZVCombo:
             c = Fraction(c)
             if c:
                 cleaned[idx] = c
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "const", Fraction(self.const))
+        d = self.__dict__
+        d["terms"], d["const"] = cleaned, Fraction(const)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and self.const == other.const
 
     @staticmethod
     def zero():
@@ -335,22 +348,19 @@ def shuffle_regularize(word):
 # word-graded elements with zeta-combination coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HRElement:
+class HRElement(Frozen):
     """Map word -> MZVCombo with the combo weight equal to the word degree."""
 
-    trunc: int
-    coeff: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, trunc, coeff=None):
         cleaned = {}
-        for w, combo in self.coeff.items():
-            if combo.is_zero() or len(w) > self.trunc:
+        for w, combo in (coeff or {}).items():
+            if combo.is_zero() or len(w) > trunc:
                 continue
             if combo.weight != len(w):
                 raise ValueError(f"weight grading violated at word {w!r}: {combo}")
             cleaned[w] = combo
-        object.__setattr__(self, "coeff", cleaned)
+        d = self.__dict__
+        d["trunc"], d["coeff"] = trunc, cleaned
 
     def __getitem__(self, word):
         return self.coeff.get(word, MZVCombo.zero())

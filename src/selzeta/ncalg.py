@@ -20,8 +20,9 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from ._value import Frozen
 
 X = "X"
 Y = "Y"
@@ -104,20 +105,17 @@ def _mul(n, a, b):
     return out
 
 
-@dataclass(frozen=True)
-class NCSeries:
+class NCSeries(Frozen):
     """Noncommutative polynomial truncated at total degree ``trunc``.
 
     ``coeff`` maps words to scalars; absent words have coefficient zero.
     Instances are treated as immutable: operations return new series.
     """
 
-    trunc: int
-    coeff: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, trunc, coeff=None):
+        d = self.__dict__
         # zero and over-long words go, the rest keep their order
-        object.__setattr__(self, "coeff", {w: c for w, c in self.coeff.items() if len(w) <= self.trunc and c != 0})
+        d["trunc"], d["coeff"] = trunc, {w: c for w, c in (coeff or {}).items() if len(w) <= trunc and c != 0}
 
     def __getitem__(self, word):
         return self.coeff.get(word, 0)

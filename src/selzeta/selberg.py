@@ -50,10 +50,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Frozen
 from .graphs import IndexTuple, OrderedRootedGraph, all_pairs, is_tree, log_form_det, pair, wedge_chain
 
 class QuadratureError(RuntimeError):
@@ -85,14 +85,11 @@ def _pair_reals(given, name, positive):
     return cleaned
 
 
-@dataclass(frozen=True)
-class ExponentAssignment:
+class ExponentAssignment(Frozen):
     """Finite positive real exponents alpha_{ij}, one per unordered vertex pair."""
 
-    alphas: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", _pair_reals(self.alphas, "exponent", positive=True))
+    def __init__(self, alphas):
+        self.__dict__["alphas"] = _pair_reals(alphas, "exponent", positive=True)
 
     @staticmethod
     def uniform(n, value):
@@ -150,16 +147,15 @@ def boundary_face(n, alpha, entry_lists, face, tol):
     return np.array(values), total
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    err_estimate: float
-    evaluations: int
-    # integrals that ran out of levels before their error estimate met the
-    # requested tolerance: 0 or 1 for one graph, summed over a sum
-    unconverged: int = 0
-    # integrand nodes whose value was not finite and was zeroed
-    nonfinite: int = 0
+class QuadratureResult(Frozen):
+    def __init__(self, value, err_estimate, evaluations, unconverged=0, nonfinite=0):
+        d = self.__dict__
+        d["value"], d["err_estimate"], d["evaluations"] = value, err_estimate, evaluations
+        # integrals that ran out of levels before their error estimate met the
+        # requested tolerance: 0 or 1 for one graph, summed over a sum
+        d["unconverged"] = unconverged
+        # integrand nodes whose value was not finite and was zeroed
+        d["nonfinite"] = nonfinite
 
     @property
     def converged(self):

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import Frozen
 from .braid import build_tower
 from .graphs import IndexTuple, index_tuples, pair, wedge_chain
 from .mzv import associator_symbolic
@@ -45,44 +45,35 @@ class ResonanceError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ConnectionPair:
+class ConnectionPair(Frozen):
     """Residue matrices at 0 and 1 for ds = (A/x + B/(x-1)) s dx."""
 
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.B, dtype=float)
+    def __init__(self, A, B):
+        a = np.asarray(A, dtype=float)
+        b = np.asarray(B, dtype=float)
         if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("residue matrices must be square and equal-sized")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
+        d = self.__dict__
+        d["A"], d["B"] = a, b
 
     @property
     def dim(self):
         return self.A.shape[0]
 
 
-@dataclass
 class TransportResult:
-    value: object
-    err_estimate: float
-
-    def __post_init__(self):
-        if self.err_estimate < 0:
+    def __init__(self, value, err_estimate):
+        if err_estimate < 0:
             raise ValueError("need err_estimate >= 0")
+        self.value, self.err_estimate = value, err_estimate
 
 
-@dataclass
 class MatchedTransport:
     """Regularized transport from local power-series solutions matched at 1/2."""
 
-    value: np.ndarray
-    # series terms summed on the 0 side and on the 1 side
-    terms: tuple
-    err_estimate: float
+    def __init__(self, value, terms, err_estimate):
+        # terms: the series terms summed on the 0 side and on the 1 side
+        self.value, self.terms, self.err_estimate = value, terms, err_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +412,16 @@ def rho_apply(series, rho_x, rho_y):
 # the desk-scale identity checks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ProjectionReport:
-    defect: float
-    defect_symbolic: float
-    monodromy_gap: float
-    # err_estimate of the matched regularized transport: series tail plus
-    # rounding through the eigenbases, propagated through the matching
-    limits_defect: float
-    quadrature_err: float
-    # graph integrals of the limit vectors that ran out of levels before
-    # meeting tol
-    unconverged: int
+    def __init__(self, defect, defect_symbolic, monodromy_gap, limits_defect, quadrature_err, unconverged):
+        self.defect, self.defect_symbolic, self.monodromy_gap = defect, defect_symbolic, monodromy_gap
+        # err_estimate of the matched regularized transport: series tail plus
+        # rounding through the eigenbases, propagated through the matching
+        self.limits_defect = limits_defect
+        self.quadrature_err = quadrature_err
+        # graph integrals of the limit vectors that ran out of levels before
+        # meeting tol
+        self.unconverged = unconverged
 
 
 # truncation and zeta accuracy of the symbolic element in the projection check
@@ -481,18 +470,15 @@ def projection_identity_check(n, alpha, tol=None):
     return ProjectionReport(defect, defect_sym, gap, mono.err_estimate, quad.err_estimate, quad.unconverged)
 
 
-@dataclass(frozen=True)
-class AlphaLimit:
+class AlphaLimit(Frozen):
     """alpha_limit_check's face term beside its target."""
 
-    deviation: float
-    face: float
-    target: float
-    # taylor_coefficients' bound on the face term, the target's quadrature
-    # estimate, and the target's graph integrals that ran out of levels
-    bound: float
-    target_err: float
-    unconverged: int
+    def __init__(self, deviation, face, target, bound, target_err, unconverged):
+        d = self.__dict__
+        d["deviation"], d["face"], d["target"] = deviation, face, target
+        # taylor_coefficients' bound on the face term, the target's quadrature
+        # estimate, and the target's graph integrals that ran out of levels
+        d["bound"], d["target_err"], d["unconverged"] = bound, target_err, unconverged
 
 
 def alpha_limit_check(n, entries, alpha, tol=None):

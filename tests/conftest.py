@@ -45,3 +45,33 @@ def lru_check():
             cache.cache_clear()
 
     return check
+
+
+@pytest.fixture
+def value_check():
+    """check(a, same, other, hashable, frozen): a == same and a != other,
+    through == and through !=; hash(a) == hash(same) when hashable, else
+    hash(a) raises TypeError; and when frozen, assigning or deleting any
+    attribute of a, or adding one, raises AttributeError and leaves a as it
+    was.  A class that compares by value passes as same a value built apart;
+    one that compares by identity passes a itself, and as other a value built
+    from the same arguments."""
+
+    def check(a, same, other, hashable, frozen):
+        assert a == same and not a != same
+        assert a != other and not a == other
+        if hashable:
+            assert hash(a) == hash(same)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        if frozen:
+            before = dict(vars(a))
+            for name in [*before, "extra"]:
+                with pytest.raises(AttributeError):
+                    setattr(a, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(a, name)
+            assert vars(a) == before
+
+    return check

@@ -9,6 +9,7 @@ import pytest
 from selzeta.braid import (
     BraidFamily,
     LinearMatrix,
+    SpectrumReport,
     _coord_offset,
     _divide,
     _integer_column,
@@ -394,6 +395,13 @@ def test_reduced_subspace_invariance_structural():
                     assert set(acc) == set(target.terms)
                     for u in acc:
                         assert (acc[u] == target.terms[u]).all()
+
+
+def test_braid_values_compare_hash_and_a_family_stays_frozen(value_check):
+    fam = BraidFamily(2, {(1, 2): np.eye(1)})
+    value_check(fam, fam, BraidFamily(2, {(1, 2): np.eye(1)}), hashable=True, frozen=True)
+    report = SpectrumReport(0.0, 1.0, 0.0)
+    value_check(report, report, SpectrumReport(0.0, 1.0, 0.0), hashable=True, frozen=False)
 
 
 def test_spectrum_formula_small_case():

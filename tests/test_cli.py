@@ -10,6 +10,7 @@ import selzeta
 
 from selzeta.cli import (
     REGISTRY,
+    Check,
     RunConfig,
     main,
     payload_for,
@@ -26,6 +27,15 @@ def test_registry_covers_every_criterion_once():
     for c in REGISTRY:
         assert c.statement
         assert c.tolerance >= 0.0
+
+
+def test_cli_values_compare_hash_and_a_check_stays_frozen(value_check):
+    check = Check("beta-identity", "statement", 1e-8, print)
+    value_check(check, check, Check("beta-identity", "statement", 1e-8, print), hashable=True, frozen=True)
+    config = RunConfig(seed=1)
+    value_check(config, config, RunConfig(seed=1), hashable=True, frozen=False)
+    report = run_check("beta-identity", config)
+    value_check(report, report, run_check("beta-identity", config), hashable=True, frozen=False)
 
 
 def test_unknown_check_id():

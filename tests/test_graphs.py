@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,33 @@ def test_graph_sum_compares_unequal_to_other_types():
     assert (gs == None) is False  # noqa: E711
     assert gs not in [None]
     assert gs != 0
+
+
+def test_graph_values_compare_hash_and_stay_frozen(value_check):
+    g = G(3, {1, 2}, (2, 3))
+    value_check(g, _graph(3, frozenset({1, 2}), ((2, 3),)), G(3, {1, 2}, (1, 3)), hashable=True, frozen=True)
+    value_check(GraphSum.single(g), GraphSum(3, [1, 2], {g: 1}), GraphSum(3, {1, 2}), hashable=False, frozen=False)
+    I = IndexTuple(2, 3, (1,))
+    value_check(I, I, IndexTuple(2, 3, (1,)), hashable=True, frozen=True)
+
+
+@pytest.mark.parametrize("bad", [1.7, Fraction(3, 2), Fraction(1), "1"])
+def test_index_tuple_refuses_a_non_integer_entry(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        IndexTuple(2, 4, (bad, 2))
+
+
+@pytest.mark.parametrize("bad", [3.5, Fraction(7, 2), Fraction(3), "3"])
+def test_graph_refuses_a_non_integer_vertex_count(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        OrderedRootedGraph(bad, {1, 2}, ((1, 3),))
+
+
+def test_graph_and_index_tuple_read_numpy_integers_as_ints():
+    I = IndexTuple(np.int64(2), np.int32(4), (np.int64(1), 2))
+    g = OrderedRootedGraph(np.int64(3), {np.int64(1), 2}, ((np.int64(1), np.int32(3)),))
+    assert (I.r, I.n, I.entries) == (2, 4, (1, 2)) and g == G(3, {1, 2}, (1, 3))
+    assert {type(v) for v in (I.r, I.n, *I.entries, g.n, *g.roots, *g.edges[0])} == {int}
 
 
 def fold_chain(I):

@@ -1,8 +1,10 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -122,6 +124,32 @@ def test_admissibility_guards():
         mzv_eval(MZVIndex((2,)), abs_err=1e-15)
     with pytest.raises(ValueError):
         mzv_eval(MZVIndex((9,)))
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(5, 2), Fraction(2), "2"])
+def test_an_index_refuses_a_non_integer_part(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        MZVIndex((bad,))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        mzv_eval((1, bad))
+
+
+def test_an_index_reads_numpy_integers_as_ints():
+    idx = MZVIndex((np.int64(1), np.int32(2)))
+    assert idx == MZVIndex((1, 2)) and {type(k) for k in idx.parts} == {int}
+
+
+def test_mzv_values_compare_hash_order_and_stay_frozen(value_check):
+    z = MZVIndex((1, 2))
+    value_check(z, MZVIndex([1, 2]), MZVIndex((3,)), hashable=True, frozen=True)
+    assert z != (1, 2) and MZVIndex((2,)) < MZVIndex((3,)) and not MZVIndex((3,)) < MZVIndex((2,))
+    ordered = [MZVIndex((1, 1, 2)), MZVIndex((1, 2)), MZVIndex((2,)), MZVIndex((2, 2)), MZVIndex((3,))]
+    assert sorted(reversed(ordered)) == sorted(ordered[::2] + ordered[1::2]) == ordered
+    c = MZVCombo({z: 2, (3,): 1}, Fraction(1, 2))
+    value_check(c, MZVCombo({(3,): Fraction(1), (1, 2): 2}, Fraction(2, 4)), MZVCombo({z: 2, (3,): 1}), hashable=False, frozen=True)
+    assert repr(c) == "1/2 + 2*zeta(1,2) + 1*zeta(3)"
+    h = HRElement(2, {"XY": MZVCombo.single((2,))})
+    value_check(h, h, HRElement(2, {"XY": MZVCombo.single((2,))}), hashable=True, frozen=True)
 
 
 def test_index_word_dictionary():

@@ -70,6 +70,11 @@ def random_series(trunc, rng, exact=True, zero_const=False, words_per_degree=2):
     return NCSeries(trunc, coeff)
 
 
+def test_a_series_compares_hashes_and_stays_frozen(value_check):
+    s = NCSeries(2, {"X": 1, "XY": 0})
+    value_check(s, s, NCSeries(2, {"X": 1}), hashable=True, frozen=True)
+
+
 def test_mul_one_plus_x_times_one_plus_y():
     n = 2
     a = NCSeries(n, {"": 1, "X": 1})

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -16,6 +15,7 @@ from selzeta.selberg import (
     DEFAULT_TOL,
     ExponentAssignment,
     QuadratureError,
+    QuadratureResult,
     _level_axes,
     _TaylorJets,
     beta_prototype,
@@ -732,6 +732,15 @@ def test_positivity_of_calibration_family():
     alpha = ExponentAssignment.uniform(4, 0.1)
     for entries in [(2, 2), (2, 3)]:
         assert selberg_component(IndexTuple(2, 4, entries), alpha, tol=1e-9).value > 0
+
+
+def test_selberg_values_compare_hash_and_stay_frozen(value_check):
+    alpha = ExponentAssignment.uniform(3, 0.5)
+    value_check(alpha, alpha, ExponentAssignment.uniform(3, 0.5), hashable=True, frozen=True)
+    res = QuadratureResult(0.25, 1e-12, 9)
+    value_check(res, res, QuadratureResult(0.25, 1e-12, 9), hashable=True, frozen=True)
+    # boundary_face's callers tell a component's result from a vacated 0.0
+    assert res != 0.0 and not res == 0.0
 
 
 def test_exponent_assignment_utilities():
@@ -1489,7 +1498,7 @@ def test_repeated_integral_is_a_memo_hit():
     integrate_graph(g, alpha, tol=1e-9)
     integrate_graph(g, alpha, root_values={1: 0.0, 2: 1.0})
     assert selberg._integral.cache_info()[:2] == (1, 3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         first.value = 0.0
 
 

@@ -14,7 +14,10 @@ from selzeta.ncalg import NCSeries, grouplike_defect, nc_letter, series_mul
 from selzeta import transport
 from selzeta.selberg import QuadratureResult, beta_prototype, selberg_component
 from selzeta.transport import (
+    AlphaLimit,
     ConnectionPair,
+    MatchedTransport,
+    ProjectionReport,
     ResonanceError,
     TransportResult,
     _local_solution_at_half,
@@ -35,6 +38,16 @@ from selzeta.transport import (
 
 def series_dev(a, b):
     return max(abs(a[w] - b[w]) for w in set(a.coeff) | set(b.coeff))
+
+
+def test_transport_values_compare_hash_and_stay_frozen(value_check):
+    conn = ConnectionPair([[0.3]], [[0.1]])
+    value_check(conn, conn, ConnectionPair([[0.3]], [[0.1]]), hashable=True, frozen=True)
+    limit = AlphaLimit(0.0, 1.0, 1.0, 1e-13, 1e-12, 0)
+    value_check(limit, limit, AlphaLimit(0.0, 1.0, 1.0, 1e-13, 1e-12, 0), hashable=True, frozen=True)
+    for make in (lambda: TransportResult(1.0, 0.0), lambda: MatchedTransport(1.0, (3, 4), 0.0), lambda: ProjectionReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)):
+        value = make()
+        value_check(value, value, make(), hashable=True, frozen=False)
 
 
 def test_scalar_transport_power_law():
