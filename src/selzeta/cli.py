@@ -416,11 +416,24 @@ def validate_payload(payload):
 # argparse surface
 # ---------------------------------------------------------------------------
 
+def _parse_int_list(text, what):
+    """The integers of a comma-separated list, () for an empty one; a token
+    that is not an integer raises ValueError naming it and the list."""
+    text = text.replace(" ", "")
+    out = []
+    for token in text.split(",") if text else ():
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ValueError(f"invalid literal {token!r} in {what} {text!r}: expected comma-separated integers") from None
+    return tuple(out)
+
+
 def _cmd_mzv_eval(args):
     from .mzv import MZVIndex, mzv_eval
 
     try:
-        parts = tuple(int(p) for p in args.index.replace(" ", "").split(","))
+        parts = _parse_int_list(args.index, "the index")
         value = mzv_eval(MZVIndex(parts), args.abs_err)
     except ValueError as exc:
         return _input_error(exc)
@@ -432,7 +445,7 @@ def _cmd_graph_wedge(args):
     from .graphs import IndexTuple, format_graph, wedge_chain
 
     try:
-        entries = tuple(int(i) for i in args.indices.replace(" ", "").split(","))
+        entries = _parse_int_list(args.indices, "--indices")
         gs = wedge_chain(IndexTuple(args.r, args.n, entries))
     except ValueError as exc:
         return _input_error(exc)

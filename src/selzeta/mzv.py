@@ -8,16 +8,22 @@ word X^{k_m - 1} Y X^{k_{m-1} - 1} Y ... X^{k_1 - 1} Y, read with the leftmost
 letter integrated at the upper endpoint 1.  Admissible words are exactly the
 words starting with X and ending with Y.
 
-Values that depend only on their arguments are computed once per process:
-the half-path polylogarithms and the word values per (word, series length),
-below word_eval and mzv_eval, which check abs_err on every call, and the
-shuffle regularization of each word.
+Values that depend only on their arguments are computed once per process,
+as on a trie of the words: the Taylor coefficients of each suffix, built
+from those of the suffix one letter shorter, and the half-path
+polylogarithms and word values per (word, series length), below word_eval
+and mzv_eval, which check abs_err on every call; a word value reads both
+halves of each split as suffixes, of the word and of its reversed,
+letter-swapped mirror.  The quasi-shuffle expansion of each index pair
+(stuffle_indices hands every caller a fresh Counter) and the shuffle
+regularization of each word are kept once per process too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -97,35 +103,44 @@ def is_admissible_word(word):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
+def _half_coeffs(word, terms):
+    """Taylor coefficients c_0..c_terms of the primitive of a word ending in Y.
+
+    Built from the coefficients of the suffix word[1:]: a leading X divides
+    c_n by n, a leading Y takes a prefix-sum then divides by n; the word Y
+    itself is the primitive of 1/(1-t), c_n = 1/n.  So each distinct suffix
+    costs one pass, and the words that share it read it here.  Stored as
+    array("d"): the same doubles, without a float object per entry.
+    """
+    if word == "Y":
+        return array("d", [0.0] + [1.0 / n for n in range(1, terms + 1)])
+    c = _half_coeffs(word[1:], terms)
+    if word[0] == "X":
+        return array("d", [0.0] + [cn / n for n, cn in enumerate(c[1:], 1)])
+    acc = 0.0
+    new = array("d", [0.0]) * (terms + 1)
+    for n, cn in enumerate(c[:-1], 1):
+        acc += cn
+        new[n] = acc / n
+    return new
+
+
+@functools.lru_cache(maxsize=None)
 def _half_polylog(word, terms):
     """Iterated integral of the word from 0 to 1/2.
 
-    Computed from the Taylor coefficients c_n of the primitive: appending X
-    divides c_n by n, appending Y takes a prefix-sum then divides by n.  All
-    |c_n| <= 1, so the tail past `terms` is below 2^-terms.
+    Summed from the Taylor coefficients c_n of the primitive (_half_coeffs).
+    All |c_n| <= 1, so the tail past `terms` is below 2^-terms.
     """
     if not word:
         return 1.0
     if word[-1] == "X":
         raise ValueError("integral from 0 diverges for words ending in X")
-    # innermost letter is Y: primitive of 1/(1-t) has c_n = 1/n
-    c = [0.0] + [1.0 / n for n in range(1, terms + 1)]
-    for ch in reversed(word[:-1]):
-        if ch == "X":
-            c = [0.0] + [c[n] / n for n in range(1, terms + 1)]
-        else:
-            acc = 0.0
-            new = [0.0] * (terms + 1)
-            for n in range(1, terms + 1):
-                acc += c[n - 1]
-                new[n] = acc / n
-            c = new
-    z = 0.5
     value = 0.0
     zp = 1.0
-    for n in range(1, terms + 1):
-        zp *= z
-        value += c[n] * zp
+    for cn in _half_coeffs(word, terms)[1:]:
+        zp *= 0.5
+        value += cn * zp
     return value
 
 
@@ -153,10 +168,13 @@ def word_eval(word, abs_err=1e-12):
 @functools.lru_cache(maxsize=None)
 def _word_value(word, terms):
     """word_eval of an admissible word with each factor summed to `terms` terms."""
+    # the reversed, letter-swapped prefix word[:j] is the suffix of the
+    # reversed, letter-swapped word that starts at m - j
+    m = len(word)
+    mirror = _swap_reverse(word)
     total = 0.0
-    for j in range(len(word) + 1):
-        u, v = word[:j], word[j:]
-        total += _half_polylog(_swap_reverse(u), terms) * _half_polylog(v, terms)
+    for j in range(m + 1):
+        total += _half_polylog(mirror[m - j:], terms) * _half_polylog(word[j:], terms)
     return total
 
 
@@ -206,28 +224,36 @@ def mzv_eval_nested(idx, cutoff=4000):
 def stuffle_indices(a, b):
     """Quasi-shuffle expansion of zeta(a) * zeta(b) as a Counter of index tuples.
 
-    Recursion on the largest summation variable: it comes from a, from b, or
-    from both colliding (entries add).
+    Each call returns a fresh Counter, copied from the expansion _stuffle
+    keeps once per process.  Parts are read as ints (a float or a str
+    raises ValueError), so no caller's part type reaches another caller's
+    expansion through the shared one.
     """
-    a = tuple(a.parts if isinstance(a, MZVIndex) else a)
-    b = tuple(b.parts if isinstance(b, MZVIndex) else b)
+    a = a.parts if isinstance(a, MZVIndex) else tuple(map(integer, a))
+    b = b.parts if isinstance(b, MZVIndex) else tuple(map(integer, b))
+    return Counter(_stuffle(a, b))
 
-    @functools.lru_cache(maxsize=None)
-    def rec(u, v):
-        if not u:
-            return Counter({v: 1})
-        if not v:
-            return Counter({u: 1})
-        out = Counter()
-        for t, mult in rec(u[:-1], v).items():
-            out[t + (u[-1],)] += mult
-        for t, mult in rec(u, v[:-1]).items():
-            out[t + (v[-1],)] += mult
-        for t, mult in rec(u[:-1], v[:-1]).items():
-            out[t + (u[-1] + v[-1],)] += mult
-        return out
 
-    return Counter({t: m for t, m in rec(a, b).items()})
+@functools.lru_cache(maxsize=None)
+def _stuffle(u, v):
+    """stuffle_indices(u, v), shared by every caller, so read only.
+
+    Recursion on the largest summation variable: it comes from u, from v, or
+    from both colliding (entries add); it reuses the expansions of the prefix
+    pairs.
+    """
+    if not u:
+        return Counter({v: 1})
+    if not v:
+        return Counter({u: 1})
+    out = Counter()
+    for t, mult in _stuffle(u[:-1], v).items():
+        out[t + (u[-1],)] += mult
+    for t, mult in _stuffle(u, v[:-1]).items():
+        out[t + (v[-1],)] += mult
+    for t, mult in _stuffle(u[:-1], v[:-1]).items():
+        out[t + (u[-1] + v[-1],)] += mult
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ plain dicts; exp, log and the inverse are one power-sum kernel
 (_power_sum), and an NCSeries, which drops the zero words, is built only
 where a public function returns.  The canonical element of the two-letter
 connection, by power-series matching at 1/2, lives here too, so that
-computing it needs no numpy.  The shuffle product of each pair of
-words is built once per process (_shuffle); shuffle_words hands every
-caller a fresh copy.
+computing it needs no numpy; its recursions apply each one-letter product
+and the -1 scaling as a direct key shift (_letter_bracket) and add in place,
+each key getting the sum the general kernels give it, bit for bit.  The
+shuffle product of each pair of words is built once per process (_shuffle);
+shuffle_words hands every caller a fresh copy.
 """
 
 from __future__ import annotations
@@ -102,6 +104,22 @@ def _mul(n, a, b):
             if len(v) <= room:
                 w = u + v
                 out[w] = out.get(w, 0) + cu * cv
+    return out
+
+
+def _letter_bracket(n, letter, a):
+    """The commutator [letter, a] of a float dict, to degree n.
+
+    The one-letter products are key shifts: a word w of degree < n gives
+    letter + w the value 0 + c, and then w + letter gets -(0 + c) added to
+    what it holds, the sums and signs of
+    _add(_mul(n, {letter: 1.0}, a), _scale(-1, _mul(n, a, {letter: 1.0}))).
+    """
+    kept = [(w, 0 + c) for w, c in a.items() if len(w) < n]
+    out = {letter + w: c for w, c in kept}
+    for w, c in kept:
+        w += letter
+        out[w] = out.get(w, 0) + -c
     return out
 
 
@@ -250,32 +268,33 @@ def associator_series(trunc=4):
     check_trunc(trunc)
 
     def ad_inverse(k, rhs, letter):
-        lead = {letter: 1.0}
         out = {}
         term = rhs
         scale = 1.0 / k
         for _ in range(trunc + 1):
-            out = _add(out, _scale(scale, term))
-            # the commutator [lead, term]
-            term = _add(_mul(trunc, lead, term), _scale(-1, _mul(trunc, term, lead)))
+            for w, c in term.items():
+                out[w] = out.get(w, 0) + scale * c
+            term = _letter_bracket(trunc, letter, term)
             if not any(term.values()):
                 break
             scale /= k
         return out
 
     def local_solution(letter_fix, letter_src):
-        src = {letter_src: 1.0}
         hs = [{"": 1.0}]
-        partial = hs[0]
+        partial = dict(hs[0])
         for k in range(1, _HALF_TERMS):
-            rhs = _scale(-1.0, _mul(trunc, src, partial))
+            # -letter_src * partial, as a key shift
+            rhs = {letter_src + w: -(0 + c) for w, c in partial.items() if len(w) < trunc}
             hk = ad_inverse(k, rhs, letter_fix)
             hs.append(hk)
-            partial = _add(partial, hk)
+            for w, c in hk.items():
+                partial[w] = partial.get(w, 0) + c
         value = {}
         xk = 1.0
         for h in hs:
-            value = _add(value, _scale(xk, h))
+            for w, c in h.items():
+                value[w] = value.get(w, 0) + xk * c
             xk *= 0.5
         return value
 

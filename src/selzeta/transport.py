@@ -395,15 +395,28 @@ def associator_numeric(trunc=4):
 
 
 def rho_apply(series, rho_x, rho_y):
-    """Matrix image of a truncated series under X -> rho_x, Y -> rho_y."""
+    """Matrix image of a truncated series under X -> rho_x, Y -> rho_y.
+
+    Word images are built on a prefix trie: the image of w is the image of
+    its prefix w[:-1] times the matrix of its last letter, from the identity
+    for the empty word, so each prefix costs one product.  The images are
+    summed in the series' coefficient order.
+    """
     rho_x = np.asarray(rho_x, dtype=float)
     rho_y = np.asarray(rho_y, dtype=float)
     d = rho_x.shape[0]
+    images = {"": np.eye(d)}
     out = np.zeros((d, d))
     for w, c in series.coeff.items():
-        m = np.eye(d)
-        for letter in w:
-            m = m @ (rho_x if letter == "X" else rho_y)
+        m = images.get(w)
+        if m is None:
+            # extend the longest prefix that has an image, a letter at a time
+            j = len(w) - 1
+            while w[:j] not in images:
+                j -= 1
+            m = images[w[:j]]
+            for k in range(j, len(w)):
+                m = images[w[: k + 1]] = m @ (rho_x if w[k] == "X" else rho_y)
         out = out + float(c) * m
     return out
 

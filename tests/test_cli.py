@@ -385,6 +385,25 @@ def test_cli_graph_wedge_rejects_entry_out_of_range(capsys):
     assert "entry i_3=5 outside [1,2]" in _one_error_line(argv, capsys)
 
 
+def test_cli_graph_wedge_with_no_indices_prints_the_bare_root_graph(capsys):
+    assert main(["graph", "wedge", "--n", "3", "--r", "3", "--indices", ""]) == 0
+    assert capsys.readouterr().out.splitlines() == ["+1  3 3 |"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["mzv", "eval", "1,x"], "'x' in the index '1,x'"),
+        (["mzv", "eval", "2,,3"], "'' in the index '2,,3'"),
+        (["mzv", "eval", "2.5"], "'2.5' in the index '2.5'"),
+        (["graph", "wedge", "--n", "4", "--r", "2", "--indices", "2,y"], "'y' in --indices '2,y'"),
+        (["graph", "wedge", "--n", "4", "--r", "2", "--indices", "2,"], "'' in --indices '2,'"),
+    ],
+)
+def test_cli_names_a_list_token_that_is_not_an_integer(capsys, argv, named):
+    assert named in _one_error_line(argv, capsys)
+
+
 def test_cli_tower_build_rejects_level_above_cap(capsys):
     assert "capped at n = 6" in _one_error_line(["tower", "build", "--n", "9", "--r", "2"], capsys)
 

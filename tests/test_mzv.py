@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -25,6 +26,7 @@ from selzeta.mzv import (
     word_eval,
     word_to_index,
 )
+from selzeta import ncalg
 from selzeta.ncalg import MAX_WEIGHT, shuffle_words
 
 
@@ -115,6 +117,50 @@ def test_word_values_are_kept_per_word_and_series_length():
     assert abs(finer - first) < 1e-12
 
 
+def per_word_half_polylog(word, terms):
+    """The half-path polylogarithm with one pass per letter of the word, as
+    it was computed before suffixes were shared."""
+    if not word:
+        return 1.0
+    c = [0.0] + [1.0 / n for n in range(1, terms + 1)]
+    for ch in reversed(word[:-1]):
+        if ch == "X":
+            c = [0.0] + [c[n] / n for n in range(1, terms + 1)]
+        else:
+            acc = 0.0
+            new = [0.0] * (terms + 1)
+            for n in range(1, terms + 1):
+                acc += c[n - 1]
+                new[n] = acc / n
+            c = new
+    value = 0.0
+    zp = 1.0
+    for n in range(1, terms + 1):
+        zp *= 0.5
+        value += c[n] * zp
+    return value
+
+
+def per_word_value(word, terms):
+    """word_eval at `terms` terms with each split's prefix swapped and
+    reversed on its own."""
+    total = 0.0
+    for j in range(len(word) + 1):
+        u, v = word[:j], word[j:]
+        u_mirror = "".join("Y" if ch == "X" else "X" for ch in reversed(u))
+        total += per_word_half_polylog(u_mirror, terms) * per_word_half_polylog(v, terms)
+    return total
+
+
+@pytest.mark.parametrize("abs_err", [1e-10, 1e-13, 1e-20])
+def test_word_values_keep_the_bits_of_the_per_word_loop(abs_err):
+    words = [w for w in ncalg.all_words(MAX_WEIGHT, 2) if is_admissible_word(w)]
+    assert len(words) == 127
+    for w in words:
+        terms = max(64, int(math.log2((len(w) + 2) * 8 / abs_err)) + 4)
+        assert word_eval(w, abs_err).hex() == per_word_value(w, terms).hex(), w
+
+
 def test_admissibility_guards():
     with pytest.raises(NonAdmissibleIndex):
         MZVIndex((2, 1))
@@ -177,6 +223,59 @@ def test_stuffle_literals():
     assert stuffle_indices((2,), (2,)) == {(2, 2): 2, (4,): 1}
     assert stuffle_indices((2,), (3,)) == {(2, 3): 1, (3, 2): 1, (5,): 1}
     assert stuffle_indices((1, 2), ()) == {(1, 2): 1}
+
+
+def stuffle_by_one_call(a, b):
+    """The quasi-shuffle recursion with a memo of its own, as each call built
+    it before the expansions were kept once per process."""
+
+    @functools.lru_cache(maxsize=None)
+    def rec(u, v):
+        if not u:
+            return Counter({v: 1})
+        if not v:
+            return Counter({u: 1})
+        out = Counter()
+        for t, mult in rec(u[:-1], v).items():
+            out[t + (u[-1],)] += mult
+        for t, mult in rec(u, v[:-1]).items():
+            out[t + (v[-1],)] += mult
+        for t, mult in rec(u[:-1], v[:-1]).items():
+            out[t + (u[-1] + v[-1],)] += mult
+        return out
+
+    return Counter({t: m for t, m in rec(tuple(a.parts), tuple(b.parts)).items()})
+
+
+def test_stuffle_keeps_the_expansion_and_order_of_one_memo_per_call():
+    # the index pairs of the mzv-engine check, in both orders
+    idxs = admissible_indices(4)
+    for a, b in itertools.combinations_with_replacement(idxs, 2):
+        for u, v in ((a, b), (b, a)):
+            got = stuffle_indices(u, v)
+            assert type(got) is Counter
+            assert list(got.items()) == list(stuffle_by_one_call(u, v).items())
+
+
+def test_a_changed_stuffle_expansion_leaves_the_next_call_as_it_was():
+    first = stuffle_indices((1, 2), (3,))
+    want = list(first.items())
+    first[(1, 2, 3)] += 5
+    first[(9,)] = 1
+    del first[(1, 5)]
+    second = stuffle_indices((1, 2), (3,))
+    assert second is not first and list(second.items()) == want
+    # the prefix expansions the recursion reused are untouched too
+    assert list(stuffle_indices((1,), (3,)).items()) == [((3, 1), 1), ((1, 3), 1), ((4,), 1)]
+
+
+def test_stuffle_reads_parts_as_ints_so_no_caller_changes_another_callers_keys():
+    with pytest.raises(ValueError, match="2.0 is not an integer"):
+        stuffle_indices((2.0,), (3,))
+    got = stuffle_indices((np.int64(2),), (3,))
+    assert list(got.items()) == [((3, 2), 1), ((2, 3), 1), ((5,), 1)]
+    assert all(type(p) is int for t in got for p in t)
+    assert [MZVIndex(t) for t in stuffle_indices((2,), (3,))] == [MZVIndex((3, 2)), MZVIndex((2, 3)), MZVIndex((5,))]
 
 
 def exact_partial(parts, cutoff):

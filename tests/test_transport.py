@@ -327,6 +327,35 @@ def test_rho_apply_monomials_and_grading():
     assert np.abs(rho_apply(word, rho_x, rho_y) - rho_x @ rho_y).max() < 1e-14
 
 
+def rho_apply_per_word(series, rho_x, rho_y):
+    """rho_apply with every word's image multiplied out from the identity on
+    its own, as it was computed before prefixes were shared."""
+    d = rho_x.shape[0]
+    out = np.zeros((d, d))
+    for w, c in series.coeff.items():
+        m = np.eye(d)
+        for letter in w:
+            m = m @ (rho_x if letter == "X" else rho_y)
+        out = out + float(c) * m
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rho_apply_keeps_the_bits_of_the_per_word_products(seed):
+    # the residue pairs of the projection check's draws at n = 4 and 5
+    rng = random.Random(f"{seed}:projection")
+    draws = [(4, sample_alpha(4, rng)) for _ in range(3)]
+    draws.append((4, sample_alpha(4, rng, scale=Fraction(2, 5))))
+    draws.append((5, sample_alpha(5, rng)))
+    element = _symbolic_element()
+    assert element.trunc == 5
+    for n, alpha in draws:
+        level = build_tower(n, 3)[3]
+        rho_x = level.mats[(1, 3)].evaluate(alpha)
+        rho_y = level.mats[(2, 3)].evaluate(alpha)
+        assert np.array_equal(rho_apply(element, rho_x, rho_y), rho_apply_per_word(element, rho_x, rho_y))
+
+
 def test_matrix_image_matches_monodromy():
     rng = random.Random(9)
     alpha = sample_alpha(4, rng, scale=Fraction(2, 5))
