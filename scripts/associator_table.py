@@ -13,8 +13,8 @@ import sys
 from selzeta.mzv import MZVIndex, associator_symbolic, mzv_eval
 from selzeta.ncalg import all_words, associator_series, grouplike_defect
 
-# the bound of the test suite's series-versus-symbolic comparison; the zeta
-# evaluation at 1e-12 sets the spread, which measures 4.4e-16, 6.7e-16,
+# the bound of the test suite's series-versus-symbolic comparison; rounding
+# in the zeta evaluation sets the spread, which measures 4.4e-16, 6.7e-16,
 # 8.9e-16 and 2.7e-15 at degrees 2 to 5
 SPREAD_BOUND = 1e-10
 
@@ -30,7 +30,7 @@ def main():
         print(f"associator_table.py: error: {exc}", file=sys.stderr)
         return 2
     symbolic = associator_symbolic(args.degree)
-    numeric_sym = symbolic.to_ncseries(1e-12)
+    numeric_sym = symbolic.to_ncseries()
 
     print(f"{'word':<8}{'series-match':>18}{'zeta-combination':>22}   symbols")
     for w in all_words(args.degree):

@@ -89,8 +89,8 @@ def check_mzv_engine(config):
     from .mzv import MZVIndex, index_to_word, mzv_eval, stuffle_indices, word_eval
     from .ncalg import shuffle_words
 
-    d1 = abs(mzv_eval(MZVIndex((2,)), 1e-13) - math.pi**2 / 6)
-    d2 = abs(mzv_eval(MZVIndex((1, 2)), 1e-13) - mzv_eval(MZVIndex((3,)), 1e-13))
+    d1 = abs(mzv_eval(MZVIndex((2,))) - math.pi**2 / 6)
+    d2 = abs(mzv_eval(MZVIndex((1, 2))) - mzv_eval(MZVIndex((3,))))
     idxs = []
     for w in range(2, 5):
         for depth in range(1, w):
@@ -98,12 +98,11 @@ def check_mzv_engine(config):
                 last = w - sum(head)
                 if last >= 2:
                     idxs.append(MZVIndex(head + (last,)))
-    abs_err = 1e-11
     d3 = 0.0
     for a, b in itertools.combinations_with_replacement(idxs, 2):
-        prod = mzv_eval(a, abs_err) * mzv_eval(b, abs_err)
-        sh = sum(m * word_eval(w, abs_err) for w, m in shuffle_words(index_to_word(a), index_to_word(b)).items())
-        st = sum(m * mzv_eval(MZVIndex(t), abs_err) for t, m in stuffle_indices(a, b).items())
+        prod = mzv_eval(a) * mzv_eval(b)
+        sh = sum(m * word_eval(w) for w, m in shuffle_words(index_to_word(a), index_to_word(b)).items())
+        st = sum(m * mzv_eval(MZVIndex(t)) for t, m in stuffle_indices(a, b).items())
         d3 = max(d3, abs(sh - prod), abs(st - prod))
     defect = max(d1 / 1e-12, d2 / 1e-12, d3 / 4e-10)
     return defect, {"euler_gap": d2, "pi_gap": d1, "double_shuffle_gap": d3, "index_count": len(idxs)}
@@ -220,8 +219,8 @@ def check_sum_relation(config):
 # the closed forms and the zeta-combination element to rounding: at most
 # 2.2e-16 (degree one, weight two), 2.2e-15 (group-likeness) and 8.9e-16
 # (symbolic) on both profiles, 450x or more below these.  The symbolic and
-# weight-two normalizers also cover the zeta evaluation at abs_err 1e-13 on
-# combinations of coefficient mass up to 5.
+# weight-two normalizers also cover a zeta evaluation error of mzv.MIN_ABS_ERR
+# (1e-13) per value on combinations of coefficient mass up to 5.
 ASSOC_NORMS = {
     "degree_one_gap": 1e-13,
     "weight_two_gap": 1e-12,
@@ -243,8 +242,8 @@ def check_associator(config):
 
     trunc = 3 if config.profile == "quick" else 4
     phi = associator_series(trunc)
-    z2 = mzv_eval(MZVIndex((2,)), 1e-13)
-    sym = associator_symbolic(trunc).to_ncseries(1e-13)
+    z2 = mzv_eval(MZVIndex((2,)))
+    sym = associator_symbolic(trunc).to_ncseries()
     gaps = {
         "degree_one_gap": max(abs(phi["X"]), abs(phi["Y"])),
         "weight_two_gap": max(abs(abs(phi["XY"]) - z2), abs(phi["XY"] + phi["YX"])),
@@ -430,11 +429,15 @@ def _parse_int_list(text, what):
 
 
 def _cmd_mzv_eval(args):
-    from .mzv import MZVIndex, mzv_eval
+    # every value is within MIN_ABS_ERR, so --abs-err only refuses a finer request
+    from .mzv import MIN_ABS_ERR, MZVIndex, mzv_eval
 
     try:
         parts = _parse_int_list(args.index, "the index")
-        value = mzv_eval(MZVIndex(parts), args.abs_err)
+        idx = MZVIndex(parts)
+        if not (math.isfinite(args.abs_err) and args.abs_err >= MIN_ABS_ERR):
+            raise ValueError(f"abs_err {args.abs_err} must be finite and at least the supported floor {MIN_ABS_ERR}")
+        value = mzv_eval(idx)
     except ValueError as exc:
         return _input_error(exc)
     print(f"zeta{parts} = {value:.15f}")
@@ -528,7 +531,7 @@ def _cmd_selberg_integrate(args):
         json.dumps(
             {
                 "graph": line,
-                "alphas": {f"({i},{j})": float(v) for (i, j), v in sorted(alpha.alphas.items())},
+                "alphas": _alpha_inputs(alpha.alphas),
                 "value": res.value,
                 "err": res.err_estimate,
                 "evals": res.evaluations,

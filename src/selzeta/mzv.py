@@ -8,15 +8,15 @@ word X^{k_m - 1} Y X^{k_{m-1} - 1} Y ... X^{k_1 - 1} Y, read with the leftmost
 letter integrated at the upper endpoint 1.  Admissible words are exactly the
 words starting with X and ending with Y.
 
-Values that depend only on their arguments are computed once per process,
-as on a trie of the words: the Taylor coefficients of each suffix, built
-from those of the suffix one letter shorter, and the half-path
-polylogarithms and word values per (word, series length), below word_eval
-and mzv_eval, which check abs_err on every call; a word value reads both
-halves of each split as suffixes, of the word and of its reversed,
-letter-swapped mirror.  The quasi-shuffle expansion of each index pair
-(stuffle_indices hands every caller a fresh Counter) and the shuffle
-regularization of each word are kept once per process too.
+Every series is summed to SERIES_TERMS terms, so each value depends on its
+word alone and is computed once per process, as on a trie of the words: the
+Taylor coefficients of each suffix, built from those of the suffix one
+letter shorter, and the half-path polylogarithm and value of each word, below
+word_eval and mzv_eval; a word value reads both halves of each split as
+suffixes, of the word and of its reversed, letter-swapped mirror.  The
+quasi-shuffle expansion of each index pair (stuffle_indices hands every
+caller a fresh Counter) and the shuffle regularization of each word are kept
+once per process too.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ from fractions import Fraction
 from ._value import Frozen, integer
 from .ncalg import MAX_WEIGHT, all_words, check_trunc
 
+# terms of each half-path series: its coefficients are at most 1 and it runs
+# at 1/2, so the tail is under 2^-64 per factor, below double rounding
+SERIES_TERMS = 64
+# the finest error `mzv eval --abs-err` accepts; rounding sets the true one,
+# at most 8.9e-16 on zeta(2..8) against 40-digit mpmath
 MIN_ABS_ERR = 1e-13
 
 
@@ -103,8 +108,8 @@ def is_admissible_word(word):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _half_coeffs(word, terms):
-    """Taylor coefficients c_0..c_terms of the primitive of a word ending in Y.
+def _half_coeffs(word):
+    """Taylor coefficients c_0..c_SERIES_TERMS of the primitive of a word ending in Y.
 
     Built from the coefficients of the suffix word[1:]: a leading X divides
     c_n by n, a leading Y takes a prefix-sum then divides by n; the word Y
@@ -113,12 +118,12 @@ def _half_coeffs(word, terms):
     array("d"): the same doubles, without a float object per entry.
     """
     if word == "Y":
-        return array("d", [0.0] + [1.0 / n for n in range(1, terms + 1)])
-    c = _half_coeffs(word[1:], terms)
+        return array("d", [0.0] + [1.0 / n for n in range(1, SERIES_TERMS + 1)])
+    c = _half_coeffs(word[1:])
     if word[0] == "X":
         return array("d", [0.0] + [cn / n for n, cn in enumerate(c[1:], 1)])
     acc = 0.0
-    new = array("d", [0.0]) * (terms + 1)
+    new = array("d", [0.0]) * (SERIES_TERMS + 1)
     for n, cn in enumerate(c[:-1], 1):
         acc += cn
         new[n] = acc / n
@@ -126,11 +131,11 @@ def _half_coeffs(word, terms):
 
 
 @functools.lru_cache(maxsize=None)
-def _half_polylog(word, terms):
+def _half_polylog(word):
     """Iterated integral of the word from 0 to 1/2.
 
-    Summed from the Taylor coefficients c_n of the primitive (_half_coeffs).
-    All |c_n| <= 1, so the tail past `terms` is below 2^-terms.
+    Summed from the Taylor coefficients c_n of the primitive (_half_coeffs)
+    to SERIES_TERMS terms.
     """
     if not word:
         return 1.0
@@ -138,7 +143,7 @@ def _half_polylog(word, terms):
         raise ValueError("integral from 0 diverges for words ending in X")
     value = 0.0
     zp = 1.0
-    for cn in _half_coeffs(word, terms)[1:]:
+    for cn in _half_coeffs(word)[1:]:
         zp *= 0.5
         value += cn * zp
     return value
@@ -148,46 +153,38 @@ def _swap_reverse(word):
     return "".join("Y" if ch == "X" else "X" for ch in reversed(word))
 
 
-def word_eval(word, abs_err=1e-12):
+def word_eval(word):
     """Regularizable iterated integral of an admissible word from 0 to 1.
 
     Splits the path at 1/2: the value is the sum over prefix/suffix splits of
-    (reversed, letter-swapped prefix at 1/2) x (suffix at 1/2).  Each factor
-    converges geometrically, so the cutoff follows from abs_err directly,
-    which must be finite and positive (ValueError).  The value is kept once
-    per process per (word, series length) (_word_value), so the abs_err that
-    give the same length share it.
+    (reversed, letter-swapped prefix at 1/2) x (suffix at 1/2), each factor
+    summed to SERIES_TERMS terms.  The value is kept once per process per
+    word (_word_value).
     """
-    if not (math.isfinite(abs_err) and abs_err > 0):
-        raise ValueError(f"abs_err {abs_err} must be finite and positive")
     if not is_admissible_word(word):
         raise NonAdmissibleIndex(f"word {word!r} is not admissible")
-    return _word_value(word, max(64, int(math.log2((len(word) + 2) * 8 / abs_err)) + 4))
+    return _word_value(word)
 
 
 @functools.lru_cache(maxsize=None)
-def _word_value(word, terms):
-    """word_eval of an admissible word with each factor summed to `terms` terms."""
+def _word_value(word):
+    """word_eval of an admissible word."""
     # the reversed, letter-swapped prefix word[:j] is the suffix of the
     # reversed, letter-swapped word that starts at m - j
     m = len(word)
     mirror = _swap_reverse(word)
     total = 0.0
     for j in range(m + 1):
-        total += _half_polylog(mirror[m - j:], terms) * _half_polylog(word[j:], terms)
+        total += _half_polylog(mirror[m - j:]) * _half_polylog(word[j:])
     return total
 
 
-def mzv_eval(idx, abs_err=1e-12):
-    """Numeric value of an admissible multiple zeta value, |error| <= abs_err.
-
-    abs_err must be finite and at least MIN_ABS_ERR (ValueError)."""
+def mzv_eval(idx):
+    """Numeric value of an admissible zeta value, to rounding; ValueError above MAX_WEIGHT."""
     idx = idx if isinstance(idx, MZVIndex) else MZVIndex(tuple(idx))
-    if abs_err < MIN_ABS_ERR:
-        raise ValueError(f"abs_err below supported floor {MIN_ABS_ERR}")
     if idx.weight > MAX_WEIGHT:
-        raise ValueError(f"weight {idx.weight} > {MAX_WEIGHT}: tolerance not attainable")
-    return word_eval(index_to_word(idx), abs_err)
+        raise ValueError(f"weight {idx.weight} > MAX_WEIGHT = {MAX_WEIGHT}, the largest weight mzv_eval evaluates")
+    return word_eval(index_to_word(idx))
 
 
 def mzv_eval_nested(idx, cutoff=4000):
@@ -322,10 +319,10 @@ class MZVCombo(Frozen):
     def is_zero(self):
         return not self.terms and self.const == 0
 
-    def eval(self, abs_err=1e-12):
+    def eval(self):
         total = float(self.const)
         for idx, c in self.terms.items():
-            total += float(c) * mzv_eval(idx, abs_err)
+            total += float(c) * mzv_eval(idx)
         return total
 
     def __repr__(self):
@@ -391,10 +388,10 @@ class HRElement(Frozen):
     def __getitem__(self, word):
         return self.coeff.get(word, MZVCombo.zero())
 
-    def to_ncseries(self, abs_err=1e-12):
+    def to_ncseries(self):
         from .ncalg import NCSeries
 
-        return NCSeries(self.trunc, {w: c.eval(abs_err) for w, c in self.coeff.items()})
+        return NCSeries(self.trunc, {w: c.eval() for w, c in self.coeff.items()})
 
 
 def associator_symbolic(trunc=4):

@@ -949,7 +949,7 @@ def beta_taylor_target(a, b, max_weight):
     zeta(n) (a^n + b^n - (a+b)^n) / n, and its exponential has e_n = sum_{k<=n} k u_k e_{n-k} / n."""
     from .mzv import MZVIndex, mzv_eval
 
-    u = [0.0, 0.0] + [(-1) ** m * mzv_eval(MZVIndex((m,)), 1e-13) * (a**m + b**m - (a + b) ** m) / m for m in range(2, max_weight + 1)]
+    u = [0.0, 0.0] + [(-1) ** m * mzv_eval(MZVIndex((m,))) * (a**m + b**m - (a + b) ** m) / m for m in range(2, max_weight + 1)]
     e = [1.0]
     for n in range(1, max_weight + 1):
         e.append(sum(k * u[k] * e[n - k] for k in range(1, n + 1)) / n)

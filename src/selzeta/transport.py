@@ -437,16 +437,15 @@ class ProjectionReport:
         self.unconverged = unconverged
 
 
-# truncation and zeta accuracy of the symbolic element in the projection check
+# truncation of the symbolic element in the projection check
 _SYMBOLIC_TRUNC = 5
-_SYMBOLIC_ABS_ERR = 1e-10
 
 
 @functools.cache
 def _symbolic_element():
-    """The zeta-combination element at _SYMBOLIC_TRUNC, evaluated at
-    _SYMBOLIC_ABS_ERR: it depends on no input, so it is built once per process."""
-    return associator_symbolic(_SYMBOLIC_TRUNC).to_ncseries(_SYMBOLIC_ABS_ERR)
+    """The zeta-combination element at _SYMBOLIC_TRUNC, evaluated numerically:
+    it depends on no input, so it is built once per process."""
+    return associator_symbolic(_SYMBOLIC_TRUNC).to_ncseries()
 
 
 def projection_identity_check(n, alpha, tol=None):

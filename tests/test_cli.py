@@ -380,6 +380,11 @@ def test_cli_mzv_eval_rejects_a_non_finite_abs_err(capsys, bad):
     assert f"abs_err {bad} must be finite" in _one_error_line(["mzv", "eval", "2", "--abs-err", bad], capsys)
 
 
+@pytest.mark.parametrize("bad", ["1e-20", "0.0", "-1e-12"])
+def test_cli_mzv_eval_refuses_an_abs_err_it_cannot_meet(capsys, bad):
+    assert "abs_err" in _one_error_line(["mzv", "eval", "4", f"--abs-err={bad}"], capsys)
+
+
 def test_cli_graph_wedge_rejects_entry_out_of_range(capsys):
     argv = ["graph", "wedge", "--n", "4", "--r", "2", "--indices", "5,5"]
     assert "entry i_3=5 outside [1,2]" in _one_error_line(argv, capsys)

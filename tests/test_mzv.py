@@ -27,6 +27,7 @@ from selzeta.mzv import (
     word_to_index,
 )
 from selzeta import ncalg
+from selzeta.cli import main
 from selzeta.ncalg import MAX_WEIGHT, shuffle_words
 
 
@@ -56,11 +57,33 @@ def brute_force_shuffle(u, v):
 
 
 def test_zeta2_matches_pi_squared_over_six():
-    assert abs(mzv_eval(MZVIndex((2,)), 1e-13) - math.pi**2 / 6) < 1e-12
+    assert abs(mzv_eval(MZVIndex((2,))) - math.pi**2 / 6) < 1e-12
+
+
+def test_zeta_values_meet_closed_forms_and_euler_relations_to_rounding():
+    # zeta({2}^n) = pi^{2n} / (2n+1)!; the depth-two and duality relations are
+    # read with the last entry on the largest summation variable.  The worst
+    # gap measures 6.7e-16
+    pi2 = math.pi**2
+    z = {k: mzv_eval(MZVIndex((k,))) for k in (2, 3, 4, 5)}
+    closed = {
+        (2,): pi2 / 6,
+        (4,): pi2**2 / 90,
+        (6,): pi2**3 / 945,
+        (8,): pi2**4 / 9450,
+        (2, 2, 2): pi2**3 / 5040,
+        (2, 2, 2, 2): pi2**4 / 362880,
+        (1, 2): z[3],
+        (1, 3): z[4] / 4,
+        (2, 2): (z[2] ** 2 - z[4]) / 2,
+        (1, 1, 1, 2): z[5],
+    }
+    for idx, want in closed.items():
+        assert abs(mzv_eval(MZVIndex(idx)) - want) <= 2e-15, idx
 
 
 def test_zeta3_within_nested_sum_oracle():
-    val = mzv_eval(MZVIndex((3,)), 1e-13)
+    val = mzv_eval(MZVIndex((3,)))
     partial, lo, hi = mzv_eval_nested(MZVIndex((3,)), cutoff=4000)
     assert partial + lo - 1e-12 <= val <= partial + hi + 1e-12
     assert abs(val - 1.2020569031595942854) < 1e-12
@@ -78,43 +101,36 @@ def test_nested_oracle_brackets_everything_small():
         assert partial - 1e-9 <= val <= partial + hi + 1e-9
 
 
+# the Python API takes no accuracy request; `selzeta mzv eval --abs-err`
+# refuses one finer than MIN_ABS_ERR or not finite, before it evaluates
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_abs_err_is_refused_by_name(bad):
-    # NaN passes the floor comparison and inf reached math.log2(0)
-    with pytest.raises(ValueError, match="abs_err"):
-        mzv_eval(MZVIndex((2,)), abs_err=bad)
-    with pytest.raises(ValueError, match="abs_err"):
-        word_eval("XY", abs_err=bad)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1e-12])
-def test_word_eval_refuses_a_non_positive_abs_err_by_name(bad):
-    with pytest.raises(ValueError, match="abs_err .* must be finite and positive"):
-        word_eval("XY", abs_err=bad)
+def test_non_finite_abs_err_is_refused_by_name(bad, capsys):
+    assert main(["mzv", "eval", "2", f"--abs-err={bad}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"selzeta: error: abs_err {bad} ")
 
 
 @pytest.mark.parametrize("bad", [math.nan, 0.0, -1e-12])
-def test_a_refused_abs_err_raises_on_every_call_and_leaves_no_memo_entry(bad):
-    word_eval("XXY", abs_err=1e-12)
-    before = _word_value.cache_info().currsize
+def test_a_refused_abs_err_raises_on_every_call_and_leaves_no_memo_entry(bad, capsys):
+    word_eval("XXY")
+    before = _word_value.cache_info()
     for _ in range(3):
-        with pytest.raises(ValueError, match="abs_err"):
-            word_eval("XXY", abs_err=bad)
-        with pytest.raises(ValueError, match="abs_err"):
-            mzv_eval(MZVIndex((3,)), abs_err=bad)
-    assert _word_value.cache_info().currsize == before
+        assert main(["mzv", "eval", "3", f"--abs-err={bad}"]) == 2
+    assert _word_value.cache_info() == before
+    assert capsys.readouterr().err.count("selzeta: error: abs_err") == 3
 
 
-def test_word_values_are_kept_per_word_and_series_length():
-    # 1e-12 and 1e-13 both sum 64 terms on a four-letter word, 1e-30 more
-    word = "XYXY"
-    first = word_eval(word, 1e-12)
-    size = _word_value.cache_info().currsize
-    assert word_eval(word, 1e-13) == first
-    assert _word_value.cache_info().currsize == size
-    finer = word_eval(word, 1e-30)
-    assert _word_value.cache_info().currsize == size + 1
-    assert abs(finer - first) < 1e-12
+ADMISSIBLE_WORDS = [w for w in ncalg.all_words(MAX_WEIGHT, 2) if is_admissible_word(w)]
+
+
+def test_word_values_are_kept_once_per_word():
+    assert len(ADMISSIBLE_WORDS) == 127
+    _word_value.cache_clear()
+    first = [word_eval(w) for w in ADMISSIBLE_WORDS]
+    assert _word_value.cache_info() == (0, 127, None, 127)
+    assert [word_eval(w) for w in ADMISSIBLE_WORDS] == first
+    assert _word_value.cache_info() == (127, 127, None, 127)
 
 
 def per_word_half_polylog(word, terms):
@@ -152,13 +168,42 @@ def per_word_value(word, terms):
     return total
 
 
-@pytest.mark.parametrize("abs_err", [1e-10, 1e-13, 1e-20])
+def requested_length(word, abs_err=1e-12):
+    """The series length word_eval summed to while it took an abs_err
+    (default 1e-12): 64 for every word of weight <= 8 at every abs_err the
+    command line accepts."""
+    return max(64, int(math.log2((len(word) + 2) * 8 / abs_err)) + 4)
+
+
+@functools.lru_cache(maxsize=None)
+def requested_value(word):
+    return per_word_value(word, requested_length(word))
+
+
+@pytest.mark.parametrize("abs_err", [1e-10, 1e-12, 1e-13])
 def test_word_values_keep_the_bits_of_the_per_word_loop(abs_err):
-    words = [w for w in ncalg.all_words(MAX_WEIGHT, 2) if is_admissible_word(w)]
-    assert len(words) == 127
-    for w in words:
-        terms = max(64, int(math.log2((len(w) + 2) * 8 / abs_err)) + 4)
-        assert word_eval(w, abs_err).hex() == per_word_value(w, terms).hex(), w
+    for w in ADMISSIBLE_WORDS:
+        assert word_eval(w).hex() == per_word_value(w, requested_length(w, abs_err)).hex(), w
+
+
+def test_zeta_values_keep_the_bits_of_the_per_word_loop():
+    indices = admissible_indices(MAX_WEIGHT)
+    assert len(indices) == 127
+    for idx in indices:
+        assert mzv_eval(idx).hex() == requested_value(index_to_word(idx)).hex(), idx
+
+
+@pytest.mark.parametrize("trunc", range(MAX_WEIGHT + 1))
+def test_symbolic_element_keeps_the_bits_of_the_per_word_loop(trunc):
+    hr = associator_symbolic(trunc)
+    want = {}
+    for w, combo in hr.coeff.items():
+        total = float(combo.const)
+        for idx, c in combo.terms.items():
+            total += float(c) * requested_value(index_to_word(idx))
+        want[w] = total
+    got = hr.to_ncseries().coeff
+    assert [(w, v.hex()) for w, v in got.items()] == [(w, v.hex()) for w, v in ncalg.NCSeries(trunc, want).coeff.items()]
 
 
 def test_admissibility_guards():
@@ -166,9 +211,7 @@ def test_admissibility_guards():
         MZVIndex((2, 1))
     with pytest.raises(NonAdmissibleIndex):
         MZVIndex((0, 2))
-    with pytest.raises(ValueError):
-        mzv_eval(MZVIndex((2,)), abs_err=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="MAX_WEIGHT"):
         mzv_eval(MZVIndex((9,)))
 
 
@@ -301,14 +344,10 @@ def test_stuffle_exact_on_partial_sums(a, b):
 
 def test_double_shuffle_numeric_weight_4():
     idxs = admissible_indices(4)
-    abs_err = 1e-11
     for a, b in itertools.combinations_with_replacement(idxs, 2):
-        prod = mzv_eval(a, abs_err) * mzv_eval(b, abs_err)
-        sh = sum(
-            m * word_eval(w, abs_err)
-            for w, m in shuffle_words(index_to_word(a), index_to_word(b)).items()
-        )
-        stf = sum(m * mzv_eval(MZVIndex(t), abs_err) for t, m in stuffle_indices(a, b).items())
+        prod = mzv_eval(a) * mzv_eval(b)
+        sh = sum(m * word_eval(w) for w, m in shuffle_words(index_to_word(a), index_to_word(b)).items())
+        stf = sum(m * mzv_eval(MZVIndex(t)) for t, m in stuffle_indices(a, b).items())
         assert abs(sh - prod) < 4e-10
         assert abs(stf - prod) < 4e-10
 
@@ -336,19 +375,23 @@ def test_regularize_pure_runs_vanish():
 def test_regularize_respects_shuffle_character():
     # reg is a character: reg(u)reg(v) evaluated numerically must match
     # the regularized shuffle expansion, for divergent u too
-    abs_err = 1e-11
     pairs = [("YX", "XY"), ("YXY", "X"), ("XYX", "Y")]
     for u, v in pairs:
-        lhs = shuffle_regularize(u).eval(abs_err) * shuffle_regularize(v).eval(abs_err)
-        rhs = sum(m * shuffle_regularize(w).eval(abs_err) for w, m in shuffle_words(u, v).items())
+        lhs = shuffle_regularize(u).eval() * shuffle_regularize(v).eval()
+        rhs = sum(m * shuffle_regularize(w).eval() for w, m in shuffle_words(u, v).items())
         assert abs(lhs - rhs) < 1e-9
 
 
-def test_monotone_tail():
-    for idx in [(2,), (1, 2), (1, 1, 2)]:
-        coarse = mzv_eval(MZVIndex(idx), 1e-6)
-        fine = mzv_eval(MZVIndex(idx), 1e-13)
-        assert abs(coarse - fine) <= 1e-6 + 1e-13
+def test_monotone_tail(capsys):
+    # a coarser --abs-err sums no shorter series: every accepted value prints
+    # the line of the default
+    for idx in ["2", "4", "1,2", "1,1,2"]:
+        lines = set()
+        for abs_err in [[], ["--abs-err", "1e-6"], ["--abs-err", "1e-13"]]:
+            assert main(["mzv", "eval", idx, *abs_err]) == 0
+            lines.add(capsys.readouterr().out)
+        assert len(lines) == 1, lines
+    assert lines == {"zeta(1, 1, 2) = 1.082323233711138\n"}
 
 
 def test_combo_arithmetic_and_weight():

@@ -466,7 +466,7 @@ def star_taylor_reference(l, a, b, c, max_weight):
     p = [0.0] * (max_weight + 1)
     for k in range(1, max_weight + 1):
         power_sum = sum(s * u**k for u, s in signed)
-        p[k] = -EULER_GAMMA * power_sum if k == 1 else (-1) ** k * mzv_eval(MZVIndex((k,)), 1e-13) * power_sum / k
+        p[k] = -EULER_GAMMA * power_sum if k == 1 else (-1) ** k * mzv_eval(MZVIndex((k,))) * power_sum / k
     e = [1.0] + [0.0] * max_weight
     for n in range(1, max_weight + 1):
         e[n] = sum(k * p[k] * e[n - k] for k in range(1, n + 1)) / n

@@ -285,8 +285,8 @@ def test_numeric_vs_series_matching():
 
 def test_series_matching_is_grouplike_and_exact_at_low_weight():
     phi = associator_series(4)
-    z2 = mzv_eval(MZVIndex((2,)), 1e-13)
-    z3 = mzv_eval(MZVIndex((3,)), 1e-13)
+    z2 = mzv_eval(MZVIndex((2,)))
+    z3 = mzv_eval(MZVIndex((3,)))
     assert abs(phi["XY"] + z2) < 1e-13
     assert abs(phi["XXY"] + z3) < 1e-12
     assert grouplike_defect(phi) < 1e-12
@@ -297,17 +297,17 @@ def test_symbolic_signs_calibrated_against_numeric():
     # per-degree sign, reproduces the ladder construction at weights 2 and 3
     # and the series matching through weight 4
     rep = associator_numeric(3)
-    sym = associator_symbolic(3).to_ncseries(1e-12)
+    sym = associator_symbolic(3).to_ncseries()
     for w in ("XY", "YX", "XXY", "XYY", "YXY", "YYX", "XYX", "YXX"):
         assert abs(rep.value[w] - sym[w]) < 1e-6
-    sym4 = associator_symbolic(4).to_ncseries(1e-12)
+    sym4 = associator_symbolic(4).to_ncseries()
     phi4 = associator_series(4)
     assert series_dev(sym4, phi4) < 1e-10
 
 
 def test_symbolic_vs_numeric_through_weight_four():
     rep = associator_numeric(4)
-    sym = associator_symbolic(4).to_ncseries(1e-11)
+    sym = associator_symbolic(4).to_ncseries()
     assert series_dev(rep.value, sym) < 1e-5
 
 
@@ -365,7 +365,7 @@ def test_matrix_image_matches_monodromy():
     rho_y = tower[3].mats[(2, 3)].evaluate(falpha)
     conn = ConnectionPair(rho_x, rho_y)
     mono = regularized_connection_matrix(conn)
-    phi = associator_symbolic(5).to_ncseries(1e-11)
+    phi = associator_symbolic(5).to_ncseries()
     image = rho_apply(phi, rho_x, rho_y)
     assert np.abs(image - mono.value).max() < 1e-5
 
@@ -393,7 +393,7 @@ def test_projection_leaves_its_shared_tower_and_element_as_they_were():
     assert all(after[key].dtype == m.dtype and np.array_equal(after[key], m) for key, m in before.items())
     assert list(_symbolic_element().coeff.items()) == list(element.items())
     # the element is the one associator_symbolic builds at the check's truncation
-    fresh = associator_symbolic(5).to_ncseries(1e-10).coeff
+    fresh = associator_symbolic(5).to_ncseries().coeff
     assert list(_symbolic_element().coeff.items()) == list(fresh.items())
 
 
