@@ -140,22 +140,26 @@ def check_spectrum(config):
 
 
 def check_eta_gamma(config):
-    from .braid import eta_gamma_check
+    """Recursion coordinates against wedge-chain log-form sums, exactly.
+
+    Each (n, r) group, (3,2), (4,2), (4,3) and five sampled (5,2) tuples,
+    shares one generator family and one rational point, drawn once for it.
+    A tuple's defect is a fixed polynomial in that draw, so by Schwartz-Zippel
+    it keeps its own bound on passing an error whatever shares the draw.
+    """
+    from .braid import eta_gamma_check, matrix_generators
     from .graphs import index_tuples
 
     rng = _rng_for(config, "eta-gamma")
-    worst = 0.0
-    count = 0
-    for n, r in [(3, 2), (4, 2), (4, 3)]:
-        for I in index_tuples(n, r):
-            worst = max(worst, float(eta_gamma_check(I, rng)))
-            count += 1
+    groups = [(n, list(index_tuples(n, r))) for n, r in [(3, 2), (4, 2), (4, 3)]]
     if config.profile != "quick":
-        tuples = list(index_tuples(5, 2))
-        for I in rng.sample(tuples, 5):
-            worst = max(worst, float(eta_gamma_check(I, rng)))
-            count += 1
-    return worst, {"tuples_checked": count}
+        groups.append((5, rng.sample(list(index_tuples(5, 2)), 5)))
+    worst = 0.0
+    for n, tuples in groups:
+        gens = matrix_generators(n, rng)
+        x = {v: Fraction(a, 1009) for v, a in enumerate(rng.sample(range(1, 1000), n), 1)}
+        worst = max(worst, *(float(eta_gamma_check(I, None, x=x, gens=gens)) for I in tuples))
+    return worst, {"tuples_checked": sum(len(tuples) for _, tuples in groups)}
 
 
 def check_residue(config):
@@ -164,39 +168,32 @@ def check_residue(config):
     For every wedge-chain support g at r = 2 and top edge (n, k), the residue
     of omega_g at x_n = x_k (determinant surgery) must equal the signed sum of
     residue_expand(g, k) at 10 random rational points x_v = vals_v / 1009.
-    Each identity is evaluated in integers (graphs.residue_identity): every
-    log form's numerator over the one common denominator of the point, summed
-    as plain ints, so a gap is an exact Fraction and any nonzero one fails.
+    The 10 points of each n are drawn once and prepared once
+    (graphs.residue_point), then shared by every identity on them: a gap is a
+    fixed polynomial in the point, so by Schwartz-Zippel each identity keeps
+    its own bound on passing an error whatever else shares the point.  Each
+    identity is evaluated in integers (graphs.residue_identity): every log
+    form's numerator over the point's one common denominator, summed as
+    plain ints, so a gap is an exact Fraction and any nonzero one fails.
     """
-    from .graphs import index_tuples, principal_product, residue_expand, residue_identity, wedge_chain
+    from .graphs import index_tuples, principal_product, residue_expand, residue_identity, residue_point, wedge_chain
 
     rng = _rng_for(config, "residue")
     n_max = 4 if config.profile == "quick" else 5
     worst_residue = 0.0
     graphs_checked = 0
     for n in range(3, n_max + 1):
-        seen = set()
-        for I in index_tuples(n, 2):
-            for g in wedge_chain(I).terms:
-                if g in seen:
-                    continue
-                seen.add(g)
-                tops = {o for (p, q) in g.edges for o in (p, q) if g.n in (p, q) and o != g.n}
-                for k in tops:
-                    gap = residue_identity(g, k, residue_expand(g, k))
-                    for _ in range(10):
-                        vals = rng.sample(range(1, 1000), n - 1)
-                        worst_residue = max(worst_residue, abs(gap(dict(zip(range(1, n), vals)), 1009)))
-                graphs_checked += 1
-    mismatches = 0
+        points = [residue_point(dict(enumerate(rng.sample(range(1, 1000), n - 1), 1)), 1009) for _ in range(10)]
+        supports = {g: None for I in index_tuples(n, 2) for g in wedge_chain(I).terms}
+        for g in supports:
+            # the top edges (k, n); every edge is a (min, max) pair
+            for k in {p for p, q in g.edges if q == n}:
+                at = residue_identity(g, k, residue_expand(g, k)).at
+                worst_residue = max(worst_residue, *(abs(at(point)) for point in points))
+        graphs_checked += len(supports)
     pn_max = 5 if config.profile == "quick" else 6
-    for n in range(3, pn_max + 1):
-        for r in (2, 3):
-            if r > n - 1:
-                continue
-            for I in index_tuples(n, r):
-                if principal_product(I) != wedge_chain(I):
-                    mismatches += 1
+    tuples = [I for n in range(3, pn_max + 1) for r in (2, 3) if r < n for I in index_tuples(n, r)]
+    mismatches = sum(principal_product(I) != wedge_chain(I) for I in tuples)
     defect = max(float(worst_residue), float(mismatches))
     return defect, {"support_graphs": graphs_checked, "residue_gap": float(worst_residue), "product_mismatches": mismatches}
 
@@ -364,15 +361,7 @@ def run_check(check_id, config=None):
     defect, inputs = check.runner(config)
     runtime = time.perf_counter() - start
     defect = float(defect)
-    return VerificationReport(
-        check_id=check_id,
-        statement=check.statement,
-        inputs=inputs,
-        defect=defect,
-        tolerance=tolerance,
-        passed=defect <= tolerance,
-        runtime=runtime,
-    )
+    return VerificationReport(check_id, check.statement, inputs, defect, tolerance, defect <= tolerance, runtime)
 
 
 def run_suite(profile="quick", seed=0, check_ids=None):
@@ -590,8 +579,14 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    # a malformed option or argument prints _input_error's one line, no usage
+    def error(self, message):
+        sys.exit(_input_error(message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="selzeta", description=__doc__)
+    parser = _Parser(prog="selzeta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mzv", help="multiple zeta value utilities")

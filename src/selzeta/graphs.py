@@ -281,16 +281,7 @@ def _det(m):
 @functools.lru_cache(maxsize=4096)
 def _incidence_sign(edges, cols):
     """det of the ±1 incidence rows (+1 at p, -1 at q), largest edge first."""
-    col_of = {v: j for j, v in enumerate(cols)}
-    rows = []
-    for p, q in reversed(edges):
-        row = [0] * len(col_of)
-        if p in col_of:
-            row[col_of[p]] = 1
-        if q in col_of:
-            row[col_of[q]] = -1
-        rows.append(row)
-    return _det(rows)
+    return _det([[(v == p) - (v == q) for v in cols] for p, q in reversed(edges)])
 
 
 def log_form_det(edges, cols, diff, scale=None):
@@ -324,7 +315,7 @@ def log_form_det(edges, cols, diff, scale=None):
 
 def _distinct(coords):
     """The coincidence guard of omega_coefficient, omega_residue_direct and
-    residue_identity: raise ValueError naming two vertices that share a
+    residue_point: raise ValueError naming two vertices that share a
     coordinate (a gap would be 0)."""
     seen = {}
     for v, xv in coords.items():
@@ -480,11 +471,7 @@ def _residue_term(n, roots, out, top):
     del out[top]
     # every edge is a (min, max) pair in [1, n-1]; only a repeat can occur
     if len(set(out)) < len(out):
-        seen = set()
-        for e in out:
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+        raise ValueError(f"duplicate edge {next(e for i, e in enumerate(out) if e in out[:i])}")
     return _graph(n - 1, roots, tuple(out))
 
 
@@ -518,6 +505,16 @@ def omega_residue_direct(g, k, x):
     return value if sign > 0 else -value
 
 
+def residue_point(coords, scale):
+    """The point x_v = coords[v] / scale (integer coords on 1..m, integer
+    scale) prepared for residue_identity's numerator pass, once for every
+    identity on [m]: the coincidence guard, then the gaps coords[p] - coords[q]
+    of all_pairs(m) and their product, the one common denominator."""
+    _distinct(coords)
+    gaps = [coords[p] - coords[q] for p, q in all_pairs(len(coords))]
+    return len(coords), scale, gaps, math.prod(gaps)
+
+
 def residue_identity(g, k, expansion):
     """The residue identity at x_n = x_k in integer arithmetic.
 
@@ -525,6 +522,8 @@ def residue_identity(g, k, expansion):
     minus the sum of c * omega_coefficient(h, x) over the expansion's terms
     (residue_expand(g, k), or any graph sum on [n-1] with the same roots), at
     x_v = coords[v] / scale for integer coords on 1..n-1 and integer scale.
+    gap(coords, scale) is gap.at(residue_point(coords, scale)); gap.at runs
+    the numerator pass alone on a point prepared once for many identities.
     The structure is fixed once: the direct side's surgery and every term's
     sign, each an _incidence_sign on ±1 rows.  Over the one common denominator
     prod_{p<q} (x_p - x_q), a log form with edges E and sign s has the
@@ -538,29 +537,29 @@ def residue_identity(g, k, expansion):
     pairs = all_pairs(g.n - 1)
     numerators = []
     for c, edges in [(sign, merged)] + [(-c, h.edges) for h, c in expansion.terms.items()]:
-        c *= _incidence_sign(edges, cols)
+        # a forest's edges are distinct pairs; x_p - x_q with p > q is minus
+        # the gap of the pair (q, p)
+        c *= _incidence_sign(edges, cols) * (-1) ** sum(p > q for p, q in edges)
         if c:
-            # a forest's edges are distinct pairs; x_p - x_q with p > q is
-            # minus the gap of the pair (q, p)
-            for p, q in edges:
-                if p > q:
-                    c = -c
             canon = {(min(e), max(e)) for e in edges}
             numerators.append((c, [j for j, pq in enumerate(pairs) if pq not in canon]))
     m = len(cols)
 
-    def gap(coords, scale):
-        _distinct(coords)
-        gaps = [coords[p] - coords[q] for p, q in pairs]
+    def at(point):
+        size, scale, gaps, den = point
+        if size != g.n - 1:
+            raise ValueError(f"a point on 1..{size} for an identity on 1..{g.n - 1}")
         total = 0
         for c, rest in numerators:
             for j in rest:
                 c *= gaps[j]
             total += c
-        if total == 0:
-            return 0
-        return Fraction(total * scale**m, math.prod(gaps))
+        return Fraction(total * scale**m, den) if total else 0
 
+    def gap(coords, scale):
+        return at(residue_point(coords, scale))
+
+    gap.at = at
     return gap
 
 

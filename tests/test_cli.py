@@ -109,7 +109,7 @@ def test_projection_reports_unconverged_limit_integrals(levels):
 
 def test_residue_check_cannot_be_fooled(monkeypatch):
     # a flipped expansion coefficient, a dropped expansion term and a broken
-    # pair product must each show as a nonzero exact defect
+    # pair product must each show as a nonzero exact defect, on both profiles
     from selzeta import graphs
 
     expand, product = graphs.residue_expand, graphs.principal_product
@@ -129,18 +129,116 @@ def test_residue_check_cannot_be_fooled(monkeypatch):
         h = gs.support()[0]
         return graphs.GraphSum(gs.n, gs.roots, {**gs.terms, h: gs.terms[h] + 1})
 
-    for name, fake, field in [
-        ("residue_expand", flip_one, "residue_gap"),
-        ("residue_expand", drop_one, "residue_gap"),
-        ("principal_product", break_product, "product_mismatches"),
-    ]:
+    for profile in ("quick", "full"):
+        for name, fake, field in [
+            ("residue_expand", flip_one, "residue_gap"),
+            ("residue_expand", drop_one, "residue_gap"),
+            ("principal_product", break_product, "product_mismatches"),
+        ]:
+            with monkeypatch.context() as m:
+                m.setattr(graphs, name, fake)
+                rep = run_check("residue", RunConfig(seed=0, profile=profile))
+            assert rep.inputs[field] > 0
+            assert rep.defect > 0
+            assert not rep.passed
+        assert run_check("residue", RunConfig(seed=0, profile=profile)).passed
+
+
+def test_residue_check_shares_ten_prepared_points_per_n(monkeypatch):
+    # every identity runs its numerator pass on exactly the 10 points of its
+    # n, each prepared once with pairwise-distinct coordinates
+    from selzeta import graphs
+
+    prepare, identity = graphs.residue_point, graphs.residue_identity
+    prepared, calls = [], []
+
+    def counting_point(coords, scale):
+        point = prepare(coords, scale)
+        prepared.append((coords, scale, point))
+        return point
+
+    def counting_identity(g, k, expansion):
+        gap = identity(g, k, expansion)
+        at = gap.at
+        seen = []
+        calls.append((g.n - 1, seen))
+
+        def counted(point):
+            seen.append(point)
+            return at(point)
+
+        gap.at = counted
+        return gap
+
+    for profile, n_max in (("quick", 4), ("full", 5)):
+        prepared.clear()
+        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(graphs, name, fake)
-            rep = run_check("residue", RunConfig(seed=0, profile="quick"))
-        assert rep.inputs[field] > 0
-        assert rep.defect > 0
-        assert not rep.passed
-    assert run_check("residue", RunConfig(seed=0, profile="quick")).passed
+            m.setattr(graphs, "residue_point", counting_point)
+            m.setattr(graphs, "residue_identity", counting_identity)
+            rep = run_check("residue", RunConfig(seed=0, profile=profile))
+        assert rep.passed
+        assert len(prepared) == 10 * (n_max - 2)
+        points = {}
+        for coords, scale, point in prepared:
+            assert scale == 1009 and sorted(coords) == list(range(1, len(coords) + 1))
+            assert len(set(coords.values())) == len(coords) and all(1 <= a <= 999 for a in coords.values())
+            points.setdefault(len(coords), []).append(point)
+        assert sorted(points) == list(range(2, n_max)) and all(len(ps) == 10 for ps in points.values())
+        assert len(calls) > rep.inputs["support_graphs"]
+        for size, seen in calls:
+            assert len(seen) == 10 and all(p is q for p, q in zip(seen, points[size]))
+
+
+def test_eta_gamma_check_cannot_be_fooled(monkeypatch):
+    # a flipped wedge-chain coefficient and one generator entry moved by 1
+    # must each show as a nonzero exact defect, on both profiles, although
+    # every tuple of a group shares the one drawn family and point
+    from selzeta import braid, graphs
+
+    chain, generators = graphs.wedge_chain, braid.matrix_generators
+
+    def flip_one(I):
+        gs = chain(I)
+        h = gs.support()[0]
+        return graphs.GraphSum(gs.n, gs.roots, {**gs.terms, h: -gs.terms[h]})
+
+    # the root pair's G_(1,2) enters neither side, and at n - r = 1 the
+    # identity holds for any matrices, so the entry is moved in G_(n-1,n):
+    # the (4,2) group, and the (5,2) one on the full profile, must see it
+    def move_one(n, rng):
+        scale, gens = generators(n, rng)
+        u = max(gens)
+        moved = gens[u].copy()
+        moved[0, 0] += 1
+        return scale, {**gens, u: moved}
+
+    for profile in ("quick", "full"):
+        assert run_check("eta-gamma", RunConfig(seed=0, profile=profile)).passed
+        for module, name, fake in [(graphs, "wedge_chain", flip_one), (braid, "matrix_generators", move_one)]:
+            with monkeypatch.context() as m:
+                m.setattr(module, name, fake)
+                rep = run_check("eta-gamma", RunConfig(seed=0, profile=profile))
+            assert rep.defect > 0 and not rep.passed, (profile, name)
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["mzv", "eval", "2", "--abs-err", "x"], "argument --abs-err: invalid float value: 'x'"),
+        (["mzv", "eval", "2", "--abs-err", "-1e-12"], "argument --abs-err: expected one argument"),
+        (["tower", "build", "--n", "x", "--r", "2"], "argument --n: invalid int value: 'x'"),
+        (["verify", "no-such-check"], "invalid choice: 'no-such-check'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_cli_malformed_option_prints_one_line_and_exits_2(argv, says, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("selzeta: error: ") and says in err
 
 
 def test_associator_check_cannot_be_fooled(monkeypatch):

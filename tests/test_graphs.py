@@ -25,6 +25,7 @@ from selzeta.graphs import (
     principal_product,
     residue_expand,
     residue_identity,
+    residue_point,
     wedge,
     wedge_chain,
 )
@@ -546,6 +547,39 @@ def test_coincident_coordinates_raise_on_every_residue_path():
     for expansion in mutated_expansions(res):
         with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
             residue_identity(g, 4, expansion)({1: 1, 2: 3, 3: 5, 4: 5}, 7)
+
+
+def test_prepared_point_form_equals_gap_at_every_residue_pair():
+    # one point prepared per n serves every identity on it: on the true
+    # expansion and on each mutated one, gap.at(point) is the Fraction (or
+    # the int 0) that gap(coords, scale) returns
+    rng = random.Random(28)
+    nonzero = 0
+    for n in range(3, 6):
+        for _ in range(2):
+            coords = dict(enumerate(rng.sample(range(1, 1000), n - 1), 1))
+            point = residue_point(coords, 1009)
+            for g, k in residue_pairs(n):
+                for expansion in mutated_expansions(residue_expand(g, k)):
+                    gap = residue_identity(g, k, expansion)
+                    want = gap(coords, 1009)
+                    got = gap.at(point)
+                    assert got == want and type(got) is type(want) is (Fraction if got else int)
+                    nonzero += got != 0
+    assert nonzero > 700
+
+
+def test_prepared_point_is_guarded_and_sized():
+    # a coincident point raises while it is prepared, so no identity forms a
+    # numerator over its zero denominator; a point on the wrong vertex set
+    # is refused by name instead of reading gaps of other pairs
+    with pytest.raises(ValueError, match="coincident coordinates x_3 = x_4"):
+        residue_point({1: 1, 2: 3, 3: 5, 4: 5}, 7)
+    g = G(5, {1, 2}, (2, 3), (3, 4), (4, 5))
+    gap = residue_identity(g, 4, residue_expand(g, 4))
+    assert gap.at(residue_point({1: 1, 2: 3, 3: 5, 4: 6}, 7)) == 0
+    with pytest.raises(ValueError, match=r"a point on 1\.\.3 for an identity on 1\.\.4"):
+        gap.at(residue_point({1: 1, 2: 3, 3: 5}, 7))
 
 
 def test_residue_identity_float_limit():
