@@ -478,6 +478,12 @@ def stacked_column(I, x, gens):
     return _divide(*_integer_column(I, x, *gens, build_tower(I.n, I.r)))
 
 
+def eta_gamma_point(n, rng):
+    """The rational point of eta_gamma_check: x_v = a_v / 1009 for v = 1..n,
+    with the a_v drawn from 1..999 without repeats."""
+    return {v: Fraction(a, 1009) for v, a in enumerate(rng.sample(range(1, 1000), n), 1)}
+
+
 def eta_gamma_check(I, rng, x=None, gens=None):
     """Exact defect between the recursion coordinate and the graph-sum form.
 
@@ -495,8 +501,7 @@ def eta_gamma_check(I, rng, x=None, gens=None):
     if gens is None:
         gens = matrix_generators(n, rng)
     if x is None:
-        vals = rng.sample(range(1, 1000), n)
-        x = {v: Fraction(vals[v - 1], 1009) for v in range(1, n + 1)}
+        x = eta_gamma_point(n, rng)
     scale, igens = gens
     lhs, lhs_den = _integer_column(I, x, scale, igens, build_tower(n, r))
     d = lhs.shape[0]

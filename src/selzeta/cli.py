@@ -147,7 +147,7 @@ def check_eta_gamma(config):
     A tuple's defect is a fixed polynomial in that draw, so by Schwartz-Zippel
     it keeps its own bound on passing an error whatever shares the draw.
     """
-    from .braid import eta_gamma_check, matrix_generators
+    from .braid import eta_gamma_check, eta_gamma_point, matrix_generators
     from .graphs import index_tuples
 
     rng = _rng_for(config, "eta-gamma")
@@ -157,7 +157,7 @@ def check_eta_gamma(config):
     worst = 0.0
     for n, tuples in groups:
         gens = matrix_generators(n, rng)
-        x = {v: Fraction(a, 1009) for v, a in enumerate(rng.sample(range(1, 1000), n), 1)}
+        x = eta_gamma_point(n, rng)
         worst = max(worst, *(float(eta_gamma_check(I, None, x=x, gens=gens)) for I in tuples))
     return worst, {"tuples_checked": sum(len(tuples) for _, tuples in groups)}
 
@@ -191,9 +191,15 @@ def check_residue(config):
                 at = residue_identity(g, k, residue_expand(g, k)).at
                 worst_residue = max(worst_residue, *(abs(at(point)) for point in points))
         graphs_checked += len(supports)
+    mismatches = 0
     pn_max = 5 if config.profile == "quick" else 6
-    tuples = [I for n in range(3, pn_max + 1) for r in (2, 3) if r < n for I in index_tuples(n, r)]
-    mismatches = sum(principal_product(I) != wedge_chain(I) for I in tuples)
+    for n in range(3, pn_max + 1):
+        for r in (2, 3):
+            if r > n - 1:
+                continue
+            for I in index_tuples(n, r):
+                if principal_product(I) != wedge_chain(I):
+                    mismatches += 1
     defect = max(float(worst_residue), float(mismatches))
     return defect, {"support_graphs": graphs_checked, "residue_gap": float(worst_residue), "product_mismatches": mismatches}
 
@@ -361,7 +367,15 @@ def run_check(check_id, config=None):
     defect, inputs = check.runner(config)
     runtime = time.perf_counter() - start
     defect = float(defect)
-    return VerificationReport(check_id, check.statement, inputs, defect, tolerance, defect <= tolerance, runtime)
+    return VerificationReport(
+        check_id=check_id,
+        statement=check.statement,
+        inputs=inputs,
+        defect=defect,
+        tolerance=tolerance,
+        passed=defect <= tolerance,
+        runtime=runtime,
+    )
 
 
 def run_suite(profile="quick", seed=0, check_ids=None):

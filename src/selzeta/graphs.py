@@ -281,7 +281,16 @@ def _det(m):
 @functools.lru_cache(maxsize=4096)
 def _incidence_sign(edges, cols):
     """det of the ±1 incidence rows (+1 at p, -1 at q), largest edge first."""
-    return _det([[(v == p) - (v == q) for v in cols] for p, q in reversed(edges)])
+    col_of = {v: j for j, v in enumerate(cols)}
+    rows = []
+    for p, q in reversed(edges):
+        row = [0] * len(col_of)
+        if p in col_of:
+            row[col_of[p]] = 1
+        if q in col_of:
+            row[col_of[q]] = -1
+        rows.append(row)
+    return _det(rows)
 
 
 def log_form_det(edges, cols, diff, scale=None):
@@ -471,7 +480,11 @@ def _residue_term(n, roots, out, top):
     del out[top]
     # every edge is a (min, max) pair in [1, n-1]; only a repeat can occur
     if len(set(out)) < len(out):
-        raise ValueError(f"duplicate edge {next(e for i, e in enumerate(out) if e in out[:i])}")
+        seen = set()
+        for e in out:
+            if e in seen:
+                raise ValueError(f"duplicate edge {e}")
+            seen.add(e)
     return _graph(n - 1, roots, tuple(out))
 
 
@@ -537,10 +550,13 @@ def residue_identity(g, k, expansion):
     pairs = all_pairs(g.n - 1)
     numerators = []
     for c, edges in [(sign, merged)] + [(-c, h.edges) for h, c in expansion.terms.items()]:
-        # a forest's edges are distinct pairs; x_p - x_q with p > q is minus
-        # the gap of the pair (q, p)
-        c *= _incidence_sign(edges, cols) * (-1) ** sum(p > q for p, q in edges)
+        c *= _incidence_sign(edges, cols)
         if c:
+            # a forest's edges are distinct pairs; x_p - x_q with p > q is
+            # minus the gap of the pair (q, p)
+            for p, q in edges:
+                if p > q:
+                    c = -c
             canon = {(min(e), max(e)) for e in edges}
             numerators.append((c, [j for j, pq in enumerate(pairs) if pq not in canon]))
     m = len(cols)

@@ -226,7 +226,6 @@ def test_eta_gamma_check_cannot_be_fooled(monkeypatch):
     "argv, says",
     [
         (["mzv", "eval", "2", "--abs-err", "x"], "argument --abs-err: invalid float value: 'x'"),
-        (["mzv", "eval", "2", "--abs-err", "-1e-12"], "argument --abs-err: expected one argument"),
         (["tower", "build", "--n", "x", "--r", "2"], "argument --n: invalid int value: 'x'"),
         (["verify", "no-such-check"], "invalid choice: 'no-such-check'"),
         ([], "the following arguments are required: command"),
