@@ -145,7 +145,9 @@ def check_eta_gamma(config):
     Each (n, r) group, (3,2), (4,2), (4,3) and five sampled (5,2) tuples,
     shares one generator family and one rational point, drawn once for it.
     A tuple's defect is a fixed polynomial in that draw, so by Schwartz-Zippel
-    it keeps its own bound on passing an error whatever shares the draw.
+    it keeps its own bound on passing an error whatever shares the draw.  At
+    n - r = 1, the (3,2) and (4,3) groups, the identity holds for any
+    matrices, so those groups test only the graph side.
     """
     from .braid import eta_gamma_check, eta_gamma_point, matrix_generators
     from .graphs import index_tuples

@@ -495,14 +495,18 @@ def _residue_surgery(g, k):
     front costs the sign (-1)^(rows above it); substituting x_n = x_k in eta
     merges the dx_n column into dx_k (dropped if k is a root) and the vertex
     n into k, so the residue is sign times the log form of the merged edges
-    on the free columns of [n-1].
+    on the free columns of [n-1].  ValueError, before any determinant, for a
+    graph whose edge count is not its free-vertex count.
     """
     n = g.n
     edges = g.edges
     pos = _top_position(g, k)
     merged = [(p, k) if q == n else (p, q) for p, q in edges]
     del merged[pos]
-    return (1 if (len(edges) - pos) % 2 else -1), tuple(merged), _free_columns(n - 1, g.roots)
+    cols = _free_columns(n - 1, g.roots)
+    if len(merged) != len(cols):
+        raise ValueError("need #edges == #vertices - #roots")
+    return (1 if (len(edges) - pos) % 2 else -1), tuple(merged), cols
 
 
 def omega_residue_direct(g, k, x):

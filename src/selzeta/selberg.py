@@ -38,8 +38,13 @@ sum is not finite is summed node by node, its nonfinite nodes zeroed and
 counted.  Other rays run one real pass over jets in t.  Non-forests
 integrate to 0.  Set-up is built as rarely as the values allow, bit for bit:
 per process the node table and each graph's exponent-free form
-(_graph_form); per integral the powers, ranges and the second level's axes
-(the first level is their old nodes); per later level its axes.
+(_graph_form); per integral or fit the powers, prefactor, ranges and the
+second level's axes (the first level is their old nodes), an integral's
+whole ray checking no pole and forming no face term; per Taylor term of a
+fit the open faces and each factor group's live axes, 1-faces and the face
+sets its logs add into (_plan), which every block reads; per later level
+its axes.  A whole ray's levels are plain floats, and the empty cover's unit
+jet is never multiplied in (x * 1.0 is x, bit for bit).
 
 The orientation of the simplex is fixed once: the sign (-1)^(#edges) makes
 the single-edge case at three vertices equal the positive Euler Beta value,
@@ -50,11 +55,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from ._value import Frozen
-from .graphs import IndexTuple, OrderedRootedGraph, all_pairs, is_tree, log_form_det, pair, wedge_chain
+from .graphs import IndexTuple, _graph, all_pairs, is_tree, log_form_det, pair, wedge_chain
 
 class QuadratureError(RuntimeError):
     pass
@@ -443,11 +449,11 @@ class _TaylorJets:
     polynomial.  A set S keeps a term only if weight + |S| >= m; a forest left
     with none (terms empty) has only zeros up to the weight.
 
-    A ray with no face and no edge at alpha_0 = 0, at weight 0 (whole), has
-    one term, the integrand at t = 0: block_sum sums it, the prefactor
-    inside, and __call__ forms its node values (block_sum's fallback).  The
-    jets of other rays (_jets) read no c and no constant's slope, so they
-    take only the roots x_1 = 0, x_2 = 1 (c = 1, constants 1).
+    A ray with no face and no edge at alpha_0 = 0, at weight 0, on at least
+    one axis (whole), has one term, the integrand at t = 0: block_sum sums
+    it, the prefactor inside, and __call__ forms its node values (block_sum's
+    fallback).  The jets of other rays (_jets) read no c and no constant's
+    slope, so they take only the roots x_1 = 0, x_2 = 1 (c = 1, constants 1).
     """
 
     def __init__(self, form, ray, weight):
@@ -470,11 +476,23 @@ class _TaylorJets:
         zero = [k for k in form.edge_pairs if not a0[k]]
         m = len(zero)
         # a whole ray subtracts no pole, so a count <= 0 on it is a divergence
-        # at t = 0 itself, which its ranges report as an infinite tail
-        self.whole = not (self.faces or weight or m)
-        pole = None if self.whole else next(self._poles(), None)
-        if pole:
-            raise QuadratureError(f"{self.name}: {pole}")
+        # at t = 0 itself, which its ranges report as an infinite tail; one
+        # with no axis runs on the jets, whose blocks may be empty
+        self.whole = bool(self.singles) and not (self.faces or weight or m)
+        # its one term is the integrand at t = 0, on ranges for its own powers
+        singles, order, self.terms = self.singles, 0, [((), 0, 1.0)]
+        if not self.whole:
+            pole = next(self._poles(), None)
+            if pole:
+                raise QuadratureError(f"{self.name}: {pole}")
+            # per set S of faces taken: its jet order and prod 1 / e_k
+            subsets = [S for n in range(len(self.faces) + 1) for S in itertools.combinations(self.faces, n)]
+            self.terms = [(S, weight + len(S) - m, 1.0 / math.prod([self.faces[k][1] for k in S])) for S in subsets if weight + len(S) >= m]
+            # DH has count 1 at each face
+            singles = [[(c, p0 + (k in self.faces and c == self.faces[k][0]), e) for c, p0, e in axis] for k, axis in enumerate(self.singles)]
+            order = weight + len(self.faces) - m
+            # the structure every block of a term reads, built once
+            self.plans = {S: self._plan(S) for S, _, _ in self.terms}
         prefactor = [form.scale * form.sign * math.prod([d[k] for k in zero])]
         for k in form.edge_pairs:
             if a0[k]:
@@ -482,13 +500,8 @@ class _TaylorJets:
         for k, const in form.consts:
             prefactor = [x * const ** (a0[k] - form.edge_flags[k]) for x in prefactor]
         self.prefactor = prefactor
-        # per set S of faces taken: its jet order and prod 1 / e_k
-        subsets = [S for n in range(len(self.faces) + 1) for S in itertools.combinations(self.faces, n)]
-        self.terms = [(S, weight + len(S) - m, 1.0 / math.prod([self.faces[k][1] for k in S])) for S in subsets if weight + len(S) >= m]
         if self.terms:
-            # DH has count 1 at each face
-            singles = [[(c, p0 + (k in self.faces and c == self.faces[k][0]), e) for c, p0, e in axis] for k, axis in enumerate(self.singles)] if self.faces else self.singles
-            self.ends, self.tail = _axis_ends(singles, self.multis, weight + len(self.faces) - m)
+            self.ends, self.tail = _axis_ends(singles, self.multis, order)
             # what the caps leave out relative to what the rule sums
             self.ratio = self.tail / (1.0 - self.tail) if self.tail < 1.0 else math.inf
 
@@ -556,80 +569,99 @@ class _TaylorJets:
         whose sum is not finite is summed node by node by __call__, which
         zeroes and counts the nonfinite nodes.
         """
-        dim = len(gs)
-        inner, spanning = self.prefactor[0], []
+        inner = self.prefactor[0]
         for g in gs[1:]:
             inner = inner * g
+        # per last axis b - 1 of the factors spanning axes 0..b-1, in order
+        spanning = {}
         for (a, b), factors in self.multis:
-            if a > 0:
+            if a:
                 inner = _group_product(factors, _one_minus_product(ts[a:b], omts[a:b]), inner)
             else:
-                spanning.append((b, factors, _one_minus_product(ts[1:b], omts[1:b])))
-        g0 = gs[0].reshape(-1)
-        row = math.prod(x.shape[0] for x in gs[1:])
-        step = max(1, _CHUNK // row)
+                spanning.setdefault(b - 1, []).append((factors, _one_minus_product(ts[1:b], omts[1:b])))
+        t0, omt0, g0 = ts[0], omts[0], gs[0].reshape(-1)
+        step = max(1, _CHUNK // math.prod([g.shape[0] for g in gs[1:]]))
         total, nonfinite = 0.0, 0
         for lo in range(0, g0.shape[0], step):
             rows = slice(lo, lo + step)
             acc = inner
-            for axis in range(dim - 1, 0, -1):
+            for axis in range(len(gs) - 1, 0, -1):
                 # the factors spanning axes 0..axis, on axes 0..axis alone
                 fac = None
-                for b, factors, tail in spanning:
-                    if b == axis + 1:
-                        base = ts[0][rows] * tail
-                        base += omts[0][rows]
-                        fac = _group_product(factors, base, fac)
+                for factors, tail in spanning.get(axis, ()):
+                    base = t0[rows] * tail
+                    base += omt0[rows]
+                    fac = _group_product(factors, base, fac)
                 if fac is None:
                     acc = acc.sum(axis=-1)
                 else:
                     acc = np.einsum("...j,...j->...", acc, fac.reshape(fac.shape[: axis + 1]))
             part = (acc * g0[rows]).sum().item()
             if not math.isfinite(part):
-                chunk = [x if x is None else x[rows] for x in (ts[0], omts[0], gs[0])]
-                vals, bad = self(chunk[:1] + ts[1:], chunk[1:2] + omts[1:], chunk[2:] + gs[1:])
+                vals, bad = self((t0 if t0 is None else t0[rows], *ts[1:]), (omt0 if omt0 is None else omt0[rows], *omts[1:]), (gs[0][rows], *gs[1:]))
                 part = vals.sum().item()
                 nonfinite += bad
             total += part
         return total, nonfinite
 
-    def _jets(self, S, order, block):
-        """Sums of jets 0..order of the integrand with the faces S taken over a
-        block, pairs (axis, its arrays from axis) of the axes off S."""
-        ax = dict(block)
-        faces = [k for k in self.faces if k not in S]
-        mu = {frozenset([k]): (ax[k][4] if ax[k][4].any() else 0.0, ax[k][5]) for k in faces}
+    def _plan(self, S):
+        """What _jets reads of the faces S taken, the same on every block:
+        the open faces, their bit mask (a set of faces is the mask of its
+        axes), and per factor group left its live axes, open 1-faces,
+        factors and the face set each of its logs adds into."""
+        faces, groups = [k for k in self.faces if k not in S], []
+        opened = sum(1 << k for k in faces)
         for (a, b), factors in self.multis:
             # 1 once a 0-face is taken; a 1-face taken drops out, open ones are split off
             if all(k not in S or self.faces[k][0] for k in range(a, b)):
                 live = [k for k in range(a, b) if k not in S and self.faces.get(k, (None,))[0] is None]
-                p = math.prod(ax[k][0] for k in live)
-                om = _one_minus_product([ax[k][0] for k in live], [ax[k][1] for k in live])
                 at1 = [k for k in range(a, b) if k in faces and k not in live]
-                logs = [(live, np.log1p(-p, out=np.log(om), where=p < 0.5))] + [(live + [k], np.log1p(ax[k][1] * p / om)) for k in at1]
-                if len(at1) == 2:  # (1 - z_j z_k p)(1 - p) / ((1 - z_j p)(1 - z_k p)) = 1 + x, y = 1 - z
-                    (zj, yj), (_, yk) = [ax[k][:2] for k in at1]
-                    den = (om + yj * p) * (om + yk * p)
-                    x = -p * yj * yk / den
-                    logs.append((live + at1, np.log1p(x, out=np.log((om + p * (yj + zj * yk)) * om / den), where=x > -0.5)))
-                for _, p0, e in factors:
-                    for keys, lf in logs:
-                        old = mu.get(frozenset(keys).intersection(faces), (0.0, 0.0))
-                        mu[frozenset(keys).intersection(faces)] = old[0] + p0 * lf if p0 else old[0], old[1] + e * lf
-        lead, free = mu.pop(frozenset(), (0.0, 0.0)), sum(x[3] for x in ax.values())
-        covered = {frozenset(): [1.0] + [0.0] * order}  # per set of faces covered, the sum of the products
+                keys = [sum(1 << k for k in live) & opened]
+                keys += [keys[0] | 1 << k for k in at1]
+                if len(at1) == 2:
+                    keys.append(keys[1] | keys[2])
+                groups.append((live, at1, factors, keys))
+        return faces, opened, groups
+
+    def _jets(self, S, order, block):
+        """Sums of jets 0..order of the integrand with the faces S taken over a
+        block, pairs (axis, its arrays from axis) of the axes off S, on the
+        structure of its _plan."""
+        faces, opened, groups = self.plans[S]
+        ax = dict(block)
+        mu = {1 << k: (ax[k][4] if ax[k][4].any() else 0.0, ax[k][5]) for k in faces}
+        for live, at1, factors, keys in groups:
+            p = functools.reduce(operator.mul, [ax[k][0] for k in live])
+            om = _one_minus_product([ax[k][0] for k in live], [ax[k][1] for k in live])
+            logs = [np.log1p(-p, out=np.log(om), where=p < 0.5)] + [np.log1p(ax[k][1] * p / om) for k in at1]
+            if len(at1) == 2:  # (1 - z_j z_k p)(1 - p) / ((1 - z_j p)(1 - z_k p)) = 1 + x, y = 1 - z
+                (zj, yj), (_, yk) = [ax[k][:2] for k in at1]
+                den = (om + yj * p) * (om + yk * p)
+                x = -p * yj * yk / den
+                logs.append(np.log1p(x, out=np.log((om + p * (yj + zj * yk)) * om / den), where=x > -0.5))
+            for _, p0, e in factors:
+                for key, lf in zip(keys, logs):
+                    old = mu.get(key, (0.0, 0.0))
+                    mu[key] = old[0] + p0 * lf if p0 else old[0], old[1] + e * lf
+        lead, free = mu.pop(0, (0.0, 0.0)), sum(x[3] for x in ax.values())
+        # per set of faces covered, the sum of the products; the empty cover's unit jet is never multiplied in
+        covered = {0: None}
         for W, (m0, m1) in mu.items():
             part = _exp_jets(m0, m1, order, np.expm1(m0))
             for c, jets in list(covered.items()):
-                new, old = _jet_product(jets, part), covered.get(c | W)
+                new, old = part if jets is None else _jet_product(jets, part), covered.get(c | W)
                 covered[c | W] = new if old is None else [x + y for x, y in zip(old, new)]
-        out = _jet_product(_exp_jets(lead[0], free + lead[1], order), covered.get(frozenset(faces), [0.0]))
-        group = math.prod(x[2] for x in ax.values())
-        return np.array([np.sum(group * x) for x in out] + [0.0] * (order + 1 - len(out)))
+        out = _exp_jets(lead[0], free + lead[1], order)
+        if faces:
+            out = _jet_product(out, covered.get(opened, [0.0]))
+        # without math.prod's leading 1 * (x * 1 is x, bit for bit); 1 on a block of no axis
+        group = functools.reduce(operator.mul, [x[2] for x in ax.values()]) if ax else 1
+        return np.array([np.add.reduce(group * x, None) for x in out] + [0.0] * (order + 1 - len(out)))
 
     def levels(self):
-        """Yield (level, coefficients 0..weight, nodes, nonfinite) per level of
-        _LEVELS, nodes and nonfinite running totals.
+        """Yield (level, value, nodes, nonfinite) per level of _LEVELS, nodes
+        and nonfinite running totals, the value a float on a whole ray (the
+        integral) and the coefficients 0..weight on others.
 
         S_{L+1} = S_L / 2^dim + the sum over the new nodes of level L+1, the
         blocks of _level_blocks, per term on the axes off its faces; each
@@ -645,17 +677,16 @@ class _TaylorJets:
                     part = 0.0
                     for block in term_blocks:
                         if self.whole:
-                            ts, omts, gs = map(list, zip(*(arrays for _, arrays in block)))
-                            sub, bad = self.block_sum(ts, omts, gs)
+                            sub, bad = self.block_sum(*zip(*(arrays for _, arrays in block)))
                         else:
                             sub, bad = self._jets(S, order, block), 0
-                        nodes += math.prod(len(arrays[2]) for _, arrays in block)
+                        nodes += math.prod([len(arrays[2]) for _, arrays in block])
                         part += sub
                         nonfinite += bad
                     # the weights leave out the mesh 2^-level, one factor per axis
                     sums[i] = sums[i] / 2 ** len(free) + part * 2.0 ** (-level * len(free))
                 if self.whole:  # the one term, the prefactor inside, is weight 0
-                    yield level, np.array(sums), nodes, nonfinite
+                    yield level, sums[0], nodes, nonfinite
                     continue
                 coeffs = np.zeros(self.weight + 1)
                 for (_, order, inv), total in zip(self.terms, sums):
@@ -739,8 +770,7 @@ def _integrate_cube(f, tol):
     """
     # a one-level table has no difference to estimate the error from
     prev, err = None, math.inf
-    for _, coeffs, nodes, nonfinite in f.levels():
-        total = coeffs[0].item()
+    for _, total, nodes, nonfinite in f.levels():
         if prev is not None:
             err = abs(total - prev)
             bound = tol * max(1.0, abs(total))
@@ -803,7 +833,7 @@ def _integral(n, roots, edges, exps, tol, root_values):
     exponents exps of all_pairs(n) and root values as a frozenset of items
     (None for x_1 = 0, x_2 = 1), computed once per process: the weight-0
     jet on the ray d = 0, alpha_0 = exps."""
-    f = _TaylorJets(_graph_form(OrderedRootedGraph(n, roots, edges), root_values), ((0.0,) * len(exps), exps), 0)
+    f = _TaylorJets(_graph_form(_graph(n, roots, edges), root_values), ((0.0,) * len(exps), exps), 0)
     # no free vertex: the integrand is its constant, the root gap powers
     return QuadratureResult(f.prefactor[0], 0.0, 1) if n == len(roots) else _integrate_cube(f, tol)
 
@@ -898,7 +928,8 @@ def taylor_coefficients(gs, alpha_direction, max_weight, tol=None, base=None):
     prev, est, last = None, None, None
     with np.errstate(all="ignore"):
         for levels in zip(*(f.levels() for _, f in forests)):
-            values = [v for _, v, _, _ in levels]
+            # a whole ray's level is a float, the weight-0 coefficient
+            values = [np.atleast_1d(v) for _, v, _, _ in levels]
             coeffs = sum(c * v for (c, _), v in zip(forests, values))
             if not np.isfinite(coeffs).all():
                 raise QuadratureError(f"Taylor coefficients not finite: {coeffs}")

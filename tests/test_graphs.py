@@ -622,6 +622,29 @@ def test_every_residue_path_names_a_missing_top_edge(k, named):
         residue_identity(g, k, GraphSum(3, g.roots))
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [((1, 3), (5, 6)), ((1, 3), (1, 4), (2, 5), (3, 6), (5, 6))],
+    ids=["too-few", "too-many"],
+)
+def test_every_residue_path_refuses_a_graph_whose_edge_count_is_not_its_free_vertex_count(edges, monkeypatch):
+    # n = 6, roots {1, 2}: four free vertices.  With two edges both paths
+    # returned 0, with five they failed inside the determinant; each must
+    # refuse the graph by name before any determinant is formed
+    g = G(6, {1, 2}, *edges)
+    x = {v: Fraction(v, 7) for v in range(1, 6)}
+
+    def no_det(m):
+        raise AssertionError("a determinant was formed")
+
+    monkeypatch.setattr(graphs, "_det", no_det)
+    graphs._incidence_sign.cache_clear()
+    with pytest.raises(ValueError, match=r"need #edges == #vertices - #roots"):
+        omega_residue_direct(g, 5, x)
+    with pytest.raises(ValueError, match=r"need #edges == #vertices - #roots"):
+        residue_identity(g, 5, GraphSum(5, g.roots))
+
+
 def test_residue_expand_rejects_a_repeated_edge_among_the_rewired_top_edges():
     # two top edges at or above (3,5): (1,5) is dropped and (3,5) becomes
     # (1,3), which the graph already has

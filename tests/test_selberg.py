@@ -49,8 +49,10 @@ def taylor_jets(g, ray, weight):
 
 
 def whole_levels(f):
-    """(level, sum, nodes, nonfinite) per level of a whole ray's levels."""
-    return [(level, total, nodes, bad) for level, (total,), nodes, bad in f.levels()]
+    """(level, sum, nodes, nonfinite) per level of a whole ray's levels, the sum a float."""
+    out = list(f.levels())
+    assert all(type(total) is float for _, total, _, _ in out)
+    return out
 
 
 def alpha3(a, b, ab=0.1):
@@ -1518,3 +1520,200 @@ def test_one_level_table_reports_no_convergence(levels):
     got = integrate_graph(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5))
     assert got.converged is False and got.err_estimate == math.inf
     assert got.evaluations == rule_nodes(G(3, {1, 2}, (2, 3)), alpha3(0.5, 0.5), 3)
+
+
+# ---------------------------------------------------------------------------
+# the whole-ray loop without a boxed level, and the jets on a structure built
+# once per fit, pinned bit for bit against test-local copies of the loops
+# that boxed each whole level in an array, built each block's face sets,
+# frozensets and cover products anew and multiplied the unit jet in
+# ---------------------------------------------------------------------------
+
+def boxed_exp_jets(p, e, order, first=None):
+    out = list(itertools.accumulate(range(1, order + 1), lambda x, j: x * e / j, initial=np.exp(p)))
+    return out if first is None else [first] + out[1:]
+
+
+def boxed_jet_product(x, y):
+    nonzero = [[isinstance(a, np.ndarray) or a != 0 for a in z] for z in (x, y)]
+    return [sum(x[i] * y[j - i] for i in range(j + 1) if nonzero[0][i] and nonzero[1][j - i]) for j in range(min(len(x), len(y)))]
+
+
+def boxed_jets(self, S, order, block):
+    ax = dict(block)
+    faces = [k for k in self.faces if k not in S]
+    mu = {frozenset([k]): (ax[k][4] if ax[k][4].any() else 0.0, ax[k][5]) for k in faces}
+    for (a, b), factors in self.multis:
+        if all(k not in S or self.faces[k][0] for k in range(a, b)):
+            live = [k for k in range(a, b) if k not in S and self.faces.get(k, (None,))[0] is None]
+            p = math.prod(ax[k][0] for k in live)
+            om = selberg._one_minus_product([ax[k][0] for k in live], [ax[k][1] for k in live])
+            at1 = [k for k in range(a, b) if k in faces and k not in live]
+            logs = [(live, np.log1p(-p, out=np.log(om), where=p < 0.5))] + [(live + [k], np.log1p(ax[k][1] * p / om)) for k in at1]
+            if len(at1) == 2:
+                (zj, yj), (_, yk) = [ax[k][:2] for k in at1]
+                den = (om + yj * p) * (om + yk * p)
+                x = -p * yj * yk / den
+                logs.append((live + at1, np.log1p(x, out=np.log((om + p * (yj + zj * yk)) * om / den), where=x > -0.5)))
+            for _, p0, e in factors:
+                for keys, lf in logs:
+                    old = mu.get(frozenset(keys).intersection(faces), (0.0, 0.0))
+                    mu[frozenset(keys).intersection(faces)] = old[0] + p0 * lf if p0 else old[0], old[1] + e * lf
+    lead, free = mu.pop(frozenset(), (0.0, 0.0)), sum(x[3] for x in ax.values())
+    covered = {frozenset(): [1.0] + [0.0] * order}
+    for W, (m0, m1) in mu.items():
+        part = selberg._exp_jets(m0, m1, order, np.expm1(m0))
+        for c, jets in list(covered.items()):
+            new, old = selberg._jet_product(jets, part), covered.get(c | W)
+            covered[c | W] = new if old is None else [x + y for x, y in zip(old, new)]
+    out = selberg._jet_product(selberg._exp_jets(lead[0], free + lead[1], order), covered.get(frozenset(faces), [0.0]))
+    group = math.prod(x[2] for x in ax.values())
+    return np.array([np.sum(group * x) for x in out] + [0.0] * (order + 1 - len(out)))
+
+
+def boxed_block_sum(self, ts, omts, gs):
+    dim = len(gs)
+    inner, spanning = self.prefactor[0], []
+    for g in gs[1:]:
+        inner = inner * g
+    for (a, b), factors in self.multis:
+        if a > 0:
+            inner = selberg._group_product(factors, selberg._one_minus_product(ts[a:b], omts[a:b]), inner)
+        else:
+            spanning.append((b, factors, selberg._one_minus_product(ts[1:b], omts[1:b])))
+    g0 = gs[0].reshape(-1)
+    row = math.prod(x.shape[0] for x in gs[1:])
+    step = max(1, selberg._CHUNK // row)
+    total, nonfinite = 0.0, 0
+    for lo in range(0, g0.shape[0], step):
+        rows = slice(lo, lo + step)
+        acc = inner
+        for axis in range(dim - 1, 0, -1):
+            fac = None
+            for b, factors, tail in spanning:
+                if b == axis + 1:
+                    base = ts[0][rows] * tail
+                    base += omts[0][rows]
+                    fac = selberg._group_product(factors, base, fac)
+            if fac is None:
+                acc = acc.sum(axis=-1)
+            else:
+                acc = np.einsum("...j,...j->...", acc, fac.reshape(fac.shape[: axis + 1]))
+        part = (acc * g0[rows]).sum().item()
+        if not math.isfinite(part):
+            chunk = [x if x is None else x[rows] for x in (ts[0], omts[0], gs[0])]
+            vals, bad = self(chunk[:1] + ts[1:], chunk[1:2] + omts[1:], chunk[2:] + gs[1:])
+            part = vals.sum().item()
+            nonfinite += bad
+        total += part
+    return total, nonfinite
+
+
+def boxed_levels(self):
+    frees = [[k for k in range(len(self.ends)) if k not in S] for S, _, _ in self.terms]
+    sums, nodes, nonfinite = [0.0] * len(self.terms), 0, 0
+    with np.errstate(all="ignore"):
+        for level, blocks in selberg._level_blocks(self, frees):
+            for i, ((S, order, _), free, term_blocks) in enumerate(zip(self.terms, frees, blocks)):
+                part = 0.0
+                for block in term_blocks:
+                    if self.whole:
+                        ts, omts, gs = map(list, zip(*(arrays for _, arrays in block)))
+                        sub, bad = self.block_sum(ts, omts, gs)
+                    else:
+                        sub, bad = self._jets(S, order, block), 0
+                    nodes += math.prod(len(arrays[2]) for _, arrays in block)
+                    part += sub
+                    nonfinite += bad
+                sums[i] = sums[i] / 2 ** len(free) + part * 2.0 ** (-level * len(free))
+            if self.whole:
+                # unboxed by the caller, as the integrator read it, coeffs[0].item()
+                yield level, np.array(sums)[0].item(), nodes, nonfinite
+                continue
+            coeffs = np.zeros(self.weight + 1)
+            for (_, order, inv), total in zip(self.terms, sums):
+                coeffs[self.weight - order :] += inv * total
+            yield level, self.scaled(coeffs), nodes, nonfinite
+
+
+def bits(x):
+    """x with every float as float.hex, lists, tuples and arrays elementwise."""
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [bits(y) for y in x]
+    return float(x).hex() if isinstance(x, (float, np.floating)) else x
+
+
+def result_bits(res):
+    return [bits(res.value), bits(res.err_estimate), res.evaluations, res.unconverged, res.nonfinite]
+
+
+def with_and_without_the_boxed_loops(monkeypatch, compute):
+    """compute() on the package's loops, then on the boxed copies, each on a
+    cold integral memo."""
+    selberg._integral.cache_clear()
+    got = compute()
+    with monkeypatch.context() as m:
+        m.setattr(_TaylorJets, "levels", boxed_levels)
+        m.setattr(_TaylorJets, "_jets", boxed_jets)
+        m.setattr(_TaylorJets, "block_sum", boxed_block_sum)
+        m.setattr(selberg, "_jet_product", boxed_jet_product)
+        m.setattr(selberg, "_exp_jets", boxed_exp_jets)
+        selberg._integral.cache_clear()
+        want = compute()
+    selberg._integral.cache_clear()
+    return got, want
+
+
+BIT_INTEGRALS = [
+    *[star_case(l, 0.4, 0.7, 0.5)[:2] + (None,) for l in (1, 2, 3)],
+    *[star_case(l, 0.608, 0.263, 0.836)[:2] + (None,) for l in (1, 2, 3)],
+    (G(3, {1, 2}, (2, 3)), alpha3(0.3, 0.8), None),
+    (G(5, {1, 2, 3}, (3, 4), (1, 5)), ExponentAssignment.uniform(5, 0.3), THREE_ROOTS),
+]
+
+
+@pytest.mark.parametrize("chunk", [selberg._CHUNK, 64])
+@pytest.mark.parametrize("case", range(len(BIT_INTEGRALS)))
+def test_integrals_keep_the_bits_of_the_boxed_level_loop(case, chunk, monkeypatch):
+    # at 64 nodes a chunk, every block but the smallest is summed chunk by chunk
+    g, alpha, rv = BIT_INTEGRALS[case]
+    monkeypatch.setattr(selberg, "_CHUNK", chunk)
+    for tol in (None, 1e-12):
+        got, want = with_and_without_the_boxed_loops(monkeypatch, lambda: result_bits(integrate_graph(g, alpha, tol=tol, root_values=rv)))
+        assert got == want, (g.edges, tol)
+
+
+BIT_FITS = [
+    *[(GraphSum.single(star_case(l, *abc)[0]), star_case(l, *abc)[1], None, 8 if l < 3 else 4) for l in (1, 2, 3) for abc in [(0.3, 0.5, 0.4), (0.7, 0.25, 0.6)]],
+    *[(gs, direction, tol, 8) for gs, direction, tol in taylor_cases()[4:]],
+    (wedge_chain(IndexTuple(2, 4, (2, 1))), spread_exponents(4), None, 4),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BIT_FITS)))
+def test_taylor_fits_keep_the_bits_of_the_per_block_jets(case, monkeypatch):
+    gs, direction, tol, top = BIT_FITS[case]
+    for weight in sorted({0, top // 2, top}):
+        got, want = with_and_without_the_boxed_loops(monkeypatch, lambda: bits(taylor_coefficients(gs, direction, weight, tol=tol)))
+        assert got == want, weight
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_alpha_limits_keep_the_bits_of_the_per_block_jets(seed, monkeypatch):
+    from selzeta.transport import alpha_limit_check
+
+    alpha = sample_alpha(4, random.Random(seed))
+    for entries in [(2, 3), (2, 1), (2, 2), (1, 2)]:
+        got, want = with_and_without_the_boxed_loops(monkeypatch, lambda: bits(list(vars(alpha_limit_check(4, entries, alpha, tol=1e-9)).values())))
+        assert got == want, entries
+
+
+@pytest.mark.parametrize("base", [None, {(1, 2): 0.3}])
+def test_a_fit_with_no_free_vertex_is_its_constant_at_every_weight(base):
+    # x_1 = 0 and x_2 = 1 alone: the integrand is the constant 1 at every
+    # exponent; at weight 0 the level loop once unpacked an empty block
+    gs = GraphSum.single(G(2, {1, 2}))
+    for weight in (0, 1, 3):
+        coeffs, bound = taylor_coefficients(gs, ExponentAssignment({(1, 2): 0.5}), weight, base=base)
+        assert coeffs == [1.0] + [0.0] * weight
+        assert bound <= 2.0**-45
